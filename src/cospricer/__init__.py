@@ -30,6 +30,7 @@ from .harness import (
     ReferenceSet,
     run_convergence,
     run_l_sweep,
+    run_reference_set,
     run_stability_surface,
     run_strike_table,
     write_result,
@@ -82,6 +83,7 @@ __all__ = [
     "price_fourier_integral",
     "run_convergence",
     "run_l_sweep",
+    "run_reference_set",
     "run_stability_surface",
     "run_strike_table",
     "truncation_range",

@@ -26,40 +26,21 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import harness, presets
-from .cos_engine import CosConfig, OptionKind, OptionSpec, Variant, price
+from .cos_engine import OptionKind, OptionSpec, Variant, price
 from .errors import ConfigurationError, PricingError
-from .models import MarketSpec
 
 __all__ = ["RunConfig", "load_config", "cmd_price", "cmd_reproduce", "cmd_sweep", "main"]
 
-_COS_VARIANTS = {
-    "stable": Variant.STABLE,
-    "parity": Variant.PUT_CALL_PARITY,
-    "direct": Variant.DIRECT,
-}
-
-# golden-table tolerances per method column for `reproduce table5`;
-# the bundled FFT column carries up to ~1.5e-3 of grid interpolation
-# error of its own, so its check is loose
-_TABLE_TOLERANCES = {
-    "stable": 5e-10,
-    "parity": 5e-10,
-    "direct": 5e-10,
-    "fourier_integral": 1e-8,
-    "carr_madan": 2e-3,
-}
+_METHODS = tuple(variant.value for variant in Variant)
 
 _DEFAULT_N_GRID = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-
-# the bundled fat-tail reference is rounded in its 13th digit, so its
-# recomputation gate sits at 2e-12 instead of 5e-13
-_GATE_TOLERANCES = {"cgmy2": 2e-12}
 
 
 @dataclass(frozen=True)
@@ -85,14 +66,10 @@ class RunConfig:
     format: str = "plain"
 
     def __post_init__(self):
-        if self.profile not in presets.PROFILE_NAMES:
+        presets.model_preset(self.profile)
+        if self.method not in _METHODS:
             raise ConfigurationError(
-                f"unknown model profile {self.profile!r}; "
-                f"expected one of {', '.join(presets.PROFILE_NAMES)}"
-            )
-        if self.method not in _COS_VARIANTS:
-            raise ConfigurationError(
-                f"unknown method {self.method!r}; expected one of {', '.join(_COS_VARIANTS)}"
+                f"unknown method {self.method!r}; expected one of {', '.join(_METHODS)}"
             )
         if self.kind not in ("call", "put"):
             raise ConfigurationError(f"kind must be call or put, got {self.kind!r}")
@@ -100,51 +77,30 @@ class RunConfig:
             raise ConfigurationError(
                 f"format must be csv, json, or plain, got {self.format!r}"
             )
-        if not (self.strike > 0 and math.isfinite(self.strike)):
-            raise ConfigurationError(f"strike must be positive, got {self.strike}")
-        if not (self.maturity > 0 and math.isfinite(self.maturity)):
-            raise ConfigurationError(f"maturity must be positive, got {self.maturity}")
+        for key, value in (("strike", self.strike), ("maturity", self.maturity),
+                           ("L", self.range_width)):
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(f"{key} must be positive, got {value}")
         if self.n_terms is not None and self.n_terms <= 0:
             raise ConfigurationError(f"N must be a positive integer, got {self.n_terms}")
-        if self.range_width is not None and not (
-            self.range_width > 0 and math.isfinite(self.range_width)
-        ):
-            raise ConfigurationError(f"L must be positive, got {self.range_width}")
 
 
-# config-file key -> (RunConfig field, parser)
-def _parse_int(key):
-    def parse(text):
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigurationError(f"{key} must be an integer, got {text!r}") from None
-    return parse
-
-
-def _parse_float(key):
-    def parse(text):
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigurationError(f"{key} must be a number, got {text!r}") from None
-    return parse
-
-
-_CONFIG_KEYS = {
-    "profile": ("profile", str),
-    "method": ("method", str),
-    "kind": ("kind", str),
-    "strike": ("strike", _parse_float("strike")),
-    "maturity": ("maturity", _parse_float("maturity")),
-    "spot": ("spot", _parse_float("spot")),
-    "rate": ("rate", _parse_float("rate")),
-    "dividend": ("dividend", _parse_float("dividend")),
-    "alpha": ("alpha", _parse_float("alpha")),
-    "L": ("range_width", _parse_float("L")),
-    "N": ("n_terms", _parse_int("N")),
-    "output": ("output", str),
-    "format": ("format", str),
+# every `price` setting, declared once for the config file and the flags:
+# config key (the flag is --key) -> (RunConfig field, value type, choices, help)
+_SETTINGS = {
+    "profile": ("profile", str, presets.PROFILE_NAMES, None),
+    "method": ("method", str, _METHODS, None),
+    "kind": ("kind", str, ("call", "put"), None),
+    "strike": ("strike", float, None, None),
+    "maturity": ("maturity", float, None, None),
+    "spot": ("spot", float, None, None),
+    "rate": ("rate", float, None, None),
+    "dividend": ("dividend", float, None, None),
+    "alpha": ("alpha", float, None, None),
+    "L": ("range_width", float, None, None),
+    "N": ("n_terms", int, None, None),
+    "output": ("output", str, None, "write the result here instead of stdout"),
+    "format": ("format", str, ("csv", "json", "plain"), None),
 }
 
 
@@ -161,12 +117,16 @@ def _parse_config_file(path: str) -> dict:
                 )
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise ConfigurationError(
                     f"unknown config key {key!r} at line {lineno}"
                 )
-            field_name, parse = _CONFIG_KEYS[key]
-            overrides[field_name] = parse(value)
+            field_name, value_type, _, _ = _SETTINGS[key]
+            try:
+                overrides[field_name] = value_type(value)
+            except ValueError:
+                noun = "an integer" if value_type is int else "a number"
+                raise ConfigurationError(f"{key} must be {noun}, got {value!r}") from None
     return overrides
 
 
@@ -175,134 +135,89 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(**_parse_config_file(path))
 
 
-def _merged_config(args: argparse.Namespace) -> RunConfig:
-    overrides = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, (field_name, _) in _CONFIG_KEYS.items():
-        flag_value = getattr(args, field_name, None)
-        if flag_value is not None:
-            overrides[field_name] = flag_value
-    return RunConfig(**overrides)
-
-
-def _pricing_inputs(config: RunConfig):
-    model = presets.model_preset(config.profile)
-    base = presets.market_preset(config.maturity)
-    market = MarketSpec(
-        spot=base.spot if config.spot is None else config.spot,
-        rate=base.rate if config.rate is None else config.rate,
-        dividend=base.dividend if config.dividend is None else config.dividend,
-        maturity=config.maturity,
-    )
-    variant = _COS_VARIANTS[config.method]
-    preset = presets.method_preset(config.profile, variant)
-    cos_config = CosConfig(
-        n_terms=preset.n_terms if config.n_terms is None else config.n_terms,
-        range_width=preset.range_width if config.range_width is None else config.range_width,
-        damping=preset.damping if config.alpha is None else config.alpha,
-        variant=variant,
-    )
-    kind = OptionKind.CALL if config.kind == "call" else OptionKind.PUT
-    option = OptionSpec(strike=config.strike, kind=kind)
-    return model, market, option, cos_config
-
-
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _given(**values) -> dict:
+    """The keyword arguments that are set, i.e. not None."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def cmd_price(args: argparse.Namespace) -> int:
-    config = _merged_config(args)
-    model, market, option, cos_config = _pricing_inputs(config)
-    result = price(model, market, option, cos_config)
+    overrides = _parse_config_file(args.config) if args.config else {}
+    flags = {field_name: getattr(args, field_name) for field_name, *_ in _SETTINGS.values()}
+    config = RunConfig(**{**overrides, **_given(**flags)})
+    market = replace(
+        presets.market_preset(config.maturity),
+        **_given(spot=config.spot, rate=config.rate, dividend=config.dividend),
+    )
+    variant = Variant(config.method)
+    cos_config = replace(
+        presets.method_preset(config.profile, variant).cos_config(variant),
+        **_given(n_terms=config.n_terms, range_width=config.range_width, damping=config.alpha),
+    )
+    option = OptionSpec(strike=config.strike, kind=OptionKind(config.kind))
+    result = price(presets.model_preset(config.profile), market, option, cos_config)
+    row = {
+        "price": result.price,
+        "method": config.method,
+        "profile": config.profile,
+        "kind": config.kind,
+        "strike": config.strike,
+        "maturity": config.maturity,
+    }
     if config.format == "json":
-        text = json.dumps(
-            {
-                "price": result.price,
-                "method": config.method,
-                "profile": config.profile,
-                "kind": config.kind,
-                "strike": config.strike,
-                "maturity": config.maturity,
-            }
-        )
+        text = json.dumps(row)
     elif config.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["price", "method", "profile", "kind", "strike", "maturity"])
-        writer.writerow(
-            [f"{result.price:.12e}", config.method, config.profile, config.kind,
-             config.strike, config.maturity]
-        )
+        writer.writerow(row)
+        writer.writerow({**row, "price": f"{result.price:.12e}"}.values())
         text = buf.getvalue().rstrip("\r\n")
     else:
         text = f"{result.price:.10f} ({config.method})"
-    _emit(text, config.output)
+    if config.output:
+        with open(config.output, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
     return 0
 
 
-def _out_dir(args: argparse.Namespace) -> str:
-    out = getattr(args, "output", None) or "results"
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _reproduce_table5(out_dir: str) -> int:
+def _reproduce_table5(out_dir: str, target: str) -> int:
     result = harness.run_strike_table()
     harness.write_result(result, os.path.join(out_dir, "strike_table.csv"))
     golden = presets.load_strike_table()
     strikes = list(result.axis("strike"))
     models = list(result.axis("model"))
-    methods = list(result.axis("method"))
     all_pass = True
-    for method in methods:
-        tol = _TABLE_TOLERANCES[method]
-        passed = total = 0
-        worst = 0.0
-        for (g_model, g_method, g_strike), want in golden.items():
-            if g_method != method:
-                continue
-            got = result.values[
-                strikes.index(g_strike), models.index(g_model), methods.index(method)
-            ]
-            err = abs(got - want)
-            total += 1
-            worst = max(worst, err)
-            passed += err <= tol
-        status = "PASS" if passed == total else "FAIL"
-        all_pass &= passed == total
-        print(f"{method}: {passed}/{total} {status} (tol {tol:.0e}, worst {worst:.2e})")
+    for k, method in enumerate(result.axis("method")):
+        tol = presets.STRIKE_TABLE_TOLERANCES[method]
+        errors = [
+            abs(result.values[strikes.index(strike), models.index(model), k] - want)
+            for (model, g_method, strike), want in golden.items()
+            if g_method == method
+        ]
+        passed = sum(err <= tol for err in errors)
+        ok = passed == len(errors)
+        all_pass &= ok
+        print(f"{method}: {passed}/{len(errors)} {'PASS' if ok else 'FAIL'} "
+              f"(tol {tol:.0e}, worst {max(errors, default=0.0):.2e})")
     return 0 if all_pass else 1
 
 
-def _reproduce_table6(out_dir: str) -> int:
+def _reproduce_table6(out_dir: str, target: str) -> int:
     stored = presets.load_reference_prices()
-    names = tuple(presets.PROFILE_NAMES)
-    recomputed = np.array([harness._recompute_reference(name) for name in names])
-    result = harness.ExperimentResult(
-        experiment="reference_set",
-        axes=(("model", names),),
-        values=recomputed,
-        metadata={"n_terms": 60000, "variant": "parity", "strike": 100.0},
-    )
+    result = harness.run_reference_set()
     harness.write_result(result, os.path.join(out_dir, "reference_set.csv"))
+    tol = presets.REFERENCE_TOLERANCE
     all_pass = True
-    for name, value in zip(names, recomputed):
+    for name, value in zip(result.axis("model"), result.values):
         gap = abs(value - stored[name])
-        ok = gap <= 5e-13
+        ok = gap <= tol
         all_pass &= ok
         note = "" if ok else " (stored value rounded in its 13th digit)"
-        print(f"{name}: {passfail(ok)} stored {stored[name]:.13f} "
+        print(f"{name}: {'PASS' if ok else 'FAIL'} stored {stored[name]:.13f} "
               f"recomputed {value:.13f} gap {gap:.1e}{note}")
-    print(f"references: {'4/4 PASS' if all_pass else 'FAIL'} (tol 5e-13)")
+    print(f"references: {'4/4 PASS' if all_pass else 'FAIL'} (tol {tol:.0e})")
     return 0 if all_pass else 1
-
-
-def passfail(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
 
 
 def _reproduce_stability(out_dir: str, target: str, maturity: float) -> int:
@@ -317,6 +232,13 @@ def _reproduce_stability(out_dir: str, target: str, maturity: float) -> int:
     return 0
 
 
+def _convergence(profile: str, variant: Variant, maturity: float,
+                 n_values: Sequence[int] = _DEFAULT_N_GRID):
+    """Convergence curve gated at the profile's bundled-reference tolerance."""
+    return harness.run_convergence(profile, n_values, variant, maturity=maturity,
+                                   reference_tolerance=presets.reference_gate(profile))
+
+
 def _reproduce_convergence(out_dir: str, target: str, model_names, variants,
                            maturity: float = 1.0) -> int:
     for name in model_names:
@@ -326,13 +248,7 @@ def _reproduce_convergence(out_dir: str, target: str, model_names, variants,
             except ConfigurationError:
                 print(f"{target} {name} {variant.value}: skipped (no preset)")
                 continue
-            result = harness.run_convergence(
-                name,
-                _DEFAULT_N_GRID,
-                variant,
-                reference_tolerance=_GATE_TOLERANCES.get(name, 5e-13),
-                maturity=maturity,
-            )
+            result = _convergence(name, variant, maturity)
             harness.write_result(
                 result, os.path.join(out_dir, f"{target}_{name}_{variant.value}.csv")
             )
@@ -341,100 +257,76 @@ def _reproduce_convergence(out_dir: str, target: str, model_names, variants,
     return 0
 
 
-def _reproduce_l_sweep(out_dir: str) -> int:
+def _reproduce_l_sweep(out_dir: str, target: str) -> int:
     for name in presets.PROFILE_NAMES:
-        lo, hi = (17.0, 25.0) if name == "cgmy2" else (6.0, 18.0)
-        result = harness.run_l_sweep(name, np.linspace(lo, hi, 13))
-        harness.write_result(result, os.path.join(out_dir, f"fig7_{name}.csv"))
+        result = harness.run_l_sweep(name, presets.sweep_widths(name))
+        harness.write_result(result, os.path.join(out_dir, f"{target}_{name}.csv"))
         spread = np.abs(result.values[:, 0] - result.values[:, 1]).max()
-        print(f"fig7 {name}: max |damped-call - undamped-put-parity| {spread:.3e}")
+        print(f"{target} {name}: max |damped-call - undamped-put-parity| {spread:.3e}")
     return 0
 
 
+# reproduce target -> driver(output directory, target) returning the exit code
+_TARGETS = {
+    "table5": _reproduce_table5,
+    "table6": _reproduce_table6,
+    "fig1": partial(_reproduce_stability, maturity=1.0),
+    "fig2": partial(_reproduce_stability, maturity=0.1),
+    "fig3": partial(_reproduce_stability, maturity=20.0),
+    "fig4": partial(_reproduce_convergence, model_names=presets.PROFILE_NAMES,
+                    variants=(Variant.STABLE, Variant.PUT_CALL_PARITY, Variant.DIRECT)),
+    "fig5": partial(_reproduce_convergence, model_names=("cgmy1",), maturity=5.0,
+                    variants=(Variant.STABLE, Variant.PUT_CALL_PARITY)),
+    "fig6": partial(_reproduce_convergence, model_names=("cgmy2",), maturity=0.1,
+                    variants=(Variant.STABLE, Variant.PUT_CALL_PARITY)),
+    "fig7": _reproduce_l_sweep,
+}
+
+
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    target = args.target
-    out_dir = _out_dir(args)
-    if target == "table5":
-        return _reproduce_table5(out_dir)
-    if target == "table6":
-        return _reproduce_table6(out_dir)
-    if target in ("fig1", "fig2", "fig3"):
-        maturity = {"fig1": 1.0, "fig2": 0.1, "fig3": 20.0}[target]
-        return _reproduce_stability(out_dir, target, maturity)
-    if target == "fig4":
-        return _reproduce_convergence(
-            out_dir, target, presets.PROFILE_NAMES,
-            (Variant.STABLE, Variant.PUT_CALL_PARITY, Variant.DIRECT),
-        )
-    if target == "fig5":
-        return _reproduce_convergence(
-            out_dir, target, ("cgmy1",), (Variant.STABLE, Variant.PUT_CALL_PARITY),
-            maturity=5.0,
-        )
-    if target == "fig6":
-        return _reproduce_convergence(
-            out_dir, target, ("cgmy2",), (Variant.STABLE, Variant.PUT_CALL_PARITY),
-            maturity=0.1,
-        )
-    if target == "fig7":
-        return _reproduce_l_sweep(out_dir)
-    raise ConfigurationError(f"unknown target {target!r}")
+    out_dir = args.output or "results"
+    os.makedirs(out_dir, exist_ok=True)
+    if args.target not in _TARGETS:
+        raise ConfigurationError(f"unknown target {args.target!r}")
+    return _TARGETS[args.target](out_dir, args.target)
 
 
-def _parse_grid(text: str, key: str) -> tuple:
+def _parse_terms(text: str) -> tuple:
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
+        values = tuple(int(float(part)) for part in text.split(",") if part.strip())
     except ValueError:
-        raise ConfigurationError(f"{key} must be a comma-separated number list") from None
+        values = ()
     if not values:
-        raise ConfigurationError(f"{key} must be a comma-separated number list")
+        raise ConfigurationError("--n-values must be a comma-separated number list")
     return values
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    profile = args.profile
-    presets.model_preset(profile)
     if (args.l_min is None) != (args.l_max is None):
         raise ConfigurationError("--l-min and --l-max must be given together")
+    if args.l_min is None:
+        l_values = presets.sweep_widths(args.profile, args.l_points)
+    else:
+        l_values = np.linspace(args.l_min, args.l_max, args.l_points)
+    # unset flags fall back to each driver's own defaults
+    options = _given(strike=args.strike, n_terms=args.n_terms, maturity=args.maturity)
     if args.experiment == "stability":
-        preset = presets.method_preset(profile, Variant.STABLE)
+        preset = presets.method_preset(args.profile, Variant.STABLE)
         result = harness.run_stability_surface(
-            profile,
+            args.profile,
             alpha_values=np.linspace(args.alpha_min, args.alpha_max, args.alpha_points),
-            l_values=np.linspace(args.l_min, args.l_max, args.l_points)
-            if args.l_min is not None
-            else None,
-            strike=args.strike,
-            maturity=args.maturity,
-            n_terms=args.n_terms,
+            l_values=l_values,
             reference_width=preset.range_width if args.scale_terms else None,
+            **options,
         )
         summary = f"spread {result.value_spread:.3e}"
     elif args.experiment == "l_sweep":
-        lo = args.l_min if args.l_min is not None else (17.0 if profile == "cgmy2" else 6.0)
-        hi = args.l_max if args.l_max is not None else (25.0 if profile == "cgmy2" else 18.0)
-        result = harness.run_l_sweep(
-            profile,
-            np.linspace(lo, hi, args.l_points),
-            strike=args.strike,
-            maturity=args.maturity,
-            n_terms=args.n_terms or 4096,
-        )
+        result = harness.run_l_sweep(args.profile, l_values, **options)
         gap = np.abs(result.values[:, 0] - result.values[:, 1]).max()
         summary = f"max variant gap {gap:.3e}"
     else:  # convergence
-        n_values = (
-            tuple(int(v) for v in _parse_grid(args.n_values, "--n-values"))
-            if args.n_values
-            else _DEFAULT_N_GRID
-        )
-        result = harness.run_convergence(
-            profile,
-            n_values,
-            _COS_VARIANTS[args.method],
-            reference_tolerance=_GATE_TOLERANCES.get(profile, 5e-13),
-            maturity=args.maturity,
-        )
+        n_values = _parse_terms(args.n_values) if args.n_values else _DEFAULT_N_GRID
+        result = _convergence(args.profile, Variant(args.method), args.maturity, n_values)
         summary = f"final log10 error {result.values[-1]:.2f}"
 
     csv_path = args.output or f"{result.experiment}.csv"
@@ -455,20 +347,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_price = sub.add_parser("price", help="price one European option")
-    p_price.add_argument("--profile", choices=presets.PROFILE_NAMES)
-    p_price.add_argument("--method", choices=tuple(_COS_VARIANTS))
-    p_price.add_argument("--kind", choices=("call", "put"))
-    p_price.add_argument("--strike", type=float)
-    p_price.add_argument("--maturity", type=float)
-    p_price.add_argument("--spot", type=float)
-    p_price.add_argument("--rate", type=float)
-    p_price.add_argument("--dividend", type=float)
-    p_price.add_argument("--alpha", type=float)
-    p_price.add_argument("--L", dest="range_width", type=float)
-    p_price.add_argument("--N", dest="n_terms", type=int)
+    for key, (field_name, value_type, choices, text) in _SETTINGS.items():
+        p_price.add_argument(f"--{key}", dest=field_name, type=value_type, choices=choices,
+                             help=text)
     p_price.add_argument("--config", help="flat key=value settings file")
-    p_price.add_argument("--output", help="write the result here instead of stdout")
-    p_price.add_argument("--format", choices=("csv", "json", "plain"))
     p_price.set_defaults(func=cmd_price)
 
     p_repro = sub.add_parser("reproduce", help="regenerate a benchmark artifact")
@@ -480,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--experiment", required=True,
                          choices=("stability", "l_sweep", "convergence"))
     p_sweep.add_argument("--profile", required=True, choices=presets.PROFILE_NAMES)
-    p_sweep.add_argument("--method", default="stable", choices=tuple(_COS_VARIANTS))
+    p_sweep.add_argument("--method", default="stable", choices=_METHODS)
     p_sweep.add_argument("--strike", type=float, default=None)
     p_sweep.add_argument("--maturity", type=float, default=1.0)
     p_sweep.add_argument("--n-terms", dest="n_terms", type=int)
@@ -501,11 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    # sweep defaults strike by experiment: 80 for surfaces, 100 otherwise
-    if getattr(args, "strike", None) is None and getattr(args, "experiment", None):
-        args.strike = 80.0 if args.experiment == "stability" else 100.0
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PricingError as exc:

@@ -15,6 +15,8 @@ Drivers:
     log10 absolute error against a 13-digit reference as the term
     count grows.  The reference is recomputed from scratch before any
     curve is emitted.
+``run_reference_set``
+    The 13-digit references of all profiles, recomputed.
 ``run_stability_surface``
     Price surface over a damping x range-width grid.
 ``run_l_sweep``
@@ -24,17 +26,18 @@ Drivers:
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import metadata as _importlib_metadata
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .cos_engine import CosConfig, OptionKind, OptionSpec, Variant, price
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ConfigurationError, ValidationError
 from .models import MarketSpec, ModelSpec
 from . import presets
 from .transform_refs import price_carr_madan, price_fourier_integral
@@ -45,6 +48,7 @@ __all__ = [
     "ReferenceSet",
     "run_strike_table",
     "run_convergence",
+    "run_reference_set",
     "run_stability_surface",
     "run_l_sweep",
     "write_result",
@@ -52,12 +56,6 @@ __all__ = [
 
 # column order of the benchmark table
 METHOD_NAMES = ("stable", "parity", "direct", "fourier_integral", "carr_madan")
-
-_COS_VARIANTS = {
-    "stable": Variant.STABLE,
-    "parity": Variant.PUT_CALL_PARITY,
-    "direct": Variant.DIRECT,
-}
 
 # geometry for the quarantined undamped fat-tail run: the widest range
 # its parity preset uses, at the same term-count scale
@@ -104,10 +102,7 @@ class ExperimentResult:
                 raise ValidationError(f"non-finite cell {idx} lacks a flag")
 
     def axis(self, name: str):
-        for axis_name, vals in self.axes:
-            if axis_name == name:
-                return vals
-        raise KeyError(name)
+        return dict(self.axes)[name]
 
     @property
     def value_spread(self) -> float:
@@ -158,6 +153,21 @@ def _recompute_reference(model_name: str, maturity: float = 1.0) -> float:
     return price(model, market, OptionSpec(strike=100.0), _REFERENCE_CONFIG).price
 
 
+def run_reference_set() -> ExperimentResult:
+    """Recompute the bundled reference of every profile (strike 100, T=1)."""
+    names = presets.PROFILE_NAMES
+    return ExperimentResult(
+        experiment="reference_set",
+        axes=(("model", names),),
+        values=np.array([_recompute_reference(name) for name in names]),
+        metadata={
+            "n_terms": _REFERENCE_CONFIG.n_terms,
+            "variant": _REFERENCE_CONFIG.variant.value,
+            "strike": 100.0,
+        },
+    )
+
+
 def run_strike_table(
     models: Optional[Sequence[str]] = None,
     strikes: Optional[Sequence[float]] = None,
@@ -206,11 +216,11 @@ def run_strike_table(
                 for i, strike in enumerate(strikes):
                     values[i, j, k] = price_fourier_integral(model, market, strike, cfg)
                 continue
-            variant = _COS_VARIANTS[method]
+            variant = Variant(method)
             try:
                 cos_cfg = presets.method_preset(name, variant).cos_config(variant)
                 flag = None
-            except Exception:
+            except ConfigurationError:
                 if not include_unstable:
                     for i in range(len(strikes)):
                         flags[(i, j, k)] = "skipped"
@@ -250,15 +260,15 @@ def run_convergence(
     terms) and the two agree within reference_tolerance; a wider gap
     aborts with a diagnostic.  The bundled fat-tail reference is
     rounded in its 13th digit at the ~1.3e-12 level, so callers
-    probing that profile pass a gate of 2e-12 and accept that floor
-    on the curve.  At any other maturity no stored value exists and
-    the recomputation itself is the reference.
+    probing that profile pass its wider ``presets.reference_gate`` and
+    accept that floor on the curve.  At any other maturity no stored
+    value exists and the recomputation itself is the reference.
 
     Errors are floored at 5e-17 so the log is finite.
     """
     if not n_values:
         raise ValidationError("n_values must be non-empty")
-    variant = method if isinstance(method, Variant) else _COS_VARIANTS[method]
+    variant = Variant(method)
     recomputed = _recompute_reference(model_name, maturity)
 
     if maturity == 1.0:
@@ -284,12 +294,7 @@ def run_convergence(
     n_values = tuple(int(n) for n in n_values)
     errors = np.empty(len(n_values))
     for i, n in enumerate(n_values):
-        cfg = CosConfig(
-            n_terms=n,
-            range_width=preset.range_width,
-            damping=preset.damping,
-            variant=variant,
-        )
+        cfg = replace(preset.cos_config(variant), n_terms=n)
         value = price(model, market, option, cfg).price
         errors[i] = math.log10(max(abs(value - reference), 5e-17))
 
@@ -321,20 +326,19 @@ def run_stability_surface(
 ) -> ExperimentResult:
     """Damped-call price surface over (alpha, L).
 
-    Defaults: 21 damping points on [1.0001, 1.2], 13 width points on
-    [6, 18] ([17, 25] for the fat-tail profile), the profile's stable
-    term count.  With reference_width set, the term count grows
-    proportionally to L/reference_width so the frequency cutoff
-    N*pi/(b-a) stays at least at its preset level; without it N is
-    held fixed and wide ranges are undersampled by construction.
+    Defaults: 21 damping points on [1.0001, 1.2], the profile's
+    ``presets.sweep_widths`` and its stable term count.  With
+    reference_width set, the term count grows proportionally to
+    L/reference_width so the frequency cutoff N*pi/(b-a) stays at
+    least at its preset level; without it N is held fixed and wide
+    ranges are undersampled by construction.
     """
     model = presets.model_preset(model_name)
     preset = presets.method_preset(model_name, Variant.STABLE)
     if alpha_values is None:
         alpha_values = np.linspace(1.0001, 1.2, 21)
     if l_values is None:
-        lo, hi = (17.0, 25.0) if model_name == "cgmy2" else (6.0, 18.0)
-        l_values = np.linspace(lo, hi, 13)
+        l_values = presets.sweep_widths(model_name)
     alpha_values = tuple(float(a) for a in alpha_values)
     l_values = tuple(float(w) for w in l_values)
     if not alpha_values or not l_values:
@@ -392,7 +396,7 @@ def run_l_sweep(
     values = np.empty((len(l_values), len(variants)))
     for i, width in enumerate(l_values):
         for j, name in enumerate(variants):
-            cfg = CosConfig(n_terms=n_terms, range_width=width, variant=_COS_VARIANTS[name])
+            cfg = CosConfig(n_terms=n_terms, range_width=width, variant=Variant(name))
             values[i, j] = price(model, market, option, cfg).price
 
     return ExperimentResult(
@@ -430,30 +434,20 @@ def write_result(result: ExperimentResult, csv_path) -> str:
     csv_path = str(csv_path)
     row_name, row_values = result.axes[0]
     rest = result.axes[1:]
-    matrix = result.values.reshape(len(row_values), -1)
-    flat_flags = {}
-    for idx, flag in result.flags.items():
-        flat = int(np.ravel_multi_index(idx[1:], tuple(len(v) for _, v in rest))) if rest else 0
-        flat_flags[(idx[0], flat)] = flag
-
-    if rest:
-        combos = []
-        grids = np.meshgrid(*[range(len(v)) for _, v in rest], indexing="ij")
-        for flat in range(matrix.shape[1]):
-            parts = []
-            for (name, vals), grid in zip(rest, grids):
-                parts.append(f"{name}={vals[grid.flat[flat]]}")
-            combos.append("/".join(parts))
-    else:
-        combos = ["value"]
+    # one column per index combination of the remaining axes, last axis fastest
+    columns = list(itertools.product(*(range(len(vals)) for _, vals in rest)))
+    header = [
+        "/".join(f"{name}={vals[j]}" for (name, vals), j in zip(rest, col)) or "value"
+        for col in columns
+    ]
 
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([row_name] + combos)
+        writer.writerow([row_name] + header)
         for i, row_val in enumerate(row_values):
             cells = [
-                _format_cell(matrix[i, j], flat_flags.get((i, j)))
-                for j in range(matrix.shape[1])
+                _format_cell(result.values[(i,) + col], result.flags.get((i,) + col))
+                for col in columns
             ]
             writer.writerow([row_val] + cells)
 

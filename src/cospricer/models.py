@@ -207,7 +207,7 @@ def _cgmy_cf(model: CGMYParams, market: MarketSpec, u):
     )
     mu = market.rate - market.dividend - c * gam * psi_mart
     # principal-branch logs; Re(m - iu) and Re(g + iu) stay positive for
-    # Im(u) inside (-g, m)
+    # Im(u) inside (-m, g)
     levy = c * t * gam * _cgmy_psi(g, m, y, u)
     return np.exp(1j * u * mu * t + levy)
 
@@ -215,9 +215,9 @@ def _cgmy_cf(model: CGMYParams, market: MarketSpec, u):
 def _analyticity_strip(model: ModelSpec):
     """Open interval of admissible Im(u), or None when no closed form exists."""
     if isinstance(model, KouParams):
-        return (-model.eta2, model.eta1)
+        return (-model.eta1, model.eta2)  # up-jump pole eta1/(eta1 - iu) at Im(u) = -eta1
     if isinstance(model, CGMYParams):
-        return (-model.G, model.M)
+        return (-model.M, model.G)  # (M - iu)^Y branch point at Im(u) = -M
     return None
 
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
+import numpy as np
+
 from .cos_engine import CosConfig, Variant
 from .errors import ConfigurationError
 from .models import CGMYParams, HestonParams, KouParams, MarketSpec, ModelSpec
@@ -34,8 +36,12 @@ __all__ = [
     "method_preset",
     "integral_preset",
     "carr_madan_preset",
+    "sweep_widths",
+    "STRIKE_TABLE_TOLERANCES",
     "load_strike_table",
     "load_reference_prices",
+    "REFERENCE_TOLERANCE",
+    "reference_gate",
 ]
 
 PROFILE_NAMES = ("heston", "kou", "cgmy1", "cgmy2")
@@ -143,9 +149,28 @@ def carr_madan_preset(name: str) -> CarrMadanConfig:
     return _CARR_MADAN[_require_profile(name)]
 
 
+def sweep_widths(name: str, points: int = 13) -> np.ndarray:
+    """Default range widths of the stability and L sweeps; the fat-tail
+    grid starts at its stable preset width."""
+    lo, hi = (17.0, 25.0) if _require_profile(name) == "cgmy2" else (6.0, 18.0)
+    return np.linspace(lo, hi, points)
+
+
 def _read_data(filename: str):
     with resources.files("cospricer.data").joinpath(filename).open(newline="") as fh:
         yield from csv.DictReader(fh)
+
+
+# golden-table tolerances per method column; the bundled FFT column
+# carries up to ~1.5e-3 of grid interpolation error of its own, so its
+# check is loose
+STRIKE_TABLE_TOLERANCES = {
+    "stable": 5e-10,
+    "parity": 5e-10,
+    "direct": 5e-10,
+    "fourier_integral": 1e-8,
+    "carr_madan": 2e-3,
+}
 
 
 def load_strike_table() -> dict:
@@ -163,3 +188,12 @@ def load_reference_prices() -> dict:
         row["model"]: float(row["price"])
         for row in _read_data("convergence_reference.csv")
     }
+
+
+# agreement required between a bundled reference and its recomputation;
+# the fat-tail reference is rounded in its 13th digit, so its gate is wider
+REFERENCE_TOLERANCE = 5e-13
+
+
+def reference_gate(name: str) -> float:
+    return 2e-12 if _require_profile(name) == "cgmy2" else REFERENCE_TOLERANCE

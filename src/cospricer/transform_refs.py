@@ -199,9 +199,9 @@ def price_fourier_integral(
         raise ValidationError(f"strike must be positive and finite, got {strike}")
     alpha = config.damping
     lo, hi = damping_bounds(model)
-    # phi is evaluated at -u - i*alpha, i.e. Im = -alpha, so -alpha must
-    # lie inside the strip (lo, hi)
-    if not (lo < -alpha < hi):
+    # phi is evaluated at -u - i*alpha, i.e. Im = -alpha, so alpha must
+    # lie inside the damping bounds (lo, hi)
+    if not (lo < alpha < hi):
         raise ValidationError(
             f"damping {alpha} leaves the characteristic-function strip ({lo}, {hi})"
         )

@@ -216,6 +216,46 @@ class TestReproduce:
         assert (tmp_path / "strike_table.csv").exists()
         assert (tmp_path / "strike_table.json").exists()
 
+    # (profile, variant) runs of each figure target, in print order
+    FIGURE_RUNS = {
+        "fig1": [(name, None) for name in PROFILE_NAMES],
+        "fig2": [(name, None) for name in PROFILE_NAMES],
+        "fig3": [(name, None) for name in PROFILE_NAMES],
+        "fig4": [(name, variant) for name in PROFILE_NAMES
+                 for variant in ("stable", "parity", "direct")],
+        "fig5": [("cgmy1", "stable"), ("cgmy1", "parity")],
+        "fig6": [("cgmy2", "stable"), ("cgmy2", "parity")],
+        "fig7": [(name, None) for name in PROFILE_NAMES],
+    }
+    FIGURE_SUMMARIES = {
+        "fig1": "spread ",
+        "fig2": "spread ",
+        "fig3": "spread ",
+        "fig4": "final log10 error ",
+        "fig5": "final log10 error ",
+        "fig6": "final log10 error ",
+        "fig7": "max |damped-call - undamped-put-parity| ",
+    }
+
+    @pytest.mark.parametrize("target", sorted(FIGURE_RUNS))
+    def test_figure_targets(self, capsys, tmp_path, target):
+        code, out, err = run_cli(capsys, "reproduce", target, "--output", str(tmp_path))
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        runs = self.FIGURE_RUNS[target]
+        assert len(lines) == len(runs)
+        written = set()
+        for line, (name, variant) in zip(lines, runs):
+            parts = [target, name] + ([variant] if variant else [])
+            if (name, variant) == ("cgmy2", "direct"):
+                # the undamped fat-tail series has no preset
+                assert line == "fig4 cgmy2 direct: skipped (no preset)"
+                continue
+            assert line.startswith(" ".join(parts) + ": " + self.FIGURE_SUMMARIES[target])
+            stem = "_".join(parts)
+            written |= {stem + ".csv", stem + ".json"}
+        assert set(os.listdir(tmp_path)) == written
+
     def test_reference_set_report(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "reproduce", "table6", "--output", str(tmp_path))
         lines = out.splitlines()
@@ -271,6 +311,16 @@ class TestSweep:
         rows = target.read_text().splitlines()
         assert rows[0] == "n_terms,value"
         assert len(rows) == 4
+
+    def test_l_points_without_bounds_spans_the_profile_widths(self, capsys, tmp_path):
+        target = tmp_path / "surface.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--experiment", "stability", "--profile", "heston",
+            "--alpha-points", "2", "--l-points", "3", "--output", str(target),
+        )
+        assert code == 0
+        header = target.read_text().splitlines()[0]
+        assert header == "alpha,range_width=6.0,range_width=12.0,range_width=18.0"
 
     def test_l_bounds_must_come_in_pairs(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -17,7 +17,8 @@ from cospricer.cos_engine import (
     put_coefficients,
 )
 from cospricer.errors import ComputationError, ConfigurationError, ValidationError
-from cospricer.models import TruncationRange
+from cospricer.models import CGMYParams, TruncationRange
+from cospricer.transform_refs import price_fourier_integral
 
 STRIKES = (80.0, 85.0, 90.0, 95.0, 100.0, 105.0, 110.0, 115.0, 120.0)
 
@@ -232,9 +233,32 @@ class TestConfigurationErrors:
                   OptionSpec(strike=100.0, kind=OptionKind.PUT), cfg)
 
     def test_damping_outside_strip_rejected(self, models, market):
-        cfg = CosConfig(n_terms=128, range_width=8.0, damping=6.0)
+        cfg = CosConfig(n_terms=128, range_width=8.0, damping=11.0)
         with pytest.raises(ConfigurationError, match="admissible interval"):
             price(models["kou"], market, OptionSpec(strike=100.0), cfg)
+
+    def test_asymmetric_cgmy_call_beyond_up_jump_decay_rejected(self, market):
+        # alpha = 4 exceeds the up-jump decay M = 3, so E[S^4] is infinite
+        # and the damped series has no price to converge to
+        model = CGMYParams(C=1.0, G=10.0, M=3.0, Y=0.5)
+        cfg = CosConfig(n_terms=256, range_width=10.0, damping=4.0)
+        with pytest.raises(ConfigurationError, match="admissible interval"):
+            price(model, market, OptionSpec(strike=100.0), cfg)
+
+    def test_kou_put_beyond_down_jump_decay_rejected(self, models, market):
+        # alpha = -6 needs E[S^-6], which is infinite for the down-jump
+        # rate eta2 = 5
+        cfg = CosConfig(n_terms=140, range_width=7.0, damping=-6.0)
+        with pytest.raises(ConfigurationError, match="admissible interval"):
+            price(models["kou"], market, OptionSpec(strike=100.0, kind=OptionKind.PUT), cfg)
+
+    def test_kou_call_below_up_jump_decay_accepted(self, models, market):
+        # alpha = 6 < eta1 = 10 keeps E[S^6] finite, so the call is admissible
+        # and matches the damped Fourier integral
+        cfg = CosConfig(n_terms=140, range_width=7.0, damping=6.0)
+        got = price(models["kou"], market, OptionSpec(strike=100.0), cfg).price
+        want = price_fourier_integral(models["kou"], market, 100.0)
+        assert got == pytest.approx(want, abs=1e-6)
 
     def test_config_field_validation(self):
         with pytest.raises(ValidationError):

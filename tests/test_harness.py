@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from cospricer import ComputationError, CosConfig, OptionSpec, ValidationError, Variant, price
+from cospricer import presets
 from cospricer.harness import (
     METHOD_NAMES,
     ExperimentResult,
     ReferenceSet,
     run_convergence,
     run_l_sweep,
+    run_reference_set,
     run_stability_surface,
     run_strike_table,
     write_result,
@@ -78,6 +80,14 @@ class TestReferenceSet:
         with pytest.raises(ValidationError, match="positive float"):
             ReferenceSet(prices)
 
+    def test_recomputed_set_meets_each_profile_gate(self):
+        result = run_reference_set()
+        stored = load_reference_prices()
+        assert result.axis("model") == presets.PROFILE_NAMES
+        assert result.metadata == {"n_terms": 60000, "variant": "parity", "strike": 100.0}
+        for name, value in zip(result.axis("model"), result.values):
+            assert abs(value - stored[name]) <= presets.reference_gate(name)
+
 
 class TestStrikeTable:
     def test_cos_methods_match_reference_table(self):
@@ -116,6 +126,16 @@ class TestStrikeTable:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError, match="unknown method"):
             run_strike_table(models=["heston"], methods=["midpoint"])
+
+    def test_preset_lookup_failure_propagates(self, monkeypatch):
+        # only a missing preset becomes a skipped cell; any other failure
+        # of the lookup must surface instead of hiding in the table
+        def broken(name, variant):
+            raise RuntimeError("preset table unreadable")
+
+        monkeypatch.setattr(presets, "method_preset", broken)
+        with pytest.raises(RuntimeError, match="unreadable"):
+            run_strike_table(models=["heston"], strikes=[100.0], methods=["stable"])
 
     def test_records_wall_clock(self):
         result = run_strike_table(models=["heston"], strikes=[100.0], methods=["stable"])

@@ -189,12 +189,12 @@ class TestValidationAndStrips:
 
     def test_kou_strip_enforced(self, market):
         kou = KouParams(sigma=0.16, p=0.4, eta1=10.0, eta2=5.0, lam=5.0)
-        # Im(u) must stay inside (-eta2, eta1)
-        assert np.isfinite(char_fn(kou, market, 1.0 - 4.9j).real)
+        # Im(u) must stay inside (-eta1, eta2)
+        assert np.isfinite(char_fn(kou, market, 1.0 + 4.9j).real)
         with pytest.raises(DomainError):
-            char_fn(kou, market, 1.0 - 5.5j)
+            char_fn(kou, market, 1.0 + 5.5j)
         with pytest.raises(DomainError):
-            char_fn(kou, market, 1.0 + 10.5j)
+            char_fn(kou, market, 1.0 - 10.5j)
 
     def test_cgmy_strip_enforced(self, market):
         cgmy = CGMYParams(C=1.0, G=5.0, M=5.0, Y=1.5)
@@ -204,7 +204,7 @@ class TestValidationAndStrips:
 
     def test_damping_bounds_per_model(self, models):
         lo, hi = damping_bounds(models["kou"])
-        assert (lo, hi) == (-10.0, 5.0)
+        assert (lo, hi) == (-5.0, 10.0)
         lo, hi = damping_bounds(models["cgmy1"])
         assert (lo, hi) == (-5.0, 5.0)
         lo, hi = damping_bounds(models["heston"])
