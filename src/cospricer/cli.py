@@ -314,7 +314,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         preset = presets.method_preset(args.profile, Variant.STABLE)
         result = harness.run_stability_surface(
             args.profile,
-            alpha_values=np.linspace(args.alpha_min, args.alpha_max, args.alpha_points),
+            alpha_values=presets.sweep_dampings(
+                **_given(lo=args.alpha_min, hi=args.alpha_max, points=args.alpha_points)
+            ),
             l_values=l_values,
             reference_width=preset.range_width if args.scale_terms else None,
             **options,
@@ -368,9 +370,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-terms", dest="n_terms", type=int)
     p_sweep.add_argument("--n-values", dest="n_values",
                          help="comma-separated term counts for convergence")
-    p_sweep.add_argument("--alpha-min", type=float, default=1.0001)
-    p_sweep.add_argument("--alpha-max", type=float, default=1.2)
-    p_sweep.add_argument("--alpha-points", type=int, default=21)
+    p_sweep.add_argument("--alpha-min", type=float)
+    p_sweep.add_argument("--alpha-max", type=float)
+    p_sweep.add_argument("--alpha-points", type=int)
     p_sweep.add_argument("--l-min", type=float, default=None)
     p_sweep.add_argument("--l-max", type=float, default=None)
     p_sweep.add_argument("--l-points", type=int, default=13)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -122,87 +122,145 @@ class PriceResult:
 # cosine coefficients
 # ---------------------------------------------------------------------------
 
-def chi(u, v: float, c: float, d: float, a: float):
+def _column(values):
+    """A 1-D array as a column, so that it broadcasts against a frequency row."""
+    values = np.asarray(values, dtype=float)
+    return values[:, None] if values.ndim else values
+
+
+def _exp_each(values: np.ndarray) -> np.ndarray:
+    """math.exp of every element; an overflow is a computation error.
+
+    math.exp rather than np.exp: the two can differ in the last ulp, which
+    the cancellation of the undamped call series magnifies.
+    """
+    try:
+        out = [math.exp(v) for v in values.ravel().tolist()]
+    except OverflowError:
+        raise ComputationError(
+            f"exp({values.max():.6g}) overflows; the truncation range is too wide "
+            f"for this series"
+        ) from None
+    return np.array(out).reshape(values.shape)
+
+
+def chi(u, v: float, c, d, a):
     """Closed form of the integral of exp(v*y) * cos(u*(y - a)) over [c, d].
 
-    Vectorized over u.  The v = 0, u = 0 limits are handled explicitly; for
-    v != 0 the general expression is already exact at u = 0.
+    Vectorized over u.  The bounds c, d and a are scalars, or equal-length
+    1-D arrays holding one interval per row, in which case the result has
+    one row per interval and one column per frequency.  The v = 0, u = 0
+    limits are handled explicitly; for v != 0 the general expression is
+    already exact at u = 0.
     """
     u = np.asarray(u, dtype=float)
-    if not c <= d:
+    c, d, a = _column(c), _column(d), _column(a)
+    if (c > d).any():
         raise ValidationError(f"integration bounds must satisfy c <= d, got [{c}, {d}]")
+    phase_c = u * (c - a)
+    phase_d = u * (d - a)
     if v == 0.0:
-        out = np.empty_like(u)
         zero = u == 0.0
-        out[zero] = d - c
-        uz = u[~zero]
-        out[~zero] = (np.sin(uz * (d - a)) - np.sin(uz * (c - a))) / uz
-        return out
-    ecv = math.exp(v * c)
-    edv = math.exp(v * d)
+        out = (np.sin(phase_d) - np.sin(phase_c)) / np.where(zero, 1.0, u)
+        return np.where(zero, d - c, out)
+    ecv = _exp_each(v * c)
+    edv = _exp_each(v * d)
     num = (
-        -v * ecv * np.cos(u * (c - a))
-        - u * ecv * np.sin(u * (c - a))
-        + v * edv * np.cos(u * (d - a))
-        + u * edv * np.sin(u * (d - a))
+        -v * ecv * np.cos(phase_c)
+        - u * ecv * np.sin(phase_c)
+        + v * edv * np.cos(phase_d)
+        + u * edv * np.sin(phase_d)
     )
     return num / (v * v + u * u)
 
 
-def call_coefficients(u, alpha: float, rng: TruncationRange, strike: float):
+def _rows(rng, strike):
+    """Endpoints, widths and strikes, one entry per row, of one range and
+    strike or of a sequence of ranges and their strikes."""
+    ranges = (rng,) if isinstance(rng, TruncationRange) else tuple(rng)
+    a = np.array([r.a for r in ranges])
+    b = np.array([r.b for r in ranges])
+    width = np.array([r.width for r in ranges])
+    return a, b, width, np.asarray(strike, dtype=float).reshape(a.shape)
+
+
+def call_coefficients(u, alpha: float, rng, strike):
     """Cosine coefficients of the damped call payoff K*(e^y - 1)^+ * e^(-alpha*y).
 
     The payoff vanishes below y = 0, so the integral runs over
     [max(a, 0), b]; a range entirely below zero yields zero coefficients.
+    rng and strike are one TruncationRange and one strike, giving one
+    coefficient per frequency, or a sequence of ranges and as many
+    strikes, giving one row per range.
     """
     u = np.asarray(u, dtype=float)
-    a, b = rng.a, rng.b
-    if b <= 0.0:
-        return np.zeros_like(u)
-    lo = max(a, 0.0)
-    scale = 2.0 * strike / rng.width
-    return scale * (chi(u, 1.0 - alpha, lo, b, a) - chi(u, -alpha, lo, b, a))
+    a, b, width, strike = _rows(rng, strike)
+    live = b > 0.0
+    a, b = a[live], b[live]
+    lo = np.maximum(a, 0.0)
+    out = np.zeros((live.size,) + u.shape)
+    out[live] = _column(2.0 * strike[live] / width[live]) * (
+        chi(u, 1.0 - alpha, lo, b, a) - chi(u, -alpha, lo, b, a)
+    )
+    return out[0] if isinstance(rng, TruncationRange) else out
 
 
-def put_coefficients(u, alpha: float, rng: TruncationRange, strike: float):
-    """Cosine coefficients of the damped put payoff K*(1 - e^y)^+ * e^(-alpha*y)."""
+def put_coefficients(u, alpha: float, rng, strike):
+    """Cosine coefficients of the damped put payoff K*(1 - e^y)^+ * e^(-alpha*y).
+
+    The integral runs over [a, min(b, 0)]; a range entirely above zero
+    yields zero coefficients.  rng and strike are broadcast as in
+    :func:`call_coefficients`.
+    """
     u = np.asarray(u, dtype=float)
-    a, b = rng.a, rng.b
-    if a >= 0.0:
-        return np.zeros_like(u)
-    hi = min(b, 0.0)
-    scale = 2.0 * strike / rng.width
-    return scale * (chi(u, -alpha, a, hi, a) - chi(u, 1.0 - alpha, a, hi, a))
+    a, b, width, strike = _rows(rng, strike)
+    live = a < 0.0
+    a, b = a[live], b[live]
+    hi = np.minimum(b, 0.0)
+    out = np.zeros((live.size,) + u.shape)
+    out[live] = _column(2.0 * strike[live] / width[live]) * (
+        chi(u, -alpha, a, hi, a) - chi(u, 1.0 - alpha, a, hi, a)
+    )
+    return out[0] if isinstance(rng, TruncationRange) else out
 
 
 # ---------------------------------------------------------------------------
 # pricing
 # ---------------------------------------------------------------------------
 
-def _series_value(
+def _fsum(terms: list) -> float:
+    """math.fsum, reading a sum that overflows or meets inf - inf as nan."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _series_values(
     model: ModelSpec,
     market: MarketSpec,
-    strike: float,
     kind: OptionKind,
-    rng: TruncationRange,
-    n_terms: int,
     alpha: float,
-) -> float:
-    x = math.log(market.spot / strike)
-    u = np.arange(n_terms) * (math.pi / rng.width)
+    base: TruncationRange,
+    x: np.ndarray,
+    ranges: Sequence[TruncationRange],
+    strikes: np.ndarray,
+    n_terms: int,
+) -> np.ndarray:
+    """Series values for the strikes with log-moneyness x, each expanded on
+    base recentred by its x."""
+    u = np.arange(n_terms) * (math.pi / base.width)
     phi = char_fn(model, market, u - 1j * alpha)
-    density = (2.0 * math.exp(alpha * x) / rng.width) * np.real(
-        np.exp(1j * u * (x - rng.a)) * phi
-    )
-    if kind is OptionKind.CALL:
-        payoff = call_coefficients(u, alpha, rng, strike)
-    else:
-        payoff = put_coefficients(u, alpha, rng, strike)
-    terms = density * payoff
-    terms[0] *= 0.5
+    # x - a = -base.a for every recentred range, so one phase serves all strikes
+    density = np.real(np.exp(-1j * u * base.a) * phi)
+    coefficients = call_coefficients if kind is OptionKind.CALL else put_coefficients
+    payoff = coefficients(u, alpha, ranges, strikes)
+    width = np.array([r.width for r in ranges])
+    terms = _column(2.0 * _exp_each(alpha * x) / width) * density * payoff
+    terms[:, 0] *= 0.5
     discount = math.exp(-market.rate * market.maturity)
     # error-free accumulation; the direct call series trades accuracy for it
-    return 0.5 * rng.width * discount * math.fsum(terms)
+    return 0.5 * width * discount * np.array([_fsum(row) for row in terms.tolist()])
 
 
 def _resolve_damping(config: CosConfig, kind: OptionKind) -> float:
@@ -216,20 +274,32 @@ def _resolve_damping(config: CosConfig, kind: OptionKind) -> float:
 def price(
     model: ModelSpec,
     market: MarketSpec,
-    option: OptionSpec,
+    option: Union[OptionSpec, Sequence[OptionSpec]],
     config: CosConfig,
-) -> PriceResult:
-    """Price a European option by the cosine expansion.
+) -> Union[PriceResult, tuple[PriceResult, ...]]:
+    """Price a European option, or a batch of options, by the cosine expansion.
+
+    option is one OptionSpec, giving one PriceResult, or a non-empty
+    sequence of OptionSpecs of one kind, giving a tuple of PriceResults in
+    input order.  The cumulants, the truncation range, the frequency grid
+    and the characteristic function are computed once per call; each
+    strike adds one row of payoff coefficients and one sum.
 
     Raises a configuration error when the damped variant is asked to price a
     call with alpha <= 1 (the damped payoff is not integrable there), when
     alpha leaves the model's analyticity strip, or when the parity variant is
-    asked for a put.
+    asked for a put; a computation error when a series value is not finite.
     """
-    if config.variant is Variant.PUT_CALL_PARITY and option.kind is OptionKind.PUT:
+    options = (option,) if isinstance(option, OptionSpec) else tuple(option)
+    if not options:
+        raise ValidationError("price needs at least one option")
+    kind = options[0].kind
+    if any(opt.kind is not kind for opt in options):
+        raise ValidationError("a batch of options must share one kind")
+    if config.variant is Variant.PUT_CALL_PARITY and kind is OptionKind.PUT:
         raise ConfigurationError("parity variant prices calls; request the put directly")
-    alpha = _resolve_damping(config, option.kind)
-    if config.variant is Variant.STABLE and option.kind is OptionKind.CALL and alpha <= 1.0:
+    alpha = _resolve_damping(config, kind)
+    if config.variant is Variant.STABLE and kind is OptionKind.CALL and alpha <= 1.0:
         raise ConfigurationError("alpha must exceed 1 for stable call pricing")
     lo, hi = damping_bounds(model)
     if not lo < alpha < hi:
@@ -240,34 +310,38 @@ def price(
 
     cums = cumulants(model, market)
     discount = math.exp(-market.rate * market.maturity)
-    x = math.log(market.spot / option.strike)
+    strikes = np.array([opt.strike for opt in options])
+    x = np.array([math.log(market.spot / opt.strike) for opt in options])
     # the expansion variable is log-moneyness y = log(S_T/K), so the cumulant
     # window of the log return is recentered by x per strike
     base = truncation_range(cums, config.range_width)
-    rng = TruncationRange(a=base.a + x, b=base.b + x)
+    ranges = [TruncationRange(a=base.a + shift, b=base.b + shift) for shift in x.tolist()]
 
     if config.variant is Variant.PUT_CALL_PARITY:
-        put_value = _series_value(
-            model, market, option.strike, OptionKind.PUT, rng, config.n_terms, 0.0
+        put_values = _series_values(
+            model, market, OptionKind.PUT, 0.0, base, x, ranges, strikes, config.n_terms
         )
         forward = market.spot * math.exp(-market.dividend * market.maturity)
-        value = put_value + forward - option.strike * discount
+        values = put_values + forward - strikes * discount
     else:
-        value = _series_value(
-            model, market, option.strike, option.kind, rng, config.n_terms, alpha
+        values = _series_values(
+            model, market, kind, alpha, base, x, ranges, strikes, config.n_terms
         )
 
-    if not math.isfinite(value):
-        raise ComputationError(
-            f"cosine series produced a non-finite value "
-            f"(variant={config.variant.value}, n_terms={config.n_terms}, "
-            f"range=[{rng.a:.3f}, {rng.b:.3f}])"
-        )
-    return PriceResult(
-        price=value,
-        variant=config.variant,
-        n_terms=config.n_terms,
-        range_width=config.range_width,
-        damping=alpha,
-        context=PricingContext(x=x, range=rng, discount=discount),
-    )
+    results = []
+    for value, opt, shift, rng in zip(values.tolist(), options, x.tolist(), ranges):
+        if not math.isfinite(value):
+            raise ComputationError(
+                f"cosine series produced a non-finite value at strike {opt.strike} "
+                f"(variant={config.variant.value}, n_terms={config.n_terms}, "
+                f"range=[{rng.a:.3f}, {rng.b:.3f}])"
+            )
+        results.append(PriceResult(
+            price=value,
+            variant=config.variant,
+            n_terms=config.n_terms,
+            range_width=config.range_width,
+            damping=alpha,
+            context=PricingContext(x=shift, range=rng, discount=discount),
+        ))
+    return results[0] if isinstance(option, OptionSpec) else tuple(results)

@@ -227,9 +227,11 @@ def run_strike_table(
                     continue
                 cos_cfg = _QUARANTINE_CONFIG
                 flag = "cancellation-regime"
-            for i, strike in enumerate(strikes):
-                values[i, j, k] = price(model, market, OptionSpec(strike=strike), cos_cfg).price
-                if flag is not None:
+            options = [OptionSpec(strike=s) for s in strikes]
+            if options:  # price() refuses an empty batch
+                values[:, j, k] = [r.price for r in price(model, market, options, cos_cfg)]
+            if flag is not None:
+                for i in range(len(strikes)):
                     flags[(i, j, k)] = flag
 
     return ExperimentResult(
@@ -326,7 +328,7 @@ def run_stability_surface(
 ) -> ExperimentResult:
     """Damped-call price surface over (alpha, L).
 
-    Defaults: 21 damping points on [1.0001, 1.2], the profile's
+    Defaults: ``presets.sweep_dampings()``, the profile's
     ``presets.sweep_widths`` and its stable term count.  With
     reference_width set, the term count grows proportionally to
     L/reference_width so the frequency cutoff N*pi/(b-a) stays at
@@ -336,7 +338,7 @@ def run_stability_surface(
     model = presets.model_preset(model_name)
     preset = presets.method_preset(model_name, Variant.STABLE)
     if alpha_values is None:
-        alpha_values = np.linspace(1.0001, 1.2, 21)
+        alpha_values = presets.sweep_dampings()
     if l_values is None:
         l_values = presets.sweep_widths(model_name)
     alpha_values = tuple(float(a) for a in alpha_values)

@@ -37,6 +37,7 @@ __all__ = [
     "integral_preset",
     "carr_madan_preset",
     "sweep_widths",
+    "sweep_dampings",
     "STRIKE_TABLE_TOLERANCES",
     "load_strike_table",
     "load_reference_prices",
@@ -153,6 +154,12 @@ def sweep_widths(name: str, points: int = 13) -> np.ndarray:
     """Default range widths of the stability and L sweeps; the fat-tail
     grid starts at its stable preset width."""
     lo, hi = (17.0, 25.0) if _require_profile(name) == "cgmy2" else (6.0, 18.0)
+    return np.linspace(lo, hi, points)
+
+
+def sweep_dampings(lo: float = 1.0001, hi: float = 1.2, points: int = 21) -> np.ndarray:
+    """Default damping grid of the stability sweeps, from just above the
+    call's integrability edge alpha = 1 to 1.2."""
     return np.linspace(lo, hi, points)
 
 

@@ -95,6 +95,14 @@ class TestPrice:
         assert err.startswith("error: ")
         assert "alpha must exceed 1" in err
 
+    def test_overflowing_range_is_an_error_line(self, capsys):
+        # exp(b) of the undamped call coefficients overflows on this range
+        code, out, err = run_cli(
+            capsys, "price", "--profile", "kou", "--method", "direct", "--L", "2000"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "overflows" in err
+
     def test_method_and_overrides(self, capsys):
         # parity and stable disagree only at quadrature noise level
         _, stable_out, _ = run_cli(capsys, "price", "--profile", "cgmy1", "--strike", "90")
@@ -321,6 +329,18 @@ class TestSweep:
         assert code == 0
         header = target.read_text().splitlines()[0]
         assert header == "alpha,range_width=6.0,range_width=12.0,range_width=18.0"
+
+    def test_alpha_flags_override_the_default_dampings_one_by_one(self, capsys, tmp_path):
+        target = tmp_path / "surface.csv"
+        for flags, want in ((("--alpha-points", "3"), ["1.0001", "1.10005", "1.2"]),
+                            (("--alpha-max", "1.5", "--alpha-points", "2"), ["1.0001", "1.5"])):
+            code, _, _ = run_cli(
+                capsys, "sweep", "--experiment", "stability", "--profile", "heston",
+                *flags, "--l-points", "1", "--output", str(target),
+            )
+            assert code == 0
+            rows = target.read_text().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == want
 
     def test_l_bounds_must_come_in_pairs(self, capsys, tmp_path):
         code, _, err = run_cli(

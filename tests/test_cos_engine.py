@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cospricer import presets
 from cospricer.cos_engine import (
     CosConfig,
     OptionKind,
@@ -277,3 +278,122 @@ class TestConfigurationErrors:
         except ComputationError:
             return
         assert abs(result.price - 99.9999055101) > 1e-2
+
+    def test_wide_undamped_range_overflow_is_typed(self, models, market):
+        # exp(b) of the call coefficients leaves the double range at L = 80
+        cfg = CosConfig(n_terms=256, range_width=80.0, variant=Variant.DIRECT)
+        with pytest.raises(ComputationError, match="overflows"):
+            price(models["cgmy2"], market, OptionSpec(strike=100.0), cfg)
+        with pytest.raises(ComputationError, match="overflows"):
+            chi(np.arange(4.0), 1.0, 0.0, 800.0, -1.0)
+
+    def test_infinite_terms_of_both_signs_are_typed(self, models, market):
+        # b ~ 708 keeps exp(b) finite, but the terms reach +inf and -inf,
+        # which math.fsum refuses with a ValueError of its own
+        cfg = CosConfig(n_terms=210, range_width=885.0, variant=Variant.DIRECT)
+        with pytest.raises(ComputationError, match="strike 100000.0"):
+            price(models["kou"], market, OptionSpec(strike=1e5), cfg)
+
+
+# unsorted and duplicated half-unit lattice strikes in [60, 160], plus two
+# extremes whose recentred ranges lie wholly below zero (K = 1e5, calls) or
+# wholly above it (K = 1e-3, puts) for the narrower profiles
+_BATCH_STRIKES = (127.5, 60.0, 100.0, 1e-3, 159.5, 100.0, 83.5, 1e5, 60.0, 112.0, 95.0)
+
+_BATCH_CASES = [
+    (name, variant, kind)
+    for name in presets.PROFILE_NAMES
+    for variant in Variant
+    for kind in OptionKind
+    if not (variant is Variant.PUT_CALL_PARITY and kind is OptionKind.PUT)
+    and not (name == "cgmy2" and variant is Variant.DIRECT and kind is OptionKind.CALL)
+]
+
+
+def _preset_config(name: str, variant: Variant) -> CosConfig:
+    # cgmy2 has no direct preset; its undamped put borrows the parity geometry
+    source = Variant.PUT_CALL_PARITY if (name, variant) == ("cgmy2", Variant.DIRECT) else variant
+    return presets.method_preset(name, source).cos_config(variant)
+
+
+class TestStrikeBatch:
+    @pytest.mark.parametrize(
+        "name, variant, kind", _BATCH_CASES,
+        ids=[f"{n}-{v.value}-{k.value}" for n, v, k in _BATCH_CASES],
+    )
+    def test_each_element_equals_its_batch_of_one(self, models, market, name, variant, kind):
+        cfg = _preset_config(name, variant)
+        options = [OptionSpec(strike=k, kind=kind) for k in _BATCH_STRIKES]
+        batch = price(models[name], market, options, cfg)
+        assert isinstance(batch, tuple) and len(batch) == len(options)
+        for option, result in zip(options, batch):
+            # dataclass equality: the price bit for bit, and the context
+            assert result == price(models[name], market, option, cfg), option.strike
+
+    def test_extreme_strikes_have_empty_payoff_rows(self, models, market):
+        cfg = _preset_config("heston", Variant.DIRECT)
+        calls = price(models["heston"], market, [OptionSpec(1e5), OptionSpec(100.0)], cfg)
+        puts = price(models["heston"], market,
+                     [OptionSpec(1e-3, OptionKind.PUT), OptionSpec(100.0, OptionKind.PUT)], cfg)
+        assert calls[0].context.range.b <= 0.0 and calls[0].price == 0.0
+        assert puts[0].context.range.a >= 0.0 and puts[0].price == 0.0
+        assert calls[1].price > 0.0 and puts[1].price > 0.0
+
+    def test_single_option_gives_a_result_and_a_sequence_a_tuple(self, models, market):
+        cfg = _WIDE["heston"]
+        option = OptionSpec(strike=100.0)
+        single = price(models["heston"], market, option, cfg)
+        assert single == price(models["heston"], market, (option,), cfg)[0]
+        assert price(models["heston"], market, [option], cfg) == (single,)
+
+    def test_empty_batch_rejected(self, models, market):
+        with pytest.raises(ValidationError, match="at least one option"):
+            price(models["heston"], market, [], _WIDE["heston"])
+
+    def test_mixed_kinds_rejected(self, models, market):
+        options = [OptionSpec(strike=100.0), OptionSpec(strike=100.0, kind=OptionKind.PUT)]
+        with pytest.raises(ValidationError, match="share one kind"):
+            price(models["heston"], market, options, _WIDE["heston"])
+
+    def test_parity_refuses_a_batch_of_puts(self, models, market):
+        cfg = CosConfig(n_terms=128, range_width=8.0, variant=Variant.PUT_CALL_PARITY)
+        options = [OptionSpec(strike=k, kind=OptionKind.PUT) for k in (90.0, 110.0)]
+        with pytest.raises(ConfigurationError, match="request the put directly"):
+            price(models["heston"], market, options, cfg)
+
+
+class TestBroadcastCoefficients:
+    """Row-wise bounds and strikes give the scalar results bit for bit."""
+
+    U = np.arange(48) * 0.41
+
+    def _ranges(self):
+        gen = np.random.default_rng(11)
+        ranges = [
+            TruncationRange(a=a, b=a + w)
+            for a, w in zip(gen.uniform(-8.0, 2.0, 10), gen.uniform(0.5, 9.0, 10))
+        ]
+        # wholly below and wholly above zero: zero call and put rows
+        return ranges + [TruncationRange(a=-3.0, b=-0.5), TruncationRange(a=0.5, b=3.0)]
+
+    def test_chi_rows(self):
+        gen = np.random.default_rng(12)
+        a = gen.uniform(-5.0, 0.0, 9)
+        c = a + gen.uniform(0.0, 2.0, 9)
+        d = c + gen.uniform(0.0, 3.0, 9)
+        for v in (0.0, -1.1, 0.5):
+            rows = chi(self.U, v, c, d, a)
+            assert rows.shape == (9, self.U.size)
+            for k in range(9):
+                np.testing.assert_array_equal(rows[k], chi(self.U, v, c[k], d[k], a[k]))
+
+    @pytest.mark.parametrize("coefficients", [call_coefficients, put_coefficients])
+    def test_payoff_rows(self, coefficients):
+        ranges = self._ranges()
+        strikes = np.linspace(40.0, 200.0, len(ranges))
+        for alpha in (0.0, 1.1, -0.7):
+            rows = coefficients(self.U, alpha, ranges, strikes)
+            assert rows.shape == (len(ranges), self.U.size)
+            for rng, strike, row in zip(ranges, strikes, rows):
+                np.testing.assert_array_equal(row, coefficients(self.U, alpha, rng, strike))
+        assert (rows == 0.0).all(axis=1).any()  # one range misses the payoff

@@ -1,5 +1,6 @@
 """Tests for the experiment harness and its serialization."""
 
+import collections
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from cospricer import ComputationError, CosConfig, OptionSpec, ValidationError, Variant, price
-from cospricer import presets
+from cospricer import cos_engine, harness, presets
 from cospricer.harness import (
     METHOD_NAMES,
     ExperimentResult,
@@ -136,6 +137,33 @@ class TestStrikeTable:
         monkeypatch.setattr(presets, "method_preset", broken)
         with pytest.raises(RuntimeError, match="unreadable"):
             run_strike_table(models=["heston"], strikes=[100.0], methods=["stable"])
+
+    def test_empty_strike_list_gives_empty_slab(self):
+        result = run_strike_table(models=["heston"], strikes=[], methods=["stable", "carr_madan"])
+        assert result.values.shape == (0, 1, 2)
+
+    def test_cos_column_is_one_batch_price_call(self, monkeypatch):
+        # the benchmark traces the layers through these module bindings: a
+        # strike column must reach harness.price once and every COS layer
+        calls = collections.Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(harness, "price")
+        layers = ("cumulants", "char_fn", "call_coefficients", "chi")
+        for name in layers:
+            count(cos_engine, name)
+        result = run_strike_table(models=["heston"], methods=["stable"])
+        assert len(result.axis("strike")) == 9
+        assert calls["price"] == 1
+        assert all(calls[name] for name in layers), calls
 
     def test_records_wall_clock(self):
         result = run_strike_table(models=["heston"], strikes=[100.0], methods=["stable"])

@@ -85,7 +85,7 @@ class TestFourierIntegral:
             IntegralConfig(damping=0.5)
 
     def test_rejects_damping_outside_model_strip(self, market):
-        # the down-jump rate caps the admissible contour shift at 10
+        # the up-jump rate eta1 caps the admissible contour shift at 10
         model = model_preset("kou")
         config = IntegralConfig(damping=12.0)
         with pytest.raises(ValidationError, match="characteristic-function strip"):
