@@ -5,9 +5,10 @@ risk-neutral density over a cumulant-sized truncation range.  Calls
 can be priced three ways: a damped expansion that keeps the payoff
 coefficients bounded, the classic undamped expansion, and put-call
 parity on the undamped put.  Two transform pricers (FFT on a
-log-strike grid and direct adaptive quadrature) serve as independent
-cross-checks, and a small harness regenerates the benchmark tables
-and figure datasets.
+log-strike grid and fixed-node Gauss-Legendre quadrature of the damped
+Fourier integral), each pricing a strike column at once, serve as
+independent cross-checks, and a small harness regenerates the
+benchmark tables and figure datasets.
 """
 
 from .cos_engine import (

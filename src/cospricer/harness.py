@@ -212,9 +212,10 @@ def run_strike_table(
                 values[:, j, k] = batch
                 continue
             if method == "fourier_integral":
-                cfg = presets.integral_preset(name)
-                for i, strike in enumerate(strikes):
-                    values[i, j, k] = price_fourier_integral(model, market, strike, cfg)
+                if strikes:  # an empty column needs no characteristic function
+                    values[:, j, k] = price_fourier_integral(
+                        model, market, strikes, presets.integral_preset(name)
+                    )
                 continue
             variant = Variant(method)
             try:

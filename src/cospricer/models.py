@@ -30,6 +30,7 @@ __all__ = [
     "cumulants",
     "truncation_range",
     "damping_bounds",
+    "moment_is_valid",
 ]
 
 
@@ -234,6 +235,23 @@ def damping_bounds(model: ModelSpec) -> tuple[float, float]:
         return (-2.0, 2.0)
     lo, hi = strip
     return (-hi, -lo)
+
+
+def moment_is_valid(value: complex) -> bool:
+    """Whether phi_T(-i*p) = E[(S_T/S_0)^p] is a usable moment: real,
+    positive and finite.
+
+    Past a moment explosion the closed forms still return a number, but
+    a complex one, and a contour through it prices nonsense.  Valid
+    moments carry ~1e-17 of imaginary roundoff, so an imaginary part up
+    to 1e-10 of the real part is accepted.
+    """
+    value = complex(value)
+    return (
+        math.isfinite(value.real)
+        and value.real > 0.0
+        and abs(value.imag) <= 1e-10 * value.real
+    )
 
 
 def char_fn(model: ModelSpec, market: MarketSpec, u):

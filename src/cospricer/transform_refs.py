@@ -1,14 +1,17 @@
 """Transform-based reference pricers for cross-validation.
 
-Two independent routes to the same European call value:
+Two independent routes to the same European call value, each pricing a
+whole strike column from shared vector work:
 
 ``price_carr_madan``
     FFT inversion of the damped call transform on a uniform log-strike
-    grid, Simpson-weighted, with cubic interpolation between grid
-    strikes.
+    grid, Simpson-weighted, read out at every strike by the natural
+    cubic spline through the four nearest grid strikes.
 ``price_fourier_integral``
-    Direct adaptive quadrature of the damped Fourier representation of
-    the call payoff against the characteristic function.
+    Fixed-node quadrature of the damped Fourier representation of the
+    call payoff against the characteristic function: composite 16-point
+    Gauss-Legendre on geometric panels, checked by re-running the same
+    panels with 32 points each.
 
 Both operate on the log-return characteristic function and are used as
 oracles against the cosine-series engine; neither shares code with it
@@ -19,14 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import ComputationError, ValidationError
-from .models import MarketSpec, ModelSpec, char_fn, damping_bounds
+from .models import MarketSpec, ModelSpec, char_fn, damping_bounds, moment_is_valid
 
 __all__ = [
     "CarrMadanConfig",
@@ -70,12 +71,16 @@ class CarrMadanConfig:
 
 @dataclass(frozen=True)
 class IntegralConfig:
-    """Adaptive-quadrature settings for the damped Fourier integral."""
+    """Damped Fourier-integral settings.
+
+    damping is the contour shift alpha; max_frequency truncates the
+    frequency integral.  The rule itself is fixed: 16-point
+    Gauss-Legendre on panels whose edges start at alpha - 1 and double
+    up to max_frequency, checked against 32 points per panel.
+    """
 
     damping: float = 1.1
     max_frequency: float = 5000.0
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
 
     def __post_init__(self):
         if not (self.damping > 1.0 and math.isfinite(self.damping)):
@@ -84,18 +89,47 @@ class IntegralConfig:
             raise ValidationError(
                 f"max_frequency must be positive and finite, got {self.max_frequency}"
             )
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValidationError("quadrature tolerances must be positive")
 
 
-def _damped_call_transform(model: ModelSpec, market: MarketSpec, v, alpha: float):
-    """Fourier transform of the exp(alpha*k)-damped call in log-strike k."""
-    v = np.asarray(v, dtype=complex)
-    numer = np.exp(-market.rate * market.maturity) * char_fn(
-        model, market, v - 1j * (alpha + 1.0)
+def _validate_strikes(strikes: Sequence[float]) -> list[float]:
+    strikes = [float(k) for k in strikes]
+    for k in strikes:
+        if not (k > 0.0 and math.isfinite(k)):
+            raise ValidationError(f"strike must be positive and finite, got {k}")
+    return strikes
+
+
+def _invalid_moment(order: float, value: complex) -> ValidationError:
+    return ValidationError(
+        f"E[(S_T/S_0)^{order:g}] = {value:.3e} is not real, positive and finite; "
+        f"the moment explodes before this maturity, so lower the damping"
     )
-    denom = alpha * alpha + alpha - v * v + 1j * (2.0 * alpha + 1.0) * v
-    return numer / denom
+
+
+def _call_spectrum(model: ModelSpec, market: MarketSpec, config: CarrMadanConfig):
+    """Log-strike grid k_u = -half_span + lam*u and the real FFT output
+    on it; the call at grid_k[u] is S0 * exp(-damping*k_u)/pi * spectrum[u]."""
+    n = config.n_fft
+    eta = config.spacing
+    alpha = config.damping
+    v = eta * np.arange(n)
+    phi = char_fn(model, market, v - 1j * (alpha + 1.0))
+    if not moment_is_valid(phi[0]):
+        raise _invalid_moment(alpha + 1.0, phi[0])
+    # Fourier transform of the exp(alpha*k)-damped call in log-strike k
+    psi = np.exp(-market.rate * market.maturity) * phi / (
+        alpha * alpha + alpha - v * v + 1j * (2.0 * alpha + 1.0) * v
+    )
+    # Simpson weights eta/3 * (1, 4, 2, 4, ..., 2, 4) times the phase
+    # e^{i*v_j*half_span} = e^{i*pi*j} = (-1)^j that re-centres the grid;
+    # the FFT supplies e^{-2*pi*i*j*u/n}
+    signed = np.full(n, 2.0)
+    signed[1::2] = -4.0
+    signed[0] = 1.0
+    spectrum = np.fft.fft(psi * ((eta / 3.0) * signed)).real
+    # u = n/2 sits exactly at k = 0
+    grid_k = -config.strike_span + config.strike_step * np.arange(n)
+    return grid_k, spectrum
 
 
 def price_carr_madan(
@@ -111,78 +145,70 @@ def price_carr_madan(
     model, market : model parameters and market data.
     strikes : strike levels; each log-moneyness log(K/S0) must fall
         inside the FFT's log-strike grid.
-    config : grid geometry and damping.
+    config : grid geometry and damping; the damping alpha must leave
+        E[(S_T/S_0)^(alpha+1)] finite.
 
     Returns
     -------
     list of float
-        Call prices in strike order, cubic-interpolated from the four
-        nearest grid log-strikes (exact when a strike lands on the
-        grid, as K = S0 does).
+        Call prices in strike order, read from the natural cubic spline
+        through the four nearest grid log-strikes (exact when a strike
+        lands on the grid, as K = S0 does).
     """
-    strikes = [float(k) for k in strikes]
-    for k in strikes:
-        if not (k > 0.0 and math.isfinite(k)):
-            raise ValidationError(f"strike must be positive and finite, got {k}")
-
-    n = config.n_fft
-    eta = config.spacing
+    strikes = _validate_strikes(strikes)
     lam = config.strike_step
-    half_span = config.strike_span
-    alpha = config.damping
-
-    # log-moneyness grid k_u = -half_span + lam*u; u = n/2 sits exactly at k = 0
     log_strikes = np.log(np.asarray(strikes) / market.spot)
-    limit = half_span - 2.0 * lam  # interpolation needs two grid points each side
+    limit = config.strike_span - 2.0 * lam  # the readout needs two grid points each side
     if np.any(np.abs(log_strikes) > limit):
         raise ValidationError(
             f"strike outside the FFT log-strike span (|log(K/S0)| > {limit:.3f})"
         )
 
-    v = eta * np.arange(n)
-    psi = _damped_call_transform(model, market, v, alpha)
-    # Simpson weights eta/3 * (3 + (-1)^(j+1)) with the j = 0 endpoint halved
-    weights = (eta / 3.0) * (3.0 + (-1.0) ** (np.arange(n) + 1))
-    weights[0] = eta / 3.0
-    # e^{i*v*half_span} re-centres the grid; FFT supplies e^{-2*pi*i*j*u/n}
-    spectrum = np.fft.fft(psi * np.exp(1j * v * half_span) * weights)
-    grid_k = -half_span + lam * np.arange(n)
-    damped = np.exp(-alpha * grid_k) / math.pi * spectrum.real
-    prices = market.spot * damped
+    grid_k, spectrum = _call_spectrum(model, market, config)
+    j = np.searchsorted(grid_k, log_strikes)  # grid_k[j-1] < k <= grid_k[j]
+    nodes = j[:, None] + np.arange(-2, 2)
+    y0, y1, y2, y3 = (
+        market.spot * (np.exp(-config.damping * grid_k[nodes]) / math.pi * spectrum[nodes])
+    ).T
+    # natural cubic spline through the four points, on the middle interval;
+    # s = 0 at grid_k[j], so a strike on the grid returns y2 exactly
+    s = (grid_k[j] - log_strikes) / lam
+    t = 1.0 - s
+    curve1 = y0 - 2.0 * y1 + y2
+    curve2 = y1 - 2.0 * y2 + y3
+    prices = s * y1 + t * y2 + (
+        (s ** 3 - s) * (4.0 * curve1 - curve2) + (t ** 3 - t) * (4.0 * curve2 - curve1)
+    ) / 15.0
 
-    out = []
-    for k in log_strikes:
-        j = int(np.searchsorted(grid_k, k))  # grid_k[j-1] <= k < grid_k[j]
-        sel = slice(j - 2, j + 2)
-        spline = CubicSpline(grid_k[sel], prices[sel], bc_type="natural")
-        value = float(spline(k))
-        if not math.isfinite(value) or value > market.spot * (1.0 + 1e-9):
-            # a call above spot signals the exp((damping+1)*y) moment has
-            # overwhelmed the grid; lower the damping for heavy tails
-            raise ComputationError(
-                f"FFT call price {value:.3e} violates the spot bound; "
-                f"damping {alpha} is too aggressive for this model"
-            )
-        out.append(value)
-    return out
+    bad = ~(np.isfinite(prices) & (prices <= market.spot * (1.0 + 1e-9)))
+    if bad.any():
+        # a call above spot signals the exp((damping+1)*y) moment has
+        # overwhelmed the grid; lower the damping for heavy tails
+        raise ComputationError(
+            f"FFT call price {prices[bad.argmax()]:.3e} violates the spot bound; "
+            f"damping {config.damping} is too aggressive for this model"
+        )
+    return prices.tolist()
 
 
-def _integrand(u: float, model, market, alpha: float, x: float) -> float:
-    # g_hat(u) * exp(i*(-u - i*alpha)*x) * phi(-u - i*alpha), real part;
-    # the strike prefactor K is applied outside
-    w = -u - 1j * alpha
-    g_hat = 1.0 / ((alpha - 1j * u) * (alpha - 1.0 - 1j * u))
-    val = g_hat * np.exp(1j * w * x) * char_fn(model, market, w)
-    return float(val.real)
+# Gauss-Legendre nodes and weights on [-1, 1]: the rule and its check
+_RULE, _CHECK = (np.polynomial.legendre.leggauss(n) for n in (16, 32))
+
+
+def _panel_nodes(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    x, w = rule
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def price_fourier_integral(
     model: ModelSpec,
     market: MarketSpec,
-    strike: float,
+    strike: Union[float, Sequence[float]],
     config: IntegralConfig = IntegralConfig(),
-) -> float:
-    """Price a European call by damped Fourier quadrature.
+) -> Union[float, list[float]]:
+    """Price European calls by damped Fourier quadrature.
 
     Evaluates
 
@@ -191,12 +217,24 @@ def price_fourier_integral(
             * exp(i*(-u - i*alpha)*x) * phi(-u - i*alpha) du
 
     over u in [-max_frequency, max_frequency] with x = log(S0/K).  The
-    damping alpha must exceed 1 (call payoff integrability) and keep
-    phi inside its analyticity strip; the result is invariant to the
-    particular alpha chosen, which is asserted in the test suite.
+    integrand is Hermitian in u, so twice its real part is integrated
+    over [0, max_frequency] with 16-point Gauss-Legendre panels.  The
+    panel edges start at alpha - 1, the distance from the contour to the
+    payoff pole at u = -i(alpha - 1), and double up to max_frequency, so
+    each panel sees that pole at the same relative distance.  The same
+    panels with 32 points give the returned value; a gap between the
+    two rules above 1e-6 * max(1, |integral|) raises ComputationError.
+
+    ``strike`` is one strike (returns a float) or a sequence of strikes
+    (returns a list in input order).  The characteristic function is
+    evaluated once, as one vector, for the whole column.  The damping
+    alpha must exceed 1 (call payoff integrability), keep phi inside
+    its analyticity strip and leave E[(S_T/S_0)^alpha] finite; the
+    result is invariant to the particular alpha chosen, which is
+    asserted in the test suite.
     """
-    if not (strike > 0.0 and math.isfinite(strike)):
-        raise ValidationError(f"strike must be positive and finite, got {strike}")
+    single = np.ndim(strike) == 0
+    strikes = _validate_strikes([strike] if single else strike)
     alpha = config.damping
     lo, hi = damping_bounds(model)
     # phi is evaluated at -u - i*alpha, i.e. Im = -alpha, so alpha must
@@ -206,25 +244,39 @@ def price_fourier_integral(
             f"damping {alpha} leaves the characteristic-function strip ({lo}, {hi})"
         )
 
-    x = math.log(market.spot / strike)
-    # integrand is Hermitian in u, so integrate the real part once;
-    # points= anchors the adaptive rule near the origin where the
-    # kernel peaks
-    value, abserr = quad(
-        _integrand,
-        -config.max_frequency,
-        config.max_frequency,
-        args=(model, market, alpha, x),
-        epsabs=config.abs_tol,
-        epsrel=config.rel_tol,
-        limit=4000,
-        points=[-50.0, 0.0, 50.0],
-    )
-    price = strike * math.exp(-market.rate * market.maturity) * value / (2.0 * math.pi)
-    if not math.isfinite(price):
-        raise ComputationError("Fourier integral produced a non-finite price")
-    if abserr > 1e-6 * max(1.0, abs(value)):
-        raise ComputationError(
-            f"Fourier quadrature failed to converge (abserr={abserr:.2e})"
-        )
-    return price
+    edges = [0.0]
+    edge = alpha - 1.0
+    while edge < config.max_frequency:
+        edges.append(edge)
+        edge *= 2.0
+    edges = np.append(edges, config.max_frequency)
+    u_rule, w_rule = _panel_nodes(edges, _RULE)
+    u_check, w_check = _panel_nodes(edges, _CHECK)
+    # u = 0 rides along for the moment phi(-i*alpha) = E[(S_T/S_0)^alpha]
+    u = np.concatenate(([0.0], u_rule, u_check))
+    w = -u - 1j * alpha
+    phi = char_fn(model, market, w)
+    if not moment_is_valid(phi[0]):
+        raise _invalid_moment(alpha, phi[0])
+    u, w, phi = u[1:], w[1:], phi[1:]
+    g_hat = 1.0 / ((alpha - 1j * u) * (alpha - 1.0 - 1j * u))
+    kernel = g_hat * phi * np.concatenate((w_rule, w_check))
+
+    x = np.log(market.spot / np.asarray(strikes))
+    terms = (kernel * np.exp(1j * np.multiply.outer(x, w))).real
+    rule = 2.0 * terms[:, : u_rule.size].sum(axis=1)
+    check = 2.0 * terms[:, u_rule.size :].sum(axis=1)
+
+    prices = []
+    for k, coarse, value in zip(strikes, rule, check):
+        price = k * math.exp(-market.rate * market.maturity) * value / (2.0 * math.pi)
+        if not math.isfinite(price):
+            raise ComputationError("Fourier integral produced a non-finite price")
+        gap = abs(value - coarse)
+        if gap > 1e-6 * max(1.0, abs(value)):
+            raise ComputationError(
+                f"Fourier quadrature failed to converge at strike {k:g} "
+                f"(16- and 32-point rules differ by {gap:.2e})"
+            )
+        prices.append(price)
+    return prices[0] if single else prices

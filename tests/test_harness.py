@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cospricer import ComputationError, CosConfig, OptionSpec, ValidationError, Variant, price
-from cospricer import cos_engine, harness, presets
+from cospricer import cos_engine, harness, presets, transform_refs
 from cospricer.harness import (
     METHOD_NAMES,
     ExperimentResult,
@@ -164,6 +164,35 @@ class TestStrikeTable:
         assert len(result.axis("strike")) == 9
         assert calls["price"] == 1
         assert all(calls[name] for name in layers), calls
+
+    def test_oracle_columns_are_one_call_each(self, monkeypatch):
+        # each oracle prices its strike column with one call and one vector
+        # characteristic-function evaluation, and no scalar one
+        calls = collections.Counter()
+
+        def count(module, name, key=None):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key(*args) if key else name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(harness, "price_fourier_integral")
+        count(harness, "price_carr_madan")
+        count(transform_refs, "char_fn", key=lambda *a: "vector" if np.ndim(a[2]) else "scalar")
+        result = run_strike_table(models=["kou"], methods=["fourier_integral", "carr_madan"])
+        assert len(result.axis("strike")) == 9
+        assert calls == {"price_fourier_integral": 1, "price_carr_madan": 1, "vector": 2}
+
+    def test_empty_strike_list_skips_the_integral(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an empty column must not be priced")
+
+        monkeypatch.setattr(harness, "price_fourier_integral", unreachable)
+        result = run_strike_table(models=["heston"], strikes=[], methods=["fourier_integral"])
+        assert result.values.shape == (0, 1, 1)
 
     def test_records_wall_clock(self):
         result = run_strike_table(models=["heston"], strikes=[100.0], methods=["stable"])

@@ -21,6 +21,7 @@ from cospricer.models import (
     char_fn,
     cumulants,
     damping_bounds,
+    moment_is_valid,
     truncation_range,
 )
 
@@ -209,3 +210,23 @@ class TestValidationAndStrips:
         assert (lo, hi) == (-5.0, 5.0)
         lo, hi = damping_bounds(models["heston"])
         assert lo < 0.0 < hi
+
+
+class TestMomentPredicate:
+    def test_accepts_real_moment_with_roundoff(self):
+        # valid moments come back with ~1e-17 of imaginary noise
+        assert moment_is_valid(1.4231 + 2.4e-17j)
+        assert moment_is_valid(2.4e27)
+
+    def test_rejects_complex_negative_or_non_finite(self):
+        for value in (1.3 + 0.38j, 1.0 + 1e-9j, -0.5, 0.0, math.inf, math.nan,
+                      complex(1.0, math.nan)):
+            assert not moment_is_valid(value), value
+
+    def test_flags_heston_moment_explosion(self):
+        # E[S_T^1.1] explodes at T* ~ 8.66 for this parameter set
+        model = HestonParams(kappa=0.5, theta=0.09, sigma=1.0, rho=0.5, v0=0.09)
+        before = MarketSpec(spot=100.0, rate=0.05, maturity=5.0)
+        after = MarketSpec(spot=100.0, rate=0.05, maturity=20.0)
+        assert moment_is_valid(char_fn(model, before, -1.1j))
+        assert not moment_is_valid(char_fn(model, after, -1.1j))

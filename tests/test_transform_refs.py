@@ -1,25 +1,34 @@
 """Tests for the two transform-based cross-checks.
 
 The damped Fourier integral is validated against the Black-Scholes
-closed form before anything else relies on it; the Carr-Madan FFT is
-then checked against the bundled reference prices, on and off the
-log-strike grid.
+closed form before anything else relies on it, and its fixed-node rule
+is certified against adaptive quadrature of the same integrand; the
+Carr-Madan FFT is then checked against the bundled reference prices,
+on and off the log-strike grid, and its readout against a per-strike
+cubic spline.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from cospricer import (
     CarrMadanConfig,
     ComputationError,
+    HestonParams,
     IntegralConfig,
     KouParams,
+    MarketSpec,
     ValidationError,
+    char_fn,
     price_carr_madan,
     price_fourier_integral,
 )
+from cospricer.transform_refs import _call_spectrum
 from cospricer.presets import (
     STRIKE_GRID,
     carr_madan_preset,
@@ -29,6 +38,34 @@ from cospricer.presets import (
 )
 
 PROFILES = ("heston", "kou", "cgmy1", "cgmy2")
+
+# half-unit strike lattice in [60, 160], inside every profile's FFT span
+LATTICE = np.arange(60.0, 160.0 + 0.25, 0.5)
+
+# Heston parameters whose moments explode inside the maturities probed:
+# E[S_T^1.75] at T* ~ 3.1 years, E[S_T^1.1] at T* ~ 8.7 years
+EXPLOSIVE = HestonParams(kappa=0.5, theta=0.09, sigma=1.0, rho=0.5, v0=0.09)
+
+
+def explosive_market(maturity):
+    return MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
+
+
+def quad_price(model, market, strike, config):
+    """The damped integrand of price_fourier_integral, integrated by
+    adaptive quadrature over [-max_frequency, max_frequency]."""
+    alpha = config.damping
+    x = math.log(market.spot / strike)
+
+    def integrand(u):
+        w = -u - 1j * alpha
+        g_hat = 1.0 / ((alpha - 1j * u) * (alpha - 1.0 - 1j * u))
+        return (g_hat * cmath.exp(1j * w * x) * char_fn(model, market, w)).real
+
+    top = config.max_frequency
+    value, _ = quad(integrand, -top, top, epsabs=1e-12, epsrel=1e-12, limit=4000,
+                    points=[-50.0, 0.0, 50.0])
+    return strike * math.exp(-market.rate * market.maturity) * value / (2.0 * math.pi)
 
 
 def black_scholes_call(spot, strike, rate, dividend, sigma, maturity):
@@ -166,3 +203,85 @@ class TestCarrMadan:
         model = model_preset("heston")
         with pytest.raises(ValidationError, match="strike must be positive"):
             price_carr_madan(model, market, [0.0])
+
+
+class TestFourierIntegralRule:
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_certified_against_adaptive_quadrature(self, market, name):
+        model, config = model_preset(name), integral_preset(name)
+        strikes = [60.0, 100.0, 160.0]
+        got = price_fourier_integral(model, market, strikes, config)
+        for strike, value in zip(strikes, got):
+            want = quad_price(model, market, strike, config)
+            assert value == pytest.approx(want, abs=1e-10), (name, strike)
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_column_matches_batches_of_one(self, market, name):
+        model, config = model_preset(name), integral_preset(name)
+        # unsorted, with a duplicate
+        strikes = [float(k) for k in LATTICE[::-7]] + [100.0]
+        column = price_fourier_integral(model, market, strikes, config)
+        assert isinstance(column, list) and len(column) == len(strikes)
+        for strike, value in zip(strikes, column):
+            alone = price_fourier_integral(model, market, strike, config)
+            assert isinstance(alone, float)
+            assert value == pytest.approx(alone, abs=1e-13), (name, strike)
+
+    def test_empty_strike_list(self, market):
+        assert price_fourier_integral(model_preset("heston"), market, []) == []
+
+    def test_rejects_bad_strike_in_column(self, market):
+        with pytest.raises(ValidationError, match="strike must be positive"):
+            price_fourier_integral(model_preset("heston"), market, [100.0, math.nan])
+
+    def test_doubling_gate_raises(self, market):
+        # a nearly deterministic log-return: the transform barely decays,
+        # so 16 nodes per panel cannot follow exp(-i*u*x) at a far strike
+        # and the 32-point rerun disagrees
+        model = KouParams(sigma=0.01, p=0.4, eta1=10.0, eta2=5.0, lam=0.0)
+        with pytest.raises(ComputationError, match="16- and 32-point rules differ"):
+            price_fourier_integral(model, market, [100.0, 60.0])
+
+    def test_exploded_moment_rejected(self):
+        # past the explosion of E[S_T^1.1] the closed form returns a complex
+        # "moment" and the integral used to price 54.23, below the bound 63.21
+        market = explosive_market(20.0)
+        with pytest.raises(ValidationError, match="not real, positive and finite"):
+            price_fourier_integral(EXPLOSIVE, market, 100.0)
+
+    def test_finite_moment_prices_within_bounds(self):
+        # before the explosion time the same model prices inside the bounds
+        market = explosive_market(5.0)
+        lower = market.spot - 100.0 * math.exp(-market.rate * market.maturity)
+        assert lower < price_fourier_integral(EXPLOSIVE, market, 100.0) < market.spot
+
+
+class TestCarrMadanReadout:
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_matches_natural_cubic_spline(self, market, name):
+        model, config = model_preset(name), carr_madan_preset(name)
+        got = price_carr_madan(model, market, LATTICE, config)
+        grid_k, spectrum = _call_spectrum(model, market, config)
+        prices = market.spot * np.exp(-config.damping * grid_k) / math.pi * spectrum
+        for strike, value in zip(LATTICE, got):
+            k = math.log(strike / market.spot)
+            j = int(np.searchsorted(grid_k, k))
+            sel = slice(j - 2, j + 2)
+            spline = CubicSpline(grid_k[sel], prices[sel], bc_type="natural")
+            assert value == pytest.approx(float(spline(k)), abs=1e-12), (name, strike)
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_exact_on_grid(self, market, name):
+        model, config = model_preset(name), carr_madan_preset(name)
+        grid_k, spectrum = _call_spectrum(model, market, config)
+        at_spot = config.n_fft // 2
+        assert grid_k[at_spot] == 0.0
+        value = price_carr_madan(model, market, [market.spot], config)[0]
+        assert value == market.spot * (1.0 / math.pi * spectrum[at_spot])
+
+    def test_exploded_moment_rejected(self):
+        # past the explosion of E[S_T^1.75] the FFT used to price 18.54,
+        # below the no-arbitrage bound 22.12
+        market = explosive_market(5.0)
+        with pytest.raises(ValidationError, match="not real, positive and finite"):
+            price_carr_madan(EXPLOSIVE, market, [100.0])
