@@ -12,6 +12,15 @@ The series is evaluated in three variants sharing one kernel:
     cancellation on wide truncation ranges.
 ``parity``
     Prices the undamped put and maps it to the call through put-call parity.
+
+Every variant sums only the live band of phi(u_k - i*alpha): the terms
+up to the last k where phi has not underflowed to an exact zero
+(:func:`models.live_band`).  The terms past it are exact zeros and leave
+the error-free sum unchanged, so each price is bit-identical to the sum
+over all n_terms.  For Kou and for CGMY with -1 < Y < 2, |phi| provably
+does not increase along the grid (each u-dependent term of its
+Re log phi is non-increasing; the proof is in ``models``), so phi itself
+is evaluated in doubling blocks that stop at the first all-zero one.
 """
 
 from __future__ import annotations
@@ -29,8 +38,10 @@ from .models import (
     ModelSpec,
     TruncationRange,
     char_fn,
+    check_moment,
     cumulants,
     damping_bounds,
+    live_band,
     truncation_range,
 )
 
@@ -236,6 +247,33 @@ def _fsum(terms: list) -> float:
         return math.nan
 
 
+def _tail_may_overflow(
+    alpha: float, base: TruncationRange, x: np.ndarray, strikes: np.ndarray,
+    u_first: float, u_last: float,
+) -> bool:
+    """Whether a payoff coefficient at a frequency u in [u_first, u_last]
+    could overflow.
+
+    Past the live band the density is an exact zero and 0 * inf is nan,
+    so such a coefficient would still make its row's sum non-finite; the
+    band is then not cut.  Each of the four summands of :func:`chi`'s
+    numerator is at most (|v| + u) * e^(v*y) for v in {1 - alpha, -alpha},
+    so |v| <= 1 + |alpha|, and y in the row's range, so v*y peaks at an
+    end of [a, b]; dividing by v^2 + u^2 multiplies by at most
+    max(1, 1/u_first^2); a payoff row is 2K/width times a difference of
+    two chi values.  That bound is compared with 1e300, in logs.
+    """
+    a, b = base.a + x, base.b + x
+    exponent = np.maximum.reduce([(1.0 - alpha) * a, (1.0 - alpha) * b, -alpha * a, -alpha * b])
+    scale = np.log(np.maximum(1.0, 2.0 * strikes / base.width))
+    log_bound = (
+        math.log(8.0 * (1.0 + abs(alpha) + u_last))
+        + 2.0 * max(0.0, -math.log(u_first))
+        + float(np.max(exponent + scale))
+    )
+    return log_bound > math.log(1e300)
+
+
 def _series_values(
     model: ModelSpec,
     market: MarketSpec,
@@ -248,9 +286,23 @@ def _series_values(
     n_terms: int,
 ) -> np.ndarray:
     """Series values for the strikes with log-moneyness x, each expanded on
-    base recentred by its x."""
-    u = np.arange(n_terms) * (math.pi / base.width)
-    phi = char_fn(model, market, u - 1j * alpha)
+    base recentred by its x.
+
+    The sum runs over the live band of phi(u_k - i*alpha) only, the
+    prefix that ends at its last nonzero value (:func:`models.live_band`):
+    the terms past it are exact zeros, which leave every math.fsum
+    unchanged, unless a payoff coefficient there could overflow, when the
+    full grid is summed so that 0 * inf still reads as a failure.
+    """
+    step = math.pi / base.width
+    phi = live_band(char_fn, model, market, step, alpha, n_terms)
+    check_moment(alpha, phi[0])
+    live = phi.size
+    if live < n_terms and _tail_may_overflow(
+        alpha, base, x, strikes, live * step, (n_terms - 1) * step
+    ):
+        phi = np.concatenate((phi, np.zeros(n_terms - live, dtype=complex)))
+    u = np.arange(phi.size) * step
     # x - a = -base.a for every recentred range, so one phase serves all strikes
     density = np.real(np.exp(-1j * u * base.a) * phi)
     coefficients = call_coefficients if kind is OptionKind.CALL else put_coefficients

@@ -5,6 +5,15 @@ function phi_T(u) = E[exp(i u ln(S_T / S_0))], valid for complex u inside the
 model's strip of analyticity.  The module also provides log-cumulants of the
 log-return (computed by central differences of log phi_T) and the series
 truncation interval built from them.
+
+Both fixed-grid consumers, the cosine engine and the Carr-Madan FFT,
+read phi_T along a contour u - i*alpha, u = 0, du, 2*du, ..., through
+:func:`live_band`: only the prefix up to the last value that has not
+underflowed to an exact zero is kept.  For Kou and for CGMY with
+-1 < Y < 2 every u-dependent term of Re log phi_T(u - i*alpha) is
+non-increasing in u >= 0 (the proof is in :func:`_decays_along_contour`),
+so the contour is evaluated in doubling blocks that stop at the first
+all-zero block; Heston and CGMY with Y <= -1 take one full call.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ __all__ = [
     "truncation_range",
     "damping_bounds",
     "moment_is_valid",
+    "check_moment",
+    "live_band",
 ]
 
 
@@ -254,6 +265,16 @@ def moment_is_valid(value: complex) -> bool:
     )
 
 
+def check_moment(order: float, value: complex) -> None:
+    """Raise a validation error unless value = E[(S_T/S_0)^order] passes
+    :func:`moment_is_valid`."""
+    if not moment_is_valid(value):
+        raise ValidationError(
+            f"E[(S_T/S_0)^{order:g}] = {value:.3e} is not real, positive and "
+            f"finite; the moment explodes before this maturity, so lower the damping"
+        )
+
+
 def char_fn(model: ModelSpec, market: MarketSpec, u):
     """Extended characteristic function of the log-return ln(S_T / S_0).
 
@@ -289,6 +310,84 @@ def char_fn(model: ModelSpec, market: MarketSpec, u):
     if np.ndim(u) == 0 and not isinstance(u, np.ndarray):
         return complex(out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# live band
+# ---------------------------------------------------------------------------
+
+# points of the first live-band block; a preset series (N <= 210) fits in
+# it and so stays one call
+_FIRST_BLOCK = 1024
+
+
+def _decays_along_contour(model: ModelSpec) -> bool:
+    """Whether |phi_T(u - i*alpha)| provably does not increase in u >= 0
+    for every alpha inside the damping bounds.
+
+    The drift contributes alpha*mu*T to Re log phi_T(u - i*alpha), a
+    constant, so only the other terms matter.
+
+    Kou: the diffusion gives -sigma^2*T*(u^2 - alpha^2)/2 and each jump
+    side lam*T*p*eta1*(eta1 - alpha)/((eta1 - alpha)^2 + u^2) or
+    lam*T*(1 - p)*eta2*(eta2 + alpha)/((eta2 + alpha)^2 + u^2); inside
+    the bounds eta1 - alpha > 0 and eta2 + alpha > 0, so every term is
+    non-increasing in u >= 0.
+
+    CGMY: the Levy part is C*T*Gamma(-Y) times Re(a - iu)^Y for
+    a = M - alpha > 0 and for a = G + alpha > 0 (the G side is a
+    conjugate, with the same real part).  Writing a - iu = r*e^(-i*theta)
+    with theta in [0, pi/2), d/du Re(a - iu)^Y = -Y*r^(Y-1)*sin((Y-1)*theta),
+    and -Y*Gamma(-Y) = Gamma(1-Y).  For 1 < Y < 2, Gamma(1-Y) < 0 and
+    (Y-1)*theta lies in [0, pi/2); for -1 < Y < 1, Gamma(1-Y) > 0 and
+    (Y-1)*theta lies in (-pi, 0].  Either way the derivative is <= 0.  For
+    Y <= -1 the angle can pass -pi, and for Heston no such bound is at
+    hand, so neither qualifies.
+    """
+    if isinstance(model, KouParams):
+        return True
+    if isinstance(model, CGMYParams):
+        return -1.0 < model.Y < 2.0
+    return False
+
+
+def live_band(
+    evaluate, model: ModelSpec, market: MarketSpec, step: float, shift: float, size: int
+) -> np.ndarray:
+    """Characteristic-function values on the live prefix of a uniform contour.
+
+    The contour is u_k - i*shift with u_k = k*step for k < size; evaluate
+    is :func:`char_fn` as the caller binds it and is called as
+    evaluate(model, market, points).  Returns the values up to and
+    including the last nonzero one; everything past it is an exact zero,
+    which adds nothing to a sum.  Index 0, the moment E[(S_T/S_0)^shift],
+    is always kept.
+
+    For a model whose |phi| does not increase along the contour (see
+    :func:`_decays_along_contour`) the points are built and evaluated in
+    blocks: the first _FIRST_BLOCK points, then each block as long as the
+    prefix before it, until a block is all exact zeros (every later value
+    then underflows too) or the contour ends.  Any other model gets one
+    call over the whole contour.  The values are the ones a single call
+    would return.
+    """
+
+    def points(start: int, stop: int) -> np.ndarray:
+        return np.arange(start, stop) * step - 1j * shift
+
+    if not _decays_along_contour(model) or size <= _FIRST_BLOCK:
+        phi = evaluate(model, market, points(0, size))
+    else:
+        blocks = [evaluate(model, market, points(0, _FIRST_BLOCK))]
+        end = _FIRST_BLOCK
+        while end < size and blocks[-1].any():
+            blocks.append(evaluate(model, market, points(end, min(2 * end, size))))
+            end *= 2
+        phi = np.concatenate(blocks)
+    if phi[-1] != 0.0:
+        return phi
+    live = np.flatnonzero(phi)
+    return phi[: live[-1] + 1 if live.size else 1]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,14 @@ whole strike column from shared vector work:
 
 Both operate on the log-return characteristic function and are used as
 oracles against the cosine-series engine; neither shares code with it
-beyond the model layer.
+beyond the model layer.  The FFT forms its transform on the live band of
+phi only (:func:`models.live_band`): up to the last grid point where phi
+has not underflowed, with the zeros past it left to the FFT's padding.
+For Kou and for CGMY with -1 < Y < 2, whose |phi| provably does not
+increase along the grid (the proof is in ``models``), phi is evaluated
+in doubling blocks that stop at the first all-zero one.  The Fourier
+integral evaluates phi at its nodes and at the cut and raises when the
+integrand has not decayed there.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .models import MarketSpec, ModelSpec, char_fn, damping_bounds, moment_is_valid
+from .models import MarketSpec, ModelSpec, char_fn, check_moment, damping_bounds, live_band
 
 __all__ = [
     "CarrMadanConfig",
@@ -99,23 +106,20 @@ def _validate_strikes(strikes: Sequence[float]) -> list[float]:
     return strikes
 
 
-def _invalid_moment(order: float, value: complex) -> ValidationError:
-    return ValidationError(
-        f"E[(S_T/S_0)^{order:g}] = {value:.3e} is not real, positive and finite; "
-        f"the moment explodes before this maturity, so lower the damping"
-    )
-
-
 def _call_spectrum(model: ModelSpec, market: MarketSpec, config: CarrMadanConfig):
     """Log-strike grid k_u = -half_span + lam*u and the real FFT output
-    on it; the call at grid_k[u] is S0 * exp(-damping*k_u)/pi * spectrum[u]."""
+    on it; the call at grid_k[u] is S0 * exp(-damping*k_u)/pi * spectrum[u].
+
+    The transform is formed on the live band of phi only
+    (:func:`models.live_band`) and the FFT pads the rest with zeros,
+    which is what the full grid holds there.
+    """
     n = config.n_fft
     eta = config.spacing
     alpha = config.damping
-    v = eta * np.arange(n)
-    phi = char_fn(model, market, v - 1j * (alpha + 1.0))
-    if not moment_is_valid(phi[0]):
-        raise _invalid_moment(alpha + 1.0, phi[0])
+    phi = live_band(char_fn, model, market, eta, alpha + 1.0, n)
+    check_moment(alpha + 1.0, phi[0])
+    v = eta * np.arange(phi.size)
     # Fourier transform of the exp(alpha*k)-damped call in log-strike k
     psi = np.exp(-market.rate * market.maturity) * phi / (
         alpha * alpha + alpha - v * v + 1j * (2.0 * alpha + 1.0) * v
@@ -123,10 +127,10 @@ def _call_spectrum(model: ModelSpec, market: MarketSpec, config: CarrMadanConfig
     # Simpson weights eta/3 * (1, 4, 2, 4, ..., 2, 4) times the phase
     # e^{i*v_j*half_span} = e^{i*pi*j} = (-1)^j that re-centres the grid;
     # the FFT supplies e^{-2*pi*i*j*u/n}
-    signed = np.full(n, 2.0)
+    signed = np.full(v.size, 2.0)
     signed[1::2] = -4.0
     signed[0] = 1.0
-    spectrum = np.fft.fft(psi * ((eta / 3.0) * signed)).real
+    spectrum = np.fft.fft(psi * ((eta / 3.0) * signed), n).real
     # u = n/2 sits exactly at k = 0
     grid_k = -config.strike_span + config.strike_step * np.arange(n)
     return grid_k, spectrum
@@ -252,31 +256,40 @@ def price_fourier_integral(
     edges = np.append(edges, config.max_frequency)
     u_rule, w_rule = _panel_nodes(edges, _RULE)
     u_check, w_check = _panel_nodes(edges, _CHECK)
-    # u = 0 rides along for the moment phi(-i*alpha) = E[(S_T/S_0)^alpha]
-    u = np.concatenate(([0.0], u_rule, u_check))
+    # u = 0 rides along for the moment phi(-i*alpha) = E[(S_T/S_0)^alpha],
+    # u = max_frequency for the integrand left at the cut
+    top = config.max_frequency
+    u = np.concatenate(([0.0], u_rule, u_check, [top]))
     w = -u - 1j * alpha
     phi = char_fn(model, market, w)
-    if not moment_is_valid(phi[0]):
-        raise _invalid_moment(alpha, phi[0])
-    u, w, phi = u[1:], w[1:], phi[1:]
-    g_hat = 1.0 / ((alpha - 1j * u) * (alpha - 1.0 - 1j * u))
-    kernel = g_hat * phi * np.concatenate((w_rule, w_check))
+    check_moment(alpha, phi[0])
+    integrand = 1.0 / ((alpha - 1j * u) * (alpha - 1.0 - 1j * u)) * phi
+    kernel = integrand[1:-1] * np.concatenate((w_rule, w_check))
 
     x = np.log(market.spot / np.asarray(strikes))
-    terms = (kernel * np.exp(1j * np.multiply.outer(x, w))).real
+    terms = (kernel * np.exp(1j * np.multiply.outer(x, w[1:-1]))).real
+    # 2|integrand|e^(alpha*x) bounds |2 Re(integrand * e^(i*w*x))| at the
+    # cut; times the cut frequency it sizes the tail the rule never sees
+    tails = 2.0 * abs(integrand[-1]) * np.exp(alpha * x) * top
     rule = 2.0 * terms[:, : u_rule.size].sum(axis=1)
     check = 2.0 * terms[:, u_rule.size :].sum(axis=1)
 
     prices = []
-    for k, coarse, value in zip(strikes, rule, check):
+    for k, coarse, value, tail in zip(strikes, rule, check, tails.tolist()):
         price = k * math.exp(-market.rate * market.maturity) * value / (2.0 * math.pi)
         if not math.isfinite(price):
             raise ComputationError("Fourier integral produced a non-finite price")
+        tolerance = 1e-6 * max(1.0, abs(value))
         gap = abs(value - coarse)
-        if gap > 1e-6 * max(1.0, abs(value)):
+        if gap > tolerance:
             raise ComputationError(
                 f"Fourier quadrature failed to converge at strike {k:g} "
                 f"(16- and 32-point rules differ by {gap:.2e})"
+            )
+        if tail > tolerance:
+            raise ComputationError(
+                f"Fourier integral truncated too early at strike {k:g}: the "
+                f"integrand at max_frequency={top:g} times the cut is {tail:.2e}"
             )
         prices.append(price)
     return prices[0] if single else prices

@@ -18,7 +18,7 @@ from cospricer.cos_engine import (
     put_coefficients,
 )
 from cospricer.errors import ComputationError, ConfigurationError, ValidationError
-from cospricer.models import CGMYParams, TruncationRange
+from cospricer.models import CGMYParams, HestonParams, MarketSpec, TruncationRange
 from cospricer.transform_refs import price_fourier_integral
 
 STRIKES = (80.0, 85.0, 90.0, 95.0, 100.0, 105.0, 110.0, 115.0, 120.0)
@@ -314,6 +314,27 @@ def _preset_config(name: str, variant: Variant) -> CosConfig:
     # cgmy2 has no direct preset; its undamped put borrows the parity geometry
     source = Variant.PUT_CALL_PARITY if (name, variant) == ("cgmy2", Variant.DIRECT) else variant
     return presets.method_preset(name, source).cos_config(variant)
+
+
+class TestMomentCheck:
+    # E[S_T^1.5] explodes at T* ~ 3.08 and E[S_T^1.1] at T* ~ 8.66
+    EXPLOSIVE = HestonParams(kappa=0.5, theta=0.09, sigma=1.0, rho=0.5, v0=0.09)
+
+    @pytest.mark.parametrize("maturity, alpha", [(5.0, 1.5), (20.0, 1.1)])
+    def test_exploded_moment_rejected(self, maturity, alpha):
+        # past T* phi(-i*alpha) is complex; the stable call used to return
+        # 20.87 at T=5 (bound 22.12) and 54.66 at T=20 (bound 63.21)
+        market = MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
+        cfg = CosConfig(n_terms=4096, range_width=12.0, damping=alpha)
+        with pytest.raises(ValidationError, match="not real, positive and finite"):
+            price(self.EXPLOSIVE, market, OptionSpec(strike=100.0), cfg)
+
+    def test_undamped_series_unaffected(self):
+        # alpha = 0 needs only E[1] = 1, so the put still prices
+        market = MarketSpec(spot=100.0, rate=0.05, maturity=20.0)
+        cfg = CosConfig(n_terms=4096, range_width=12.0)
+        put = price(self.EXPLOSIVE, market, OptionSpec(strike=100.0, kind=OptionKind.PUT), cfg)
+        assert 0.0 < put.price < 100.0
 
 
 class TestStrikeBatch:

@@ -242,6 +242,24 @@ class TestFourierIntegralRule:
         with pytest.raises(ComputationError, match="16- and 32-point rules differ"):
             price_fourier_integral(model, market, [100.0, 60.0])
 
+    @pytest.mark.parametrize("top", [0.01, 0.001])
+    def test_frequency_truncation_raises(self, market, top):
+        # the fat tail's transform has barely decayed at these cuts; the
+        # truncated integral used to return 40.5 and 4.34 against 99.9999
+        model, config = model_preset("cgmy2"), integral_preset("cgmy2")
+        config = IntegralConfig(damping=config.damping, max_frequency=top)
+        with pytest.raises(ComputationError, match="truncated too early"):
+            price_fourier_integral(model, market, 100.0, config)
+
+    @pytest.mark.parametrize("name", PROFILES)
+    @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0])
+    def test_every_preset_column_prices(self, name, maturity):
+        market = MarketSpec(spot=100.0, rate=0.1, maturity=maturity)
+        model, config = model_preset(name), integral_preset(name)
+        prices = price_fourier_integral(model, market, list(LATTICE), config)
+        # the fat tail's calls sit at the spot itself, to roundoff
+        assert all(0.0 < p <= market.spot * (1.0 + 1e-9) for p in prices)
+
     def test_exploded_moment_rejected(self):
         # past the explosion of E[S_T^1.1] the closed form returns a complex
         # "moment" and the integral used to price 54.23, below the bound 63.21
