@@ -149,11 +149,15 @@ def cmd_price(args: argparse.Namespace) -> int:
         **_given(spot=config.spot, rate=config.rate, dividend=config.dividend),
     )
     variant = Variant(config.method)
+    option = OptionSpec(strike=config.strike, kind=OptionKind(config.kind))
+    preset = presets.method_preset(config.profile, variant).cos_config(variant)
+    if option.kind is OptionKind.PUT:
+        # the preset damping is a call's; a put takes its own default
+        preset = replace(preset, damping=None)
     cos_config = replace(
-        presets.method_preset(config.profile, variant).cos_config(variant),
+        preset,
         **_given(n_terms=config.n_terms, range_width=config.range_width, damping=config.alpha),
     )
-    option = OptionSpec(strike=config.strike, kind=OptionKind(config.kind))
     result = price(presets.model_preset(config.profile), market, option, cos_config)
     row = {
         "price": result.price,

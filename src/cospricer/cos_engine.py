@@ -6,6 +6,8 @@ The series is evaluated in three variants sharing one kernel:
     Damped expansion.  The payoff is multiplied by exp(-alpha*y) before the
     cosine coefficients are formed and the damping is undone inside the
     density coefficients, which keeps every summand bounded for calls.
+    The damped payoff is bounded only for alpha > 1 (calls) and
+    alpha <= 0 (puts), so other values are refused.
 ``direct``
     The classic expansion; identical to ``stable`` with alpha = 0.  For call
     payoffs the coefficients grow like exp(b), which invites catastrophic
@@ -21,6 +23,9 @@ over all n_terms.  For Kou and for CGMY with -1 < Y < 2, |phi| provably
 does not increase along the grid (each u-dependent term of its
 Re log phi is non-increasing; the proof is in ``models``), so phi itself
 is evaluated in doubling blocks that stop at the first all-zero one.
+For Heston a non-increasing closed-form bound on |phi| (also proved in
+``models``) locates the first term from which phi underflows, and phi is
+evaluated only before it.
 """
 
 from __future__ import annotations
@@ -89,7 +94,8 @@ class CosConfig:
 
     n_terms is the number of cosine terms, range_width the cumulant
     half-width multiplier L, damping the exponent alpha used by the stable
-    variant (None picks 1.1 for calls and 0 for puts).
+    variant (None picks 1.1 for calls and 0 for puts; a call needs
+    alpha > 1 and a put alpha <= 0).
     """
 
     n_terms: int
@@ -338,9 +344,10 @@ def price(
     strike adds one row of payoff coefficients and one sum.
 
     Raises a configuration error when the damped variant is asked to price a
-    call with alpha <= 1 (the damped payoff is not integrable there), when
-    alpha leaves the model's analyticity strip, or when the parity variant is
-    asked for a put; a computation error when a series value is not finite.
+    call with alpha <= 1 or a put with alpha > 0 (the damped payoff grows
+    without bound there), when alpha leaves the model's analyticity strip,
+    or when the parity variant is asked for a put; a computation error when
+    a series value is not finite.
     """
     options = (option,) if isinstance(option, OptionSpec) else tuple(option)
     if not options:
@@ -353,6 +360,8 @@ def price(
     alpha = _resolve_damping(config, kind)
     if config.variant is Variant.STABLE and kind is OptionKind.CALL and alpha <= 1.0:
         raise ConfigurationError("alpha must exceed 1 for stable call pricing")
+    if config.variant is Variant.STABLE and kind is OptionKind.PUT and alpha > 0.0:
+        raise ConfigurationError("alpha must not exceed 0 for stable put pricing")
     lo, hi = damping_bounds(model)
     if not lo < alpha < hi:
         raise ConfigurationError(

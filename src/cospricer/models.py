@@ -13,7 +13,11 @@ underflowed to an exact zero is kept.  For Kou and for CGMY with
 -1 < Y < 2 every u-dependent term of Re log phi_T(u - i*alpha) is
 non-increasing in u >= 0 (the proof is in :func:`_decays_along_contour`),
 so the contour is evaluated in doubling blocks that stop at the first
-all-zero block; Heston and CGMY with Y <= -1 take one full call.
+all-zero block.  For Heston a closed-form envelope
+Psi_alpha(u) >= |phi_T(u - i*alpha)|, non-increasing in u (the proof is
+in :func:`_heston_log_envelope`), locates by bisection the first point
+from which every value underflows, and one call covers the points before
+it.  CGMY with Y <= -1 takes one full call.
 """
 
 from __future__ import annotations
@@ -341,14 +345,115 @@ def _decays_along_contour(model: ModelSpec) -> bool:
     and -Y*Gamma(-Y) = Gamma(1-Y).  For 1 < Y < 2, Gamma(1-Y) < 0 and
     (Y-1)*theta lies in [0, pi/2); for -1 < Y < 1, Gamma(1-Y) > 0 and
     (Y-1)*theta lies in (-pi, 0].  Either way the derivative is <= 0.  For
-    Y <= -1 the angle can pass -pi, and for Heston no such bound is at
-    hand, so neither qualifies.
+    Y <= -1 the angle can pass -pi, so it does not qualify.  Heston's
+    |phi| need not be monotone; it is bounded by a monotone envelope
+    instead (:func:`_heston_log_envelope`).
     """
     if isinstance(model, KouParams):
         return True
     if isinstance(model, CGMYParams):
         return -1.0 < model.Y < 2.0
     return False
+
+
+# log of 2^-1075, half the smallest subnormal double: a modulus below it
+# rounds to an exact zero.  The extra -1 absorbs the rounding of both the
+# envelope and phi_T, which is orders of magnitude smaller.
+_UNDERFLOW_LOG = -1075.0 * math.log(2.0) - 1.0
+
+
+def _heston_log_envelope(model: HestonParams, market: MarketSpec, alpha: float, u: float) -> float:
+    """log Psi_alpha(u), an upper bound on log|phi_T(u - i*alpha)| for the
+    Heston model that does not increase in u >= 0; inf where the bound is
+    not finite or has no real closed form.
+
+    With dv = kappa*(theta - v)dt + sigma*sqrt(v)dW and
+    I_T = int_0^T v dt >= 0, the stochastic integral against W is
+    (v_T - v0 - kappa*theta*T + kappa*I_T)/sigma, so given the path of W
+    the log-return X_T is Gaussian with mean
+    (r - q)*T - I_T/2 + rho*(v_T - v0 - kappa*theta*T + kappa*I_T)/sigma
+    and variance (1 - rho^2)*I_T.  Its conditional
+    E[exp((iu + alpha)*X_T)] then has modulus
+    exp(alpha*mean + (alpha^2 - u^2)*(1 - rho^2)*I_T/2), and the triangle
+    inequality gives |phi_T(u - i*alpha)| <= Psi_alpha(u) =
+    e^c * E[exp(lam*v_T + nu(u)*I_T)] with
+
+        lam   = alpha*rho/sigma
+        nu(u) = alpha*(rho*kappa/sigma - 1/2) + (alpha^2 - u^2)*(1 - rho^2)/2
+        c     = alpha*(r - q)*T - lam*(v0 + kappa*theta*T).
+
+    nu falls as u grows and I_T >= 0, so Psi_alpha does not increase in
+    u >= 0, and at u = 0 the integrand is positive, so
+    Psi_alpha(0) = phi_T(-i*alpha).  E[exp(lam*v_T + nu*I_T)] is
+    exp(A + B*v0) for the CIR Riccati pair B' = nu - kappa*B + sigma^2*B^2/2,
+    B(0) = lam, A' = kappa*theta*B, A(0) = 0.  With
+    d = sqrt(kappa^2 - 2*sigma^2*nu), the roots
+    B- = (kappa - d)/sigma^2 = 2*nu/(kappa + d) and B+ = (kappa + d)/sigma^2,
+    and g = (lam - B-)/(lam - B+), the ratio (B - B-)/(B - B+) is
+    h = g*e^(-d*T), so
+
+        log Psi = c + kappa*theta*(B-*T - (2/sigma^2)*log((1 - h)/(1 - g)))
+                  + v0*(B- - B+*h)/(1 - h).
+
+    Past a moment explosion (1 - h)/(1 - g) < 0 and the expectation is
+    infinite; where kappa^2 < 2*sigma^2*nu, near u = 0, d is imaginary.
+    Both read as inf, a bound that rules nothing out.
+    """
+    kappa, theta, sigma, rho, v0 = model.kappa, model.theta, model.sigma, model.rho, model.v0
+    t = market.maturity
+    lam = alpha * rho / sigma
+    nu = alpha * (rho * kappa / sigma - 0.5) + 0.5 * (alpha * alpha - u * u) * (1.0 - rho * rho)
+    c = alpha * (market.rate - market.dividend) * t - lam * (v0 + kappa * theta * t)
+    disc = kappa * kappa - 2.0 * sigma * sigma * nu
+    if not disc >= 0.0:
+        return math.inf
+    d = math.sqrt(disc)
+    b_minus = 2.0 * nu / (kappa + d)
+    b_plus = (kappa + d) / (sigma * sigma)
+    # lam = B+ and g = 1 leave a zero divisor; like an explosion, they
+    # rule nothing out
+    if lam == b_plus:
+        return math.inf
+    g = (lam - b_minus) / (lam - b_plus)
+    h = g * math.exp(-d * t)
+    ratio = (1.0 - h) / (1.0 - g) if g != 1.0 else math.nan
+    if not ratio > 0.0:
+        return math.inf
+    out = (
+        c
+        + kappa * theta * (b_minus * t - (2.0 / (sigma * sigma)) * math.log(ratio))
+        + v0 * (b_minus - b_plus * h) / (1.0 - h)
+    )
+    return out if math.isfinite(out) else math.inf
+
+
+def _heston_live_end(
+    model: HestonParams, market: MarketSpec, step: float, shift: float, size: int
+) -> int:
+    """The first index k >= 1 of the contour u_k - i*shift, u_k = k*step,
+    k < size, at which log Psi_shift(u_k) < _UNDERFLOW_LOG, or size if
+    there is none.
+
+    Psi does not increase, so phi_T is an exact zero at every index from
+    there on.  The last point is tested first, so a contour that is live
+    to its end costs one envelope value; otherwise bisection finds the
+    index.  |rho| = 1, where the conditional Gaussian degenerates, keeps
+    the whole contour.
+    """
+
+    def dead(k: int) -> bool:
+        return _heston_log_envelope(model, market, shift, k * step) < _UNDERFLOW_LOG
+
+    if abs(model.rho) == 1.0 or size < 2 or not dead(size - 1):
+        return size
+    live, end = 0, size - 1
+    while end - live > 1:
+        mid = (live + end) // 2
+        if dead(mid):
+            end = mid
+        else:
+            live = mid
+    return end
 
 
 def live_band(
@@ -367,14 +472,18 @@ def live_band(
     :func:`_decays_along_contour`) the points are built and evaluated in
     blocks: the first _FIRST_BLOCK points, then each block as long as the
     prefix before it, until a block is all exact zeros (every later value
-    then underflows too) or the contour ends.  Any other model gets one
-    call over the whole contour.  The values are the ones a single call
-    would return.
+    then underflows too) or the contour ends.  Heston gets one call over
+    the points before the index from which its envelope proves every
+    value an exact zero (:func:`_heston_live_end`); any other model gets
+    one call over the whole contour.  The values are the ones a single
+    call would return.
     """
 
     def points(start: int, stop: int) -> np.ndarray:
         return np.arange(start, stop) * step - 1j * shift
 
+    if isinstance(model, HestonParams):
+        size = _heston_live_end(model, market, step, shift, size)
     if not _decays_along_contour(model) or size <= _FIRST_BLOCK:
         phi = evaluate(model, market, points(0, size))
     else:

@@ -20,7 +20,9 @@ phi only (:func:`models.live_band`): up to the last grid point where phi
 has not underflowed, with the zeros past it left to the FFT's padding.
 For Kou and for CGMY with -1 < Y < 2, whose |phi| provably does not
 increase along the grid (the proof is in ``models``), phi is evaluated
-in doubling blocks that stop at the first all-zero one.  The Fourier
+in doubling blocks that stop at the first all-zero one; for Heston, only
+before the first point where a proven non-increasing bound on |phi|
+rules out anything but an exact zero.  The Fourier
 integral evaluates phi at its nodes and at the cut and raises when the
 integrand has not decayed there.
 """

@@ -8,6 +8,9 @@ stdout/stderr split.
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,9 +44,8 @@ class TestPrice:
 
     def test_put_call_parity_through_the_cli(self, capsys):
         _, call_out, _ = run_cli(capsys, "price", "--profile", "kou", "--strike", "100")
-        # the profile preset is tuned for the damped call (alpha 1.1
-        # rides along for the put unless overridden); alpha 0 with the
-        # wider parity-column range gives the converged undamped put
+        # the profile preset is tuned for the damped call; alpha 0 with
+        # the wider parity-column range gives the converged undamped put
         _, put_out, _ = run_cli(
             capsys, "price", "--profile", "kou", "--strike", "100", "--kind", "put",
             "--alpha", "0", "--L", "11", "--N", "210",
@@ -94,6 +96,23 @@ class TestPrice:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
         assert "alpha must exceed 1" in err
+
+    def test_put_ignores_the_call_damping_of_the_preset(self, capsys):
+        # the cgmy2 stable preset carries alpha = 1.001 for calls; applied
+        # to the put it printed 6.4e80 with exit code 0
+        args = ("price", "--profile", "cgmy2", "--method", "stable", "--kind", "put",
+                "--strike", "100")
+        code, out, err = run_cli(capsys, *args)
+        _, explicit, _ = run_cli(capsys, *args, "--alpha", "0")
+        assert code == 0 and err == ""
+        assert out == explicit == "90.4836473137 (stable)\n"
+
+    def test_positive_alpha_put_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "price", "--profile", "kou", "--kind", "put", "--alpha", "1.1"
+        )
+        assert code == 2 and out == ""
+        assert "alpha must not exceed 0" in err
 
     def test_overflowing_range_is_an_error_line(self, capsys):
         # exp(b) of the undamped call coefficients overflows on this range
@@ -357,3 +376,15 @@ class TestSweep:
         )
         assert code == 2
         assert "--n-values must be a comma-separated number list" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "cospricer", "price", "--profile", "kou", "--strike", "95"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "26.4197703718 (stable)\n"

@@ -1,6 +1,7 @@
 """Cosine-series engine: coefficient closed forms and pricing variants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,6 +228,19 @@ class TestConfigurationErrors:
         with pytest.raises(ConfigurationError, match="alpha must exceed 1"):
             price(models["heston"], market, OptionSpec(strike=100.0), cfg)
 
+    @pytest.mark.parametrize("name", presets.PROFILE_NAMES)
+    def test_stable_put_refuses_positive_alpha(self, models, market, name):
+        # K*(1 - e^y)^+ * e^(-alpha*y) grows without bound as y -> -inf for
+        # alpha > 0; with the call preset's alpha the cgmy2 put used to
+        # come back as 6.4e80 and the kou and cgmy1 puts 1e-7 to 1e-6 off
+        cfg = presets.method_preset(name, Variant.STABLE).cos_config(Variant.STABLE)
+        put = OptionSpec(strike=100.0, kind=OptionKind.PUT)
+        with pytest.raises(ConfigurationError, match="alpha must not exceed 0"):
+            price(models[name], market, put, cfg)
+        with pytest.raises(ConfigurationError, match="alpha must not exceed 0"):
+            price(models[name], market, put, replace(cfg, damping=1e-9))
+        assert 0.0 < price(models[name], market, put, replace(cfg, damping=0.0)).price < 100.0
+
     def test_parity_refuses_puts(self, models, market):
         cfg = CosConfig(n_terms=128, range_width=8.0, variant=Variant.PUT_CALL_PARITY)
         with pytest.raises(ConfigurationError, match="request the put directly"):
@@ -310,10 +324,14 @@ _BATCH_CASES = [
 ]
 
 
-def _preset_config(name: str, variant: Variant) -> CosConfig:
+def _preset_config(name: str, variant: Variant, kind: OptionKind = OptionKind.CALL) -> CosConfig:
     # cgmy2 has no direct preset; its undamped put borrows the parity geometry
     source = Variant.PUT_CALL_PARITY if (name, variant) == ("cgmy2", Variant.DIRECT) else variant
-    return presets.method_preset(name, source).cos_config(variant)
+    config = presets.method_preset(name, source).cos_config(variant)
+    # the preset damping is a call's; a damped put needs alpha <= 0
+    if variant is Variant.STABLE and kind is OptionKind.PUT:
+        config = replace(config, damping=0.0)
+    return config
 
 
 class TestMomentCheck:
@@ -343,7 +361,7 @@ class TestStrikeBatch:
         ids=[f"{n}-{v.value}-{k.value}" for n, v, k in _BATCH_CASES],
     )
     def test_each_element_equals_its_batch_of_one(self, models, market, name, variant, kind):
-        cfg = _preset_config(name, variant)
+        cfg = _preset_config(name, variant, kind)
         options = [OptionSpec(strike=k, kind=kind) for k in _BATCH_STRIKES]
         batch = price(models[name], market, options, cfg)
         assert isinstance(batch, tuple) and len(batch) == len(options)

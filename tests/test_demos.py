@@ -1,4 +1,4 @@
-"""Smoke test of the demos that call the transform pricers.
+"""Smoke test of the demos.
 
 Each demo runs as its own process from an empty directory, so any file
 it writes lands there, and must exit cleanly.
@@ -14,7 +14,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["price_single_option.py", "strike_table.py"])
+@pytest.mark.parametrize("demo", [
+    "price_single_option.py",
+    "strike_table.py",
+    "cancellation_blowup.py",
+    "convergence_curves.py",
+    "damping_range_surface.py",
+])
 def test_demo_runs(tmp_path, demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -3,7 +3,8 @@ only up to the last one that has not underflowed.
 
 Certification compares the engine and the Carr-Madan spectrum with
 full-grid evaluators written out here (no cut, no blocks), bit for bit;
-the property tests check the decay that lets the block rule stop early.
+the property tests check the decay that lets the block rule stop early
+and the Heston envelope that places the Heston cut.
 """
 
 import itertools
@@ -11,26 +12,63 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cospricer import cos_engine, presets
 from cospricer.cos_engine import CosConfig, OptionKind, OptionSpec, Variant, price
-from cospricer.errors import PricingError
+from cospricer.errors import PricingError, ValidationError
 from cospricer.models import (
     CGMYParams,
     HestonParams,
     KouParams,
     MarketSpec,
+    _heston_log_envelope,
     char_fn,
+    check_moment,
     cumulants,
     damping_bounds,
     live_band,
+    moment_is_valid,
     truncation_range,
 )
 from cospricer.transform_refs import _call_spectrum
 
 STRIKES = (1e-3, 60.0, 100.0, 160.0, 1e5)
+
+# log 2^-1075 (half the smallest subnormal) less a margin of one
+ZERO_LOG = -1075.0 * math.log(2.0) - 1.0
+
+HESTON = presets.model_preset("heston")
+# E[S_T^1.5] explodes at T* ~ 3.08 and E[S_T^1.1] at T* ~ 8.66
+EXPLOSIVE = HestonParams(kappa=0.5, theta=0.09, sigma=1.0, rho=0.5, v0=0.09)
+
+
+def with_rho(rho):
+    return HestonParams(kappa=HESTON.kappa, theta=HESTON.theta, sigma=HESTON.sigma,
+                        rho=rho, v0=HESTON.v0)
+
+
+# (model, maturity, call damping, put damping) at the edges of the
+# envelope's reach: extreme maturities, |rho| near and at 1 (where the
+# whole contour is kept), alpha near the (-2, 2) bounds, and exploded
+# moments, which must raise as the full grid does
+HESTON_EDGES = {
+    "T=1e-3": (HESTON, 1e-3, 1.1, 0.0),
+    "T=20": (HESTON, 20.0, 1.1, 0.0),
+    "rho=0.999": (with_rho(0.999), 1.0, 1.1, 0.0),
+    "rho=-0.999": (with_rho(-0.999), 1.0, 1.1, 0.0),
+    "rho=1": (with_rho(1.0), 1.0, 1.1, 0.0),
+    "rho=-1": (with_rho(-1.0), 1.0, 1.1, 0.0),
+    "alpha=+-1.99": (HESTON, 1.0, 1.99, -1.99),
+    "alpha=+-1.99,T=5": (HESTON, 5.0, 1.99, -1.99),
+    "explosive,T=5": (EXPLOSIVE, 5.0, 1.5, -1.5),
+    "explosive,T=20": (EXPLOSIVE, 20.0, 1.1, -1.1),
+}
+
+
+def heston_market(maturity):
+    return MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
 
 
 def full_grid_series_values(model, market, kind, alpha, base, x, ranges, strikes, n_terms):
@@ -38,6 +76,7 @@ def full_grid_series_values(model, market, kind, alpha, base, x, ranges, strikes
     one call, and every term summed."""
     u = np.arange(n_terms) * (math.pi / base.width)
     phi = char_fn(model, market, u - 1j * alpha)
+    check_moment(alpha, phi[0])
     density = np.real(np.exp(-1j * u * base.a) * phi)
     coefficients = (
         cos_engine.call_coefficients if kind is OptionKind.CALL else cos_engine.put_coefficients
@@ -56,6 +95,7 @@ def full_grid_spectrum(model, market, config):
     n, eta, alpha = config.n_fft, config.spacing, config.damping
     v = eta * np.arange(n)
     phi = char_fn(model, market, v - 1j * (alpha + 1.0))
+    check_moment(alpha + 1.0, phi[0])
     psi = np.exp(-market.rate * market.maturity) * phi / (
         alpha * alpha + alpha - v * v + 1j * (2.0 * alpha + 1.0) * v
     )
@@ -97,6 +137,32 @@ class TestEngineCertification:
                 for option in options:
                     assert_matches_full_grid(monkeypatch, model, market, [option], config)
 
+    @pytest.mark.parametrize("edge", HESTON_EDGES)
+    def test_heston_edges_bit_identical_to_full_grid(self, monkeypatch, edge):
+        model, maturity, call_alpha, put_alpha = HESTON_EDGES[edge]
+        market = heston_market(maturity)
+        series = [(Variant.STABLE, OptionKind.CALL, call_alpha),
+                  (Variant.STABLE, OptionKind.PUT, put_alpha),
+                  (Variant.DIRECT, OptionKind.CALL, None),
+                  (Variant.DIRECT, OptionKind.PUT, None),
+                  (Variant.PUT_CALL_PARITY, OptionKind.CALL, None)]
+        grids = [(7.0, 64), (7.0, 4096), (30.0, 64), (30.0, 4096), (12.0, 60000)]
+        for (variant, kind, alpha), (width, n_terms) in itertools.product(series, grids):
+            config = CosConfig(n_terms=n_terms, range_width=width, damping=alpha,
+                               variant=variant)
+            options = [OptionSpec(k, kind) for k in STRIKES]
+            got = assert_matches_full_grid(monkeypatch, model, market, options, config)
+            if isinstance(got, type):
+                for option in options:
+                    assert_matches_full_grid(monkeypatch, model, market, [option], config)
+
+    def test_explosive_moment_raises_as_the_full_grid_does(self, monkeypatch):
+        config = CosConfig(n_terms=60000, range_width=12.0, damping=1.5)
+        got = assert_matches_full_grid(
+            monkeypatch, EXPLOSIVE, heston_market(5.0), [OptionSpec(100.0)], config
+        )
+        assert got is ValidationError
+
     @pytest.mark.parametrize("width", [871.0, 872.0, 880.0, 884.0])
     @pytest.mark.parametrize("strike", [60.0, 100.0, 1e5])
     def test_overflowing_tail_still_raises(self, monkeypatch, width, strike):
@@ -117,6 +183,35 @@ class TestSpectrumCertification:
         config = presets.carr_madan_preset(name)
         _, spectrum = _call_spectrum(model, market, config)
         assert spectrum.tobytes() == full_grid_spectrum(model, market, config).tobytes()
+
+    @pytest.mark.parametrize("edge", HESTON_EDGES)
+    @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0])
+    def test_heston_edges_bit_identical_to_full_grid(self, edge, maturity):
+        model, market = HESTON_EDGES[edge][0], heston_market(maturity)
+        config = presets.carr_madan_preset("heston")
+
+        def spectrum(compute):
+            try:
+                return compute(model, market, config).tobytes()
+            except PricingError as exc:
+                return type(exc)
+
+        assert spectrum(lambda *args: _call_spectrum(*args)[1]) == spectrum(full_grid_spectrum)
+
+
+def assert_first_dead_index(model, market, step, shift, size, end):
+    """end is the first index k >= 1 whose envelope lies below ZERO_LOG,
+    or size if there is none; the envelope does not increase, so the
+    neighbours of end decide it."""
+
+    def dead(k):
+        return _heston_log_envelope(model, market, shift, k * step) < ZERO_LOG
+
+    if end == size:
+        assert size < 2 or not dead(size - 1)
+    else:
+        assert 1 <= end < size and dead(end)
+        assert end == 1 or not dead(end - 1)
 
 
 class CountingCharFn:
@@ -183,7 +278,7 @@ class TestBlocks:
         assert band.tolist() == [0j]
 
     @pytest.mark.parametrize("model", [
-        presets.model_preset("heston"),
+        with_rho(-1.0),
         CGMYParams(C=1.0, G=5.0, M=5.0, Y=-1.0),
         CGMYParams(C=1.0, G=5.0, M=5.0, Y=-1.5),
     ])
@@ -191,6 +286,32 @@ class TestBlocks:
         evaluate = CountingCharFn()
         live_band(evaluate, model, self.MARKET, 0.01, 0.5, 60000)
         assert evaluate.sizes == [60000]
+
+    @pytest.mark.parametrize("rho", [-1.0, 1.0])
+    def test_heston_with_unit_rho_is_one_full_call(self, rho):
+        # the envelope is then the constant moment; here a drift of -1000
+        # makes it underflow, and still the whole contour is evaluated
+        evaluate = CountingCharFn()
+        market = MarketSpec(spot=100.0, rate=-1000.0, maturity=1.0)
+        live_band(evaluate, with_rho(rho), market, 1.0, 1.0, 3000)
+        assert evaluate.sizes == [3000]
+
+    @pytest.mark.parametrize("grid", ["reference", "reference-damped", "carr_madan"])
+    def test_heston_is_one_call_before_the_envelope_cut(self, grid):
+        # the 60000-term reference series (1882 nonzero values) and the
+        # 65536-point Carr-Madan grid (15390 nonzero values)
+        width = truncation_range(cumulants(HESTON, self.MARKET), 12.0).width
+        step, shift, size = {
+            "reference": (math.pi / width, 0.0, 60000),
+            "reference-damped": (math.pi / width, 1.1, 60000),
+            "carr_madan": (0.05, 1.75, 2 ** 16),
+        }[grid]
+        evaluate = CountingCharFn()
+        band = live_band(evaluate, HESTON, self.MARKET, step, shift, size)
+        [end] = evaluate.sizes
+        assert band.size <= end < size
+        assert_first_dead_index(HESTON, self.MARKET, step, shift, size, end)
+        assert_live_band(HESTON, self.MARKET, step, shift, size)
 
     @pytest.mark.parametrize("name", presets.PROFILE_NAMES)
     @pytest.mark.parametrize("n_terms", [64, 4096, 60000])
@@ -216,6 +337,14 @@ _cgmy = st.builds(
     G=st.floats(0.5, 20.0),
     M=st.floats(1.5, 20.0),
     Y=st.floats(-0.99, 1.99).filter(lambda y: abs(y) > 1e-3 and abs(y - 1.0) > 1e-3),
+)
+_heston = st.builds(
+    HestonParams,
+    kappa=st.floats(0.1, 5.0),
+    theta=st.floats(0.01, 0.5),
+    sigma=st.floats(0.05, 1.0),
+    rho=st.floats(-0.999, 0.999),
+    v0=st.floats(0.01, 0.5),
 )
 _slow = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -246,20 +375,49 @@ class TestDecayProperty:
     @_slow
     @given(
         model=st.one_of(
-            st.builds(
-                HestonParams,
-                kappa=st.floats(0.1, 5.0),
-                theta=st.floats(0.01, 0.5),
-                sigma=st.floats(0.05, 1.0),
-                rho=st.floats(-0.95, 0.95),
-                v0=st.floats(0.01, 0.5),
-            ),
+            _heston,
             st.builds(CGMYParams, C=st.floats(0.1, 5.0), G=st.floats(0.5, 20.0),
                       M=st.floats(1.5, 20.0), Y=st.floats(-5.0, -1.0)),
         ),
         n_terms=st.integers(1025, 20000),
+        step=st.floats(0.01, 2.0),
     )
-    def test_other_models_take_one_call(self, model, n_terms):
+    def test_other_models_take_one_call(self, model, n_terms, step):
         evaluate = CountingCharFn()
-        live_band(evaluate, model, presets.market_preset(1.0), 0.01, 0.5, n_terms)
-        assert evaluate.sizes == [n_terms]
+        market = presets.market_preset(1.0)
+        live_band(evaluate, model, market, step, 0.5, n_terms)
+        if isinstance(model, HestonParams):
+            # over the points before the envelope's cut
+            [end] = evaluate.sizes
+            assert_first_dead_index(model, market, step, 0.5, n_terms, end)
+        else:
+            assert evaluate.sizes == [n_terms]
+
+
+class TestHestonEnvelope:
+    @_slow
+    @given(model=_heston, maturity=st.floats(1e-3, 20.0), alpha=st.floats(-1.9, 1.9))
+    # kappa^2 < 2*sigma^2*nu near u = 0, where the bound has no real form
+    @example(model=HestonParams(kappa=0.14, theta=0.057, sigma=0.48, rho=0.37, v0=0.27),
+             maturity=0.31, alpha=-1.28)
+    def test_bounds_phi_and_does_not_increase(self, model, maturity, alpha):
+        market = heston_market(maturity)
+        u = np.concatenate(([0.0], np.geomspace(1e-3, 1e5, 2000)))
+        phi = char_fn(model, market, u - 1j * alpha)
+        assume(moment_is_valid(phi[0]))  # past an explosion the bound is infinite
+        envelope = np.array([_heston_log_envelope(model, market, alpha, x) for x in u])
+        # below the smallest normal double exp loses its relative accuracy
+        # (at the bottom it rounds up to 4.9e-324), so the bound is checked
+        # on normal values only
+        modulus = np.abs(phi)
+        normal = modulus >= np.finfo(float).tiny
+        log_modulus = np.log(modulus[normal])
+        allowed = envelope[normal] + 1e-10 * np.maximum(1.0, np.abs(log_modulus))
+        assert (log_modulus <= allowed).all(), u[normal][log_modulus > allowed]
+        # inf (no bound) may turn finite, never the other way round
+        slack = np.where(np.isfinite(envelope), 1e-10 * np.maximum(1.0, np.abs(envelope)), 0.0)
+        rise = np.diff(envelope)
+        assert not (rise > slack[:-1]).any(), u[1:][rise > slack[:-1]]
+        if math.isfinite(envelope[0]):
+            # at u = 0 the bound is the moment itself
+            assert envelope[0] == pytest.approx(math.log(phi[0].real), rel=1e-10, abs=1e-12)
