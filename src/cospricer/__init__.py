@@ -4,11 +4,12 @@ The package prices calls and puts by a cosine-series expansion of the
 risk-neutral density over a cumulant-sized truncation range.  Calls
 can be priced three ways: a damped expansion that keeps the payoff
 coefficients bounded, the classic undamped expansion, and put-call
-parity on the undamped put.  Two transform pricers (FFT on a
-log-strike grid and fixed-node Gauss-Legendre quadrature of the damped
-Fourier integral), each pricing a strike column at once, serve as
-independent cross-checks, and a small harness regenerates the
-benchmark tables and figure datasets.
+parity on the undamped put.  A convergence curve, one option at
+several term counts, is priced from one series.  Two transform
+pricers (FFT on a log-strike grid and fixed-node Gauss-Legendre
+quadrature of the damped Fourier integral), each pricing a strike
+column at once, serve as independent cross-checks, and a small
+harness regenerates the benchmark tables and figure datasets.
 """
 
 from .cos_engine import (
@@ -18,6 +19,7 @@ from .cos_engine import (
     PriceResult,
     Variant,
     price,
+    price_curve,
 )
 from .errors import (
     ComputationError,
@@ -81,6 +83,7 @@ __all__ = [
     "damping_bounds",
     "price",
     "price_carr_madan",
+    "price_curve",
     "price_fourier_integral",
     "run_convergence",
     "run_l_sweep",

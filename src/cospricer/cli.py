@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import harness, presets
-from .cos_engine import OptionKind, OptionSpec, Variant, price
+from .cos_engine import OptionKind, OptionSpec, Variant, price, term_counts
 from .errors import ConfigurationError, PricingError
 
 __all__ = ["RunConfig", "load_config", "cmd_price", "cmd_reproduce", "cmd_sweep", "main"]
@@ -297,12 +297,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 def _parse_terms(text: str) -> tuple:
     try:
-        values = tuple(int(float(part)) for part in text.split(",") if part.strip())
-    except ValueError:
-        values = ()
-    if not values:
-        raise ConfigurationError("--n-values must be a comma-separated number list")
-    return values
+        return term_counts(float(part) for part in text.split(",") if part.strip())
+    except ValueError:  # a ValidationError is one too
+        raise ConfigurationError(
+            f"--n-values must be a comma-separated number list of positive whole "
+            f"term counts, got {text!r}"
+        ) from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

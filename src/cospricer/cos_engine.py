@@ -26,11 +26,17 @@ is evaluated in doubling blocks that stop at the first all-zero one.
 For Heston a non-increasing closed-form bound on |phi| (also proved in
 ``models``) locates the first term from which phi underflows, and phi is
 evaluated only before it.
+
+The frequencies u_k = k*pi/(b - a) do not depend on the term count, so
+:func:`price_curve` prices one option at several term counts from one
+series, built at the largest count, each price the sum of a prefix of it.
+:func:`price` is the one-count case of the same kernel.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -61,6 +67,8 @@ __all__ = [
     "call_coefficients",
     "put_coefficients",
     "price",
+    "price_curve",
+    "term_counts",
 ]
 
 DEFAULT_CALL_DAMPING = 1.1
@@ -289,17 +297,24 @@ def _series_values(
     x: np.ndarray,
     ranges: Sequence[TruncationRange],
     strikes: np.ndarray,
-    n_terms: int,
-) -> np.ndarray:
+    counts: tuple,
+) -> list:
     """Series values for the strikes with log-moneyness x, each expanded on
-    base recentred by its x.
+    base recentred by its x: one array, in strike order, per term count in
+    counts.
 
-    The sum runs over the live band of phi(u_k - i*alpha) only, the
-    prefix that ends at its last nonzero value (:func:`models.live_band`):
-    the terms past it are exact zeros, which leave every math.fsum
-    unchanged, unless a payoff coefficient there could overflow, when the
-    full grid is summed so that 0 * inf still reads as a failure.
+    The frequencies u_k = k*pi/width do not depend on the term count, so
+    the terms are formed once, at the largest count, and each count sums
+    its prefix of them.  The sum runs over the live band of
+    phi(u_k - i*alpha) only, the prefix that ends at its last nonzero value
+    (:func:`models.live_band`): the terms past it are exact zeros, which
+    leave every math.fsum unchanged, unless a payoff coefficient there
+    could overflow, when the full grid is summed so that 0 * inf still
+    reads as a failure.  That test only grows with the term count, and
+    where a smaller count would not pad, its extra terms are 0 * finite,
+    so every prefix sum is the value a series of that count alone gives.
     """
+    n_terms = max(counts)
     step = math.pi / base.width
     phi = live_band(char_fn, model, market, step, alpha, n_terms)
     check_moment(alpha, phi[0])
@@ -316,9 +331,14 @@ def _series_values(
     width = np.array([r.width for r in ranges])
     terms = _column(2.0 * _exp_each(alpha * x) / width) * density * payoff
     terms[:, 0] *= 0.5
-    discount = math.exp(-market.rate * market.maturity)
-    # error-free accumulation; the direct call series trades accuracy for it
-    return 0.5 * width * discount * np.array([_fsum(row) for row in terms.tolist()])
+    rows = terms.tolist()
+    scale = 0.5 * width * math.exp(-market.rate * market.maturity)
+    # error-free accumulation; the direct call series trades accuracy for it.
+    # A count that reaches past the band sums whole rows, without a copy
+    return [
+        scale * np.array([_fsum(row if n >= phi.size else row[:n]) for row in rows])
+        for n in counts
+    ]
 
 
 def _resolve_damping(config: CosConfig, kind: OptionKind) -> float:
@@ -329,27 +349,31 @@ def _resolve_damping(config: CosConfig, kind: OptionKind) -> float:
     return DEFAULT_CALL_DAMPING if kind is OptionKind.CALL else DEFAULT_PUT_DAMPING
 
 
-def price(
+def term_counts(n_values) -> tuple:
+    """n_values as a tuple of ints, refusing an empty sequence and any
+    entry that is not a positive whole number (a bool is not one; 1e3 is)."""
+    try:
+        values = tuple(n_values)
+    except TypeError:
+        raise ValidationError(f"term counts must be a sequence, got {n_values!r}") from None
+    if not values:
+        raise ValidationError("term counts must be non-empty")
+    for n in values:
+        if (isinstance(n, (bool, np.bool_)) or not isinstance(n, numbers.Real)
+                or not (math.isfinite(n) and n >= 1 and n == int(n))):
+            raise ValidationError(f"term counts must be positive whole numbers, got {n!r}")
+    return tuple(int(n) for n in values)
+
+
+def _price_counts(
     model: ModelSpec,
     market: MarketSpec,
-    option: Union[OptionSpec, Sequence[OptionSpec]],
+    options: tuple,
     config: CosConfig,
-) -> Union[PriceResult, tuple[PriceResult, ...]]:
-    """Price a European option, or a batch of options, by the cosine expansion.
-
-    option is one OptionSpec, giving one PriceResult, or a non-empty
-    sequence of OptionSpecs of one kind, giving a tuple of PriceResults in
-    input order.  The cumulants, the truncation range, the frequency grid
-    and the characteristic function are computed once per call; each
-    strike adds one row of payoff coefficients and one sum.
-
-    Raises a configuration error when the damped variant is asked to price a
-    call with alpha <= 1 or a put with alpha > 0 (the damped payoff grows
-    without bound there), when alpha leaves the model's analyticity strip,
-    or when the parity variant is asked for a put; a computation error when
-    a series value is not finite.
-    """
-    options = (option,) if isinstance(option, OptionSpec) else tuple(option)
+    counts: tuple,
+) -> list:
+    """One tuple of PriceResults, in option order, per term count in counts;
+    config supplies every setting but the term count."""
     if not options:
         raise ValidationError("price needs at least one option")
     kind = options[0].kind
@@ -376,33 +400,82 @@ def price(
     # the expansion variable is log-moneyness y = log(S_T/K), so the cumulant
     # window of the log return is recentered by x per strike
     base = truncation_range(cums, config.range_width)
-    ranges = [TruncationRange(a=base.a + shift, b=base.b + shift) for shift in x.tolist()]
+    shifts = x.tolist()
+    ranges = [TruncationRange(a=base.a + shift, b=base.b + shift) for shift in shifts]
 
     if config.variant is Variant.PUT_CALL_PARITY:
         put_values = _series_values(
-            model, market, OptionKind.PUT, 0.0, base, x, ranges, strikes, config.n_terms
+            model, market, OptionKind.PUT, 0.0, base, x, ranges, strikes, counts
         )
         forward = market.spot * math.exp(-market.dividend * market.maturity)
-        values = put_values + forward - strikes * discount
+        values = [put + forward - strikes * discount for put in put_values]
     else:
-        values = _series_values(
-            model, market, kind, alpha, base, x, ranges, strikes, config.n_terms
-        )
+        values = _series_values(model, market, kind, alpha, base, x, ranges, strikes, counts)
 
-    results = []
-    for value, opt, shift, rng in zip(values.tolist(), options, x.tolist(), ranges):
-        if not math.isfinite(value):
-            raise ComputationError(
-                f"cosine series produced a non-finite value at strike {opt.strike} "
-                f"(variant={config.variant.value}, n_terms={config.n_terms}, "
-                f"range=[{rng.a:.3f}, {rng.b:.3f}])"
-            )
-        results.append(PriceResult(
-            price=value,
-            variant=config.variant,
-            n_terms=config.n_terms,
-            range_width=config.range_width,
-            damping=alpha,
-            context=PricingContext(x=shift, range=rng, discount=discount),
-        ))
-    return results[0] if isinstance(option, OptionSpec) else tuple(results)
+    curve = []
+    for n, row in zip(counts, values):
+        results = []
+        for value, opt, shift, rng in zip(row.tolist(), options, shifts, ranges):
+            if not math.isfinite(value):
+                raise ComputationError(
+                    f"cosine series produced a non-finite value at strike {opt.strike} "
+                    f"(variant={config.variant.value}, n_terms={n}, "
+                    f"range=[{rng.a:.3f}, {rng.b:.3f}])"
+                )
+            results.append(PriceResult(
+                price=value,
+                variant=config.variant,
+                n_terms=n,
+                range_width=config.range_width,
+                damping=alpha,
+                context=PricingContext(x=shift, range=rng, discount=discount),
+            ))
+        curve.append(tuple(results))
+    return curve
+
+
+def price(
+    model: ModelSpec,
+    market: MarketSpec,
+    option: Union[OptionSpec, Sequence[OptionSpec]],
+    config: CosConfig,
+) -> Union[PriceResult, tuple[PriceResult, ...]]:
+    """Price a European option, or a batch of options, by the cosine expansion.
+
+    option is one OptionSpec, giving one PriceResult, or a non-empty
+    sequence of OptionSpecs of one kind, giving a tuple of PriceResults in
+    input order.  The cumulants, the truncation range, the frequency grid
+    and the characteristic function are computed once per call; each
+    strike adds one row of payoff coefficients and one sum.
+
+    Raises a configuration error when the damped variant is asked to price a
+    call with alpha <= 1 or a put with alpha > 0 (the damped payoff grows
+    without bound there), when alpha leaves the model's analyticity strip,
+    or when the parity variant is asked for a put; a computation error when
+    a series value is not finite.
+    """
+    options = (option,) if isinstance(option, OptionSpec) else tuple(option)
+    [results] = _price_counts(model, market, options, config, (config.n_terms,))
+    return results[0] if isinstance(option, OptionSpec) else results
+
+
+def price_curve(
+    model: ModelSpec,
+    market: MarketSpec,
+    option: OptionSpec,
+    config: CosConfig,
+    n_values: Sequence[int],
+) -> tuple[PriceResult, ...]:
+    """Price one option at every term count in n_values, in input order.
+
+    config supplies every setting but the term count; its n_terms is not
+    read.  The frequencies do not depend on the term count, so the whole
+    curve is one series at the largest count, each price the sum of its
+    prefix: every PriceResult is bit-identical to what :func:`price` gives
+    at that count alone.  Errors are those of :func:`price`; a non-finite
+    value names the first term count, in input order, that gives one.
+    """
+    if not isinstance(option, OptionSpec):
+        raise ValidationError(f"price_curve prices one OptionSpec, got {type(option).__name__}")
+    counts = term_counts(n_values)
+    return tuple(results[0] for results in _price_counts(model, market, (option,), config, counts))

@@ -14,7 +14,8 @@ Drivers:
 ``run_convergence``
     log10 absolute error against a 13-digit reference as the term
     count grows.  The reference is recomputed from scratch before any
-    curve is emitted.
+    curve value is priced; the curve itself is one series, priced at
+    every term count by ``cos_engine.price_curve``.
 ``run_reference_set``
     The 13-digit references of all profiles, recomputed.
 ``run_stability_surface``
@@ -30,13 +31,13 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import metadata as _importlib_metadata
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cos_engine import CosConfig, OptionKind, OptionSpec, Variant, price
+from .cos_engine import CosConfig, OptionSpec, Variant, price, price_curve, term_counts
 from .errors import ComputationError, ConfigurationError, ValidationError
 from .models import MarketSpec, ModelSpec
 from . import presets
@@ -258,19 +259,23 @@ def run_convergence(
 ) -> ExperimentResult:
     """log10 absolute error versus term count at strike 100.
 
-    At the benchmark maturity (T=1) the stored reference is used, but
-    only after it is recomputed from scratch (undamped put, 60000
-    terms) and the two agree within reference_tolerance; a wider gap
-    aborts with a diagnostic.  The bundled fat-tail reference is
-    rounded in its 13th digit at the ~1.3e-12 level, so callers
-    probing that profile pass its wider ``presets.reference_gate`` and
-    accept that floor on the curve.  At any other maturity no stored
-    value exists and the recomputation itself is the reference.
+    n_values is a non-empty sequence (a list, a tuple or a NumPy array)
+    of positive whole term counts; anything else is a ValidationError,
+    raised before any pricing.  At the benchmark maturity (T=1) the
+    stored reference is used, but only after it is recomputed from
+    scratch (undamped put, 60000 terms) and the two agree within
+    reference_tolerance; a wider gap aborts with a diagnostic.  The
+    bundled fat-tail reference is rounded in its 13th digit at the
+    ~1.3e-12 level, so callers probing that profile pass its wider
+    ``presets.reference_gate`` and accept that floor on the curve.  At
+    any other maturity no stored value exists and the recomputation
+    itself is the reference.  The curve is then priced by one
+    ``price_curve`` call: one series at the largest count, each value
+    bit-identical to a ``price`` call at its own count.
 
     Errors are floored at 5e-17 so the log is finite.
     """
-    if not n_values:
-        raise ValidationError("n_values must be non-empty")
+    n_values = term_counts(n_values)
     variant = Variant(method)
     recomputed = _recompute_reference(model_name, maturity)
 
@@ -293,13 +298,9 @@ def run_convergence(
     preset = presets.method_preset(model_name, variant)
     model = presets.model_preset(model_name)
     market = presets.market_preset(maturity)
-    option = OptionSpec(strike=100.0)
-    n_values = tuple(int(n) for n in n_values)
-    errors = np.empty(len(n_values))
-    for i, n in enumerate(n_values):
-        cfg = replace(preset.cos_config(variant), n_terms=n)
-        value = price(model, market, option, cfg).price
-        errors[i] = math.log10(max(abs(value - reference), 5e-17))
+    curve = price_curve(model, market, OptionSpec(strike=100.0), preset.cos_config(variant),
+                        n_values)
+    errors = np.array([math.log10(max(abs(r.price - reference), 5e-17)) for r in curve])
 
     return ExperimentResult(
         experiment=f"convergence_{model_name}_{variant.value}",

@@ -16,6 +16,7 @@ transform pricers.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -189,12 +190,20 @@ def load_strike_table() -> dict:
     return out
 
 
-def load_reference_prices() -> dict:
-    """13-digit convergence anchors: model -> price at strike 100, T=1."""
-    return {
-        row["model"]: float(row["price"])
+@functools.lru_cache(maxsize=None)
+def _reference_prices() -> tuple:
+    return tuple(
+        (row["model"], float(row["price"]))
         for row in _read_data("convergence_reference.csv")
-    }
+    )
+
+
+def load_reference_prices() -> dict:
+    """13-digit convergence anchors: model -> price at strike 100, T=1.
+
+    The file is read once per process; each call returns a fresh dict.
+    """
+    return dict(_reference_prices())
 
 
 # agreement required between a bundled reference and its recomputation;

@@ -377,6 +377,37 @@ class TestSweep:
         assert code == 2
         assert "--n-values must be a comma-separated number list" in err
 
+    @pytest.mark.parametrize("n_values", ["16.7,32", "16,32.5", "0,16", "-16", "inf", "nan",
+                                          "true,16"])
+    def test_term_counts_must_be_whole(self, capsys, tmp_path, monkeypatch, n_values):
+        # 16.7 used to be truncated and recorded as a row 16
+        from cospricer import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("bad term counts must be refused before any pricing")
+
+        monkeypatch.setattr(cli.harness, "run_convergence", unreachable)
+        with pytest.raises(ConfigurationError, match="whole term counts"):
+            cli._parse_terms(n_values)
+        target = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--experiment", "convergence", "--profile", "heston",
+            "--n-values", n_values, "--output", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert "--n-values must be a comma-separated number list" in err
+        assert not target.exists()
+
+    def test_whole_term_counts_in_float_notation_are_accepted(self, capsys, tmp_path):
+        target = tmp_path / "conv.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--experiment", "convergence", "--profile", "heston",
+            "--n-values", "16.0, 1e3", "--output", str(target),
+        )
+        assert code == 0
+        rows = target.read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["16", "1000"]
+
 
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")

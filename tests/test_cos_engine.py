@@ -1,5 +1,6 @@
 """Cosine-series engine: coefficient closed forms and pricing variants."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -16,9 +17,10 @@ from cospricer.cos_engine import (
     call_coefficients,
     chi,
     price,
+    price_curve,
     put_coefficients,
 )
-from cospricer.errors import ComputationError, ConfigurationError, ValidationError
+from cospricer.errors import ComputationError, ConfigurationError, PricingError, ValidationError
 from cospricer.models import CGMYParams, HestonParams, MarketSpec, TruncationRange
 from cospricer.transform_refs import price_fourier_integral
 
@@ -436,3 +438,103 @@ class TestBroadcastCoefficients:
             for rng, strike, row in zip(ranges, strikes, rows):
                 np.testing.assert_array_equal(row, coefficients(self.U, alpha, rng, strike))
         assert (rows == 0.0).all(axis=1).any()  # one range misses the payoff
+
+
+def _curve_outcome(model, market, option, config, n_values):
+    """price_curve's results, prices as bit patterns, or its error's type
+    and message."""
+    try:
+        results = price_curve(model, market, option, config, n_values)
+    except PricingError as exc:
+        return type(exc), str(exc)
+    return [(r.price.hex(), replace(r, price=0.0)) for r in results]
+
+
+def _per_count_outcome(model, market, option, config, n_values):
+    """The same from one price() call per term count, in input order."""
+    try:
+        results = [price(model, market, option, replace(config, n_terms=n)) for n in n_values]
+    except PricingError as exc:
+        return type(exc), str(exc)
+    return [(r.price.hex(), replace(r, price=0.0)) for r in results]
+
+
+def _assert_curve_is_per_count(model, market, option, config, n_values):
+    got = _curve_outcome(model, market, option, config, n_values)
+    assert got == _per_count_outcome(model, market, option, config, n_values), (
+        model, market.maturity, option, config, n_values)
+    return got
+
+
+class TestPriceCurve:
+    """price_curve sums prefixes of one series; each price must be the bits
+    price() gives at that term count alone, and each error the one the
+    first failing count, in input order, raises."""
+
+    # unsorted, duplicated, and from one term to past every live band
+    GRID = (210, 8, 64, 8, 4096, 1, 140)
+
+    @pytest.mark.parametrize("maturity", [1e-3, 0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("name", presets.PROFILE_NAMES)
+    def test_bit_identical_to_one_price_per_count(self, name, maturity):
+        model, market = presets.model_preset(name), presets.market_preset(maturity)
+        for variant, kind, width in itertools.product(Variant, OptionKind, (7.0, 12.0, 30.0)):
+            config = CosConfig(n_terms=1, range_width=width, variant=variant)
+            for strike in (60.0, 100.0, 160.0):
+                _assert_curve_is_per_count(model, market, OptionSpec(strike, kind), config,
+                                           self.GRID)
+
+    @pytest.mark.parametrize("name", presets.PROFILE_NAMES)
+    def test_grids_up_to_60000_terms(self, name):
+        model, market = presets.model_preset(name), presets.market_preset(1.0)
+        grid = (60000, 16, 60000, 4096, 16, 1, 59999)
+        for variant in Variant:
+            config = CosConfig(n_terms=1, range_width=12.0, variant=variant)
+            got = _assert_curve_is_per_count(model, market, OptionSpec(100.0), config, grid)
+            assert [r.n_terms for _, r in got] == list(grid)
+
+    @pytest.mark.parametrize("width", range(870, 886))
+    def test_overflowing_undamped_tails(self, width):
+        # kou direct calls on ranges this wide overflow payoff coefficients
+        # past the live band: some term counts keep the full grid and fail,
+        # some cut it and price, so the first failing count varies
+        model, market = presets.model_preset("kou"), presets.market_preset(1.0)
+        config = CosConfig(n_terms=1, range_width=float(width), variant=Variant.DIRECT)
+        for strike in (60.0, 100.0, 1e5):
+            _assert_curve_is_per_count(model, market, OptionSpec(strike), config,
+                                       (4096, 200000, 256, 60000))
+
+    def test_a_failing_count_is_named_in_input_order(self):
+        # at L=876, K=60 the 4096- and 60000-term series fail and 256 prices
+        model, market = presets.model_preset("kou"), presets.market_preset(1.0)
+        config = CosConfig(n_terms=1, range_width=876.0, variant=Variant.DIRECT)
+        option = OptionSpec(60.0)
+        for grid, first in (((256, 60000, 4096), 60000), ((256, 4096, 60000), 4096)):
+            with pytest.raises(ComputationError, match=f"n_terms={first},"):
+                price_curve(model, market, option, config, grid)
+        assert price_curve(model, market, option, config, (256,))[0].n_terms == 256
+
+    def test_exploded_moment_raises_as_price_does(self):
+        explosive = TestMomentCheck.EXPLOSIVE
+        for maturity, alpha in ((5.0, 1.5), (20.0, 1.1)):
+            market = MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
+            config = CosConfig(n_terms=1, range_width=12.0, damping=alpha)
+            got = _assert_curve_is_per_count(explosive, market, OptionSpec(100.0), config,
+                                             (64, 60000))
+            assert got[0] is ValidationError
+
+    def test_config_term_count_is_not_read(self, models, market):
+        option = OptionSpec(100.0)
+        curves = [price_curve(models["kou"], market, option, CosConfig(n, 7.0), (32, 140))
+                  for n in (1, 140, 60000)]
+        assert curves[0] == curves[1] == curves[2]
+        assert [r.n_terms for r in curves[0]] == [32, 140]
+
+    def test_takes_one_option(self, models, market):
+        with pytest.raises(ValidationError, match="one OptionSpec"):
+            price_curve(models["kou"], market, [OptionSpec(100.0)], CosConfig(8, 7.0), (8,))
+
+    @pytest.mark.parametrize("n_values", [(), (16.5,), (True,), (0,), 16])
+    def test_bad_term_counts_rejected(self, models, market, n_values):
+        with pytest.raises(ValidationError, match="term counts"):
+            price_curve(models["kou"], market, OptionSpec(100.0), CosConfig(8, 7.0), n_values)

@@ -81,6 +81,28 @@ class TestReferenceSet:
         with pytest.raises(ValidationError, match="positive float"):
             ReferenceSet(prices)
 
+    def test_bundled_file_is_read_once_and_each_call_gets_its_own_dict(self, monkeypatch):
+        reads = []
+        read_data = presets._read_data
+
+        def counted(filename):
+            reads.append(filename)
+            return read_data(filename)
+
+        monkeypatch.setattr(presets, "_read_data", counted)
+        presets._reference_prices.cache_clear()
+        try:
+            first = load_reference_prices()
+            first["heston"] = -1.0
+            del first["kou"]
+            second = load_reference_prices()
+            assert set(second) == set(presets.PROFILE_NAMES)
+            assert second["heston"] == 15.6621055645751
+            assert ReferenceSet.bundled().prices == second
+            assert reads == ["convergence_reference.csv"]
+        finally:
+            presets._reference_prices.cache_clear()
+
     def test_recomputed_set_meets_each_profile_gate(self):
         result = run_reference_set()
         stored = load_reference_prices()
@@ -245,6 +267,60 @@ class TestConvergence:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
             run_convergence("heston", [])
+
+    def test_curve_is_one_series(self, monkeypatch):
+        # the benchmark traces these bindings: the 60000-term reference is
+        # one harness.price call, the curve one price_curve call, so each
+        # builds its cumulants once and forms its payoff rows with two chi
+        calls = collections.Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(harness, "price")
+        count(cos_engine, "cumulants")
+        count(cos_engine, "chi")
+        result = run_convergence("kou", [8, 16, 32, 64, 140])
+        assert result.values.shape == (5,)
+        assert calls == {"price": 1, "cumulants": 2, "chi": 4}
+
+    def test_curve_matches_one_price_per_term_count(self):
+        n_values = (140, 8, 64, 8, 4096)
+        result = run_convergence("kou", n_values)
+        model, market = model_preset("kou"), market_preset()
+        preset = presets.method_preset("kou", Variant.STABLE)
+        reference = load_reference_prices()["kou"]
+        for n, got in zip(n_values, result.values.tolist()):
+            config = CosConfig(n_terms=n, range_width=preset.range_width, damping=preset.damping)
+            value = price(model, market, OptionSpec(strike=100.0), config).price
+            assert got == math.log10(max(abs(value - reference), 5e-17)), n
+
+    def test_accepts_arrays_and_whole_floats(self):
+        want = run_convergence("heston", [16, 32, 1000])
+        for n_values in (np.array([16, 32, 1000]), (16.0, np.int64(32), 1e3)):
+            got = run_convergence("heston", n_values)
+            assert got.axis("n_terms") == (16, 32, 1000)
+            assert all(type(n) is int for n in got.axis("n_terms"))
+            assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("n_values", [
+        [16.7], [16, 32.5], [True], [16, False], [np.True_], [0], [-16], [math.inf],
+        [math.nan], ["16"], 16, np.array([[16, 32]]),
+    ])
+    def test_rejects_bad_term_counts_before_pricing(self, monkeypatch, n_values):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("bad term counts must be refused before any pricing")
+
+        monkeypatch.setattr(harness, "price", unreachable)
+        monkeypatch.setattr(harness, "price_curve", unreachable)
+        with pytest.raises(ValidationError, match="term counts"):
+            run_convergence("heston", n_values)
 
 
 class TestStabilitySurface:
