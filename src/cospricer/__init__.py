@@ -30,7 +30,6 @@ from .errors import (
 )
 from .harness import (
     ExperimentResult,
-    ReferenceSet,
     run_convergence,
     run_l_sweep,
     run_reference_set,
@@ -74,7 +73,6 @@ __all__ = [
     "OptionSpec",
     "PriceResult",
     "PricingError",
-    "ReferenceSet",
     "TruncationRange",
     "ValidationError",
     "Variant",

@@ -13,8 +13,8 @@ Three subcommands:
 ``sweep``
     Drive a single harness experiment with explicit grids.
 
-Settings merge with flag > config-file > profile-preset precedence.
-The config file is flat ``key=value`` lines with ``#`` comments.
+``price`` settings merge with flag > config-file > ``_SETTINGS`` default
+precedence.  The config file is flat ``key=value`` lines with ``#`` comments.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from typing import Optional, Sequence
 
@@ -36,71 +35,30 @@ from . import harness, presets
 from .cos_engine import OptionKind, OptionSpec, Variant, price, term_counts
 from .errors import ConfigurationError, PricingError
 
-__all__ = ["RunConfig", "load_config", "cmd_price", "cmd_reproduce", "cmd_sweep", "main"]
+__all__ = ["cmd_price", "cmd_reproduce", "cmd_sweep", "main"]
 
 _METHODS = tuple(variant.value for variant in Variant)
 
 _DEFAULT_N_GRID = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective settings for a single-price run.
-
-    None means "defer to the profile preset" and is resolved when the
-    pricing inputs are built.
-    """
-
-    profile: str = "heston"
-    method: str = "stable"
-    kind: str = "call"
-    strike: float = 100.0
-    maturity: float = 1.0
-    spot: Optional[float] = None
-    rate: Optional[float] = None
-    dividend: Optional[float] = None
-    alpha: Optional[float] = None
-    range_width: Optional[float] = None
-    n_terms: Optional[int] = None
-    output: Optional[str] = None
-    format: str = "plain"
-
-    def __post_init__(self):
-        presets.model_preset(self.profile)
-        if self.method not in _METHODS:
-            raise ConfigurationError(
-                f"unknown method {self.method!r}; expected one of {', '.join(_METHODS)}"
-            )
-        if self.kind not in ("call", "put"):
-            raise ConfigurationError(f"kind must be call or put, got {self.kind!r}")
-        if self.format not in ("csv", "json", "plain"):
-            raise ConfigurationError(
-                f"format must be csv, json, or plain, got {self.format!r}"
-            )
-        for key, value in (("strike", self.strike), ("maturity", self.maturity),
-                           ("L", self.range_width)):
-            if value is not None and not (value > 0 and math.isfinite(value)):
-                raise ConfigurationError(f"{key} must be positive, got {value}")
-        if self.n_terms is not None and self.n_terms <= 0:
-            raise ConfigurationError(f"N must be a positive integer, got {self.n_terms}")
-
-
-# every `price` setting, declared once for the config file and the flags:
-# config key (the flag is --key) -> (RunConfig field, value type, choices, help)
+# every `price` setting, once for the config file and the flags: config key (the
+# flag is --key) -> (attribute, value type, choices, default, help).  A None default
+# defers to the profile preset; OptionSpec, MarketSpec and CosConfig check ranges.
 _SETTINGS = {
-    "profile": ("profile", str, presets.PROFILE_NAMES, None),
-    "method": ("method", str, _METHODS, None),
-    "kind": ("kind", str, ("call", "put"), None),
-    "strike": ("strike", float, None, None),
-    "maturity": ("maturity", float, None, None),
-    "spot": ("spot", float, None, None),
-    "rate": ("rate", float, None, None),
-    "dividend": ("dividend", float, None, None),
-    "alpha": ("alpha", float, None, None),
-    "L": ("range_width", float, None, None),
-    "N": ("n_terms", int, None, None),
-    "output": ("output", str, None, "write the result here instead of stdout"),
-    "format": ("format", str, ("csv", "json", "plain"), None),
+    "profile": ("profile", str, presets.PROFILE_NAMES, "heston", None),
+    "method": ("method", str, _METHODS, "stable", None),
+    "kind": ("kind", str, ("call", "put"), "call", None),
+    "strike": ("strike", float, None, 100.0, None),
+    "maturity": ("maturity", float, None, 1.0, None),
+    "spot": ("spot", float, None, None, None),
+    "rate": ("rate", float, None, None, None),
+    "dividend": ("dividend", float, None, None, None),
+    "alpha": ("alpha", float, None, None, None),
+    "L": ("range_width", float, None, None, None),
+    "N": ("n_terms", int, None, None, None),
+    "output": ("output", str, None, None, "write the result here instead of stdout"),
+    "format": ("format", str, ("csv", "json", "plain"), "plain", None),
 }
 
 
@@ -121,18 +79,17 @@ def _parse_config_file(path: str) -> dict:
                 raise ConfigurationError(
                     f"unknown config key {key!r} at line {lineno}"
                 )
-            field_name, value_type, _, _ = _SETTINGS[key]
+            field_name, value_type, choices, _, _ = _SETTINGS[key]
             try:
                 overrides[field_name] = value_type(value)
             except ValueError:
                 noun = "an integer" if value_type is int else "a number"
                 raise ConfigurationError(f"{key} must be {noun}, got {value!r}") from None
+            if choices is not None and value not in choices:
+                raise ConfigurationError(
+                    f"{key} must be one of {', '.join(choices)}, got {value!r}"
+                )
     return overrides
-
-
-def load_config(path: str) -> RunConfig:
-    """Build a RunConfig from a flat key=value file over profile defaults."""
-    return RunConfig(**_parse_config_file(path))
 
 
 def _given(**values) -> dict:
@@ -141,9 +98,10 @@ def _given(**values) -> dict:
 
 
 def cmd_price(args: argparse.Namespace) -> int:
-    overrides = _parse_config_file(args.config) if args.config else {}
-    flags = {field_name: getattr(args, field_name) for field_name, *_ in _SETTINGS.values()}
-    config = RunConfig(**{**overrides, **_given(**flags)})
+    settings = {name: default for name, _, _, default, _ in _SETTINGS.values()}
+    settings.update(_parse_config_file(args.config) if args.config else {})
+    settings.update(_given(**{name: getattr(args, name) for name in settings}))
+    config = argparse.Namespace(**settings)
     market = replace(
         presets.market_preset(config.maturity),
         **_given(spot=config.spot, rate=config.rate, dividend=config.dividend),
@@ -353,9 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_price = sub.add_parser("price", help="price one European option")
-    for key, (field_name, value_type, choices, text) in _SETTINGS.items():
-        p_price.add_argument(f"--{key}", dest=field_name, type=value_type, choices=choices,
-                             help=text)
+    for key, (name, value_type, choices, _, text) in _SETTINGS.items():
+        p_price.add_argument(f"--{key}", dest=name, type=value_type, choices=choices, help=text)
     p_price.add_argument("--config", help="flat key=value settings file")
     p_price.set_defaults(func=cmd_price)
 

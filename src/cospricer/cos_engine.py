@@ -100,7 +100,8 @@ class OptionSpec:
 class CosConfig:
     """Series configuration.
 
-    n_terms is the number of cosine terms, range_width the cumulant
+    n_terms is the number of cosine terms, a positive whole number by the
+    rule of :func:`term_counts`, stored as an int; range_width the cumulant
     half-width multiplier L, damping the exponent alpha used by the stable
     variant (None picks 1.1 for calls and 0 for puts; a call needs
     alpha > 1 and a put alpha <= 0).
@@ -112,8 +113,13 @@ class CosConfig:
     variant: Variant = Variant.STABLE
 
     def __post_init__(self):
-        if not (isinstance(self.n_terms, int) and self.n_terms >= 1):
-            raise ValidationError(f"n_terms must be a positive integer, got {self.n_terms}")
+        try:
+            [n_terms] = term_counts((self.n_terms,))
+        except ValidationError:
+            raise ValidationError(
+                f"n_terms must be a positive whole number, got {self.n_terms!r}"
+            ) from None
+        object.__setattr__(self, "n_terms", n_terms)
         if not (self.range_width > 0.0 and math.isfinite(self.range_width)):
             raise ValidationError(f"range_width must be positive, got {self.range_width}")
         if self.damping is not None and not math.isfinite(self.damping):

@@ -39,14 +39,12 @@ import numpy as np
 
 from .cos_engine import CosConfig, OptionSpec, Variant, price, price_curve, term_counts
 from .errors import ComputationError, ConfigurationError, ValidationError
-from .models import MarketSpec, ModelSpec
 from . import presets
 from .transform_refs import price_carr_madan, price_fourier_integral
 
 __all__ = [
     "METHOD_NAMES",
     "ExperimentResult",
-    "ReferenceSet",
     "run_strike_table",
     "run_convergence",
     "run_reference_set",
@@ -57,10 +55,6 @@ __all__ = [
 
 # column order of the benchmark table
 METHOD_NAMES = ("stable", "parity", "direct", "fourier_integral", "carr_madan")
-
-# geometry for the quarantined undamped fat-tail run: the widest range
-# its parity preset uses, at the same term-count scale
-_QUARANTINE_CONFIG = CosConfig(n_terms=70, range_width=10.0, damping=0.0, variant=Variant.DIRECT)
 
 
 def _library_version() -> str:
@@ -76,8 +70,8 @@ class ExperimentResult:
 
     axes is an ordered tuple of (name, values) pairs; values is a float
     array whose shape matches the axis lengths.  Cells may carry a
-    string flag (for example ``skipped`` or ``cancellation-regime``);
-    every non-finite cell must be flagged.
+    string flag (for example ``skipped``); every non-finite cell must be
+    flagged.
     """
 
     experiment: str
@@ -117,31 +111,6 @@ class ExperimentResult:
         return float(live.max() - live.min())
 
 
-@dataclass(frozen=True)
-class ReferenceSet:
-    """13-digit reference prices (strike 100, T=1), one per profile."""
-
-    prices: dict
-
-    def __post_init__(self):
-        expected = set(presets.PROFILE_NAMES)
-        got = set(self.prices)
-        if got != expected:
-            raise ValidationError(
-                f"reference set must hold exactly {sorted(expected)}, got {sorted(got)}"
-            )
-        for name, value in self.prices.items():
-            if not (isinstance(value, float) and math.isfinite(value) and value > 0):
-                raise ValidationError(f"reference for {name!r} must be a positive float")
-
-    @classmethod
-    def bundled(cls) -> "ReferenceSet":
-        return cls(presets.load_reference_prices())
-
-    def __getitem__(self, model: str) -> float:
-        return self.prices[model]
-
-
 # the references were produced by the undamped put expansion with
 # 60000 terms on a width-12 cumulant range; the recomputation gate
 # reruns exactly that configuration
@@ -173,7 +142,6 @@ def run_strike_table(
     models: Optional[Sequence[str]] = None,
     strikes: Optional[Sequence[float]] = None,
     methods: Optional[Sequence[str]] = None,
-    include_unstable: bool = False,
 ) -> ExperimentResult:
     """Price the benchmark call table.
 
@@ -182,15 +150,12 @@ def run_strike_table(
     models : profile names, default all four.
     strikes : strike levels, default the benchmark grid.
     methods : subset of METHOD_NAMES, default all five.
-    include_unstable : execute the undamped fat-tail combination and
-        record it under a ``cancellation-regime`` flag instead of
-        skipping it.  Flagged values are diagnostic only.
 
     Returns
     -------
     ExperimentResult with axes (strike, model, method).  Combinations
     with no preset (the undamped fat-tail case) are NaN with flag
-    ``skipped`` unless include_unstable is set.
+    ``skipped``.  An empty strike list calls no pricer.
     """
     models = tuple(models) if models is not None else presets.PROFILE_NAMES
     strikes = tuple(float(k) for k in strikes) if strikes is not None else presets.STRIKE_GRID
@@ -204,7 +169,8 @@ def run_strike_table(
     started = time.perf_counter()
     values = np.full((len(strikes), len(models), len(methods)), np.nan)
     flags = {}
-    for j, name in enumerate(models):
+    # an empty strike list calls no pricer; price() would refuse its empty batch
+    for j, name in enumerate(models if strikes else ()):
         model = presets.model_preset(name)
         market = presets.market_preset()
         for k, method in enumerate(methods):
@@ -213,28 +179,19 @@ def run_strike_table(
                 values[:, j, k] = batch
                 continue
             if method == "fourier_integral":
-                if strikes:  # an empty column needs no characteristic function
-                    values[:, j, k] = price_fourier_integral(
-                        model, market, strikes, presets.integral_preset(name)
-                    )
+                values[:, j, k] = price_fourier_integral(
+                    model, market, strikes, presets.integral_preset(name)
+                )
                 continue
             variant = Variant(method)
             try:
                 cos_cfg = presets.method_preset(name, variant).cos_config(variant)
-                flag = None
             except ConfigurationError:
-                if not include_unstable:
-                    for i in range(len(strikes)):
-                        flags[(i, j, k)] = "skipped"
-                    continue
-                cos_cfg = _QUARANTINE_CONFIG
-                flag = "cancellation-regime"
-            options = [OptionSpec(strike=s) for s in strikes]
-            if options:  # price() refuses an empty batch
-                values[:, j, k] = [r.price for r in price(model, market, options, cos_cfg)]
-            if flag is not None:
                 for i in range(len(strikes)):
-                    flags[(i, j, k)] = flag
+                    flags[(i, j, k)] = "skipped"
+                continue
+            options = [OptionSpec(strike=s) for s in strikes]
+            values[:, j, k] = [r.price for r in price(model, market, options, cos_cfg)]
 
     return ExperimentResult(
         experiment="strike_table",
@@ -253,8 +210,7 @@ def run_convergence(
     model_name: str,
     n_values: Sequence[int],
     method: Union[str, Variant] = Variant.STABLE,
-    references: Optional[ReferenceSet] = None,
-    reference_tolerance: float = 5e-13,
+    reference_tolerance: float = presets.REFERENCE_TOLERANCE,
     maturity: float = 1.0,
 ) -> ExperimentResult:
     """log10 absolute error versus term count at strike 100.
@@ -280,8 +236,7 @@ def run_convergence(
     recomputed = _recompute_reference(model_name, maturity)
 
     if maturity == 1.0:
-        references = references or ReferenceSet.bundled()
-        stored = references[model_name]
+        stored = presets.load_reference_prices()[model_name]
         gap = abs(recomputed - stored)
         if gap > reference_tolerance:
             raise ComputationError(
@@ -331,7 +286,8 @@ def run_stability_surface(
     """Damped-call price surface over (alpha, L).
 
     Defaults: ``presets.sweep_dampings()``, the profile's
-    ``presets.sweep_widths`` and its stable term count.  With
+    ``presets.sweep_widths`` and its stable term count; n_terms is
+    checked by the rule of ``cos_engine.term_counts``.  With
     reference_width set, the term count grows proportionally to
     L/reference_width so the frequency cutoff N*pi/(b-a) stays at
     least at its preset level; without it N is held fixed and wide
@@ -347,7 +303,7 @@ def run_stability_surface(
     l_values = tuple(float(w) for w in l_values)
     if not alpha_values or not l_values:
         raise ValidationError("stability grids must be non-empty")
-    base_n = int(n_terms) if n_terms is not None else preset.n_terms
+    [base_n] = term_counts((preset.n_terms if n_terms is None else n_terms,))
 
     started = time.perf_counter()
     market = presets.market_preset(maturity)

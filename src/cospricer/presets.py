@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .cos_engine import CosConfig, Variant
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 from .models import CGMYParams, HestonParams, KouParams, MarketSpec, ModelSpec
 from .transform_refs import CarrMadanConfig, IntegralConfig
 
@@ -192,16 +193,27 @@ def load_strike_table() -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _reference_prices() -> tuple:
-    return tuple(
+    rows = tuple(
         (row["model"], float(row["price"]))
         for row in _read_data("convergence_reference.csv")
     )
+    names = sorted(name for name, _ in rows)
+    if names != sorted(PROFILE_NAMES):
+        raise ValidationError(
+            f"reference set must hold exactly {sorted(PROFILE_NAMES)}, got {names}"
+        )
+    for name, value in rows:
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"reference for {name!r} must be a positive float")
+    return rows
 
 
 def load_reference_prices() -> dict:
     """13-digit convergence anchors: model -> price at strike 100, T=1.
 
-    The file is read once per process; each call returns a fresh dict.
+    The file is read and checked once per process (exactly the four
+    profiles, each price a positive finite float); each call returns a
+    fresh dict.
     """
     return dict(_reference_prices())
 

@@ -14,13 +14,16 @@ from pathlib import Path
 
 import pytest
 
-from cospricer.cli import RunConfig, load_config, main
+from cospricer.cli import main
 from cospricer.errors import ConfigurationError
 from cospricer.presets import PROFILE_NAMES, load_strike_table
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses a flag this way
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -134,29 +137,73 @@ class TestPrice:
         assert gap < 1e-7
 
 
+# one invalid setting each, with the text its error line must carry both
+# as a flag and as a config-file line
+INVALID_SETTINGS = [
+    ("kind", "straddle", "'straddle'"),
+    ("method", "midpoint", "'midpoint'"),
+    ("format", "xml", "'xml'"),
+    ("profile", "bs", "'bs'"),
+    ("strike", "-10", "strike must be positive and finite, got -10.0"),
+    ("strike", "nan", "strike must be positive and finite, got nan"),
+    ("maturity", "0", "maturity must be positive and finite, got 0.0"),
+    ("L", "-2", "range_width must be positive, got -2.0"),
+    ("N", "0", "n_terms must be a positive whole number, got 0"),
+    ("N", "-5", "n_terms must be a positive whole number, got -5"),
+]
+
+
 class TestConfigFile:
-    def test_load_config_reads_flat_keys(self, tmp_path):
+    def test_config_file_prices_like_the_same_flags(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
             "# near-second-order tempered stable, damped expansion\n"
             "profile = cgmy1\n"
             "method = stable\n"
+            "kind = call\n"
+            "strike = 90\n"
+            "maturity = 0.5\n"
+            "spot = 101\n"
+            "rate = 0.05\n"
+            "dividend = 0.01\n"
             "alpha = 1.001\n"
             "L = 10\n"
             "N = 50\n"
+            "format = json\n"
         )
-        config = load_config(str(path))
-        assert config.profile == "cgmy1"
-        assert config.method == "stable"
-        assert config.alpha == 1.001
-        assert config.range_width == 10.0
-        assert config.n_terms == 50
+        code, with_file, err = run_cli(capsys, "price", "--config", str(path))
+        assert code == 0 and err == ""
+        _, explicit, _ = run_cli(
+            capsys, "price", "--profile", "cgmy1", "--method", "stable", "--kind", "call",
+            "--strike", "90", "--maturity", "0.5", "--spot", "101", "--rate", "0.05",
+            "--dividend", "0.01", "--alpha", "1.001", "--L", "10", "--N", "50",
+            "--format", "json",
+        )
+        assert with_file == explicit
+        payload = json.loads(with_file)
+        assert (payload["profile"], payload["strike"], payload["maturity"]) == ("cgmy1", 90.0, 0.5)
 
-    def test_empty_file_gives_defaults(self, tmp_path):
+    def test_empty_file_prices_like_no_file(self, capsys, tmp_path):
         path = tmp_path / "empty.cfg"
         path.write_text("# only a comment\n\n")
-        config = load_config(str(path))
-        assert config == RunConfig()
+        code, with_file, _ = run_cli(capsys, "price", "--config", str(path))
+        _, without, _ = run_cli(capsys, "price")
+        assert code == 0
+        assert with_file == without == "15.6621055646 (stable)\n"
+
+    @pytest.mark.parametrize("key, value, want", INVALID_SETTINGS)
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_invalid_setting_is_refused(self, capsys, tmp_path, source, key, value, want):
+        if source == "flag":
+            argv = [f"--{key}={value}"]
+        else:
+            path = tmp_path / "bad.cfg"
+            path.write_text(f"{key} = {value}\n")
+            argv = ["--config", str(path)]
+        code, out, err = run_cli(capsys, "price", *argv)
+        assert (code, out) == (2, "")
+        assert "error: " in err and want in err
+        assert "Traceback" not in err
 
     def test_flags_override_file_without_clearing_it(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
@@ -177,7 +224,7 @@ class TestConfigFile:
         path.write_text("N = -5\n")
         code, _, err = run_cli(capsys, "price", "--config", str(path))
         assert code == 2
-        assert "N must be a positive integer, got -5" in err
+        assert "n_terms must be a positive whole number, got -5" in err
 
     def test_non_numeric_value_named_in_error(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -206,17 +253,7 @@ class TestConfigFile:
         path.write_text("profile = bs\n")
         code, _, err = run_cli(capsys, "price", "--config", str(path))
         assert code == 2
-        assert "unknown model profile 'bs'" in err
-
-    def test_run_config_validation_directly(self):
-        with pytest.raises(ConfigurationError, match="kind must be call or put"):
-            RunConfig(kind="straddle")
-        with pytest.raises(ConfigurationError, match="strike must be positive"):
-            RunConfig(strike=-10.0)
-        with pytest.raises(ConfigurationError, match="L must be positive"):
-            RunConfig(range_width=-2.0)
-        with pytest.raises(ConfigurationError, match="format must be csv, json, or plain"):
-            RunConfig(format="xml")
+        assert "profile must be one of heston, kou, cgmy1, cgmy2, got 'bs'" in err
 
 
 class TestReproduce:

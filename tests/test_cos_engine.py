@@ -285,6 +285,20 @@ class TestConfigurationErrors:
         with pytest.raises(ValidationError):
             OptionSpec(strike=-5.0)
 
+    @pytest.mark.parametrize("n_terms", [True, False, np.True_, 16.7, 0, -5, math.inf,
+                                         math.nan, "16"])
+    def test_n_terms_follows_the_term_count_rule(self, n_terms):
+        # a bool passes isinstance(n, int) but is no term count
+        with pytest.raises(ValidationError, match="n_terms must be a positive whole number"):
+            CosConfig(n_terms=n_terms, range_width=8.0)
+
+    @pytest.mark.parametrize("n_terms", [np.int64(64), np.int32(64), 64.0])
+    def test_whole_n_terms_are_stored_as_int(self, n_terms):
+        # NumPy integers and whole floats are term counts, as in term_counts
+        config = CosConfig(n_terms=n_terms, range_width=8.0)
+        assert type(config.n_terms) is int and config.n_terms == 64
+        assert config == CosConfig(n_terms=64, range_width=8.0)
+
     def test_non_finite_series_reported(self, models, market):
         # the undamped fat-tail call overflows on a wide range; the engine
         # must fail loudly, not return garbage silently

@@ -8,12 +8,19 @@ import math
 import numpy as np
 import pytest
 
-from cospricer import ComputationError, CosConfig, OptionSpec, ValidationError, Variant, price
+from cospricer import (
+    ComputationError,
+    ConfigurationError,
+    CosConfig,
+    OptionSpec,
+    ValidationError,
+    Variant,
+    price,
+)
 from cospricer import cos_engine, harness, presets, transform_refs
 from cospricer.harness import (
     METHOD_NAMES,
     ExperimentResult,
-    ReferenceSet,
     run_convergence,
     run_l_sweep,
     run_reference_set,
@@ -64,22 +71,47 @@ class TestExperimentResult:
         assert result.value_spread == pytest.approx(3.0)
 
 
+@pytest.fixture
+def bundled_rows(monkeypatch):
+    """Feed presets the given rows as the bundled reference file."""
+    def use(rows):
+        monkeypatch.setattr(presets, "_read_data", lambda filename: iter(rows))
+        presets._reference_prices.cache_clear()
+
+    yield use
+    presets._reference_prices.cache_clear()
+
+
+def _rows(prices):
+    return [{"model": name, "price": str(value)} for name, value in prices]
+
+
 class TestReferenceSet:
+    """The integrity check of the bundled references, made in presets."""
+
     def test_bundled_profiles(self):
-        refs = ReferenceSet.bundled()
         stored = load_reference_prices()
-        for name, value in stored.items():
-            assert refs[name] == value
+        assert set(stored) == set(presets.PROFILE_NAMES)
+        for value in stored.values():
+            assert type(value) is float and math.isfinite(value) and value > 0
 
-    def test_rejects_wrong_profile_set(self):
+    @pytest.mark.parametrize("names", [
+        ["heston"],
+        ["heston", "kou", "cgmy1", "cgmy2", "bs"],
+        ["heston", "heston", "cgmy1", "cgmy2"],
+    ])
+    def test_rejects_wrong_profile_set(self, bundled_rows, names):
+        bundled_rows(_rows((name, 15.0) for name in names))
         with pytest.raises(ValidationError, match="exactly"):
-            ReferenceSet({"heston": 15.0})
+            load_reference_prices()
 
-    def test_rejects_non_positive_price(self):
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_non_positive_price(self, bundled_rows, bad):
         prices = dict(load_reference_prices())
-        prices["kou"] = -1.0
-        with pytest.raises(ValidationError, match="positive float"):
-            ReferenceSet(prices)
+        prices["kou"] = bad
+        bundled_rows(_rows(prices.items()))
+        with pytest.raises(ValidationError, match="'kou' must be a positive float"):
+            load_reference_prices()
 
     def test_bundled_file_is_read_once_and_each_call_gets_its_own_dict(self, monkeypatch):
         reads = []
@@ -98,7 +130,7 @@ class TestReferenceSet:
             second = load_reference_prices()
             assert set(second) == set(presets.PROFILE_NAMES)
             assert second["heston"] == 15.6621055645751
-            assert ReferenceSet.bundled().prices == second
+            run_convergence("heston", [16])
             assert reads == ["convergence_reference.csv"]
         finally:
             presets._reference_prices.cache_clear()
@@ -131,16 +163,6 @@ class TestStrikeTable:
         assert np.all(np.isnan(result.values))
         assert len(result.flags) == result.values.size
         assert set(result.flags.values()) == {"skipped"}
-
-    def test_include_unstable_quarantines_instead(self):
-        result = run_strike_table(
-            models=["cgmy2"], strikes=[80.0], methods=["direct"], include_unstable=True
-        )
-        assert result.flags[(0, 0, 0)] == "cancellation-regime"
-        # the value itself is cancellation noise; only its presence and
-        # flagging are contractual
-        value = result.values[0, 0, 0]
-        assert math.isfinite(value) or (0, 0, 0) in result.flags
 
     def test_empty_method_list_gives_empty_slab(self):
         result = run_strike_table(models=["heston"], methods=[])
@@ -227,13 +249,21 @@ class TestStrikeTable:
             }, profile
             assert (blocks == 1) if profile == "heston" else (blocks >= 1), (profile, blocks)
 
-    def test_empty_strike_list_skips_the_integral(self, monkeypatch):
+    def test_empty_strike_list_calls_no_pricer(self, monkeypatch):
+        # not even the Carr-Madan spectrum, 65536 points whatever the strike count
         def unreachable(*args, **kwargs):
             raise AssertionError("an empty column must not be priced")
 
-        monkeypatch.setattr(harness, "price_fourier_integral", unreachable)
-        result = run_strike_table(models=["heston"], strikes=[], methods=["fourier_integral"])
-        assert result.values.shape == (0, 1, 1)
+        for name in ("price", "price_fourier_integral", "price_carr_madan"):
+            monkeypatch.setattr(harness, name, unreachable)
+        monkeypatch.setattr(transform_refs, "_call_spectrum", unreachable)
+        result = run_strike_table(strikes=[])
+        assert result.values.shape == (0, len(presets.PROFILE_NAMES), len(METHOD_NAMES))
+        assert result.flags == {}
+        with pytest.raises(ValidationError, match="unknown method"):
+            run_strike_table(strikes=[], methods=["midpoint"])
+        with pytest.raises(ConfigurationError, match="unknown model profile"):
+            run_strike_table(models=["bs"], strikes=[])
 
     def test_records_wall_clock(self):
         result = run_strike_table(models=["heston"], strikes=[100.0], methods=["stable"])
@@ -364,6 +394,27 @@ class TestStabilitySurface:
         with pytest.raises(ValidationError, match="non-empty"):
             run_stability_surface("heston", alpha_values=[], l_values=[7.0])
 
+    @pytest.mark.parametrize("reference_width", [None, 7.0])
+    @pytest.mark.parametrize("n_terms", [16.7, True, 0])
+    def test_bad_term_count_is_refused_before_pricing(self, monkeypatch, n_terms,
+                                                      reference_width):
+        # with reference_width set, the scaled N of a wide range is a whole
+        # number even when n_terms is not, so CosConfig alone would not refuse it
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a bad term count must be refused before any pricing")
+
+        monkeypatch.setattr(harness, "price", unreachable)
+        with pytest.raises(ValidationError, match="term counts"):
+            run_stability_surface("kou", alpha_values=[1.1], l_values=[7.0, 18.0],
+                                  n_terms=n_terms, reference_width=reference_width)
+
+    def test_whole_term_count_is_recorded_as_int(self):
+        got = run_stability_surface("heston", alpha_values=[1.1], l_values=[7.0],
+                                    n_terms=np.int64(110))
+        want = run_stability_surface("heston", alpha_values=[1.1], l_values=[7.0])
+        assert type(got.metadata["n_terms"]) is int
+        assert got.values.tobytes() == want.values.tobytes()
+
 
 class TestLSweep:
     def test_damped_and_undamped_agree_across_widths(self):
@@ -380,6 +431,10 @@ class TestLSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
             run_l_sweep("kou", l_values=[])
+
+    def test_bool_term_count_is_refused(self):
+        with pytest.raises(ValidationError, match="n_terms must be a positive whole number"):
+            run_l_sweep("kou", l_values=[7.0], n_terms=True)
 
 
 class TestWriteResult:
