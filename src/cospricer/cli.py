@@ -246,10 +246,10 @@ _TARGETS = {
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    out_dir = args.output or "results"
-    os.makedirs(out_dir, exist_ok=True)
     if args.target not in _TARGETS:
         raise ConfigurationError(f"unknown target {args.target!r}")
+    out_dir = args.output or "results"
+    os.makedirs(out_dir, exist_ok=True)
     return _TARGETS[args.target](out_dir, args.target)
 
 
@@ -266,6 +266,9 @@ def _parse_terms(text: str) -> tuple:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if (args.l_min is None) != (args.l_max is None):
         raise ConfigurationError("--l-min and --l-max must be given together")
+    for flag, points in (("--alpha-points", args.alpha_points), ("--l-points", args.l_points)):
+        if points is not None and points < 0:
+            raise ConfigurationError(f"{flag} must not be negative, got {points}")
     if args.l_min is None:
         l_values = presets.sweep_widths(args.profile, args.l_points)
     else:

@@ -19,13 +19,8 @@ Every variant sums only the live band of phi(u_k - i*alpha): the terms
 up to the last k where phi has not underflowed to an exact zero
 (:func:`models.live_band`).  The terms past it are exact zeros and leave
 the error-free sum unchanged, so each price is bit-identical to the sum
-over all n_terms.  For Kou and for CGMY with -1 < Y < 2, |phi| provably
-does not increase along the grid (each u-dependent term of its
-Re log phi is non-increasing; the proof is in ``models``), so phi itself
-is evaluated in doubling blocks that stop at the first all-zero one.
-For Heston a non-increasing closed-form bound on |phi| (also proved in
-``models``) locates the first term from which phi underflows, and phi is
-evaluated only before it.
+over all n_terms.  phi itself is evaluated only before the first term
+where a proven bound shows it underflows (the rule is in ``live_band``).
 
 The frequencies u_k = k*pi/(b - a) do not depend on the term count, so
 :func:`price_curve` prices one option at several term counts from one

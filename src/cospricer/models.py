@@ -8,16 +8,8 @@ truncation interval built from them.
 
 Both fixed-grid consumers, the cosine engine and the Carr-Madan FFT,
 read phi_T along a contour u - i*alpha, u = 0, du, 2*du, ..., through
-:func:`live_band`: only the prefix up to the last value that has not
-underflowed to an exact zero is kept.  For Kou and for CGMY with
--1 < Y < 2 every u-dependent term of Re log phi_T(u - i*alpha) is
-non-increasing in u >= 0 (the proof is in :func:`_decays_along_contour`),
-so the contour is evaluated in doubling blocks that stop at the first
-all-zero block.  For Heston a closed-form envelope
-Psi_alpha(u) >= |phi_T(u - i*alpha)|, non-increasing in u (the proof is
-in :func:`_heston_log_envelope`), locates by bisection the first point
-from which every value underflows, and one call covers the points before
-it.  CGMY with Y <= -1 takes one full call.
+:func:`live_band`, which evaluates phi_T only before the first point
+where a proven non-increasing bound on |phi_T| shows an exact zero.
 """
 
 from __future__ import annotations
@@ -171,7 +163,7 @@ ModelSpec = Union[HestonParams, KouParams, CGMYParams]
 # characteristic functions
 # ---------------------------------------------------------------------------
 
-def _heston_cf(model: HestonParams, market: MarketSpec, u):
+def _heston_log_cf(model: HestonParams, market: MarketSpec, u):
     t = market.maturity
     zeta = -0.5 * (1j * u + u * u)
     gam = model.kappa - 1j * model.rho * model.sigma * u
@@ -183,18 +175,16 @@ def _heston_cf(model: HestonParams, market: MarketSpec, u):
     mean_term = -(model.kappa * model.theta / model.sigma ** 2) * (
         2.0 * np.log(denom / (2.0 * xi)) + (xi - gam) * t
     )
-    return np.exp(drift + vol_term + mean_term)
+    return drift + vol_term + mean_term
 
 
-def _kou_cf(model: KouParams, market: MarketSpec, u):
+def _kou_log_cf(model: KouParams, market: MarketSpec, u):
     t = market.maturity
     p, e1, e2 = model.p, model.eta1, model.eta2
     jump_drift = p * e1 / (e1 - 1.0) + (1.0 - p) * e2 / (e2 + 1.0) - 1.0
     mu = market.rate - market.dividend - 0.5 * model.sigma ** 2 - model.lam * jump_drift
     jump_cf = p * e1 / (e1 - 1j * u) + (1.0 - p) * e2 / (e2 + 1j * u) - 1.0
-    return np.exp(
-        1j * u * mu * t - 0.5 * model.sigma ** 2 * u * u * t + model.lam * t * jump_cf
-    )
+    return 1j * u * mu * t - 0.5 * model.sigma ** 2 * u * u * t + model.lam * t * jump_cf
 
 
 def _cexpm1(z):
@@ -213,7 +203,7 @@ def _cgmy_psi(g: float, m: float, y: float, u):
     )
 
 
-def _cgmy_cf(model: CGMYParams, market: MarketSpec, u):
+def _cgmy_log_cf(model: CGMYParams, market: MarketSpec, u):
     t = market.maturity
     c, g, m, y = model.C, model.G, model.M, model.Y
     gam = gamma_fn(-y)
@@ -225,7 +215,18 @@ def _cgmy_cf(model: CGMYParams, market: MarketSpec, u):
     # principal-branch logs; Re(m - iu) and Re(g + iu) stay positive for
     # Im(u) inside (-m, g)
     levy = c * t * gam * _cgmy_psi(g, m, y, u)
-    return np.exp(1j * u * mu * t + levy)
+    return 1j * u * mu * t + levy
+
+
+def _log_cf(model: ModelSpec, market: MarketSpec, u):
+    """log phi_T(u), the exponent that :func:`char_fn` exponentiates."""
+    if isinstance(model, HestonParams):
+        return _heston_log_cf(model, market, u)
+    if isinstance(model, KouParams):
+        return _kou_log_cf(model, market, u)
+    if isinstance(model, CGMYParams):
+        return _cgmy_log_cf(model, market, u)
+    raise ValidationError(f"unsupported model type {type(model).__name__}")
 
 
 def _analyticity_strip(model: ModelSpec):
@@ -303,14 +304,7 @@ def char_fn(model: ModelSpec, market: MarketSpec, u):
                 f"Im(u) must lie in ({strip[0]}, {strip[1]}) for "
                 f"{type(model).__name__}"
             )
-    if isinstance(model, HestonParams):
-        out = _heston_cf(model, market, u_arr)
-    elif isinstance(model, KouParams):
-        out = _kou_cf(model, market, u_arr)
-    elif isinstance(model, CGMYParams):
-        out = _cgmy_cf(model, market, u_arr)
-    else:
-        raise ValidationError(f"unsupported model type {type(model).__name__}")
+    out = np.exp(_log_cf(model, market, u_arr))
     if np.ndim(u) == 0 and not isinstance(u, np.ndarray):
         return complex(out)
     return out
@@ -320,45 +314,9 @@ def char_fn(model: ModelSpec, market: MarketSpec, u):
 # live band
 # ---------------------------------------------------------------------------
 
-# points of the first live-band block; a preset series (N <= 210) fits in
-# it and so stays one call
-_FIRST_BLOCK = 1024
-
-
-def _decays_along_contour(model: ModelSpec) -> bool:
-    """Whether |phi_T(u - i*alpha)| provably does not increase in u >= 0
-    for every alpha inside the damping bounds.
-
-    The drift contributes alpha*mu*T to Re log phi_T(u - i*alpha), a
-    constant, so only the other terms matter.
-
-    Kou: the diffusion gives -sigma^2*T*(u^2 - alpha^2)/2 and each jump
-    side lam*T*p*eta1*(eta1 - alpha)/((eta1 - alpha)^2 + u^2) or
-    lam*T*(1 - p)*eta2*(eta2 + alpha)/((eta2 + alpha)^2 + u^2); inside
-    the bounds eta1 - alpha > 0 and eta2 + alpha > 0, so every term is
-    non-increasing in u >= 0.
-
-    CGMY: the Levy part is C*T*Gamma(-Y) times Re(a - iu)^Y for
-    a = M - alpha > 0 and for a = G + alpha > 0 (the G side is a
-    conjugate, with the same real part).  Writing a - iu = r*e^(-i*theta)
-    with theta in [0, pi/2), d/du Re(a - iu)^Y = -Y*r^(Y-1)*sin((Y-1)*theta),
-    and -Y*Gamma(-Y) = Gamma(1-Y).  For 1 < Y < 2, Gamma(1-Y) < 0 and
-    (Y-1)*theta lies in [0, pi/2); for -1 < Y < 1, Gamma(1-Y) > 0 and
-    (Y-1)*theta lies in (-pi, 0].  Either way the derivative is <= 0.  For
-    Y <= -1 the angle can pass -pi, so it does not qualify.  Heston's
-    |phi| need not be monotone; it is bounded by a monotone envelope
-    instead (:func:`_heston_log_envelope`).
-    """
-    if isinstance(model, KouParams):
-        return True
-    if isinstance(model, CGMYParams):
-        return -1.0 < model.Y < 2.0
-    return False
-
-
 # log of 2^-1075, half the smallest subnormal double: a modulus below it
 # rounds to an exact zero.  The extra -1 absorbs the rounding of both the
-# envelope and phi_T, which is orders of magnitude smaller.
+# bound and phi_T, which is orders of magnitude smaller.
 _UNDERFLOW_LOG = -1075.0 * math.log(2.0) - 1.0
 
 
@@ -427,33 +385,40 @@ def _heston_log_envelope(model: HestonParams, market: MarketSpec, alpha: float, 
     return out if math.isfinite(out) else math.inf
 
 
-def _heston_live_end(
-    model: HestonParams, market: MarketSpec, step: float, shift: float, size: int
-) -> int:
-    """The first index k >= 1 of the contour u_k - i*shift, u_k = k*step,
-    k < size, at which log Psi_shift(u_k) < _UNDERFLOW_LOG, or size if
-    there is none.
+def _log_envelope(model: ModelSpec, market: MarketSpec, alpha: float, u: float) -> float:
+    """An upper bound on log|phi_T(u - i*alpha)| that does not increase in
+    u >= 0, for alpha inside the damping bounds; inf where no bound is
+    proven, and wherever the bound is nan or not finite.
 
-    Psi does not increase, so phi_T is an exact zero at every index from
-    there on.  The last point is tested first, so a contour that is live
-    to its end costs one envelope value; otherwise bisection finds the
-    index.  |rho| = 1, where the conditional Gaussian degenerates, keeps
-    the whole contour.
+    Heston: :func:`_heston_log_envelope`, except at |rho| = 1, where the
+    conditional Gaussian it rests on degenerates.
+
+    Kou, and CGMY with -1 < Y < 2: Re log phi_T(u - i*alpha) itself.  The
+    drift contributes alpha*mu*T to it, a constant, so only the other
+    terms matter.
+
+    Kou: the diffusion gives -sigma^2*T*(u^2 - alpha^2)/2 and each jump
+    side lam*T*p*eta1*(eta1 - alpha)/((eta1 - alpha)^2 + u^2) or
+    lam*T*(1 - p)*eta2*(eta2 + alpha)/((eta2 + alpha)^2 + u^2); inside
+    the bounds eta1 - alpha > 0 and eta2 + alpha > 0, so every term is
+    non-increasing in u >= 0.
+
+    CGMY: the Levy part is C*T*Gamma(-Y) times Re(a - iu)^Y for
+    a = M - alpha > 0 and for a = G + alpha > 0 (the G side is a
+    conjugate, with the same real part).  Writing a - iu = r*e^(-i*theta)
+    with theta in [0, pi/2), d/du Re(a - iu)^Y = -Y*r^(Y-1)*sin((Y-1)*theta),
+    and -Y*Gamma(-Y) = Gamma(1-Y).  For 1 < Y < 2, Gamma(1-Y) < 0 and
+    (Y-1)*theta lies in [0, pi/2); for -1 < Y < 1, Gamma(1-Y) > 0 and
+    (Y-1)*theta lies in (-pi, 0].  Either way the derivative is <= 0.  For
+    Y <= -1 the angle can pass -pi, so no bound is claimed.
     """
-
-    def dead(k: int) -> bool:
-        return _heston_log_envelope(model, market, shift, k * step) < _UNDERFLOW_LOG
-
-    if abs(model.rho) == 1.0 or size < 2 or not dead(size - 1):
-        return size
-    live, end = 0, size - 1
-    while end - live > 1:
-        mid = (live + end) // 2
-        if dead(mid):
-            end = mid
-        else:
-            live = mid
-    return end
+    if isinstance(model, HestonParams):
+        bound = math.inf if abs(model.rho) == 1.0 else _heston_log_envelope(model, market, alpha, u)
+    elif isinstance(model, KouParams) or (isinstance(model, CGMYParams) and -1.0 < model.Y < 2.0):
+        bound = _log_cf(model, market, complex(u, -alpha)).real
+    else:
+        return math.inf
+    return bound if math.isfinite(bound) else math.inf
 
 
 def live_band(
@@ -468,35 +433,33 @@ def live_band(
     which adds nothing to a sum.  Index 0, the moment E[(S_T/S_0)^shift],
     is always kept.
 
-    For a model whose |phi| does not increase along the contour (see
-    :func:`_decays_along_contour`) the points are built and evaluated in
-    blocks: the first _FIRST_BLOCK points, then each block as long as the
-    prefix before it, until a block is all exact zeros (every later value
-    then underflows too) or the contour ends.  Heston gets one call over
-    the points before the index from which its envelope proves every
-    value an exact zero (:func:`_heston_live_end`); any other model gets
-    one call over the whole contour.  The values are the ones a single
-    call would return.
+    The rule, the same for every model: :func:`_log_envelope` bounds
+    log|phi_T| from above and does not increase along the contour, so
+    from the first index k >= 1 at which it lies below _UNDERFLOW_LOG on,
+    every value is an exact zero.  Bisection finds that index (the last
+    point is tested first, so a contour live to its end costs one bound
+    value), and one evaluate call covers the points before it.  A model
+    without a proven bound is evaluated on the whole contour.  The values
+    are the ones a single call on the whole contour would return.
     """
 
-    def points(start: int, stop: int) -> np.ndarray:
-        return np.arange(start, stop) * step - 1j * shift
+    def dead(k: int) -> bool:
+        return _log_envelope(model, market, shift, k * step) < _UNDERFLOW_LOG
 
-    if isinstance(model, HestonParams):
-        size = _heston_live_end(model, market, step, shift, size)
-    if not _decays_along_contour(model) or size <= _FIRST_BLOCK:
-        phi = evaluate(model, market, points(0, size))
-    else:
-        blocks = [evaluate(model, market, points(0, _FIRST_BLOCK))]
-        end = _FIRST_BLOCK
-        while end < size and blocks[-1].any():
-            blocks.append(evaluate(model, market, points(end, min(2 * end, size))))
-            end *= 2
-        phi = np.concatenate(blocks)
+    end = size
+    if size >= 2 and dead(size - 1):
+        live, end = 0, size - 1
+        while end - live > 1:
+            mid = (live + end) // 2
+            if dead(mid):
+                end = mid
+            else:
+                live = mid
+    phi = evaluate(model, market, np.arange(end) * step - 1j * shift)
     if phi[-1] != 0.0:
         return phi
-    live = np.flatnonzero(phi)
-    return phi[: live[-1] + 1 if live.size else 1]
+    nonzero = np.flatnonzero(phi)
+    return phi[: nonzero[-1] + 1 if nonzero.size else 1]
 
 
 # ---------------------------------------------------------------------------

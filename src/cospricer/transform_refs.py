@@ -17,14 +17,10 @@ Both operate on the log-return characteristic function and are used as
 oracles against the cosine-series engine; neither shares code with it
 beyond the model layer.  The FFT forms its transform on the live band of
 phi only (:func:`models.live_band`): up to the last grid point where phi
-has not underflowed, with the zeros past it left to the FFT's padding.
-For Kou and for CGMY with -1 < Y < 2, whose |phi| provably does not
-increase along the grid (the proof is in ``models``), phi is evaluated
-in doubling blocks that stop at the first all-zero one; for Heston, only
-before the first point where a proven non-increasing bound on |phi|
-rules out anything but an exact zero.  The Fourier
-integral evaluates phi at its nodes and at the cut and raises when the
-integrand has not decayed there.
+has not underflowed, with the zeros past it left to the FFT's padding;
+phi is evaluated only where a proven bound cannot rule it out (the rule
+is in ``models.live_band``).  The Fourier integral evaluates phi at its
+nodes and at the cut and raises when the integrand has not decayed there.
 """
 
 from __future__ import annotations

@@ -264,6 +264,13 @@ class TestReproduce:
         assert code == 2
         assert "unknown target 'fig9'" in err
 
+    def test_unknown_target_creates_no_directory(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "reproduce", "tabel5", "--output", str(out_dir))
+        assert (code, out) == (2, "")
+        assert "unknown target 'tabel5'" in err
+        assert not out_dir.exists()
+
     def test_strike_table_report(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "reproduce", "table5", "--output", str(tmp_path))
         lines = out.splitlines()
@@ -405,6 +412,28 @@ class TestSweep:
         )
         assert code == 2
         assert "--l-min and --l-max must be given together" in err
+
+    @pytest.mark.parametrize("experiment, flag", [("stability", "--alpha-points"),
+                                                  ("stability", "--l-points"),
+                                                  ("l_sweep", "--l-points")])
+    def test_negative_grid_size_is_refused(self, capsys, tmp_path, monkeypatch,
+                                           experiment, flag):
+        # used to end in a NumPy traceback with exit code 1
+        from cospricer import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a negative grid size must be refused before any pricing")
+
+        monkeypatch.setattr(cli.harness, "run_stability_surface", unreachable)
+        monkeypatch.setattr(cli.harness, "run_l_sweep", unreachable)
+        target = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--experiment", experiment, "--profile", "heston",
+            flag, "-1", "--output", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert f"error: {flag} must not be negative, got -1" in err
+        assert not target.exists()
 
     def test_bad_n_values_grid(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -2,9 +2,8 @@
 only up to the last one that has not underflowed.
 
 Certification compares the engine and the Carr-Madan spectrum with
-full-grid evaluators written out here (no cut, no blocks), bit for bit;
-the property tests check the decay that lets the block rule stop early
-and the Heston envelope that places the Heston cut.
+full-grid evaluators written out here (no cut), bit for bit; the
+property tests check the bounds on log|phi| that place the cut.
 """
 
 import itertools
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from cospricer import cos_engine, presets
+from cospricer import cos_engine, models, presets
 from cospricer.cos_engine import CosConfig, OptionKind, OptionSpec, Variant, price
 from cospricer.errors import PricingError, ValidationError
 from cospricer.models import (
@@ -24,6 +23,7 @@ from cospricer.models import (
     KouParams,
     MarketSpec,
     _heston_log_envelope,
+    _log_envelope,
     char_fn,
     check_moment,
     cumulants,
@@ -204,12 +204,12 @@ class TestSpectrumCertification:
 
 
 def assert_first_dead_index(model, market, step, shift, size, end):
-    """end is the first index k >= 1 whose envelope lies below ZERO_LOG,
-    or size if there is none; the envelope does not increase, so the
-    neighbours of end decide it."""
+    """end is the first index k >= 1 whose bound lies below ZERO_LOG, or
+    size if there is none; the bound does not increase, so the neighbours
+    of end decide it."""
 
     def dead(k):
-        return _heston_log_envelope(model, market, shift, k * step) < ZERO_LOG
+        return _log_envelope(model, market, shift, k * step) < ZERO_LOG
 
     if end == size:
         assert size < 2 or not dead(size - 1)
@@ -244,22 +244,34 @@ def assert_live_band(model, market, step, shift, size):
     assert band.size == 1 or band[-1] != 0.0
 
 
-class TestBlocks:
+class TestLiveBand:
     MARKET = presets.market_preset(1.0)
 
-    def test_blocks_double_until_one_is_all_zeros(self):
+    def test_kou_reference_contour_is_one_call(self):
         # the reference grid of the kou preset: 1484 nonzero values of 60000
         evaluate = CountingCharFn()
         model = presets.model_preset("kou")
-        width = truncation_range(cumulants(model, self.MARKET), 12.0).width
-        band = live_band(evaluate, model, self.MARKET, math.pi / width, 0.0, 60000)
-        assert evaluate.sizes == [1024, 1024, 2048]
+        step = math.pi / truncation_range(cumulants(model, self.MARKET), 12.0).width
+        band = live_band(evaluate, model, self.MARKET, step, 0.0, 60000)
+        [end] = evaluate.sizes
         assert band.size == 1484
+        assert end <= band.size + 3
+        assert_first_dead_index(model, self.MARKET, step, 0.0, 60000, end)
 
-    def test_short_grid_is_one_call(self):
+    def test_contour_live_to_its_end_costs_one_bound_value(self, monkeypatch):
+        # 210 terms of cgmy1, none of which underflows
+        bounds = []
+
+        def counting_bound(model, market, alpha, u):
+            bounds.append(u)
+            return _log_envelope(model, market, alpha, u)
+
+        monkeypatch.setattr(models, "_log_envelope", counting_bound)
         evaluate = CountingCharFn()
-        live_band(evaluate, presets.model_preset("cgmy1"), self.MARKET, 0.5, 0.0, 210)
+        band = live_band(evaluate, presets.model_preset("cgmy1"), self.MARKET, 0.1, 0.0, 210)
         assert evaluate.sizes == [210]
+        assert bounds == [209 * 0.1]
+        assert band[-1] != 0.0
 
     @pytest.mark.parametrize("name", ["kou", "heston"])
     def test_cuts_after_the_last_nonzero_value(self, name):
@@ -372,30 +384,51 @@ class TestDecayProperty:
     @_slow
     @given(model=st.one_of(_kou, _cgmy), maturity=_maturities, fraction=_fractions,
            n_terms=st.integers(1, 20000), step=st.floats(1e-3, 5.0))
-    def test_blocks_return_what_one_call_returns(self, model, maturity, fraction, n_terms, step):
+    def test_band_is_what_one_call_returns(self, model, maturity, fraction, n_terms, step):
         market = MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
         assert_live_band(model, market, *contour(model, fraction, step, n_terms))
+
+    @_slow
+    @given(model=st.one_of(_kou, _cgmy), maturity=_maturities, fraction=_fractions)
+    def test_bound_is_the_log_modulus_and_does_not_increase(self, model, maturity, fraction):
+        market = MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
+        lo, hi = damping_bounds(model)
+        alpha = lo + fraction * (hi - lo)
+        u = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 2000)))
+        modulus = np.abs(char_fn(model, market, u - 1j * alpha))
+        assume(np.isfinite(modulus[0]))  # an overflowing moment has no decay to check
+        bound = np.array([_log_envelope(model, market, alpha, x) for x in u])
+        # below the smallest normal double exp loses its relative accuracy
+        normal = modulus >= np.finfo(float).tiny
+        log_modulus = np.log(modulus[normal])
+        gap = np.abs(bound[normal] - log_modulus)
+        allowed = 1e-10 * np.maximum(1.0, np.abs(log_modulus))
+        assert (gap <= allowed).all(), u[normal][gap > allowed]
+        slack = 1e-10 * np.maximum(1.0, np.abs(bound[:-1]))
+        rise = np.diff(bound)
+        assert not (rise > slack).any(), u[1:][rise > slack]
 
     @_slow
     @given(
         model=st.one_of(
             _heston,
+            _kou,
+            _cgmy,
             st.builds(CGMYParams, C=st.floats(0.1, 5.0), G=st.floats(0.5, 20.0),
                       M=st.floats(1.5, 20.0), Y=st.floats(-5.0, -1.0)),
         ),
-        n_terms=st.integers(1025, 20000),
+        fraction=_fractions,
+        n_terms=st.integers(1, 20000),
         step=st.floats(0.01, 2.0),
     )
-    def test_other_models_take_one_call(self, model, n_terms, step):
+    def test_every_model_takes_one_call(self, model, fraction, n_terms, step):
+        # over the points before the bound's first dead index
         evaluate = CountingCharFn()
         market = presets.market_preset(1.0)
-        live_band(evaluate, model, market, step, 0.5, n_terms)
-        if isinstance(model, HestonParams):
-            # over the points before the envelope's cut
-            [end] = evaluate.sizes
-            assert_first_dead_index(model, market, step, 0.5, n_terms, end)
-        else:
-            assert evaluate.sizes == [n_terms]
+        step, shift, size = contour(model, fraction, step, n_terms)
+        live_band(evaluate, model, market, step, shift, size)
+        [end] = evaluate.sizes
+        assert_first_dead_index(model, market, step, shift, size, end)
 
 
 class TestHestonEnvelope:
