@@ -36,8 +36,8 @@ def main():
     integral = price_fourier_integral(model, market, STRIKE, integral_preset(PROFILE))
     print(f"  {'fourier integral':<18s} {integral:.10f}")
 
-    fft = price_carr_madan(model, market, [STRIKE], carr_madan_preset(PROFILE))[0]
-    print(f"  {'carr-madan fft':<18s} {fft:.10f}   (cubic fit between grid strikes)")
+    carr_madan = price_carr_madan(model, market, [STRIKE], carr_madan_preset(PROFILE))[0]
+    print(f"  {'carr-madan':<18s} {carr_madan:.10f}   (cubic fit between grid strikes)")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ model's strip of analyticity.  The module also provides log-cumulants of the
 log-return (computed by central differences of log phi_T) and the series
 truncation interval built from them.
 
-Both fixed-grid consumers, the cosine engine and the Carr-Madan FFT,
+Both fixed-grid consumers, the cosine engine and the Carr-Madan sum,
 read phi_T along a contour u - i*alpha, u = 0, du, 2*du, ..., through
 :func:`live_band`, which evaluates phi_T only before the first point
 where a proven non-increasing bound on |phi_T| shows an exact zero.

@@ -101,7 +101,7 @@ _METHOD_PRESETS = {
 # to keep the exp(alpha*y) moment representable
 _INTEGRAL_DAMPING = {"heston": 1.1, "kou": 1.1, "cgmy1": 1.1, "cgmy2": 1.015}
 
-# FFT settings per profile, chosen so the frequency sum is converged
+# Carr-Madan grids per profile, chosen so the frequency sum is converged
 # (see the grid-spacing study in the test suite); the fat-tail set
 # needs a small damping for the same moment reason as above
 _CARR_MADAN = {

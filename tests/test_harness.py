@@ -248,7 +248,7 @@ class TestStrikeTable:
             }, profile
 
     def test_empty_strike_list_calls_no_pricer(self, monkeypatch):
-        # not even the Carr-Madan spectrum, 65536 points whatever the strike count
+        # not even the Carr-Madan spectrum
         def unreachable(*args, **kwargs):
             raise AssertionError("an empty column must not be priced")
 

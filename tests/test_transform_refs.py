@@ -3,7 +3,7 @@
 The damped Fourier integral is validated against the Black-Scholes
 closed form before anything else relies on it, and its fixed-node rule
 is certified against adaptive quadrature of the same integrand; the
-Carr-Madan FFT is then checked against the bundled reference prices,
+Carr-Madan pricer is then checked against the bundled reference prices,
 on and off the log-strike grid, and its readout against a per-strike
 cubic spline.
 """
@@ -28,6 +28,7 @@ from cospricer import (
     price_carr_madan,
     price_fourier_integral,
 )
+from cospricer import transform_refs
 from cospricer.transform_refs import _call_spectrum
 from cospricer.presets import (
     STRIKE_GRID,
@@ -39,7 +40,7 @@ from cospricer.presets import (
 
 PROFILES = ("heston", "kou", "cgmy1", "cgmy2")
 
-# half-unit strike lattice in [60, 160], inside every profile's FFT span
+# half-unit strike lattice in [60, 160], inside every profile's log-strike span
 LATTICE = np.arange(60.0, 160.0 + 0.25, 0.5)
 
 # Heston parameters whose moments explode inside the maturities probed:
@@ -156,7 +157,7 @@ class TestCarrMadanConfig:
 
 class TestCarrMadan:
     def test_on_grid_strike_matches_reference(self, market):
-        # K = S0 sits exactly on the FFT log-strike grid, so no
+        # K = S0 sits exactly on the log-strike grid, so no
         # interpolation error enters and the match is sharp
         table = load_strike_table()
         for name in PROFILES:
@@ -198,6 +199,24 @@ class TestCarrMadan:
         model = model_preset("heston")
         with pytest.raises(ValidationError, match="log-strike span"):
             price_carr_madan(model, market, [100.0 * math.e ** 3], config)
+
+    def test_strike_at_span_limit_prices(self, market):
+        # on this grid the largest accepted log-moneyness lies a rounding
+        # error past the last interval's left end; its readout needs the
+        # grid index n, which used to raise IndexError
+        config = CarrMadanConfig(n_fft=1024, spacing=0.16)
+        n, lam, span = config.n_fft, config.strike_step, config.strike_span
+        limit, last = span - 2.0 * lam, -span + lam * (n - 2)
+        assert last < limit
+        strike = market.spot * math.exp(limit)
+        while not last < math.log(strike / market.spot) <= limit:
+            past = math.log(strike / market.spot) > limit
+            strike = math.nextafter(strike, 0.0 if past else math.inf)
+        model = model_preset("kou")
+        at_limit, on_grid = price_carr_madan(
+            model, market, [strike, market.spot * math.exp(last)], config
+        )
+        assert at_limit == pytest.approx(on_grid, rel=1e-12)
 
     def test_rejects_bad_strike(self, market):
         model = model_preset("heston")
@@ -279,7 +298,11 @@ class TestCarrMadanReadout:
     def test_matches_natural_cubic_spline(self, market, name):
         model, config = model_preset(name), carr_madan_preset(name)
         got = price_carr_madan(model, market, LATTICE, config)
-        grid_k, spectrum = _call_spectrum(model, market, config)
+        grid_k = -config.strike_span + config.strike_step * np.arange(config.n_fft)
+        j = np.searchsorted(grid_k, np.log(LATTICE / market.spot))
+        nodes = np.unique(j[:, None] + np.arange(-2, 2))
+        spectrum = np.full(config.n_fft, np.nan)
+        spectrum[nodes] = _call_spectrum(model, market, config, nodes)
         prices = market.spot * np.exp(-config.damping * grid_k) / math.pi * spectrum
         for strike, value in zip(LATTICE, got):
             k = math.log(strike / market.spot)
@@ -291,14 +314,48 @@ class TestCarrMadanReadout:
     @pytest.mark.parametrize("name", PROFILES)
     def test_exact_on_grid(self, market, name):
         model, config = model_preset(name), carr_madan_preset(name)
-        grid_k, spectrum = _call_spectrum(model, market, config)
-        at_spot = config.n_fft // 2
-        assert grid_k[at_spot] == 0.0
+        nodes = config.n_fft // 2 + np.arange(-2, 2)
+        assert -config.strike_span + config.strike_step * nodes[2] == 0.0
+        spectrum = _call_spectrum(model, market, config, nodes)
         value = price_carr_madan(model, market, [market.spot], config)[0]
-        assert value == market.spot * (1.0 / math.pi * spectrum[at_spot])
+        assert value == market.spot * (1.0 / math.pi * spectrum[2])
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_column_matches_strikes_alone(self, monkeypatch, market, name):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("the readout must not run an FFT")
+
+        monkeypatch.setattr(np.fft, "fft", no_fft)
+        model, config = model_preset(name), carr_madan_preset(name)
+        # unsorted, with a duplicate, and with strikes a fraction of a grid
+        # step from K = 100 that read three or all four of its grid values
+        lam = config.strike_step
+        strikes = [float(k) for k in LATTICE[::-7]] + [100.0, 100.0]
+        strikes += [100.0 * math.exp(0.3 * lam), 100.0 * math.exp(-0.6 * lam)]
+        column = price_carr_madan(model, market, strikes, config)
+        for strike, value in zip(strikes, column):
+            alone = price_carr_madan(model, market, [strike], config)[0]
+            assert value == pytest.approx(alone, rel=1e-13, abs=0.0), (name, strike)
+
+    def test_empty_column_evaluates_no_phi(self, monkeypatch, market):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return char_fn(*args)
+
+        monkeypatch.setattr(transform_refs, "char_fn", spy)
+        model = model_preset("kou")
+        assert price_carr_madan(model, market, []) == []
+        assert price_fourier_integral(model, market, []) == []
+        assert calls == []
+        # the spy sees a priced column
+        price_carr_madan(model, market, [100.0])
+        price_fourier_integral(model, market, [100.0])
+        assert len(calls) == 2
 
     def test_exploded_moment_rejected(self):
-        # past the explosion of E[S_T^1.75] the FFT used to price 18.54,
+        # past the explosion of E[S_T^1.75] Carr-Madan used to price 18.54,
         # below the no-arbitrage bound 22.12
         market = explosive_market(5.0)
         with pytest.raises(ValidationError, match="not real, positive and finite"):
