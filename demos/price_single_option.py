@@ -37,7 +37,7 @@ def main():
     print(f"  {'fourier integral':<18s} {integral:.10f}")
 
     carr_madan = price_carr_madan(model, market, [STRIKE], carr_madan_preset(PROFILE))[0]
-    print(f"  {'carr-madan':<18s} {carr_madan:.10f}   (cubic fit between grid strikes)")
+    print(f"  {'carr-madan':<18s} {carr_madan:.10f}   (Simpson sum at the strike)")
 
 
 if __name__ == "__main__":

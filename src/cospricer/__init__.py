@@ -6,7 +6,7 @@ can be priced three ways: a damped expansion that keeps the payoff
 coefficients bounded, the classic undamped expansion, and put-call
 parity on the undamped put.  A convergence curve, one option at
 several term counts, is priced from one series.  Two transform
-pricers (Carr-Madan on a log-strike grid and fixed-node Gauss-Legendre
+pricers (Carr-Madan summed at each strike and fixed-node Gauss-Legendre
 quadrature of the damped Fourier integral), each pricing a strike
 column at once, serve as independent cross-checks, and a small
 harness regenerates the benchmark tables and figure datasets.

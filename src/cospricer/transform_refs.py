@@ -4,11 +4,9 @@ Two independent routes to the same European call value, each pricing a
 whole strike column from shared vector work:
 
 ``price_carr_madan``
-    Inversion of the damped call transform on a uniform log-strike
-    grid, Simpson-weighted, read out at every strike by the natural
-    cubic spline through the four nearest grid strikes.  The inverse
-    transform is summed directly at those grid nodes only, with no FFT
-    over the whole grid.
+    Inversion of the damped call transform by Simpson's rule on a
+    uniform frequency grid, summed directly at every strike's own
+    log-moneyness: no log-strike grid, no FFT and no interpolation.
 ``price_fourier_integral``
     Fixed-node quadrature of the damped Fourier representation of the
     call payoff against the characteristic function: composite 16-point
@@ -18,7 +16,7 @@ whole strike column from shared vector work:
 Both operate on the log-return characteristic function and are used as
 oracles against the cosine-series engine; neither shares code with it
 beyond the model layer.  Carr-Madan sums its transform over the live
-band of phi only (:func:`models.live_band`): up to the last grid point
+band of phi only (:func:`models.live_band`): up to the last frequency
 where phi has not underflowed, the zeros past it adding nothing; phi is
 evaluated only where a proven bound cannot rule it out (the rule is in
 ``models.live_band``).  The Fourier integral evaluates phi at its
@@ -44,39 +42,34 @@ __all__ = [
 ]
 
 
+# the frequency contour of the Carr-Madan sum is capped at this many
+# points; every preset's live band ends well before it
+_MAX_FREQUENCIES = 2 ** 16
+
+
 @dataclass(frozen=True)
 class CarrMadanConfig:
-    """Grid for the damped call transform.
+    """Damped call transform settings.
 
-    n_fft (a power of two) sets the log-strike grid: n_fft points, step
-    2*pi / (n_fft * spacing), centred on k = 0; it also caps the frequency
-    grid at n_fft points.  No transform of that length runs: the pricer
-    sums the live band at the few grid nodes it reads.  damping is the
-    Carr-Madan exponent applied to the call in log-strike, spacing the
-    frequency step eta.
+    damping is the Carr-Madan exponent applied to the call in log-strike,
+    spacing the frequency step eta of the Simpson rule.  The sum is
+    2*pi/eta-periodic in the log-strike, so a strike prices only while
+    |log(K/S0)| <= strike_span = pi/eta.
     """
 
-    n_fft: int = 2 ** 16
     damping: float = 0.75
     spacing: float = 0.25
 
     def __post_init__(self):
-        n = self.n_fft
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ValidationError(f"n_fft must be a power of two >= 2, got {n}")
         if not (self.damping > 0.0 and math.isfinite(self.damping)):
             raise ValidationError(f"damping must be positive and finite, got {self.damping}")
         if not (self.spacing > 0.0 and math.isfinite(self.spacing)):
             raise ValidationError(f"spacing must be positive and finite, got {self.spacing}")
 
     @property
-    def strike_step(self) -> float:
-        return 2.0 * math.pi / (self.n_fft * self.spacing)
-
-    @property
     def strike_span(self) -> float:
-        """Half-width of the log-strike grid."""
-        return 0.5 * self.n_fft * self.strike_step
+        """Largest |log(K/S0)| priced."""
+        return math.pi / self.spacing
 
 
 @dataclass(frozen=True)
@@ -109,46 +102,41 @@ def _validate_strikes(strikes: Sequence[float]) -> list[float]:
     return strikes
 
 
-def _call_spectrum(
-    model: ModelSpec, market: MarketSpec, config: CarrMadanConfig, nodes: np.ndarray
+def _damped_calls(
+    model: ModelSpec, market: MarketSpec, config: CarrMadanConfig, log_strikes: np.ndarray
 ) -> np.ndarray:
-    """Re sum_p x_p e^{-2*pi*i*p*u/n} at the grid indices u in ``nodes``;
-    the call at log-strike k_u = -half_span + lam*u is
-    S0 * exp(-damping*k_u)/pi times the value at u.
+    """Re sum_p x_p e^{-i*v_p*k} at each log-strike k in ``log_strikes``;
+    the call at k is S0 * exp(-damping*k)/pi times the value at k.
 
-    x_p is the Simpson-weighted transform on the live band of phi
-    (:func:`models.live_band`), m points; the zeros past it add nothing.
-    With p = a + B*b (B about sqrt(m)) each twiddle is the product of
-    e^{-2*pi*i*(a*u mod n)/n} and e^{-2*pi*i*(B*b*u mod n)/n}, the angles
-    reduced in exact integer arithmetic, so one matrix product and one
-    reduction give every node for |nodes|*(m + B + m/B) work.
+    x_p is the Simpson-weighted transform at v_p = eta*p on the live band
+    of phi (:func:`models.live_band`), m points; the zeros past it add
+    nothing.  With p = a + B*b (B about sqrt(m)) each twiddle is the
+    product of e^{-i*eta*a*k} and e^{-i*eta*B*b*k}, so one matrix product
+    and one reduction give every strike for |K|*(m + B + m/B) work.
     """
-    n = config.n_fft
     eta = config.spacing
     alpha = config.damping
-    phi = live_band(char_fn, model, market, eta, alpha + 1.0, n)
+    phi = live_band(char_fn, model, market, eta, alpha + 1.0, _MAX_FREQUENCIES)
     check_moment(alpha + 1.0, phi[0])
     v = eta * np.arange(phi.size)
     # Fourier transform of the exp(alpha*k)-damped call in log-strike k
     psi = np.exp(-market.rate * market.maturity) * phi / (
         alpha * alpha + alpha - v * v + 1j * (2.0 * alpha + 1.0) * v
     )
-    # Simpson weights eta/3 * (1, 4, 2, 4, ..., 2, 4) times the phase
-    # e^{i*v_j*half_span} = e^{i*pi*j} = (-1)^j that re-centres the grid
-    signed = np.full(v.size, 2.0)
-    signed[1::2] = -4.0
-    signed[0] = 1.0
+    # Simpson weights eta/3 * (1, 4, 2, 4, ..., 2, 4)
+    weights = np.full(v.size, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = 1.0
     block = math.isqrt(v.size - 1) + 1
     rows = -(-v.size // block)
     terms = np.zeros(rows * block, dtype=complex)
-    terms[: v.size] = psi * ((eta / 3.0) * signed)
+    terms[: v.size] = psi * ((eta / 3.0) * weights)
 
     def twiddles(steps):
-        return np.exp((-2j * math.pi / n) * (np.multiply.outer(nodes, steps) % n))
+        return np.exp(-1j * eta * np.multiply.outer(log_strikes, steps))
 
-    # one row per node, so the last sum runs along contiguous memory,
-    # where NumPy adds pairwise: summed down columns instead, the nodes
-    # strayed up to 13 eps*sum|x_p| from the full-grid FFT, not 2.5
+    # one row per strike, so the last sum runs along contiguous memory,
+    # where NumPy adds pairwise
     inner = twiddles(block * np.arange(rows)) @ terms.reshape(rows, block)
     return (twiddles(np.arange(block)) * inner).sum(axis=1).real
 
@@ -164,62 +152,34 @@ def price_carr_madan(
     Parameters
     ----------
     model, market : model parameters and market data.
-    strikes : strike levels; each log-moneyness log(K/S0) must fall
-        inside the log-strike grid.
-    config : grid geometry and damping; the damping alpha must leave
+    strikes : strike levels; each log-moneyness log(K/S0) must lie
+        within config.strike_span = pi/spacing of zero.
+    config : damping and frequency step; the damping alpha must leave
         E[(S_T/S_0)^(alpha+1)] finite.
 
     Returns
     -------
     list of float
-        Call prices in strike order, read from the natural cubic spline
-        through the four nearest grid log-strikes (exact when a strike
-        lands on the grid, as K = S0 does).  Only those grid values are
-        computed; an empty column returns [] without evaluating phi.
+        Call prices in strike order, each the Simpson sum of the
+        inverse transform taken at the strike's own log-moneyness.  An
+        empty column returns [] without evaluating phi.
     """
     strikes = _validate_strikes(strikes)
     if not strikes:
         return []
-    lam = config.strike_step
     log_strikes = np.log(np.asarray(strikes) / market.spot)
-    limit = config.strike_span - 2.0 * lam  # the readout needs two grid points each side
-    if np.any(np.abs(log_strikes) > limit):
+    span = config.strike_span
+    if np.any(np.abs(log_strikes) > span):
         raise ValidationError(
-            f"strike outside the Carr-Madan log-strike span (|log(K/S0)| > {limit:.3f})"
+            f"strike outside the Carr-Madan log-strike span (|log(K/S0)| > {span:.3f})"
         )
-
-    def grid_k(u):
-        return -config.strike_span + lam * u  # u = n/2 sits exactly at k = 0
-
-    # j is the first grid index with grid_k[j] >= k; the rounded guess is
-    # off by at most one, so counting the grid points below k near it
-    # finds j as a search of the whole grid would.  A strike within
-    # rounding of the upper limit can pass grid_k[n-2]; it is read from
-    # the last interval, which the readout extends by that rounding
-    guess = np.ceil((log_strikes + config.strike_span) / lam).astype(np.int64)
-    near = guess[:, None] + np.arange(-2, 3)
-    j = near[:, 0] + (grid_k(near) < log_strikes[:, None]).sum(axis=1)
-    j = np.minimum(j, config.n_fft - 2)
-    nodes = j[:, None] + np.arange(-2, 2)
-    unique, where = np.unique(nodes.ravel(), return_inverse=True)
-    spectrum = _call_spectrum(model, market, config, unique)[where].reshape(nodes.shape)
-    y0, y1, y2, y3 = (
-        market.spot * (np.exp(-config.damping * grid_k(nodes)) / math.pi * spectrum)
-    ).T
-    # natural cubic spline through the four points, on the middle interval;
-    # s = 0 at grid_k[j], so a strike on the grid returns y2 exactly
-    s = (grid_k(j) - log_strikes) / lam
-    t = 1.0 - s
-    curve1 = y0 - 2.0 * y1 + y2
-    curve2 = y1 - 2.0 * y2 + y3
-    prices = s * y1 + t * y2 + (
-        (s ** 3 - s) * (4.0 * curve1 - curve2) + (t ** 3 - t) * (4.0 * curve2 - curve1)
-    ) / 15.0
+    calls = _damped_calls(model, market, config, log_strikes)
+    prices = market.spot * (np.exp(-config.damping * log_strikes) / math.pi * calls)
 
     bad = ~(np.isfinite(prices) & (prices <= market.spot * (1.0 + 1e-9)))
     if bad.any():
         # a call above spot signals the exp((damping+1)*y) moment has
-        # overwhelmed the grid; lower the damping for heavy tails
+        # overwhelmed the sum; lower the damping for heavy tails
         raise ComputationError(
             f"Carr-Madan call price {prices[bad.argmax()]:.3e} violates the spot bound; "
             f"damping {config.damping} is too aggressive for this model"

@@ -16,7 +16,7 @@ Criteria:
      count, at worst halving per doubling of N before the plateau
   4. the damped-call price is flat to 1e-6 over the (alpha, L) box
   5. both transform methods agree with the damped expansion
-     (1e-8 integral everywhere; FFT 1e-3 off-grid, 1e-8 at the money)
+     (1e-8 at every strike, for the integral and for Carr-Madan)
   6. structural identities: characteristic-function axioms, payoff
      coefficients against quadrature, put-call parity, and the
      zero-damping reduction to the plain expansion
@@ -277,19 +277,12 @@ class TestCriterion5:
         assert worst <= 1e-8
 
     def test_c5_fft_agrees(self, transform_table):
-        strikes = list(transform_table.axis("strike"))
         methods = list(transform_table.axis("method"))
         stable = transform_table.values[:, :, methods.index("stable")]
         fft = transform_table.values[:, :, methods.index("carr_madan")]
-        gaps = np.abs(fft - stable)
-        at_money = gaps[strikes.index(100.0)]
-        note(
-            "criterion 5 fft",
-            f"36 cells, worst |gap| {gaps.max():.2e} (tol 1e-3); "
-            f"at K=100 worst {at_money.max():.2e} (tol 1e-8)",
-        )
-        assert gaps.max() <= 1e-3
-        assert at_money.max() <= 1e-8
+        worst = float(np.max(np.abs(fft - stable)))
+        note("criterion 5 fft", f"36 cells, worst |gap| {worst:.2e} (tol 1e-8)")
+        assert worst <= 1e-8
 
 
 class TestCriterion6:

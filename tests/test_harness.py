@@ -248,13 +248,13 @@ class TestStrikeTable:
             }, profile
 
     def test_empty_strike_list_calls_no_pricer(self, monkeypatch):
-        # not even the Carr-Madan spectrum
+        # not even the Carr-Madan sum
         def unreachable(*args, **kwargs):
             raise AssertionError("an empty column must not be priced")
 
         for name in ("price", "price_fourier_integral", "price_carr_madan"):
             monkeypatch.setattr(harness, name, unreachable)
-        monkeypatch.setattr(transform_refs, "_call_spectrum", unreachable)
+        monkeypatch.setattr(transform_refs, "_damped_calls", unreachable)
         result = run_strike_table(strikes=[])
         assert result.values.shape == (0, len(presets.PROFILE_NAMES), len(METHOD_NAMES))
         assert result.flags == {}

@@ -2,9 +2,9 @@
 only up to the last one that has not underflowed.
 
 Certification compares the engine with a full-grid evaluator written
-out here (no cut), bit for bit, and the Carr-Madan node sum with the
-FFT over the whole grid, to rounding; the property tests check the
-bounds on log|phi| that place the cut.
+out here (no cut), bit for bit, and the Carr-Madan sum at K = S0 with
+the FFT over the whole capped contour, to rounding; the property tests
+check the bounds on log|phi| that place the cut.
 """
 
 import itertools
@@ -33,7 +33,7 @@ from cospricer.models import (
     moment_is_valid,
     truncation_range,
 )
-from cospricer.transform_refs import _call_spectrum
+from cospricer.transform_refs import _MAX_FREQUENCIES, _damped_calls
 
 STRIKES = (1e-3, 60.0, 100.0, 160.0, 1e5)
 
@@ -94,47 +94,44 @@ def full_grid_series_values(model, market, kind, alpha, base, x, ranges, strikes
     ]
 
 
-def full_grid_spectrum(model, market, config):
-    """The FFT over all n_fft points of the Simpson-weighted transform
-    that transform_refs._call_spectrum sums at its nodes, with phi on the
-    whole grid; also returns sum |x_p|, the scale of its rounding."""
-    n, eta, alpha = config.n_fft, config.spacing, config.damping
-    v = eta * np.arange(n)
+def simpson_terms(model, market, config):
+    """x_p, the Simpson-weighted transform that transform_refs._damped_calls
+    sums, with phi on every point of the capped contour (no cut)."""
+    eta, alpha = config.spacing, config.damping
+    v = eta * np.arange(_MAX_FREQUENCIES)
     phi = char_fn(model, market, v - 1j * (alpha + 1.0))
     check_moment(alpha + 1.0, phi[0])
     psi = np.exp(-market.rate * market.maturity) * phi / (
         alpha * alpha + alpha - v * v + 1j * (2.0 * alpha + 1.0) * v
     )
-    signed = np.full(n, 2.0)
-    signed[1::2] = -4.0
-    signed[0] = 1.0
-    terms = psi * ((eta / 3.0) * signed)
+    weights = np.full(v.size, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = 1.0
+    return psi * ((eta / 3.0) * weights)
+
+
+def full_grid_spectrum(model, market, config):
+    """The FFT of x_p * (-1)^p over the whole capped contour, whose index
+    n/2 is the sum at k = 0; also returns sum |x_p|, the scale of its
+    rounding."""
+    terms = simpson_terms(model, market, config)
+    terms[1::2] *= -1.0
     return np.fft.fft(terms).real, np.abs(terms).sum()
 
 
-def readout_nodes(market, config):
-    """The grid indices the cubic readout reads for the half-unit strike
-    lattice in [60, 160], and the two ends of the grid."""
-    n = config.n_fft
-    grid_k = -config.strike_span + config.strike_step * np.arange(n)
-    j = np.searchsorted(grid_k, np.log(np.arange(60.0, 160.25, 0.5) / market.spot))
-    reads = (j[:, None] + np.arange(-2, 2)).ravel()
-    return np.unique(np.concatenate([reads, [0, 1, n - 2, n - 1]]))
-
-
-def assert_nodes_match_full_grid(model, market, config):
-    """Every readout node within 16 eps sum |x_p| of the full-grid FFT, or
-    the same error type from both."""
-    nodes = readout_nodes(market, config)
+def assert_at_the_money_matches_full_grid(model, market, config):
+    """The sum at k = 0 within 16 eps sum |x_p| of the full-grid FFT, or
+    the same error type from both.  Only k = 0 is compared: elsewhere the
+    grid's log-strikes carry rounding of their own, about eps*pi/eta."""
     try:
-        want, scale = full_grid_spectrum(model, market, config)
+        spectrum, scale = full_grid_spectrum(model, market, config)
     except PricingError as exc:
         with pytest.raises(PricingError) as raised:
-            _call_spectrum(model, market, config, nodes)
+            _damped_calls(model, market, config, np.zeros(1))
         assert raised.type is type(exc)
         return
-    got = _call_spectrum(model, market, config, nodes)
-    error = np.max(np.abs(got - want[nodes]))
+    [got] = _damped_calls(model, market, config, np.zeros(1))
+    error = abs(got - spectrum[spectrum.size // 2])
     assert error <= 16.0 * np.finfo(float).eps * scale, (model, market.maturity, error / scale)
 
 
@@ -213,13 +210,13 @@ class TestSpectrumCertification:
     @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0])
     def test_nodes_match_full_grid(self, name, maturity):
         model, market = presets.model_preset(name), presets.market_preset(maturity)
-        assert_nodes_match_full_grid(model, market, presets.carr_madan_preset(name))
+        assert_at_the_money_matches_full_grid(model, market, presets.carr_madan_preset(name))
 
     @pytest.mark.parametrize("edge", HESTON_EDGES)
     @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0])
     def test_heston_edges_match_full_grid(self, edge, maturity):
         model, market = HESTON_EDGES[edge][0], heston_market(maturity)
-        assert_nodes_match_full_grid(model, market, presets.carr_madan_preset("heston"))
+        assert_at_the_money_matches_full_grid(model, market, presets.carr_madan_preset("heston"))
 
 
 def assert_first_dead_index(model, market, step, shift, size, end):

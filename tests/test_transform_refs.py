@@ -3,9 +3,9 @@
 The damped Fourier integral is validated against the Black-Scholes
 closed form before anything else relies on it, and its fixed-node rule
 is certified against adaptive quadrature of the same integrand; the
-Carr-Madan pricer is then checked against the bundled reference prices,
-on and off the log-strike grid, and its readout against a per-strike
-cubic spline.
+Carr-Madan pricer is then checked against the bundled reference prices
+and the Fourier integral at every strike, and its Simpson sum against a
+direct sum in extended precision.
 """
 
 import cmath
@@ -14,7 +14,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from cospricer import (
     CarrMadanConfig,
@@ -29,7 +28,7 @@ from cospricer import (
     price_fourier_integral,
 )
 from cospricer import transform_refs
-from cospricer.transform_refs import _call_spectrum
+from cospricer.transform_refs import _damped_calls
 from cospricer.presets import (
     STRIKE_GRID,
     carr_madan_preset,
@@ -37,6 +36,8 @@ from cospricer.presets import (
     load_strike_table,
     model_preset,
 )
+
+from test_live_band import full_grid_spectrum, simpson_terms
 
 PROFILES = ("heston", "kou", "cgmy1", "cgmy2")
 
@@ -136,12 +137,6 @@ class TestFourierIntegral:
 
 
 class TestCarrMadanConfig:
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValidationError, match="power of two"):
-            CarrMadanConfig(n_fft=1000)
-        with pytest.raises(ValidationError, match="power of two"):
-            CarrMadanConfig(n_fft=1)
-
     def test_rejects_non_positive_grid(self):
         with pytest.raises(ValidationError, match="damping must be positive"):
             CarrMadanConfig(damping=0.0)
@@ -149,16 +144,14 @@ class TestCarrMadanConfig:
             CarrMadanConfig(spacing=-0.25)
 
     def test_grid_geometry(self):
-        # lam * eta = 2*pi / n, so the half span collapses to pi / eta
-        config = CarrMadanConfig(n_fft=2 ** 16, spacing=0.25)
-        assert config.strike_step == pytest.approx(2.0 * math.pi / (2 ** 16 * 0.25))
-        assert config.strike_span == pytest.approx(math.pi / 0.25)
+        # the Simpson sum is 2*pi/eta-periodic in the log-strike
+        config = CarrMadanConfig(spacing=0.25)
+        assert config.strike_span == math.pi / 0.25
 
 
 class TestCarrMadan:
     def test_on_grid_strike_matches_reference(self, market):
-        # K = S0 sits exactly on the log-strike grid, so no
-        # interpolation error enters and the match is sharp
+        # K = S0 alone, a one-strike column
         table = load_strike_table()
         for name in PROFILES:
             got = price_carr_madan(
@@ -177,13 +170,22 @@ class TestCarrMadan:
             assert len(got) == len(strikes)
             for strike, value in zip(strikes, got):
                 want = table[(name, "stable", strike)]
-                # off-grid strikes go through the local cubic fit
-                assert value == pytest.approx(want, abs=1e-3), (name, strike)
+                # every strike is summed at its own log-moneyness
+                assert value == pytest.approx(want, abs=1e-8), (name, strike)
                 assert 0.0 < value <= market.spot
                 intrinsic = market.spot * math.exp(
                     -market.dividend * market.maturity
                 ) - strike * math.exp(-market.rate * market.maturity)
                 assert value >= intrinsic - 1e-6
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_lattice_matches_fourier_integral(self, market, name):
+        # the two oracles share only the model layer, so agreement at
+        # every strike of a dense column checks both
+        model = model_preset(name)
+        got = price_carr_madan(model, market, LATTICE, carr_madan_preset(name))
+        want = price_fourier_integral(model, market, list(LATTICE), integral_preset(name))
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-10, name
 
     def test_heavy_tail_rejects_default_damping(self, market):
         # the default damping needs the 1.75th exponential moment, which
@@ -194,29 +196,11 @@ class TestCarrMadan:
             price_carr_madan(model, market, [100.0], CarrMadanConfig())
 
     def test_rejects_strike_outside_span(self, market):
-        # shrink the span so the check is cheap to trip
-        config = CarrMadanConfig(n_fft=16, spacing=1.0)
+        # widen the step so the span, pi, is cheap to leave
+        config = CarrMadanConfig(spacing=1.0)
         model = model_preset("heston")
         with pytest.raises(ValidationError, match="log-strike span"):
-            price_carr_madan(model, market, [100.0 * math.e ** 3], config)
-
-    def test_strike_at_span_limit_prices(self, market):
-        # on this grid the largest accepted log-moneyness lies a rounding
-        # error past the last interval's left end; its readout needs the
-        # grid index n, which used to raise IndexError
-        config = CarrMadanConfig(n_fft=1024, spacing=0.16)
-        n, lam, span = config.n_fft, config.strike_step, config.strike_span
-        limit, last = span - 2.0 * lam, -span + lam * (n - 2)
-        assert last < limit
-        strike = market.spot * math.exp(limit)
-        while not last < math.log(strike / market.spot) <= limit:
-            past = math.log(strike / market.spot) > limit
-            strike = math.nextafter(strike, 0.0 if past else math.inf)
-        model = model_preset("kou")
-        at_limit, on_grid = price_carr_madan(
-            model, market, [strike, market.spot * math.exp(last)], config
-        )
-        assert at_limit == pytest.approx(on_grid, rel=1e-12)
+            price_carr_madan(model, market, [100.0 * math.e ** 3.2], config)
 
     def test_rejects_bad_strike(self, market):
         model = model_preset("heston")
@@ -293,32 +277,48 @@ class TestFourierIntegralRule:
         assert lower < price_fourier_integral(EXPLOSIVE, market, 100.0) < market.spot
 
 
+def extended_direct_sum(model, market, config, log_strikes):
+    """Re sum_p x_p e^{-i*eta*p*k} at each log-strike k, every term and
+    the sum in extended precision (np.longdouble), with x_p formed in
+    double on the whole capped contour, trailing zeros dropped; also
+    returns sum |x_p|."""
+    x = simpson_terms(model, market, config)
+    x = x[: np.flatnonzero(x)[-1] + 1]
+    re, im = x.real.astype(np.longdouble), x.imag.astype(np.longdouble)
+    steps = np.longdouble(config.spacing) * np.arange(x.size, dtype=np.longdouble)
+    sums = []
+    for k in np.asarray(log_strikes, dtype=np.longdouble):
+        angle = steps * k
+        sums.append(np.sum(re * np.cos(angle) + im * np.sin(angle)))
+    return np.array(sums, dtype=float), float(np.abs(x).sum())
+
+
 class TestCarrMadanReadout:
     @pytest.mark.parametrize("name", PROFILES)
-    def test_matches_natural_cubic_spline(self, market, name):
+    def test_matches_extended_precision_sum(self, market, name):
         model, config = model_preset(name), carr_madan_preset(name)
-        got = price_carr_madan(model, market, LATTICE, config)
-        grid_k = -config.strike_span + config.strike_step * np.arange(config.n_fft)
-        j = np.searchsorted(grid_k, np.log(LATTICE / market.spot))
-        nodes = np.unique(j[:, None] + np.arange(-2, 2))
-        spectrum = np.full(config.n_fft, np.nan)
-        spectrum[nodes] = _call_spectrum(model, market, config, nodes)
-        prices = market.spot * np.exp(-config.damping * grid_k) / math.pi * spectrum
-        for strike, value in zip(LATTICE, got):
-            k = math.log(strike / market.spot)
-            j = int(np.searchsorted(grid_k, k))
-            sel = slice(j - 2, j + 2)
-            spline = CubicSpline(grid_k[sel], prices[sel], bc_type="natural")
-            assert value == pytest.approx(float(spline(k)), abs=1e-12), (name, strike)
+        # the lattice, and log-strikes across the whole span to its ends
+        lattice = np.log(LATTICE / market.spot)
+        log_strikes = np.concatenate((lattice, config.strike_span * np.linspace(-1.0, 1.0, 21)))
+        got = _damped_calls(model, market, config, log_strikes)
+        want, scale = extended_direct_sum(model, market, config, log_strikes)
+        error = np.max(np.abs(got - want))
+        assert error <= 16.0 * np.finfo(float).eps * scale, (name, error / scale)
+        # each price is that sum at its strike, scaled back
+        prices = price_carr_madan(model, market, LATTICE, config)
+        calls = got[: LATTICE.size]
+        assert prices == (market.spot * (np.exp(-config.damping * lattice) / math.pi * calls)).tolist()
 
     @pytest.mark.parametrize("name", PROFILES)
     def test_exact_on_grid(self, market, name):
+        # K = S0 sits at k = 0 on the old log-strike grid, where the FFT
+        # over the whole capped contour gives the sum at index n/2
         model, config = model_preset(name), carr_madan_preset(name)
-        nodes = config.n_fft // 2 + np.arange(-2, 2)
-        assert -config.strike_span + config.strike_step * nodes[2] == 0.0
-        spectrum = _call_spectrum(model, market, config, nodes)
+        spectrum, scale = full_grid_spectrum(model, market, config)
         value = price_carr_madan(model, market, [market.spot], config)[0]
-        assert value == market.spot * (1.0 / math.pi * spectrum[2])
+        want = market.spot / math.pi * spectrum[spectrum.size // 2]
+        tolerance = market.spot / math.pi * 16.0 * np.finfo(float).eps * scale
+        assert value == pytest.approx(want, abs=tolerance, rel=0.0)
 
     @pytest.mark.parametrize("name", PROFILES)
     def test_column_matches_strikes_alone(self, monkeypatch, market, name):
@@ -327,11 +327,9 @@ class TestCarrMadanReadout:
 
         monkeypatch.setattr(np.fft, "fft", no_fft)
         model, config = model_preset(name), carr_madan_preset(name)
-        # unsorted, with a duplicate, and with strikes a fraction of a grid
-        # step from K = 100 that read three or all four of its grid values
-        lam = config.strike_step
+        # unsorted, with a duplicate, and with strikes a hair from K = 100
         strikes = [float(k) for k in LATTICE[::-7]] + [100.0, 100.0]
-        strikes += [100.0 * math.exp(0.3 * lam), 100.0 * math.exp(-0.6 * lam)]
+        strikes += [100.0 * math.exp(3e-5), 100.0 * math.exp(-6e-5)]
         column = price_carr_madan(model, market, strikes, config)
         for strike, value in zip(strikes, column):
             alone = price_carr_madan(model, market, [strike], config)[0]
