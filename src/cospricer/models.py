@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import ComputationError, DomainError, ValidationError
 
@@ -134,8 +133,10 @@ class KouParams:
 class CGMYParams:
     """Tempered-stable pure-jump model with parameters C, G, M, Y.
 
-    M > 1 keeps E[S_T] finite; Y < 2 is required for a valid Levy measure and
-    Y in {0, 1} is excluded so that Gamma(-Y) is finite.
+    M > 1 keeps E[S_T] finite; Y < 2 is required for a valid Levy measure.
+    The characteristic function scales by Gamma(-Y), so every Y where
+    math.gamma(-Y) is not a finite float is refused: Y = 0 and Y = 1, the
+    poles, and Y below about -171.6, where Gamma(-Y) overflows.
     """
 
     C: float
@@ -152,8 +153,14 @@ class CGMYParams:
             raise ValidationError(f"M must exceed 1, got {self.M}")
         if not self.Y < 2.0:
             raise ValidationError(f"Y must be below 2, got {self.Y}")
-        if self.Y in (0.0, 1.0):
-            raise ValidationError("Y must not equal 0 or 1")
+        try:
+            gamma_finite = math.isfinite(math.gamma(-self.Y))
+        except (ValueError, OverflowError):
+            gamma_finite = False
+        if not gamma_finite:
+            raise ValidationError(
+                f"Y must not equal 0 or 1, and Gamma(-Y) must be finite, got {self.Y}"
+            )
 
 
 ModelSpec = Union[HestonParams, KouParams, CGMYParams]
@@ -206,7 +213,7 @@ def _cgmy_psi(g: float, m: float, y: float, u):
 def _cgmy_log_cf(model: CGMYParams, market: MarketSpec, u):
     t = market.maturity
     c, g, m, y = model.C, model.G, model.M, model.Y
-    gam = gamma_fn(-y)
+    gam = math.gamma(-y)
     # drift compensator is psi at u = -i, in real arithmetic
     psi_mart = m ** y * math.expm1(y * math.log1p(-1.0 / m)) + g ** y * math.expm1(
         y * math.log1p(1.0 / g)
@@ -494,7 +501,8 @@ def cumulants(model: ModelSpec, market: MarketSpec) -> Cumulants:
 
     def log_phi(h: float) -> complex:
         val = char_fn(model, market, complex(h))
-        return complex(np.log(val))
+        # an underflowed phi_T is log 0 = -inf, without NumPy's divide warning
+        return complex(np.log(val)) if val else complex(-math.inf)
 
     def stencil(h: float) -> tuple[float, float, float]:
         f1 = log_phi(h)
@@ -505,7 +513,13 @@ def cumulants(model: ModelSpec, market: MarketSpec) -> Cumulants:
         return c1, c2, c4
 
     # pilot step sized so that the relative perturbation of log phi is O(1e-4)
-    pilot = -2.0 * log_phi(1e-2).real / 1e-4
+    log_pilot = log_phi(1e-2).real
+    if not math.isfinite(log_pilot):
+        raise ComputationError(
+            f"Re log phi_T(0.01) = {log_pilot} for {type(model).__name__}: phi_T "
+            f"underflows (or overflows), so no finite-difference step can be sized"
+        )
+    pilot = -2.0 * log_pilot / 1e-4
     h = 1e-2 / math.sqrt(max(pilot, 1e-8))
     coarse = stencil(h)
     fine = stencil(0.5 * h)

@@ -125,6 +125,12 @@ class TestPrice:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "overflows" in err
 
+    def test_underflowed_characteristic_function_is_an_error_line(self, capsys):
+        # used to end in a ZeroDivisionError traceback with exit code 1
+        code, out, err = run_cli(capsys, "price", "--profile", "kou", "--maturity", "1e10")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "underflows" in err
+
     def test_method_and_overrides(self, capsys):
         # parity and stable disagree only at quadrature noise level
         _, stable_out, _ = run_cli(capsys, "price", "--profile", "cgmy1", "--strike", "90")

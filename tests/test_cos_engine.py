@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -369,6 +370,68 @@ class TestMomentCheck:
         cfg = CosConfig(n_terms=4096, range_width=12.0)
         put = price(self.EXPLOSIVE, market, OptionSpec(strike=100.0, kind=OptionKind.PUT), cfg)
         assert 0.0 < put.price < 100.0
+
+
+class TestUnderflowedCharacteristicFunction:
+    @pytest.mark.parametrize(
+        "model, maturity",
+        [
+            (presets.model_preset("kou"), 1e8),
+            (presets.model_preset("cgmy1"), 1e8),
+            (presets.model_preset("heston"), 1e10),
+            (presets.model_preset("cgmy2"), 1e6),
+            (CGMYParams(C=1.0, G=5.0, M=5.0, Y=-170.0), 1.0),
+        ],
+        ids=["kou", "cgmy1", "heston", "cgmy2", "cgmy-y-170"],
+    )
+    def test_typed_error_without_warnings(self, model, maturity):
+        # phi_T(0.01) underflows at r = 0; sizing the cumulant stencil from
+        # it used to end in a ZeroDivisionError.  The error comes before the
+        # series, so one preset config serves every model.
+        market = MarketSpec(spot=100.0, rate=0.0, maturity=maturity)
+        config = _preset_config("cgmy1", Variant.STABLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ComputationError, match="underflows"):
+                price(model, market, OptionSpec(strike=100.0), config)
+
+
+_FIX_A = "ROADMAP item 1, Fix A: size the stable range for the damped law (the tilted range)"
+
+
+class TestKnownWrongStablePrices:
+    """Stable cgmy2 calls outside the no-arbitrage bounds, with no error.
+
+    The stable series expands e^(alpha*y) f(y) on a range sized from the
+    cumulants of f, which misses the damped law at long maturity.
+    """
+
+    @pytest.mark.parametrize(
+        "maturity, strike, damping",
+        [
+            pytest.param(5.0, 100.0, None, marks=pytest.mark.xfail(
+                strict=True,
+                reason="the preset stable call returns 107.857 > S0 = 100 (parity "
+                "100.0, Fourier integral 100.00000000009); " + _FIX_A,
+            )),
+            pytest.param(20.0, 80.0, 1.0001, marks=pytest.mark.xfail(
+                strict=True,
+                reason="returns 0.0, below the lower bound 89.2: in y = log(S_T/K) "
+                "the range [-1699.3, -211.4] lies wholly below the strike y = 0; " + _FIX_A,
+            )),
+        ],
+    )
+    def test_call_within_bounds_or_refused(self, models, maturity, strike, damping):
+        market = MarketSpec(spot=100.0, rate=0.1, maturity=maturity)
+        config = _preset_config("cgmy2", Variant.STABLE)
+        if damping is not None:
+            config = replace(config, damping=damping)
+        try:
+            call = price(models["cgmy2"], market, OptionSpec(strike=strike), config).price
+        except PricingError:
+            return
+        lower = max(market.spot - strike * math.exp(-market.rate * maturity), 0.0)
+        assert lower - 1e-9 <= call <= market.spot + 1e-9
 
 
 class TestStrikeBatch:

@@ -188,6 +188,17 @@ class TestValidationAndStrips:
         with pytest.raises(ValidationError):
             MarketSpec(spot=-1.0, rate=0.1, dividend=0.0, maturity=1.0)
 
+    @pytest.mark.parametrize("y", [0.0, 1.0])
+    def test_cgmy_gamma_poles_refused(self, y):
+        with pytest.raises(ValidationError, match="Y must not equal 0 or 1"):
+            CGMYParams(C=1.0, G=5.0, M=5.0, Y=y)
+
+    def test_cgmy_gamma_overflow_refused(self):
+        # Gamma(172) overflows a double: math.gamma raises OverflowError
+        with pytest.raises(ValidationError, match="Gamma"):
+            CGMYParams(C=1.0, G=5.0, M=5.0, Y=-172.0)
+        assert CGMYParams(C=1.0, G=5.0, M=5.0, Y=-170.0).Y == -170.0
+
     def test_kou_strip_enforced(self, market):
         kou = KouParams(sigma=0.16, p=0.4, eta1=10.0, eta2=5.0, lam=5.0)
         # Im(u) must stay inside (-eta1, eta2)
