@@ -11,17 +11,15 @@ range choices are free parameters, which is the point of the method.
 import numpy as np
 
 from cospricer.harness import run_stability_surface
-from cospricer.presets import PROFILE_NAMES, method_preset
-from cospricer.cos_engine import Variant
+from cospricer.presets import PROFILE_NAMES
 
 
 def main():
     print("price spread over 21 dampings x 13 range widths, strike 80\n")
     print(f"{'profile':<9s}{'fixed N':>14s}{'N scaled with L':>18s}")
     for name in PROFILE_NAMES:
-        preset = method_preset(name, Variant.STABLE)
         fixed = run_stability_surface(name)
-        scaled = run_stability_surface(name, reference_width=preset.range_width)
+        scaled = run_stability_surface(name, scale_terms=True)
         print(f"{name:<9s}{fixed.value_spread:>14.2e}{scaled.value_spread:>18.2e}")
     print(
         "\nwide ranges at a fixed term count undersample the series;"

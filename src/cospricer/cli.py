@@ -184,10 +184,7 @@ def _reproduce_table6(out_dir: str, target: str) -> int:
 
 def _reproduce_stability(out_dir: str, target: str, maturity: float) -> int:
     for name in presets.PROFILE_NAMES:
-        preset = presets.method_preset(name, Variant.STABLE)
-        result = harness.run_stability_surface(
-            name, maturity=maturity, reference_width=preset.range_width
-        )
+        result = harness.run_stability_surface(name, maturity=maturity, scale_terms=True)
         harness.write_result(result, os.path.join(out_dir, f"{target}_{name}.csv"))
         print(f"{target} {name}: spread {result.value_spread:.3e} over "
               f"{result.values.shape[0]}x{result.values.shape[1]} grid")
@@ -276,14 +273,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # unset flags fall back to each driver's own defaults
     options = _given(strike=args.strike, n_terms=args.n_terms, maturity=args.maturity)
     if args.experiment == "stability":
-        preset = presets.method_preset(args.profile, Variant.STABLE)
         result = harness.run_stability_surface(
             args.profile,
             alpha_values=presets.sweep_dampings(
                 **_given(lo=args.alpha_min, hi=args.alpha_max, points=args.alpha_points)
             ),
             l_values=l_values,
-            reference_width=preset.range_width if args.scale_terms else None,
+            scale_terms=args.scale_terms,
             **options,
         )
         summary = f"spread {result.value_spread:.3e}"

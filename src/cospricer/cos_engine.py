@@ -56,7 +56,6 @@ __all__ = [
     "OptionSpec",
     "Variant",
     "CosConfig",
-    "PricingContext",
     "PriceResult",
     "chi",
     "call_coefficients",
@@ -122,26 +121,14 @@ class CosConfig:
 
 
 @dataclass(frozen=True)
-class PricingContext:
-    """Resolved per-price quantities: log-moneyness, range and discounting."""
-
-    x: float
-    range: TruncationRange
-    discount: float
-
-    def __post_init__(self):
-        if not (0.0 < self.discount and math.isfinite(self.discount)):
-            raise ValidationError("discount factor must be positive and finite")
-
-
-@dataclass(frozen=True)
 class PriceResult:
+    """A price and what the engine decided for it: the term count, the
+    resolved damping alpha, and the strike's recentred truncation range."""
+
     price: float
-    variant: Variant
     n_terms: int
-    range_width: float
     damping: float
-    context: PricingContext
+    range: TruncationRange
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +286,11 @@ def _series_values(
     ranges: Sequence[TruncationRange],
     strikes: np.ndarray,
     counts: tuple,
+    discount: float,
 ) -> list:
     """Series values for the strikes with log-moneyness x, each expanded on
-    base recentred by its x: one array, in strike order, per term count in
-    counts.
+    base recentred by its x and discounted by discount: one array, in
+    strike order, per term count in counts.
 
     The frequencies u_k = k*pi/width do not depend on the term count, so
     the terms are formed once, at the largest count, and each count sums
@@ -333,7 +321,7 @@ def _series_values(
     terms = _column(2.0 * _exp_each(alpha * x) / width) * density * payoff
     terms[:, 0] *= 0.5
     rows = terms.tolist()
-    scale = 0.5 * width * math.exp(-market.rate * market.maturity)
+    scale = 0.5 * width * discount
     # error-free accumulation; the direct call series trades accuracy for it.
     # A count that reaches past the band sums whole rows, without a copy
     return [
@@ -366,6 +354,18 @@ def term_counts(n_values) -> tuple:
     return tuple(int(n) for n in values)
 
 
+def _discount(rate: float, maturity: float, name: str) -> float:
+    """exp(-rate * maturity), refused unless it is a positive finite float."""
+    exponent = -rate * maturity
+    try:
+        factor = math.exp(exponent)
+    except OverflowError:
+        factor = math.inf
+    if not 0.0 < factor < math.inf:
+        raise ValidationError(f"{name} factor exp({exponent:g}) is not a positive finite float")
+    return factor
+
+
 def _price_counts(
     model: ModelSpec,
     market: MarketSpec,
@@ -395,42 +395,36 @@ def _price_counts(
         )
 
     cums = cumulants(model, market)
-    discount = math.exp(-market.rate * market.maturity)
+    discount = _discount(market.rate, market.maturity, "discount")
     strikes = np.array([opt.strike for opt in options])
     x = np.array([math.log(market.spot / opt.strike) for opt in options])
     # the expansion variable is log-moneyness y = log(S_T/K), so the cumulant
     # window of the log return is recentered by x per strike
     base = truncation_range(cums, config.range_width)
-    shifts = x.tolist()
-    ranges = [TruncationRange(a=base.a + shift, b=base.b + shift) for shift in shifts]
+    ranges = [TruncationRange(a=base.a + shift, b=base.b + shift) for shift in x.tolist()]
 
     if config.variant is Variant.PUT_CALL_PARITY:
+        forward = market.spot * _discount(market.dividend, market.maturity, "dividend")
         put_values = _series_values(
-            model, market, OptionKind.PUT, 0.0, base, x, ranges, strikes, counts
+            model, market, OptionKind.PUT, 0.0, base, x, ranges, strikes, counts, discount
         )
-        forward = market.spot * math.exp(-market.dividend * market.maturity)
         values = [put + forward - strikes * discount for put in put_values]
     else:
-        values = _series_values(model, market, kind, alpha, base, x, ranges, strikes, counts)
+        values = _series_values(
+            model, market, kind, alpha, base, x, ranges, strikes, counts, discount
+        )
 
     curve = []
     for n, row in zip(counts, values):
         results = []
-        for value, opt, shift, rng in zip(row.tolist(), options, shifts, ranges):
+        for value, opt, rng in zip(row.tolist(), options, ranges):
             if not math.isfinite(value):
                 raise ComputationError(
                     f"cosine series produced a non-finite value at strike {opt.strike} "
                     f"(variant={config.variant.value}, n_terms={n}, "
                     f"range=[{rng.a:.3f}, {rng.b:.3f}])"
                 )
-            results.append(PriceResult(
-                price=value,
-                variant=config.variant,
-                n_terms=n,
-                range_width=config.range_width,
-                damping=alpha,
-                context=PricingContext(x=shift, range=rng, discount=discount),
-            ))
+            results.append(PriceResult(price=value, n_terms=n, damping=alpha, range=rng))
         curve.append(tuple(results))
     return curve
 
@@ -452,8 +446,10 @@ def price(
     Raises a configuration error when the damped variant is asked to price a
     call with alpha <= 1 or a put with alpha > 0 (the damped payoff grows
     without bound there), when alpha leaves the model's analyticity strip,
-    or when the parity variant is asked for a put; a computation error when
-    a series value is not finite.
+    or when the parity variant is asked for a put; a validation error when
+    the discount factor exp(-rT), or the parity variant's exp(-qT), is not a
+    positive finite float, before any series is summed; a computation error
+    when a series value is not finite.
     """
     options = (option,) if isinstance(option, OptionSpec) else tuple(option)
     [results] = _price_counts(model, market, options, config, (config.n_terms,))

@@ -281,17 +281,18 @@ def run_stability_surface(
     strike: float = 80.0,
     maturity: float = 1.0,
     n_terms: Optional[int] = None,
-    reference_width: Optional[float] = None,
+    scale_terms: bool = False,
 ) -> ExperimentResult:
     """Damped-call price surface over (alpha, L).
 
     Defaults: ``presets.sweep_dampings()``, the profile's
     ``presets.sweep_widths`` and its stable term count; n_terms is
     checked by the rule of ``cos_engine.term_counts``.  With
-    reference_width set, the term count grows proportionally to
-    L/reference_width so the frequency cutoff N*pi/(b-a) stays at
-    least at its preset level; without it N is held fixed and wide
-    ranges are undersampled by construction.
+    scale_terms, the term count grows proportionally to L over the
+    profile's stable preset width, recorded as ``reference_width``, so
+    the frequency cutoff N*pi/(b-a) stays at least at its preset level;
+    without it N is held fixed and wide ranges are undersampled by
+    construction.
     """
     model = presets.model_preset(model_name)
     preset = presets.method_preset(model_name, Variant.STABLE)
@@ -311,8 +312,8 @@ def run_stability_surface(
     values = np.empty((len(alpha_values), len(l_values)))
     for j, width in enumerate(l_values):
         n = base_n
-        if reference_width is not None:
-            n = max(base_n, math.ceil(base_n * width / reference_width))
+        if scale_terms:
+            n = max(base_n, math.ceil(base_n * width / preset.range_width))
         for i, alpha in enumerate(alpha_values):
             cfg = CosConfig(n_terms=n, range_width=width, damping=alpha)
             values[i, j] = price(model, market, option, cfg).price
@@ -326,7 +327,7 @@ def run_stability_surface(
             "strike": strike,
             "maturity": maturity,
             "n_terms": base_n,
-            "reference_width": reference_width,
+            "reference_width": preset.range_width if scale_terms else None,
             "wall_clock_s": time.perf_counter() - started,
         },
     )

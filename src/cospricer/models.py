@@ -90,16 +90,16 @@ class HestonParams:
     v0: float
 
     def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise ValidationError(f"kappa must be positive, got {self.kappa}")
-        if not self.theta >= 0.0:
-            raise ValidationError(f"theta must be nonnegative, got {self.theta}")
-        if not self.sigma > 0.0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValidationError(f"kappa must be positive and finite, got {self.kappa}")
+        if not 0.0 <= self.theta < math.inf:
+            raise ValidationError(f"theta must be nonnegative and finite, got {self.theta}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
         if not -1.0 <= self.rho <= 1.0:
             raise ValidationError(f"rho must lie in [-1, 1], got {self.rho}")
-        if not self.v0 >= 0.0:
-            raise ValidationError(f"v0 must be nonnegative, got {self.v0}")
+        if not 0.0 <= self.v0 < math.inf:
+            raise ValidationError(f"v0 must be nonnegative and finite, got {self.v0}")
 
 
 @dataclass(frozen=True)
@@ -117,16 +117,16 @@ class KouParams:
     lam: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0.0 <= self.p <= 1.0:
             raise ValidationError(f"p must lie in [0, 1], got {self.p}")
-        if not self.eta1 > 1.0:
-            raise ValidationError(f"eta1 must exceed 1, got {self.eta1}")
-        if not self.eta2 > 0.0:
-            raise ValidationError(f"eta2 must be positive, got {self.eta2}")
-        if not self.lam >= 0.0:
-            raise ValidationError(f"lam must be nonnegative, got {self.lam}")
+        if not 1.0 < self.eta1 < math.inf:
+            raise ValidationError(f"eta1 must exceed 1 and be finite, got {self.eta1}")
+        if not 0.0 < self.eta2 < math.inf:
+            raise ValidationError(f"eta2 must be positive and finite, got {self.eta2}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValidationError(f"lam must be nonnegative and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -145,12 +145,12 @@ class CGMYParams:
     Y: float
 
     def __post_init__(self):
-        if not self.C > 0.0:
-            raise ValidationError(f"C must be positive, got {self.C}")
-        if not self.G > 0.0:
-            raise ValidationError(f"G must be positive, got {self.G}")
-        if not self.M > 1.0:
-            raise ValidationError(f"M must exceed 1, got {self.M}")
+        if not 0.0 < self.C < math.inf:
+            raise ValidationError(f"C must be positive and finite, got {self.C}")
+        if not 0.0 < self.G < math.inf:
+            raise ValidationError(f"G must be positive and finite, got {self.G}")
+        if not 1.0 < self.M < math.inf:
+            raise ValidationError(f"M must exceed 1 and be finite, got {self.M}")
         if not self.Y < 2.0:
             raise ValidationError(f"Y must be below 2, got {self.Y}")
         try:
@@ -504,9 +504,8 @@ def cumulants(model: ModelSpec, market: MarketSpec) -> Cumulants:
         # an underflowed phi_T is log 0 = -inf, without NumPy's divide warning
         return complex(np.log(val)) if val else complex(-math.inf)
 
-    def stencil(h: float) -> tuple[float, float, float]:
-        f1 = log_phi(h)
-        f2 = log_phi(2.0 * h)
+    def stencil(h: float, f1: complex, f2: complex) -> tuple[float, float, float]:
+        """The cumulants from f1 = log phi(h) and f2 = log phi(2h)."""
         c1 = f1.imag / h
         c2 = -2.0 * f1.real / h ** 2
         c4 = (2.0 * f2.real - 8.0 * f1.real) / h ** 4
@@ -521,8 +520,10 @@ def cumulants(model: ModelSpec, market: MarketSpec) -> Cumulants:
         )
     pilot = -2.0 * log_pilot / 1e-4
     h = 1e-2 / math.sqrt(max(pilot, 1e-8))
-    coarse = stencil(h)
-    fine = stencil(0.5 * h)
+    # the fine stencil's 2 * (h/2) is h itself, so three points serve both
+    half, whole, double = (log_phi(step) for step in (0.5 * h, h, 2.0 * h))
+    coarse = stencil(h, whole, double)
+    fine = stencil(0.5 * h, half, whole)
     c1, c2, c4 = ((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
     if not all(map(math.isfinite, (c1, c2, c4))):
         raise ComputationError(

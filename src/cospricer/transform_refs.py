@@ -162,7 +162,9 @@ def price_carr_madan(
     list of float
         Call prices in strike order, each the Simpson sum of the
         inverse transform taken at the strike's own log-moneyness.  An
-        empty column returns [] without evaluating phi.
+        empty column returns [] without evaluating phi.  A price above
+        spot, or below max(S0*e^(-qT) - K*e^(-rT), 0), each up to
+        1e-9*S0, raises ComputationError.
     """
     strikes = _validate_strikes(strikes)
     if not strikes:
@@ -183,6 +185,21 @@ def price_carr_madan(
         raise ComputationError(
             f"Carr-Madan call price {prices[bad.argmax()]:.3e} violates the spot bound; "
             f"damping {config.damping} is too aggressive for this model"
+        )
+    # the sum's rounding is scaled by exp(-damping*k) too, which swamps a
+    # deep in-the-money call; the same allowance as the spot bound
+    lower = np.maximum(
+        market.spot * np.exp(-market.dividend * market.maturity)
+        - np.asarray(strikes) * np.exp(-market.rate * market.maturity),
+        0.0,
+    ) - 1e-9 * market.spot
+    bad = ~(prices >= lower)
+    if bad.any():
+        j = bad.argmax()
+        raise ComputationError(
+            f"Carr-Madan call price {prices[j]:.3e} at strike {strikes[j]:g} is below "
+            f"the no-arbitrage lower bound {lower[j]:.6g}; the damped sum's rounding "
+            f"is amplified by exp(-damping*log(K/S0))"
         )
     return prices.tolist()
 

@@ -90,16 +90,15 @@ def fixed_spreads():
 
 @pytest.fixture(scope="module")
 def scaled_spreads():
-    widths = {"heston": 7.0, "kou": 7.0, "cgmy1": 10.0, "cgmy2": 17.0}
     out = {}
-    for name, width in widths.items():
+    for name in PROFILE_NAMES:
         kwargs = {}
         if name == "cgmy1":
             # the widest-tail profile carries a 2.9e-6 range-truncation
             # offset at L=6 that no term count removes; the flat region
             # starts at L=7 (offset 1.6e-8)
             kwargs["l_values"] = np.linspace(7.0, 18.0, 12)
-        out[name] = run_stability_surface(name, reference_width=width, **kwargs).value_spread
+        out[name] = run_stability_surface(name, scale_terms=True, **kwargs).value_spread
     return out
 
 

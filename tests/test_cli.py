@@ -131,6 +131,22 @@ class TestPrice:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "underflows" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--rate", "-1"),
+            ("--dividend", "-1", "--method", "parity"),
+        ],
+        ids=["discount", "parity-forward"],
+    )
+    def test_overflowing_discount_is_an_error_line(self, capsys, flags):
+        # exp(1000) used to end in an OverflowError traceback with exit code 1
+        code, out, err = run_cli(
+            capsys, "price", "--profile", "kou", "--maturity", "1000", *flags
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "not a positive finite float" in err
+
     def test_method_and_overrides(self, capsys):
         # parity and stable disagree only at quadrature noise level
         _, stable_out, _ = run_cli(capsys, "price", "--profile", "cgmy1", "--strike", "90")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cospricer import presets
+from cospricer import cos_engine, presets
 from cospricer.cos_engine import (
     CosConfig,
     OptionKind,
@@ -218,11 +218,11 @@ class TestPriceProperties:
     def test_context_range_shifts_with_strike(self, models, market):
         model = models["heston"]
         cfg = _WIDE["heston"]
-        narrow = price(model, market, OptionSpec(strike=80.0), cfg).context
-        wide = price(model, market, OptionSpec(strike=120.0), cfg).context
+        narrow = price(model, market, OptionSpec(strike=80.0), cfg).range
+        wide = price(model, market, OptionSpec(strike=120.0), cfg).range
         shift = math.log(120.0 / 80.0)
-        assert narrow.range.a - wide.range.a == pytest.approx(shift, rel=1e-12)
-        assert narrow.range.b - wide.range.b == pytest.approx(shift, rel=1e-12)
+        assert narrow.a - wide.a == pytest.approx(shift, rel=1e-12)
+        assert narrow.b - wide.b == pytest.approx(shift, rel=1e-12)
 
 
 class TestConfigurationErrors:
@@ -396,6 +396,29 @@ class TestUnderflowedCharacteristicFunction:
                 price(model, market, OptionSpec(strike=100.0), config)
 
 
+class TestDiscountFactor:
+    @pytest.mark.parametrize(
+        "variant, rate, dividend",
+        [
+            (Variant.STABLE, -1.0, 0.0),
+            (Variant.PUT_CALL_PARITY, 0.1, -1.0),
+            (Variant.STABLE, 0.8, 0.8),
+        ],
+        ids=["stable-overflow", "parity-forward-overflow", "stable-underflow"],
+    )
+    def test_refused_before_the_series(self, models, monkeypatch, variant, rate, dividend):
+        # exp(1000) used to end in an OverflowError; exp(-800) = 0 used to
+        # be refused only after the whole series was summed
+        def no_series(*args):
+            raise AssertionError("the series was summed")
+
+        monkeypatch.setattr(cos_engine, "_series_values", no_series)
+        market = MarketSpec(spot=100.0, rate=rate, dividend=dividend, maturity=1000.0)
+        config = _preset_config("kou", variant)
+        with pytest.raises(ValidationError, match="not a positive finite float"):
+            price(models["kou"], market, OptionSpec(strike=100.0), config)
+
+
 _FIX_A = "ROADMAP item 1, Fix A: size the stable range for the damped law (the tilted range)"
 
 
@@ -445,7 +468,7 @@ class TestStrikeBatch:
         batch = price(models[name], market, options, cfg)
         assert isinstance(batch, tuple) and len(batch) == len(options)
         for option, result in zip(options, batch):
-            # dataclass equality: the price bit for bit, and the context
+            # dataclass equality: the price bit for bit, and the range
             assert result == price(models[name], market, option, cfg), option.strike
 
     def test_extreme_strikes_have_empty_payoff_rows(self, models, market):
@@ -453,8 +476,8 @@ class TestStrikeBatch:
         calls = price(models["heston"], market, [OptionSpec(1e5), OptionSpec(100.0)], cfg)
         puts = price(models["heston"], market,
                      [OptionSpec(1e-3, OptionKind.PUT), OptionSpec(100.0, OptionKind.PUT)], cfg)
-        assert calls[0].context.range.b <= 0.0 and calls[0].price == 0.0
-        assert puts[0].context.range.a >= 0.0 and puts[0].price == 0.0
+        assert calls[0].range.b <= 0.0 and calls[0].price == 0.0
+        assert puts[0].range.a >= 0.0 and puts[0].price == 0.0
         assert calls[1].price > 0.0 and puts[1].price > 0.0
 
     def test_single_option_gives_a_result_and_a_sequence_a_tuple(self, models, market):

@@ -370,9 +370,12 @@ class TestStabilitySurface:
         # price drifts; scaling N with L restores the plateau
         fixed = run_stability_surface("kou", alpha_values=[1.1], l_values=[7.0, 18.0])
         scaled = run_stability_surface(
-            "kou", alpha_values=[1.1], l_values=[7.0, 18.0], reference_width=7.0
+            "kou", alpha_values=[1.1], l_values=[7.0, 18.0], scale_terms=True
         )
         assert scaled.value_spread < 1e-6 < fixed.value_spread
+        # the sidecar records the preset width the scaling divides by
+        assert scaled.metadata["reference_width"] == 7.0
+        assert fixed.metadata["reference_width"] is None
 
     def test_single_point_grid_equals_direct_call(self):
         result = run_stability_surface("heston", alpha_values=[1.1], l_values=[7.0])
@@ -392,11 +395,11 @@ class TestStabilitySurface:
         with pytest.raises(ValidationError, match="non-empty"):
             run_stability_surface("heston", alpha_values=[], l_values=[7.0])
 
-    @pytest.mark.parametrize("reference_width", [None, 7.0])
+    @pytest.mark.parametrize("scale_terms", [False, True])
     @pytest.mark.parametrize("n_terms", [16.7, True, 0])
     def test_bad_term_count_is_refused_before_pricing(self, monkeypatch, n_terms,
-                                                      reference_width):
-        # with reference_width set, the scaled N of a wide range is a whole
+                                                      scale_terms):
+        # with scale_terms, the scaled N of a wide range is a whole
         # number even when n_terms is not, so CosConfig alone would not refuse it
         def unreachable(*args, **kwargs):
             raise AssertionError("a bad term count must be refused before any pricing")
@@ -404,7 +407,7 @@ class TestStabilitySurface:
         monkeypatch.setattr(harness, "price", unreachable)
         with pytest.raises(ValidationError, match="term counts"):
             run_stability_surface("kou", alpha_values=[1.1], l_values=[7.0, 18.0],
-                                  n_terms=n_terms, reference_width=reference_width)
+                                  n_terms=n_terms, scale_terms=scale_terms)
 
     def test_whole_term_count_is_recorded_as_int(self):
         got = run_stability_surface("heston", alpha_values=[1.1], l_values=[7.0],

@@ -72,10 +72,12 @@ def heston_market(maturity):
     return MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
 
 
-def full_grid_series_values(model, market, kind, alpha, base, x, ranges, strikes, counts):
+def full_grid_series_values(model, market, kind, alpha, base, x, ranges, strikes, counts,
+                            discount):
     """cos_engine._series_values over every term: phi on the whole grid of
     the largest count in one call, and each count's prefix of the terms
     summed."""
+    assert discount == math.exp(-market.rate * market.maturity)
     u = np.arange(max(counts)) * (math.pi / base.width)
     phi = char_fn(model, market, u - 1j * alpha)
     check_moment(alpha, phi[0])
@@ -87,7 +89,6 @@ def full_grid_series_values(model, market, kind, alpha, base, x, ranges, strikes
     width = np.array([r.width for r in ranges])
     terms = cos_engine._column(2.0 * cos_engine._exp_each(alpha * x) / width) * density * payoff
     terms[:, 0] *= 0.5
-    discount = math.exp(-market.rate * market.maturity)
     return [
         0.5 * width * discount * np.array([cos_engine._fsum(row[:n]) for row in terms.tolist()])
         for n in counts
@@ -448,6 +449,23 @@ class TestDecayProperty:
 
 
 class TestHestonEnvelope:
+    # a random draw past a moment explosion: E[S_T^alpha] = 0.666 - 0.182i
+    EXPLODED = HestonParams(kappa=0.42176693417594274, theta=0.19025537157657535,
+                            sigma=1.3743595228104655, rho=0.9450919150886679,
+                            v0=0.25699375278940806)
+    EXPLODED_ALPHA = 1.4399499227823387
+
+    def test_past_an_explosion_the_bound_is_infinite(self):
+        # (1 - h)/(1 - g) < 0: the expectation behind the bound is infinite
+        market = heston_market(5.0)
+        alpha = self.EXPLODED_ALPHA
+        assert not moment_is_valid(char_fn(self.EXPLODED, market, -1j * alpha))
+        assert _heston_log_envelope(self.EXPLODED, market, alpha, 0.5194976531371707) == math.inf
+
+    @pytest.mark.parametrize("step, size", [(0.05, 2000), (0.01, 60000)])
+    def test_past_an_explosion_the_band_is_one_call(self, step, size):
+        assert_live_band(self.EXPLODED, heston_market(5.0), step, self.EXPLODED_ALPHA, size)
+
     @_slow
     @given(model=_heston, maturity=st.floats(1e-3, 20.0), alpha=st.floats(-1.9, 1.9))
     # kappa^2 < 2*sigma^2*nu near u = 0, where the bound has no real form

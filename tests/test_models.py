@@ -8,6 +8,7 @@ implementation against them.
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,6 +188,18 @@ class TestValidationAndStrips:
             CGMYParams(C=1.0, G=5.0, M=5.0, Y=2.1)
         with pytest.raises(ValidationError):
             MarketSpec(spot=-1.0, rate=0.1, dividend=0.0, maturity=1.0)
+
+    @pytest.mark.parametrize(
+        "name, field",
+        [("heston", f) for f in ("kappa", "theta", "sigma", "v0")]
+        + [("kou", f) for f in ("sigma", "eta1", "eta2", "lam")]
+        + [("cgmy1", f) for f in ("C", "G", "M")],
+    )
+    def test_infinite_parameter_refused(self, models, name, field):
+        # +inf used to pass and fail only inside the pricers, after
+        # NumPy RuntimeWarnings, with a message about phi or the moment
+        with pytest.raises(ValidationError, match=f"{field} must .* finite, got inf"):
+            replace(models[name], **{field: math.inf})
 
     @pytest.mark.parametrize("y", [0.0, 1.0])
     def test_cgmy_gamma_poles_refused(self, y):

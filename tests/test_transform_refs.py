@@ -195,6 +195,34 @@ class TestCarrMadan:
         with pytest.raises(ComputationError, match="spot bound"):
             price_carr_madan(model, market, [100.0], CarrMadanConfig())
 
+    @pytest.mark.parametrize(
+        "name, log_strike",
+        [("kou", -60.0), ("kou", -40.0), ("heston", -40.0), ("kou", -30.0), ("heston", -30.0)],
+    )
+    def test_deep_in_the_money_below_lower_bound_rejected(self, market, name, log_strike):
+        # the sum's rounding times exp(-damping*k) used to come back as
+        # -1.0e15 (kou, k=-60), 99.884 (heston, k=-40) and 99.99997
+        # (heston, k=-30), all below the lower bound of about 100
+        strike = market.spot * math.exp(log_strike)
+        with pytest.raises(ComputationError, match="lower bound"):
+            price_carr_madan(model_preset(name), market, [strike], carr_madan_preset(name))
+
+    @pytest.mark.parametrize("strike", [60.0, 100.0, 160.0])
+    def test_shift_near_jump_decay_rejected(self, market, strike):
+        # a shift of 9.5, inside eta1 = 10, used to return -1.5e17, -2.0e15
+        # and -3.9e13 where the Fourier integral gives 48.578, 23.934, 6.189
+        config = CarrMadanConfig(damping=8.5, spacing=0.05)
+        with pytest.raises(ComputationError, match="lower bound"):
+            price_carr_madan(model_preset("kou"), market, [strike], config)
+
+    @pytest.mark.parametrize("name", PROFILES)
+    @pytest.mark.parametrize("log_strike", [-20.0, -10.0])
+    def test_deep_in_the_money_within_bounds_prices(self, market, name, log_strike):
+        strike = market.spot * math.exp(log_strike)
+        [call] = price_carr_madan(model_preset(name), market, [strike], carr_madan_preset(name))
+        lower = market.spot - strike * math.exp(-market.rate * market.maturity)
+        assert lower - 1e-9 * market.spot <= call <= market.spot
+
     def test_rejects_strike_outside_span(self, market):
         # widen the step so the span, pi, is cheap to leave
         config = CarrMadanConfig(spacing=1.0)
