@@ -102,8 +102,11 @@ def cmd_price(args: argparse.Namespace) -> int:
     settings.update(_parse_config_file(args.config) if args.config else {})
     settings.update(_given(**{name: getattr(args, name) for name in settings}))
     config = argparse.Namespace(**settings)
+    # one step: the preset rate at the given maturity may be a market that
+    # MarketSpec refuses, though the given rate makes it valid
     market = replace(
-        presets.market_preset(config.maturity),
+        presets.market_preset(),
+        maturity=config.maturity,
         **_given(spot=config.spot, rate=config.rate, dividend=config.dividend),
     )
     variant = Variant(config.method)
@@ -339,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scale-terms", action="store_true",
                          help="grow N with L to hold the frequency cutoff")
     p_sweep.add_argument("--output", help="CSV path (default <experiment>.csv)")
-    p_sweep.add_argument("--format", choices=("csv", "json", "plain"), default="plain")
+    p_sweep.add_argument("--format", choices=("json", "plain"), default="plain")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

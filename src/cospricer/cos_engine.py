@@ -96,9 +96,10 @@ class CosConfig:
 
     n_terms is the number of cosine terms, a positive whole number by the
     rule of :func:`term_counts`, stored as an int; range_width the cumulant
-    half-width multiplier L, damping the exponent alpha used by the stable
+    half-width multiplier L, damping the exponent alpha of the stable
     variant (None picks 1.1 for calls and 0 for puts; a call needs
-    alpha > 1 and a put alpha <= 0).
+    alpha > 1 and a put alpha <= 0).  The other variants are undamped, so
+    they refuse a damping.
     """
 
     n_terms: int
@@ -118,6 +119,11 @@ class CosConfig:
             raise ValidationError(f"range_width must be positive, got {self.range_width}")
         if self.damping is not None and not math.isfinite(self.damping):
             raise ValidationError("damping must be finite")
+        if self.damping is not None and self.variant is not Variant.STABLE:
+            raise ConfigurationError(
+                f"damping {self.damping} applies to the stable variant only, "
+                f"not {self.variant.value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -354,18 +360,6 @@ def term_counts(n_values) -> tuple:
     return tuple(int(n) for n in values)
 
 
-def _discount(rate: float, maturity: float, name: str) -> float:
-    """exp(-rate * maturity), refused unless it is a positive finite float."""
-    exponent = -rate * maturity
-    try:
-        factor = math.exp(exponent)
-    except OverflowError:
-        factor = math.inf
-    if not 0.0 < factor < math.inf:
-        raise ValidationError(f"{name} factor exp({exponent:g}) is not a positive finite float")
-    return factor
-
-
 def _price_counts(
     model: ModelSpec,
     market: MarketSpec,
@@ -395,7 +389,7 @@ def _price_counts(
         )
 
     cums = cumulants(model, market)
-    discount = _discount(market.rate, market.maturity, "discount")
+    discount = math.exp(-market.rate * market.maturity)
     strikes = np.array([opt.strike for opt in options])
     x = np.array([math.log(market.spot / opt.strike) for opt in options])
     # the expansion variable is log-moneyness y = log(S_T/K), so the cumulant
@@ -404,7 +398,7 @@ def _price_counts(
     ranges = [TruncationRange(a=base.a + shift, b=base.b + shift) for shift in x.tolist()]
 
     if config.variant is Variant.PUT_CALL_PARITY:
-        forward = market.spot * _discount(market.dividend, market.maturity, "dividend")
+        forward = market.spot * math.exp(-market.dividend * market.maturity)
         put_values = _series_values(
             model, market, OptionKind.PUT, 0.0, base, x, ranges, strikes, counts, discount
         )
@@ -446,10 +440,8 @@ def price(
     Raises a configuration error when the damped variant is asked to price a
     call with alpha <= 1 or a put with alpha > 0 (the damped payoff grows
     without bound there), when alpha leaves the model's analyticity strip,
-    or when the parity variant is asked for a put; a validation error when
-    the discount factor exp(-rT), or the parity variant's exp(-qT), is not a
-    positive finite float, before any series is summed; a computation error
-    when a series value is not finite.
+    or when the parity variant is asked for a put; a computation error when
+    a series value is not finite.
     """
     options = (option,) if isinstance(option, OptionSpec) else tuple(option)
     [results] = _price_counts(model, market, options, config, (config.n_terms,))

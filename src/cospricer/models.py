@@ -58,6 +58,10 @@ class MarketSpec:
         Continuous dividend yield q.
     maturity : float
         Time to expiry T > 0 in years.
+
+    The discount factor exp(-r*T) and the dividend factor exp(-q*T) must
+    each be a positive finite float, so every pricer can discount by them
+    without a check of its own.
     """
 
     spot: float
@@ -73,6 +77,17 @@ class MarketSpec:
         for name in ("rate", "dividend"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
+        for name, exponent in (("discount", -self.rate * self.maturity),
+                               ("dividend", -self.dividend * self.maturity)):
+            try:
+                factor = math.exp(exponent)
+            except OverflowError:
+                factor = math.inf
+            if not 0.0 < factor < math.inf:
+                raise ValidationError(
+                    f"{name} factor exp({exponent:g}) is not a positive finite float: "
+                    f"it {'underflows to 0' if factor == 0.0 else 'overflows'}"
+                )
 
 
 @dataclass(frozen=True)
@@ -279,7 +294,16 @@ def moment_is_valid(value: complex) -> bool:
 
 def check_moment(order: float, value: complex) -> None:
     """Raise a validation error unless value = E[(S_T/S_0)^order] passes
-    :func:`moment_is_valid`."""
+    :func:`moment_is_valid`.
+
+    A moment that is exactly 0 has underflowed, which lowering the damping
+    does not mend; any other invalid value is read as a moment explosion.
+    """
+    if value == 0.0:
+        raise ValidationError(
+            f"E[(S_T/S_0)^{order:g}] underflows to 0; the drift (r - q)*T or the "
+            f"maturity is too extreme for this moment to be representable"
+        )
     if not moment_is_valid(value):
         raise ValidationError(
             f"E[(S_T/S_0)^{order:g}] = {value:.3e} is not real, positive and "

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
@@ -122,12 +122,7 @@ def _require_profile(name: str) -> str:
 
 def market_preset(maturity: float = 1.0) -> MarketSpec:
     """Benchmark market data, optionally re-dated to another maturity."""
-    return MarketSpec(
-        spot=_MARKET.spot,
-        rate=_MARKET.rate,
-        dividend=_MARKET.dividend,
-        maturity=maturity,
-    )
+    return replace(_MARKET, maturity=maturity)
 
 
 def model_preset(name: str) -> ModelSpec:

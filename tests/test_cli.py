@@ -147,6 +147,23 @@ class TestPrice:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "not a positive finite float" in err
 
+    def test_given_rate_applies_before_the_market_is_checked(self, capsys):
+        # the preset rate 0.1 at T = 8000 underflows e^(-rT); the given rate
+        # 0 does not, so the market is built in one step with it
+        code, out, err = run_cli(
+            capsys, "price", "--profile", "kou", "--maturity", "8000", "--rate", "0",
+            "--method", "parity",
+        )
+        assert (code, out, err) == (0, "100.0000000000 (parity)\n", "")
+
+    @pytest.mark.parametrize("flags", [("--method", "direct", "--alpha", "1.5"),
+                                       ("--method", "parity", "--alpha", "-3")])
+    def test_alpha_of_an_undamped_method_is_refused(self, capsys, flags):
+        # used to be ignored: direct printed 23.9335400090 with or without it
+        code, out, err = run_cli(capsys, "price", "--profile", "kou", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "stable variant only" in err
+
     def test_method_and_overrides(self, capsys):
         # parity and stable disagree only at quadrature noise level
         _, stable_out, _ = run_cli(capsys, "price", "--profile", "cgmy1", "--strike", "90")
@@ -455,6 +472,17 @@ class TestSweep:
         )
         assert (code, out) == (2, "")
         assert f"error: {flag} must not be negative, got -1" in err
+        assert not target.exists()
+
+    def test_csv_is_not_a_report_format(self, capsys, tmp_path):
+        # --format csv used to print nothing and exit 0; the CSV is always written
+        target = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--experiment", "stability", "--profile", "kou",
+            "--format", "csv", "--output", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'csv'" in err
         assert not target.exists()
 
     def test_bad_n_values_grid(self, capsys, tmp_path):

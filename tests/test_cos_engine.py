@@ -7,9 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cospricer import cos_engine, presets
+from cospricer import presets
 from cospricer.cos_engine import (
     CosConfig,
     OptionKind,
@@ -23,7 +25,7 @@ from cospricer.cos_engine import (
 )
 from cospricer.errors import ComputationError, ConfigurationError, PricingError, ValidationError
 from cospricer.models import CGMYParams, HestonParams, MarketSpec, TruncationRange
-from cospricer.transform_refs import price_fourier_integral
+from cospricer.transform_refs import price_carr_madan, price_fourier_integral
 
 STRIKES = (80.0, 85.0, 90.0, 95.0, 100.0, 105.0, 110.0, 115.0, 120.0)
 
@@ -278,6 +280,13 @@ class TestConfigurationErrors:
         want = price_fourier_integral(models["kou"], market, 100.0)
         assert got == pytest.approx(want, abs=1e-6)
 
+    @pytest.mark.parametrize("variant", [Variant.DIRECT, Variant.PUT_CALL_PARITY])
+    @pytest.mark.parametrize("damping", [1.5, 0.0, -3.0])
+    def test_undamped_variant_refuses_a_damping(self, variant, damping):
+        # the damping used to be ignored: direct and parity price at alpha = 0
+        with pytest.raises(ConfigurationError, match="stable variant only"):
+            CosConfig(n_terms=128, range_width=8.0, damping=damping, variant=variant)
+
     def test_config_field_validation(self):
         with pytest.raises(ValidationError):
             CosConfig(n_terms=0, range_width=8.0)
@@ -364,6 +373,14 @@ class TestMomentCheck:
         with pytest.raises(ValidationError, match="not real, positive and finite"):
             price(self.EXPLOSIVE, market, OptionSpec(strike=100.0), cfg)
 
+    def test_underflowed_moment_is_named_as_one(self, models):
+        # e^(-qT) = 9.9e-305 is representable, but E[(S_T/S_0)^1.1] is 0;
+        # it used to be reported as an explosion, to be mended by a lower damping
+        market = MarketSpec(spot=100.0, rate=0.0, dividend=0.7, maturity=1000.0)
+        config = _preset_config("kou", Variant.STABLE)
+        with pytest.raises(ValidationError, match=r"\^1.1\] underflows to 0; the drift"):
+            price(models["kou"], market, OptionSpec(strike=100.0), config)
+
     def test_undamped_series_unaffected(self):
         # alpha = 0 needs only E[1] = 1, so the put still prices
         market = MarketSpec(spot=100.0, rate=0.05, maturity=20.0)
@@ -398,25 +415,62 @@ class TestUnderflowedCharacteristicFunction:
 
 class TestDiscountFactor:
     @pytest.mark.parametrize(
-        "variant, rate, dividend",
+        "rate, dividend, factor, how",
         [
-            (Variant.STABLE, -1.0, 0.0),
-            (Variant.PUT_CALL_PARITY, 0.1, -1.0),
-            (Variant.STABLE, 0.8, 0.8),
+            (-1.0, 0.0, r"discount factor exp\(1000\)", "overflows"),
+            (0.1, -1.0, r"dividend factor exp\(1000\)", "overflows"),
+            (0.8, 0.8, r"discount factor exp\(-800\)", "underflows to 0"),
         ],
         ids=["stable-overflow", "parity-forward-overflow", "stable-underflow"],
     )
-    def test_refused_before_the_series(self, models, monkeypatch, variant, rate, dividend):
-        # exp(1000) used to end in an OverflowError; exp(-800) = 0 used to
-        # be refused only after the whole series was summed
-        def no_series(*args):
-            raise AssertionError("the series was summed")
+    def test_refused_before_the_series(self, rate, dividend, factor, how):
+        # the market itself is refused, so nothing is priced at all; exp(1000)
+        # used to end in an OverflowError in price() and in both oracles
+        with pytest.raises(ValidationError,
+                           match=f"{factor} is not a positive finite float: it {how}"):
+            MarketSpec(spot=100.0, rate=rate, dividend=dividend, maturity=1000.0)
 
-        monkeypatch.setattr(cos_engine, "_series_values", no_series)
-        market = MarketSpec(spot=100.0, rate=rate, dividend=dividend, maturity=1000.0)
-        config = _preset_config("kou", variant)
-        with pytest.raises(ValidationError, match="not a positive finite float"):
-            price(models["kou"], market, OptionSpec(strike=100.0), config)
+    def test_edges_of_the_double_range_are_accepted(self):
+        # exp(709) is finite and exp(-745) rounds to the smallest subnormal
+        for rate in (-0.709, 0.745):
+            market = MarketSpec(spot=100.0, rate=rate, dividend=rate, maturity=1000.0)
+            assert 0.0 < math.exp(-market.rate * market.maturity) < math.inf
+
+
+class TestEveryAcceptedMarket:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rate=st.floats(-2.0, 2.0),
+        dividend=st.floats(-2.0, 2.0),
+        log10_maturity=st.floats(-3.0, math.log10(2e3)),
+    )
+    @example(rate=-1.0, dividend=-1.0, log10_maturity=3.0)
+    def test_prices_or_raises_a_pricing_error(self, rate, dividend, log10_maturity):
+        # at the example the Fourier integral used to raise an untyped
+        # OverflowError from its discount factor
+        try:
+            market = MarketSpec(spot=100.0, rate=rate, dividend=dividend,
+                                maturity=10.0 ** log10_maturity)
+        except ValidationError:
+            return
+        option = OptionSpec(strike=100.0)
+        for name in ("kou", "heston", "cgmy1"):
+            model = presets.model_preset(name)
+            pricers = {
+                variant.value: lambda v=variant: price(
+                    model, market, option, _preset_config(name, v)).price
+                for variant in (Variant.STABLE, Variant.PUT_CALL_PARITY)
+            }
+            pricers["fourier_integral"] = lambda: price_fourier_integral(
+                model, market, 100.0, presets.integral_preset(name))
+            pricers["carr_madan"] = lambda: price_carr_madan(
+                model, market, [100.0], presets.carr_madan_preset(name))[0]
+            for method, pricer in pricers.items():
+                try:
+                    value = pricer()
+                except PricingError:
+                    continue
+                assert math.isfinite(value), (name, method, market, value)
 
 
 _FIX_A = "ROADMAP item 1, Fix A: size the stable range for the damped law (the tilted range)"

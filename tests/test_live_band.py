@@ -43,6 +43,9 @@ ZERO_LOG = -1075.0 * math.log(2.0) - 1.0
 HESTON = presets.model_preset("heston")
 # E[S_T^1.5] explodes at T* ~ 3.08 and E[S_T^1.1] at T* ~ 8.66
 EXPLOSIVE = HestonParams(kappa=0.5, theta=0.09, sigma=1.0, rho=0.5, v0=0.09)
+# r = q = 0, so both factors are 1, but E[(S_T/S_0)^0.5] underflows to 0
+# for kou and for the Heston preset at any rho
+UNDERFLOW_MARKET = MarketSpec(spot=100.0, rate=0.0, maturity=1e5)
 
 
 def with_rho(rho):
@@ -304,10 +307,10 @@ class TestLiveBand:
         assert band.tolist() == [1.0, 0.5, 0.0, 5e-324]
 
     def test_keeps_the_moment_when_everything_underflows(self):
-        # a drift of -1000 makes E[S_T/S_0] = e^-1000 underflow
+        # log E[(S_T/S_0)^0.5] is about -0.0318*T for kou, so at T = 1e5
+        # the moment underflows in a market whose factors are representable
         model = presets.model_preset("kou")
-        market = MarketSpec(spot=100.0, rate=-1000.0, maturity=1.0)
-        band = live_band(char_fn, model, market, 1.0, 1.0, 3)
+        band = live_band(char_fn, model, UNDERFLOW_MARKET, 1.0, 0.5, 3)
         assert band.tolist() == [0j]
 
     @pytest.mark.parametrize("model", [
@@ -322,11 +325,11 @@ class TestLiveBand:
 
     @pytest.mark.parametrize("rho", [-1.0, 1.0])
     def test_heston_with_unit_rho_is_one_full_call(self, rho):
-        # the envelope is then the constant moment; here a drift of -1000
-        # makes it underflow, and still the whole contour is evaluated
+        # the envelope is then the constant moment; here it underflows,
+        # and still the whole contour is evaluated
         evaluate = CountingCharFn()
-        market = MarketSpec(spot=100.0, rate=-1000.0, maturity=1.0)
-        live_band(evaluate, with_rho(rho), market, 1.0, 1.0, 3000)
+        assert char_fn(with_rho(rho), UNDERFLOW_MARKET, -0.5j) == 0.0
+        live_band(evaluate, with_rho(rho), UNDERFLOW_MARKET, 1.0, 0.5, 3000)
         assert evaluate.sizes == [3000]
 
     @pytest.mark.parametrize("grid", ["reference", "reference-damped", "carr_madan"])

@@ -20,6 +20,7 @@ from cospricer.models import (
     KouParams,
     MarketSpec,
     char_fn,
+    check_moment,
     cumulants,
     damping_bounds,
     moment_is_valid,
@@ -246,6 +247,13 @@ class TestMomentPredicate:
         for value in (1.3 + 0.38j, 1.0 + 1e-9j, -0.5, 0.0, math.inf, math.nan,
                       complex(1.0, math.nan)):
             assert not moment_is_valid(value), value
+
+    def test_check_moment_tells_an_underflow_from_an_explosion(self):
+        with pytest.raises(ValidationError, match="underflows to 0"):
+            check_moment(1.1, 0j)
+        for value in (1.3 + 0.38j, -0.5, math.inf):
+            with pytest.raises(ValidationError, match="the moment explodes"):
+                check_moment(1.1, value)
 
     def test_flags_heston_moment_explosion(self):
         # E[S_T^1.1] explodes at T* ~ 8.66 for this parameter set

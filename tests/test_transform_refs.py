@@ -298,6 +298,13 @@ class TestFourierIntegralRule:
         with pytest.raises(ValidationError, match="not real, positive and finite"):
             price_fourier_integral(EXPLOSIVE, market, 100.0)
 
+    def test_underflowed_moment_is_named_as_one(self):
+        # e^(-qT) = 9.9e-305 is representable, but E[(S_T/S_0)^1.1] is 0;
+        # it used to be reported as an explosion, to be mended by a lower damping
+        market = MarketSpec(spot=100.0, rate=0.0, dividend=0.7, maturity=1000.0)
+        with pytest.raises(ValidationError, match=r"\^1.1\] underflows to 0; the drift"):
+            price_fourier_integral(model_preset("kou"), market, 100.0, integral_preset("kou"))
+
     def test_finite_moment_prices_within_bounds(self):
         # before the explosion time the same model prices inside the bounds
         market = explosive_market(5.0)
@@ -386,3 +393,9 @@ class TestCarrMadanReadout:
         market = explosive_market(5.0)
         with pytest.raises(ValidationError, match="not real, positive and finite"):
             price_carr_madan(EXPLOSIVE, market, [100.0])
+
+    def test_underflowed_moment_is_named_as_one(self):
+        # the shift is damping + 1 = 1.75; see the Fourier integral's test
+        market = MarketSpec(spot=100.0, rate=0.0, dividend=0.7, maturity=1000.0)
+        with pytest.raises(ValidationError, match=r"\^1.75\] underflows to 0; the drift"):
+            price_carr_madan(model_preset("kou"), market, [100.0], carr_madan_preset("kou"))
