@@ -3,7 +3,7 @@
 Each model is a frozen parameter dataclass with an extended characteristic
 function phi_T(u) = E[exp(i u ln(S_T / S_0))], valid for complex u inside the
 model's strip of analyticity.  The module also provides log-cumulants of the
-log-return (computed by central differences of log phi_T) and the series
+log-return (Cauchy contour integrals of log phi_T) and the series
 truncation interval built from them.
 
 Both fixed-grid consumers, the cosine engine and the Carr-Madan sum,
@@ -296,13 +296,15 @@ def check_moment(order: float, value: complex) -> None:
     """Raise a validation error unless value = E[(S_T/S_0)^order] passes
     :func:`moment_is_valid`.
 
-    A moment that is exactly 0 has underflowed, which lowering the damping
-    does not mend; any other invalid value is read as a moment explosion.
+    A moment that is exactly 0 has underflowed, and one whose real part is
+    +inf has overflowed; lowering the damping mends neither.  Any other
+    invalid value is read as a moment explosion.
     """
-    if value == 0.0:
+    if value == 0.0 or value.real == math.inf:
         raise ValidationError(
-            f"E[(S_T/S_0)^{order:g}] underflows to 0; the drift (r - q)*T or the "
-            f"maturity is too extreme for this moment to be representable"
+            f"E[(S_T/S_0)^{order:g}] {'underflows to 0' if value == 0.0 else 'overflows'}; "
+            f"the drift (r - q)*T or the maturity is too extreme for this moment to be "
+            f"representable"
         )
     if not moment_is_valid(value):
         raise ValidationError(
@@ -335,7 +337,10 @@ def char_fn(model: ModelSpec, market: MarketSpec, u):
                 f"Im(u) must lie in ({strip[0]}, {strip[1]}) for "
                 f"{type(model).__name__}"
             )
-    out = np.exp(_log_cf(model, market, u_arr))
+    # an overflow is inf, without NumPy's warning: |phi_T| along a contour is
+    # at most its moment at index 0, which every pricer checks
+    with np.errstate(over="ignore"):
+        out = np.exp(_log_cf(model, market, u_arr))
     if np.ndim(u) == 0 and not isinstance(u, np.ndarray):
         return complex(out)
     return out
@@ -513,48 +518,42 @@ class Cumulants:
             raise ValidationError("c2 and c4 must be nonnegative")
 
 
+_CONTOUR_NODES = 64  # trapezoid nodes on the circle |s| = r
+_CONTOUR_HALVINGS = 8  # times r may halve before the cumulants are given up
+# s/r at the nodes with Im(s) <= 0; the others are their conjugates
+_HALF_CIRCLE = np.exp(-1j * np.linspace(0.0, math.pi, _CONTOUR_NODES // 2 + 1))
+
+
 def cumulants(model: ModelSpec, market: MarketSpec) -> Cumulants:
     """First, second and fourth cumulants of ln(S_T / S_0).
 
-    Uses central finite differences of log phi_T(u) at u = 0.  The even-order
-    stencils collapse to two evaluations through the Hermitian symmetry
-    phi_T(-u) = conj(phi_T(u)), and one Richardson step removes the leading
-    O(h^2) error.  Tiny negative values of c2 or c4 caused by roundoff are
-    floored at zero.
+    c_n = n! * [s^n] K(s) for K(s) = log phi_T(-i*s) = log E[exp(s*X)],
+    which is analytic around 0: the trapezoid rule on a circle |s| = r
+    reads the Taylor coefficients off with one inverse real FFT and
+    converges geometrically (Bornemann 2011).  K is real on the real axis,
+    so only the nodes with Im(s) <= 0 are evaluated, in one call that also
+    probes K at s = +-2r.  r starts at a quarter of the nearer damping
+    bound and halves while a coefficient is not finite or a probe is not
+    real (past a moment explosion), so that K is analytic on a disc twice
+    the circle's size; only Heston halves, as Kou's and CGMY's strips are
+    proven.  Roundoff below zero in c2 or c4 is floored.
     """
-
-    def log_phi(h: float) -> complex:
-        val = char_fn(model, market, complex(h))
-        # an underflowed phi_T is log 0 = -inf, without NumPy's divide warning
-        return complex(np.log(val)) if val else complex(-math.inf)
-
-    def stencil(h: float, f1: complex, f2: complex) -> tuple[float, float, float]:
-        """The cumulants from f1 = log phi(h) and f2 = log phi(2h)."""
-        c1 = f1.imag / h
-        c2 = -2.0 * f1.real / h ** 2
-        c4 = (2.0 * f2.real - 8.0 * f1.real) / h ** 4
-        return c1, c2, c4
-
-    # pilot step sized so that the relative perturbation of log phi is O(1e-4)
-    log_pilot = log_phi(1e-2).real
-    if not math.isfinite(log_pilot):
-        raise ComputationError(
-            f"Re log phi_T(0.01) = {log_pilot} for {type(model).__name__}: phi_T "
-            f"underflows (or overflows), so no finite-difference step can be sized"
-        )
-    pilot = -2.0 * log_pilot / 1e-4
-    h = 1e-2 / math.sqrt(max(pilot, 1e-8))
-    # the fine stencil's 2 * (h/2) is h itself, so three points serve both
-    half, whole, double = (log_phi(step) for step in (0.5 * h, h, 2.0 * h))
-    coarse = stencil(h, whole, double)
-    fine = stencil(0.5 * h, half, whole)
-    c1, c2, c4 = ((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
-    if not all(map(math.isfinite, (c1, c2, c4))):
-        raise ComputationError(
-            f"cumulant differentiation produced a non-finite value for "
-            f"{type(model).__name__}"
-        )
-    return Cumulants(c1=c1, c2=max(c2, 0.0), c4=max(c4, 0.0))
+    lo, hi = damping_bounds(model)
+    radius = 0.25 * min(-lo, hi)
+    for _ in range(_CONTOUR_HALVINGS + 1):
+        s = np.append(radius * _HALF_CIRCLE, (2.0 * radius, -2.0 * radius))
+        # Heston's log-CF has a removable 0/0 at kappa = rho*sigma*s: nan
+        with np.errstate(all="ignore"):
+            values = _log_cf(model, market, -1j * s)
+            taylor = np.fft.irfft(values[:-2], _CONTOUR_NODES)[:5] / radius ** np.arange(5)
+        c1, c2, c4 = taylor[1], 2.0 * taylor[2], 24.0 * taylor[4]
+        # a valid moment's log carries ~1e-16 relative imaginary roundoff
+        if all(map(math.isfinite, (c1, c2, c4))) and all(
+                abs(k.imag) <= 1e-10 * max(1.0, abs(k.real)) for k in values[-2:].tolist()):
+            return Cumulants(c1=float(c1), c2=max(float(c2), 0.0), c4=max(float(c4), 0.0))
+        radius *= 0.5
+    raise ComputationError(f"log E[exp(s*X)] is not finite and real near s = 0 for "
+                           f"{type(model).__name__}, so no cumulant contour can be sized")
 
 
 @dataclass(frozen=True)

@@ -381,6 +381,16 @@ class TestMomentCheck:
         with pytest.raises(ValidationError, match=r"\^1.1\] underflows to 0; the drift"):
             price(models["kou"], market, OptionSpec(strike=100.0), config)
 
+    def test_overflowed_moment_is_named_as_one(self, models):
+        # E[(S_T/S_0)^1.1] is e^(1.3e6) at r = 0; it used to be reported as an
+        # explosion, after NumPy's overflow warning from char_fn
+        market = MarketSpec(spot=100.0, rate=0.0, maturity=1e8)
+        config = _preset_config("kou", Variant.STABLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"\^1.1\] overflows; the drift"):
+                price(models["kou"], market, OptionSpec(strike=100.0), config)
+
     def test_undamped_series_unaffected(self):
         # alpha = 0 needs only E[1] = 1, so the put still prices
         market = MarketSpec(spot=100.0, rate=0.05, maturity=20.0)
@@ -389,27 +399,34 @@ class TestMomentCheck:
         assert 0.0 < put.price < 100.0
 
 
-class TestUnderflowedCharacteristicFunction:
+class TestUnrepresentableSeries:
+    """Inputs whose cumulants are finite but whose series is not a double.
+
+    The cumulant contour stays finite whatever the maturity, so these fail
+    where the series does: at r = 0 a long maturity makes the moment
+    E[(S_T/S_0)^alpha] overflow, and CGMY with Y = -170 has c1 = -1.9e202,
+    beside which the range's half-width rounds away.
+    """
+
     @pytest.mark.parametrize(
-        "model, maturity",
+        "model, maturity, match",
         [
-            (presets.model_preset("kou"), 1e8),
-            (presets.model_preset("cgmy1"), 1e8),
-            (presets.model_preset("heston"), 1e10),
-            (presets.model_preset("cgmy2"), 1e6),
-            (CGMYParams(C=1.0, G=5.0, M=5.0, Y=-170.0), 1.0),
+            (presets.model_preset("kou"), 1e8, r"\] overflows; the drift"),
+            (presets.model_preset("cgmy1"), 1e8, r"\] overflows; the drift"),
+            (presets.model_preset("heston"), 1e10, r"\] overflows; the drift"),
+            (presets.model_preset("cgmy2"), 1e6, r"\] overflows; the drift"),
+            (CGMYParams(C=1.0, G=5.0, M=5.0, Y=-170.0), 1.0, "range must satisfy a < b"),
         ],
         ids=["kou", "cgmy1", "heston", "cgmy2", "cgmy-y-170"],
     )
-    def test_typed_error_without_warnings(self, model, maturity):
-        # phi_T(0.01) underflows at r = 0; sizing the cumulant stencil from
-        # it used to end in a ZeroDivisionError.  The error comes before the
-        # series, so one preset config serves every model.
+    def test_typed_error_without_warnings(self, model, maturity, match):
+        # the error comes before the series, so one preset config serves
+        # every model
         market = MarketSpec(spot=100.0, rate=0.0, maturity=maturity)
         config = _preset_config("cgmy1", Variant.STABLE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ComputationError, match="underflows"):
+            with pytest.raises(ValidationError, match=match):
                 price(model, market, OptionSpec(strike=100.0), config)
 
 
@@ -488,13 +505,13 @@ class TestKnownWrongStablePrices:
         [
             pytest.param(5.0, 100.0, None, marks=pytest.mark.xfail(
                 strict=True,
-                reason="the preset stable call returns 107.857 > S0 = 100 (parity "
+                reason="the preset stable call returns 107.861 > S0 = 100 (parity "
                 "100.0, Fourier integral 100.00000000009); " + _FIX_A,
             )),
             pytest.param(20.0, 80.0, 1.0001, marks=pytest.mark.xfail(
                 strict=True,
                 reason="returns 0.0, below the lower bound 89.2: in y = log(S_T/K) "
-                "the range [-1699.3, -211.4] lies wholly below the strike y = 0; " + _FIX_A,
+                "the range [-1699.5, -211.2] lies wholly below the strike y = 0; " + _FIX_A,
             )),
         ],
     )

@@ -13,12 +13,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cospricer import models as models_module
 from cospricer.errors import DomainError, ValidationError
 from cospricer.models import (
     CGMYParams,
     HestonParams,
     KouParams,
     MarketSpec,
+    _log_cf,
     char_fn,
     check_moment,
     cumulants,
@@ -43,9 +45,65 @@ CUMULANTS_EXACT = {
     "cgmy2": (-47.779350561927613, 95.752136239735672, 0.078133743171624308),
 }
 
-# the finite-difference c4 is the least accurate piece per model; the
-# fat-tail set amplifies fourth-difference noise the most
-C4_RTOL = {"heston": 5e-4, "kou": 5e-5, "cgmy1": 5e-4, "cgmy2": 5e-2}
+# c4 is the least accurate cumulant: the contour's rounding, eps times
+# max|log phi| on the circle over r^4, is largest against heston's small c4
+C4_RTOL = {"heston": 1e-9, "kou": 1e-13, "cgmy1": 1e-12, "cgmy2": 1e-11}
+
+MATURITIES = (1e-4, 1e-2, 1.0, 20.0)
+
+# E[S_T^1.1] explodes at T* ~ 8.66 for this parameter set
+EXPLOSIVE_HESTON = HestonParams(kappa=0.5, theta=0.09, sigma=1.0, rho=0.5, v0=0.09)
+
+
+def kou_cumulants(model, market):
+    """Closed-form c1, c2, c4 of Kou's log-return: a Brownian motion with
+    drift plus compound Poisson jumps, Exp(eta1) up with probability p and
+    Exp(eta2) down otherwise, whose n-th moment is
+    n! * (p / eta1^n + (1 - p) * (-1)^n / eta2^n)."""
+    t = market.maturity
+    p, e1, e2 = model.p, model.eta1, model.eta2
+
+    def jump_moment(n):
+        return math.factorial(n) * (p / e1 ** n + (1.0 - p) * (-1) ** n / e2 ** n)
+
+    compensator = p * e1 / (e1 - 1.0) + (1.0 - p) * e2 / (e2 + 1.0) - 1.0
+    mu = market.rate - market.dividend - 0.5 * model.sigma ** 2 - model.lam * compensator
+    return (
+        (mu + model.lam * jump_moment(1)) * t,
+        (model.sigma ** 2 + model.lam * jump_moment(2)) * t,
+        model.lam * jump_moment(4) * t,
+    )
+
+
+def cgmy_cumulants(model, market):
+    """Closed-form c1, c2, c4 of CGMY: the Levy measure gives
+    c_n = C*T*Gamma(n - Y)*(M^(Y - n) + (-1)^n * G^(Y - n)), and c1 also
+    takes the martingale drift mu*T."""
+    t = market.maturity
+    c, g, m, y = model.C, model.G, model.M, model.Y
+
+    def levy(n):
+        return c * t * math.gamma(n - y) * (m ** (y - n) + (-1) ** n * g ** (y - n))
+
+    mu = market.rate - market.dividend - c * math.gamma(-y) * (
+        (m - 1.0) ** y - m ** y + (g + 1.0) ** y - g ** y
+    )
+    return mu * t + levy(1), levy(2), levy(4)
+
+
+def heston_c1(model, market):
+    t, kappa = market.maturity, model.kappa
+    return ((market.rate - market.dividend) * t
+            + (1.0 - math.exp(-kappa * t)) * (model.theta - model.v0) / (2.0 * kappa)
+            - 0.5 * model.theta * t)
+
+
+def contour_cumulants(model, market, radius, nodes=64):
+    """c1, c2, c4 from the trapezoid rule on the whole circle |s| = radius,
+    by a complex FFT of log phi_T(-i*s)."""
+    s = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    taylor = np.fft.fft(_log_cf(model, market, -1j * s))[:5].real / nodes / radius ** np.arange(5)
+    return taylor[1], 2.0 * taylor[2], 24.0 * taylor[4]
 
 
 class TestCharacteristicFunctionAxioms:
@@ -152,6 +210,62 @@ class TestCumulants:
             assert c.c2 >= 0.0
             assert c.c4 >= 0.0
 
+    @pytest.mark.parametrize("maturity", MATURITIES)
+    def test_kou_against_closed_forms(self, models, maturity):
+        # the finite-difference c1 was 6.1% off at T = 1e-4
+        market = MarketSpec(spot=100.0, rate=0.1, maturity=maturity)
+        c = cumulants(models["kou"], market)
+        want = kou_cumulants(models["kou"], market)
+        assert (c.c1, c.c2, c.c4) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("y", [-0.5, 0.5, 1.5, 1.98])
+    @pytest.mark.parametrize("maturity", MATURITIES)
+    def test_cgmy_against_closed_forms(self, maturity, y):
+        # with G != M the odd jump cumulants do not cancel; the
+        # finite-difference c4 of cgmy2 was 3.0% off at T = 1
+        market = MarketSpec(spot=100.0, rate=0.1, maturity=maturity)
+        for g, m in ((5.0, 5.0), (4.0, 7.0), (9.0, 3.0)):
+            model = CGMYParams(C=1.0, G=g, M=m, Y=y)
+            c = cumulants(model, market)
+            want = cgmy_cumulants(model, market)
+            assert (c.c1, c.c2, c.c4) == pytest.approx(want, rel=1e-9, abs=0.0), (g, m)
+
+    @pytest.mark.parametrize("maturity", MATURITIES + (5.0,))
+    def test_heston_c1_against_closed_form(self, models, maturity):
+        market = MarketSpec(spot=100.0, rate=0.1, maturity=maturity)
+        for model in (models["heston"], EXPLOSIVE_HESTON):
+            c = cumulants(model, market)
+            want = heston_c1(model, market)
+            assert abs(c.c1 - want) <= 1e-12 * max(abs(want), math.sqrt(c.c2))
+
+    @pytest.mark.parametrize("maturity", [1.0, 5.0, 20.0])
+    def test_explosive_heston_agrees_with_a_smaller_circle(self, maturity):
+        # the radius halves from 0.5 while E[exp(+-2r*X)] is not a moment
+        # (at s = 1 the log-CF is 0/0): to 0.25 at T = 1 and 5, and to
+        # 0.125 at T = 20.  A circle half that size sees the same Taylor
+        # coefficients
+        market = MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
+        c = cumulants(EXPLOSIVE_HESTON, market)
+        want = contour_cumulants(EXPLOSIVE_HESTON, market, 0.0625)
+        assert (c.c1, c.c2, c.c4) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0, 20.0])
+    def test_one_log_cf_call_and_no_char_fn_call(self, models, maturity, monkeypatch):
+        calls = []
+        log_cf = models_module._log_cf
+
+        def spy(*args):
+            calls.append(args)
+            return log_cf(*args)
+
+        monkeypatch.setattr(models_module, "_log_cf", spy)
+        monkeypatch.setattr(models_module, "char_fn", None)
+        market = MarketSpec(spot=100.0, rate=0.1, maturity=maturity)
+        for name, model in models.items():
+            calls.clear()
+            cumulants(model, market)
+            assert len(calls) == 1, name
+
 
 class TestTruncationRange:
     def test_symmetric_about_first_cumulant(self, models, market):
@@ -251,7 +365,11 @@ class TestMomentPredicate:
     def test_check_moment_tells_an_underflow_from_an_explosion(self):
         with pytest.raises(ValidationError, match="underflows to 0"):
             check_moment(1.1, 0j)
-        for value in (1.3 + 0.38j, -0.5, math.inf):
+        # +inf is an overflow too: lowering the damping does not mend it
+        for value in (math.inf, complex(math.inf, 0.0)):
+            with pytest.raises(ValidationError, match=r"\^1.1\] overflows; the drift"):
+                check_moment(1.1, value)
+        for value in (1.3 + 0.38j, -0.5, -math.inf, complex(1.0, math.inf)):
             with pytest.raises(ValidationError, match="the moment explodes"):
                 check_moment(1.1, value)
 

@@ -10,6 +10,7 @@ direct sum in extended precision.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -399,3 +400,12 @@ class TestCarrMadanReadout:
         market = MarketSpec(spot=100.0, rate=0.0, dividend=0.7, maturity=1000.0)
         with pytest.raises(ValidationError, match=r"\^1.75\] underflows to 0; the drift"):
             price_carr_madan(model_preset("kou"), market, [100.0], carr_madan_preset("kou"))
+
+    def test_overflowed_moment_is_named_as_one(self):
+        # 1.75*(r - q)*T is about 1023 > 709.8, so the moment overflows; it
+        # used to be reported as an explosion, after NumPy's overflow warning
+        market = MarketSpec(spot=100.0, rate=1.502, dividend=-0.774, maturity=256.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"\^1.75\] overflows; the drift"):
+                price_carr_madan(model_preset("kou"), market, [100.0], carr_madan_preset("kou"))
