@@ -9,7 +9,8 @@ truncation interval built from them.
 Both fixed-grid consumers, the cosine engine and the Carr-Madan sum,
 read phi_T along a contour u - i*alpha, u = 0, du, 2*du, ..., through
 :func:`live_band`, which evaluates phi_T only before the first point
-where a proven non-increasing bound on |phi_T| shows an exact zero.
+where a proven non-increasing bound on |phi_T| falls below a floor: an
+exact zero for the cosine engine, the sum's rounding for Carr-Madan.
 """
 
 from __future__ import annotations
@@ -225,18 +226,22 @@ def _cgmy_psi(g: float, m: float, y: float, u):
     )
 
 
-def _cgmy_log_cf(model: CGMYParams, market: MarketSpec, u):
-    t = market.maturity
+def _cgmy_drift(model: CGMYParams, market: MarketSpec) -> float:
+    """The drift mu of the CGMY log-return; its compensator is
+    C*Gamma(-Y) times psi at u = -i, in real arithmetic."""
     c, g, m, y = model.C, model.G, model.M, model.Y
-    gam = math.gamma(-y)
-    # drift compensator is psi at u = -i, in real arithmetic
     psi_mart = m ** y * math.expm1(y * math.log1p(-1.0 / m)) + g ** y * math.expm1(
         y * math.log1p(1.0 / g)
     )
-    mu = market.rate - market.dividend - c * gam * psi_mart
+    return market.rate - market.dividend - c * math.gamma(-y) * psi_mart
+
+
+def _cgmy_log_cf(model: CGMYParams, market: MarketSpec, u):
+    t = market.maturity
+    mu = _cgmy_drift(model, market)
     # principal-branch logs; Re(m - iu) and Re(g + iu) stay positive for
     # Im(u) inside (-m, g)
-    levy = c * t * gam * _cgmy_psi(g, m, y, u)
+    levy = model.C * t * math.gamma(-model.Y) * _cgmy_psi(model.G, model.M, model.Y, u)
     return 1j * u * mu * t + levy
 
 
@@ -421,6 +426,32 @@ def _heston_log_envelope(model: HestonParams, market: MarketSpec, alpha: float, 
     return out if math.isfinite(out) else math.inf
 
 
+def _cgmy_log_envelope(model: CGMYParams, market: MarketSpec, alpha: float, u: float) -> float:
+    """Re log phi_T(u - i*alpha) for the CGMY model, in real arithmetic:
+
+        alpha*mu*T + C*T*Gamma(-Y)*[Re(M - alpha - iu)^Y - M^Y
+                                    + Re(G + alpha + iu)^Y - G^Y].
+
+    Each bracketed pair is b^Y*Re expm1(Y*log(1 + z)) for b = M, G and
+    z = (-alpha - iu)/M, (alpha + iu)/G, with the real and imaginary
+    parts of log(1 + z) from log1p and atan2, free of the cancellation
+    at small |z| that :func:`_cgmy_psi` avoids the same way.
+    """
+    y = model.Y
+
+    def gap(base: float, shift: float) -> float:
+        x, v = shift / base, u / base
+        log_r = 0.5 * math.log1p(x * (2.0 + x) + v * v)
+        angle = y * math.atan2(v, 1.0 + x)
+        return base ** y * (math.expm1(y * log_r) * math.cos(angle)
+                            - 2.0 * math.sin(0.5 * angle) ** 2)
+
+    t = market.maturity
+    return alpha * _cgmy_drift(model, market) * t + model.C * t * math.gamma(-y) * (
+        gap(model.M, -alpha) + gap(model.G, alpha)
+    )
+
+
 def _log_envelope(model: ModelSpec, market: MarketSpec, alpha: float, u: float) -> float:
     """An upper bound on log|phi_T(u - i*alpha)| that does not increase in
     u >= 0, for alpha inside the damping bounds; inf where no bound is
@@ -429,9 +460,10 @@ def _log_envelope(model: ModelSpec, market: MarketSpec, alpha: float, u: float) 
     Heston: :func:`_heston_log_envelope`, except at |rho| = 1, where the
     conditional Gaussian it rests on degenerates.
 
-    Kou, and CGMY with -1 < Y < 2: Re log phi_T(u - i*alpha) itself.  The
-    drift contributes alpha*mu*T to it, a constant, so only the other
-    terms matter.
+    Kou, and CGMY with -1 < Y < 2: Re log phi_T(u - i*alpha) itself,
+    CGMY's in real arithmetic (:func:`_cgmy_log_envelope`).  The drift
+    contributes alpha*mu*T to it, a constant, so only the other terms
+    matter.
 
     Kou: the diffusion gives -sigma^2*T*(u^2 - alpha^2)/2 and each jump
     side lam*T*p*eta1*(eta1 - alpha)/((eta1 - alpha)^2 + u^2) or
@@ -450,37 +482,53 @@ def _log_envelope(model: ModelSpec, market: MarketSpec, alpha: float, u: float) 
     """
     if isinstance(model, HestonParams):
         bound = math.inf if abs(model.rho) == 1.0 else _heston_log_envelope(model, market, alpha, u)
-    elif isinstance(model, KouParams) or (isinstance(model, CGMYParams) and -1.0 < model.Y < 2.0):
+    elif isinstance(model, KouParams):
         bound = _log_cf(model, market, complex(u, -alpha)).real
+    elif isinstance(model, CGMYParams) and -1.0 < model.Y < 2.0:
+        bound = _cgmy_log_envelope(model, market, alpha, u)
     else:
         return math.inf
     return bound if math.isfinite(bound) else math.inf
 
 
 def live_band(
-    evaluate, model: ModelSpec, market: MarketSpec, step: float, shift: float, size: int
+    evaluate,
+    model: ModelSpec,
+    market: MarketSpec,
+    step: float,
+    shift: float,
+    size: int,
+    log_floor: float = _UNDERFLOW_LOG,
 ) -> np.ndarray:
     """Characteristic-function values on the live prefix of a uniform contour.
 
     The contour is u_k - i*shift with u_k = k*step for k < size; evaluate
     is :func:`char_fn` as the caller binds it and is called as
-    evaluate(model, market, points).  Returns the values up to and
-    including the last nonzero one; everything past it is an exact zero,
-    which adds nothing to a sum.  Index 0, the moment E[(S_T/S_0)^shift],
-    is always kept.
+    evaluate(model, market, points).  Index 0, the moment
+    E[(S_T/S_0)^shift], is always kept.
 
     The rule, the same for every model: :func:`_log_envelope` bounds
     log|phi_T| from above and does not increase along the contour, so
-    from the first index k >= 1 at which it lies below _UNDERFLOW_LOG on,
-    every value is an exact zero.  Bisection finds that index (the last
-    point is tested first, so a contour live to its end costs one bound
-    value), and one evaluate call covers the points before it.  A model
-    without a proven bound is evaluated on the whole contour.  The values
-    are the ones a single call on the whole contour would return.
+    from the first index k >= 1 at which it lies below log_floor on,
+    every |phi_T| is below exp(log_floor).  Bisection finds that index
+    (the last point is tested first, so a contour live to its end costs
+    one bound value), and one evaluate call covers the points before it.
+    A model without a proven bound is evaluated on the whole contour.
+    The values returned are the ones a single call on the whole contour
+    would return, up to and including the last nonzero one before that
+    index.
+
+    The default floor, _UNDERFLOW_LOG, cuts only exact zeros, which add
+    nothing to a sum: the cosine engine keeps it, so its series is
+    bit-identical to the full one.  The Carr-Madan sum passes a higher
+    floor, proven to leave out a tail below its own rounding (see
+    ``transform_refs._damped_calls``); a floor below _UNDERFLOW_LOG is
+    raised to it.
     """
+    log_floor = max(log_floor, _UNDERFLOW_LOG)
 
     def dead(k: int) -> bool:
-        return _log_envelope(model, market, shift, k * step) < _UNDERFLOW_LOG
+        return _log_envelope(model, market, shift, k * step) < log_floor
 
     end = size
     if size >= 2 and dead(size - 1):

@@ -16,11 +16,11 @@ whole strike column from shared vector work:
 Both operate on the log-return characteristic function and are used as
 oracles against the cosine-series engine; neither shares code with it
 beyond the model layer.  Carr-Madan sums its transform over the live
-band of phi only (:func:`models.live_band`): up to the last frequency
-where phi has not underflowed, the zeros past it adding nothing; phi is
-evaluated only where a proven bound cannot rule it out (the rule is in
-``models.live_band``).  The Fourier integral evaluates phi at its
-nodes and at the cut and raises when the integrand has not decayed there.
+band of phi only (:func:`models.live_band`): up to the first frequency
+from which a proven bound puts the whole remaining tail of the sum below
+0.1*eps of its first term, under the sum's own rounding (the bound is in
+``_damped_calls``).  The Fourier integral evaluates phi at its nodes
+and at the cut and raises when the integrand has not decayed there.
 """
 
 from __future__ import annotations
@@ -32,7 +32,16 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .models import MarketSpec, ModelSpec, char_fn, check_moment, damping_bounds, live_band
+from .models import (
+    _UNDERFLOW_LOG,
+    MarketSpec,
+    ModelSpec,
+    _log_envelope,
+    char_fn,
+    check_moment,
+    damping_bounds,
+    live_band,
+)
 
 __all__ = [
     "CarrMadanConfig",
@@ -43,8 +52,14 @@ __all__ = [
 
 
 # the frequency contour of the Carr-Madan sum is capped at this many
-# points; every preset's live band ends well before it
+# points; every preset's band, cut at the rounding floor below, ends
+# well before it
 _MAX_FREQUENCIES = 2 ** 16
+
+# log(0.1*eps/(4*_MAX_FREQUENCIES)), about -50.8: where log|phi| has
+# fallen this far below the moment, the rest of the Simpson sum is under
+# 0.1*eps of its first term (see _damped_calls)
+_TAIL_LOG = math.log(0.1 * np.finfo(float).eps / (4 * _MAX_FREQUENCIES))
 
 
 @dataclass(frozen=True)
@@ -109,14 +124,26 @@ def _damped_calls(
     the call at k is S0 * exp(-damping*k)/pi times the value at k.
 
     x_p is the Simpson-weighted transform at v_p = eta*p on the live band
-    of phi (:func:`models.live_band`), m points; the zeros past it add
-    nothing.  With p = a + B*b (B about sqrt(m)) each twiddle is the
-    product of e^{-i*eta*a*k} and e^{-i*eta*B*b*k}, so one matrix product
-    and one reduction give every strike for |K|*(m + B + m/B) work.
+    of phi (:func:`models.live_band`), m points, cut at a rounding floor.
+    With Psi the envelope of |phi| along the contour and
+    w(v) = 1/|(alpha + iv)(alpha + 1 + iv)|, neither of which increases,
+    |x_p| <= (4*eta/3)*e^{-rT}*Psi(v_p)*w(v_p), while
+    |x_0| = (eta/3)*e^{-rT}*Psi(0)*w(0), since Psi(0) = phi(-i(alpha + 1))
+    for every envelope.  So the terms from index k on sum to at most
+    4*cap*|x_0|*Psi(v_k)/Psi(0) for the contour's cap of points, and the
+    band stops where log Psi falls _TAIL_LOG below log Psi(0): the tail
+    left out is below 0.1*eps*|x_0|, under the sum's rounding.  Where
+    Psi(0) is not finite, only exact zeros are cut.
+
+    With p = a + B*b (B about sqrt(m)) each twiddle is the product of
+    e^{-i*eta*a*k} and e^{-i*eta*B*b*k}, so one matrix product and one
+    reduction give every strike for |K|*(m + B + m/B) work.
     """
     eta = config.spacing
     alpha = config.damping
-    phi = live_band(char_fn, model, market, eta, alpha + 1.0, _MAX_FREQUENCIES)
+    top = _log_envelope(model, market, alpha + 1.0, 0.0)
+    floor = top + _TAIL_LOG if top < math.inf else _UNDERFLOW_LOG
+    phi = live_band(char_fn, model, market, eta, alpha + 1.0, _MAX_FREQUENCIES, floor)
     check_moment(alpha + 1.0, phi[0])
     v = eta * np.arange(phi.size)
     # Fourier transform of the exp(alpha*k)-damped call in log-strike k
@@ -163,8 +190,8 @@ def price_carr_madan(
         Call prices in strike order, each the Simpson sum of the
         inverse transform taken at the strike's own log-moneyness.  An
         empty column returns [] without evaluating phi.  A price above
-        spot, or below max(S0*e^(-qT) - K*e^(-rT), 0), each up to
-        1e-9*S0, raises ComputationError.
+        S0*e^(-qT), or below max(S0*e^(-qT) - K*e^(-rT), 0), each by
+        more than 1e-9*S0, raises ComputationError.
     """
     strikes = _validate_strikes(strikes)
     if not strikes:
@@ -178,20 +205,20 @@ def price_carr_madan(
     calls = _damped_calls(model, market, config, log_strikes)
     prices = market.spot * (np.exp(-config.damping * log_strikes) / math.pi * calls)
 
-    bad = ~(np.isfinite(prices) & (prices <= market.spot * (1.0 + 1e-9)))
+    upper = market.spot * math.exp(-market.dividend * market.maturity)
+    bad = ~(np.isfinite(prices) & (prices <= upper + 1e-9 * market.spot))
     if bad.any():
-        # a call above spot signals the exp((damping+1)*y) moment has
+        # a call above S0*e^(-qT) signals the exp((damping+1)*y) moment has
         # overwhelmed the sum; lower the damping for heavy tails
         raise ComputationError(
-            f"Carr-Madan call price {prices[bad.argmax()]:.3e} violates the spot bound; "
-            f"damping {config.damping} is too aggressive for this model"
+            f"Carr-Madan call price {prices[bad.argmax()]:.6g} violates the dividend-"
+            f"discounted spot bound S0*e^(-qT) = {upper:.6g}; damping {config.damping} "
+            f"is too aggressive for this model"
         )
     # the sum's rounding is scaled by exp(-damping*k) too, which swamps a
-    # deep in-the-money call; the same allowance as the spot bound
+    # deep in-the-money call; the same allowance as the upper bound
     lower = np.maximum(
-        market.spot * np.exp(-market.dividend * market.maturity)
-        - np.asarray(strikes) * np.exp(-market.rate * market.maturity),
-        0.0,
+        upper - np.asarray(strikes) * np.exp(-market.rate * market.maturity), 0.0
     ) - 1e-9 * market.spot
     bad = ~(prices >= lower)
     if bad.any():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from cospricer import cos_engine, models, presets
+from cospricer import cos_engine, models, presets, transform_refs
 from cospricer.cos_engine import CosConfig, OptionKind, OptionSpec, Variant, price
 from cospricer.errors import PricingError, ValidationError
 from cospricer.models import (
@@ -123,10 +123,22 @@ def full_grid_spectrum(model, market, config):
     return np.fft.fft(terms).real, np.abs(terms).sum()
 
 
+def carr_madan_at_the_money(model, market, config):
+    """_damped_calls at k = 0, and the number of points it evaluates phi at."""
+    evaluate = CountingCharFn()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform_refs, "char_fn", evaluate)
+        [value] = _damped_calls(model, market, config, np.zeros(1))
+    [points] = evaluate.sizes
+    return value, points
+
+
 def assert_at_the_money_matches_full_grid(model, market, config):
     """The sum at k = 0 within 16 eps sum |x_p| of the full-grid FFT, or
-    the same error type from both.  Only k = 0 is compared: elsewhere the
-    grid's log-strikes carry rounding of their own, about eps*pi/eta."""
+    the same error type from both; and the terms of the capped contour
+    past the points the sum evaluates add up to at most 0.1 eps |x_0|.
+    Only k = 0 is compared: elsewhere the grid's log-strikes carry
+    rounding of their own, about eps*pi/eta."""
     try:
         spectrum, scale = full_grid_spectrum(model, market, config)
     except PricingError as exc:
@@ -134,9 +146,13 @@ def assert_at_the_money_matches_full_grid(model, market, config):
             _damped_calls(model, market, config, np.zeros(1))
         assert raised.type is type(exc)
         return
-    [got] = _damped_calls(model, market, config, np.zeros(1))
+    got, points = carr_madan_at_the_money(model, market, config)
     error = abs(got - spectrum[spectrum.size // 2])
-    assert error <= 16.0 * np.finfo(float).eps * scale, (model, market.maturity, error / scale)
+    eps = np.finfo(float).eps
+    assert error <= 16.0 * eps * scale, (model, market.maturity, error / scale)
+    terms = simpson_terms(model, market, config)
+    tail = np.abs(terms[points:]).sum()
+    assert tail <= 0.1 * eps * abs(terms[0]), (model, market.maturity, points, tail)
 
 
 def outcome(model, market, options, config):
@@ -223,13 +239,13 @@ class TestSpectrumCertification:
         assert_at_the_money_matches_full_grid(model, market, presets.carr_madan_preset("heston"))
 
 
-def assert_first_dead_index(model, market, step, shift, size, end):
-    """end is the first index k >= 1 whose bound lies below ZERO_LOG, or
+def assert_first_dead_index(model, market, step, shift, size, end, floor=ZERO_LOG):
+    """end is the first index k >= 1 whose bound lies below floor, or
     size if there is none; the bound does not increase, so the neighbours
     of end decide it."""
 
     def dead(k):
-        return _log_envelope(model, market, shift, k * step) < ZERO_LOG
+        return _log_envelope(model, market, shift, k * step) < floor
 
     if end == size:
         assert size < 2 or not dead(size - 1)
@@ -355,6 +371,27 @@ class TestLiveBand:
         model = presets.model_preset(name)
         for fraction in (0.2, 0.5, 0.8):
             assert_live_band(model, self.MARKET, *contour(model, fraction, 0.05, n_terms))
+
+
+class TestCarrMadanCut:
+    # the most points each preset's sum may evaluate at T = 1, where the
+    # underflow band was heston 15515, kou 4815, cgmy1 808, cgmy2 635
+    AT_T1 = {"heston": 1500, "kou": 1300, "cgmy1": 200, "cgmy2": 200}
+
+    @pytest.mark.parametrize("name", presets.PROFILE_NAMES)
+    @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0])
+    def test_stops_at_the_rounding_floor(self, name, maturity):
+        model, market = presets.model_preset(name), presets.market_preset(maturity)
+        config = presets.carr_madan_preset(name)
+        _, points = carr_madan_at_the_money(model, market, config)
+        shift = config.damping + 1.0
+        # log(0.1*eps/(4*2^16)), about -50.8, below the bound at u = 0
+        floor = _log_envelope(model, market, shift, 0.0) + math.log(
+            0.1 * np.finfo(float).eps / (4 * 2 ** 16))
+        assert_first_dead_index(model, market, config.spacing, shift, _MAX_FREQUENCIES,
+                                points, floor)
+        if maturity == 1.0:
+            assert points <= self.AT_T1[name]
 
 
 _fractions = st.floats(0.01, 0.99)

@@ -35,6 +35,7 @@ from cospricer.presets import (
     carr_madan_preset,
     integral_preset,
     load_strike_table,
+    market_preset,
     model_preset,
 )
 
@@ -196,6 +197,17 @@ class TestCarrMadan:
         with pytest.raises(ComputationError, match="spot bound"):
             price_carr_madan(model, market, [100.0], CarrMadanConfig())
 
+    def test_above_dividend_discounted_spot_rejected(self):
+        # with q > 0 the upper bound is S0*e^(-qT) = 36.78794, which the
+        # Fourier integral meets; the sum used to return 36.9113, under S0
+        model = model_preset("cgmy2")
+        market = MarketSpec(spot=100.0, rate=0.1, dividend=0.2, maturity=5.0)
+        with pytest.raises(ComputationError, match="spot bound S0\\*e\\^\\(-qT\\) = 36.7879"):
+            price_carr_madan(model, market, [100.0], carr_madan_preset("cgmy2"))
+        bound = market.spot * math.exp(-market.dividend * market.maturity)
+        got = price_fourier_integral(model, market, 100.0, integral_preset("cgmy2"))
+        assert got == pytest.approx(bound, abs=1e-9)
+
     @pytest.mark.parametrize(
         "name, log_strike",
         [("kou", -60.0), ("kou", -40.0), ("heston", -40.0), ("kou", -30.0), ("heston", -30.0)],
@@ -330,9 +342,15 @@ def extended_direct_sum(model, market, config, log_strikes):
 
 
 class TestCarrMadanReadout:
-    @pytest.mark.parametrize("name", PROFILES)
-    def test_matches_extended_precision_sum(self, market, name):
+    # the band's cut moves most with the maturity; T = 1 keeps the bare
+    # profile name as its id
+    @pytest.mark.parametrize("name, maturity", [
+        pytest.param(name, maturity, id=name if maturity == 1.0 else f"{name}-T={maturity:g}")
+        for maturity in (1.0, 0.1, 5.0) for name in PROFILES
+    ])
+    def test_matches_extended_precision_sum(self, name, maturity):
         model, config = model_preset(name), carr_madan_preset(name)
+        market = market_preset(maturity)
         # the lattice, and log-strikes across the whole span to its ends
         lattice = np.log(LATTICE / market.spot)
         log_strikes = np.concatenate((lattice, config.strike_span * np.linspace(-1.0, 1.0, 21)))
@@ -340,6 +358,12 @@ class TestCarrMadanReadout:
         want, scale = extended_direct_sum(model, market, config, log_strikes)
         error = np.max(np.abs(got - want))
         assert error <= 16.0 * np.finfo(float).eps * scale, (name, error / scale)
+        if (name, maturity) == ("cgmy2", 5.0):
+            # the preset step does not resolve this transform: the sum
+            # reads 100.35-100.39 across the lattice, above the spot bound
+            with pytest.raises(ComputationError, match="spot bound"):
+                price_carr_madan(model, market, LATTICE, config)
+            return
         # each price is that sum at its strike, scaled back
         prices = price_carr_madan(model, market, LATTICE, config)
         calls = got[: LATTICE.size]
