@@ -24,7 +24,6 @@ from .cos_engine import (
 from .errors import (
     ComputationError,
     ConfigurationError,
-    DomainError,
     PricingError,
     ValidationError,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "ConfigurationError",
     "CosConfig",
     "Cumulants",
-    "DomainError",
     "ExperimentResult",
     "HestonParams",
     "IntegralConfig",

@@ -44,9 +44,9 @@ from .models import (
     ModelSpec,
     TruncationRange,
     char_fn,
+    check_damping,
     check_moment,
     cumulants,
-    damping_bounds,
     live_band,
     truncation_range,
 )
@@ -98,8 +98,8 @@ class CosConfig:
     rule of :func:`term_counts`, stored as an int; range_width the cumulant
     half-width multiplier L, damping the exponent alpha of the stable
     variant (None picks 1.1 for calls and 0 for puts; a call needs
-    alpha > 1 and a put alpha <= 0).  The other variants are undamped, so
-    they refuse a damping.
+    alpha > 1 and a put alpha <= 0, and pricing checks it against the
+    model).  The other variants are undamped, so they refuse a damping.
     """
 
     n_terms: int
@@ -282,6 +282,9 @@ def _tail_may_overflow(
     return log_bound > math.log(1e300)
 
 
+# an overflowing coefficient or term reads as inf or nan, without NumPy's
+# warning: the caller raises a computation error on it
+@np.errstate(over="ignore", invalid="ignore")
 def _series_values(
     model: ModelSpec,
     market: MarketSpec,
@@ -381,12 +384,7 @@ def _price_counts(
         raise ConfigurationError("alpha must exceed 1 for stable call pricing")
     if config.variant is Variant.STABLE and kind is OptionKind.PUT and alpha > 0.0:
         raise ConfigurationError("alpha must not exceed 0 for stable put pricing")
-    lo, hi = damping_bounds(model)
-    if not lo < alpha < hi:
-        raise ConfigurationError(
-            f"damping alpha={alpha} outside the admissible interval ({lo}, {hi}) "
-            f"for {type(model).__name__}"
-        )
+    check_damping(model, alpha)
 
     cums = cumulants(model, market)
     discount = math.exp(-market.rate * market.maturity)
@@ -439,9 +437,9 @@ def price(
 
     Raises a configuration error when the damped variant is asked to price a
     call with alpha <= 1 or a put with alpha > 0 (the damped payoff grows
-    without bound there), when alpha leaves the model's analyticity strip,
-    or when the parity variant is asked for a put; a computation error when
-    a series value is not finite.
+    without bound there), or when the parity variant is asked for a put; a
+    validation error when alpha leaves :func:`models.damping_bounds` or its
+    moment is not valid; a computation error when a value is not finite.
     """
     options = (option,) if isinstance(option, OptionSpec) else tuple(option)
     [results] = _price_counts(model, market, options, config, (config.n_terms,))

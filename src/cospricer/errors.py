@@ -9,10 +9,6 @@ class ValidationError(PricingError, ValueError):
     """Invalid model, market, option, grid, or range parameters."""
 
 
-class DomainError(PricingError, ValueError):
-    """Characteristic function evaluated outside its strip of analyticity."""
-
-
 class ConfigurationError(PricingError, ValueError):
     """Method configuration the requested pricing variant cannot honor."""
 

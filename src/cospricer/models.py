@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ComputationError, DomainError, ValidationError
+from .errors import ComputationError, ValidationError
 
 __all__ = [
     "MarketSpec",
@@ -35,6 +35,7 @@ __all__ = [
     "cumulants",
     "truncation_range",
     "damping_bounds",
+    "check_damping",
     "moment_is_valid",
     "check_moment",
     "live_band",
@@ -256,28 +257,29 @@ def _log_cf(model: ModelSpec, market: MarketSpec, u):
     raise ValidationError(f"unsupported model type {type(model).__name__}")
 
 
-def _analyticity_strip(model: ModelSpec):
-    """Open interval of admissible Im(u), or None when no closed form exists."""
-    if isinstance(model, KouParams):
-        return (-model.eta1, model.eta2)  # up-jump pole eta1/(eta1 - iu) at Im(u) = -eta1
-    if isinstance(model, CGMYParams):
-        return (-model.M, model.G)  # (M - iu)^Y branch point at Im(u) = -M
-    return None
-
-
 def damping_bounds(model: ModelSpec) -> tuple[float, float]:
-    """Open interval of damping exponents alpha for which phi_T(u - i*alpha)
-    is defined for all real u.
-
-    For the stochastic volatility model no closed-form strip is available;
-    a conservative envelope that covers the supported parameter regime is
-    returned instead.
+    """Open interval of contour shifts alpha for which phi_T(u - i*alpha) is
+    proven defined for all real u at every maturity: Kou's (-eta2, eta1)
+    and CGMY's (-G, M), and the whole line for Heston, whose moment of
+    order alpha explodes at a maturity T*(alpha) (Andersen & Piterbarg
+    2007): :func:`check_moment` reads that off the closed form.
     """
-    strip = _analyticity_strip(model)
-    if strip is None:
-        return (-2.0, 2.0)
-    lo, hi = strip
-    return (-hi, -lo)
+    if isinstance(model, KouParams):
+        return (-model.eta2, model.eta1)
+    if isinstance(model, CGMYParams):
+        return (-model.G, model.M)
+    return (-math.inf, math.inf)
+
+
+def check_damping(model: ModelSpec, shift: float) -> None:
+    """Raise a validation error unless the contour shift (alpha, or the
+    Carr-Madan damping plus 1) lies inside :func:`damping_bounds`."""
+    lo, hi = damping_bounds(model)
+    if not lo < shift < hi:
+        raise ValidationError(
+            f"contour shift {shift:g} lies outside the admissible interval ({lo:g}, {hi:g}) "
+            f"for {type(model).__name__}, so E[(S_T/S_0)^{shift:g}] is infinite"
+        )
 
 
 def moment_is_valid(value: complex) -> bool:
@@ -326,22 +328,18 @@ def char_fn(model: ModelSpec, market: MarketSpec, u):
     model : ModelSpec
     market : MarketSpec
     u : complex scalar or array_like
-        Argument; Im(u) must lie inside the model's strip of analyticity
-        (checked for the jump models, where the strip is explicit).
+        Argument; -Im(u) must lie inside :func:`damping_bounds`, checked
+        by :func:`check_damping`.
 
     Returns
     -------
     complex scalar or ndarray matching the shape of ``u``.
     """
     u_arr = np.asarray(u, dtype=np.complex128)
-    strip = _analyticity_strip(model)
-    if strip is not None:
+    if u_arr.size:
         im = np.imag(u_arr)
-        if np.any(im <= strip[0]) or np.any(im >= strip[1]):
-            raise DomainError(
-                f"Im(u) must lie in ({strip[0]}, {strip[1]}) for "
-                f"{type(model).__name__}"
-            )
+        for shift in (-im.max(), -im.min()):
+            check_damping(model, float(shift))
     # an overflow is inf, without NumPy's warning: |phi_T| along a contour is
     # at most its moment at index 0, which every pricer checks
     with np.errstate(over="ignore"):
@@ -435,14 +433,19 @@ def _cgmy_log_envelope(model: CGMYParams, market: MarketSpec, alpha: float, u: f
     Each bracketed pair is b^Y*Re expm1(Y*log(1 + z)) for b = M, G and
     z = (-alpha - iu)/M, (alpha + iu)/G, with the real and imaginary
     parts of log(1 + z) from log1p and atan2, free of the cancellation
-    at small |z| that :func:`_cgmy_psi` avoids the same way.
+    at small |z| that :func:`_cgmy_psi` avoids the same way; near the
+    strip's edge, from 1 + x = (b + shift)/b instead.
     """
     y = model.Y
 
     def gap(base: float, shift: float) -> float:
         x, v = shift / base, u / base
-        log_r = 0.5 * math.log1p(x * (2.0 + x) + v * v)
-        angle = y * math.atan2(v, 1.0 + x)
+        if x > -0.5:
+            one_x, log_r = 1.0 + x, 0.5 * math.log1p(x * (2.0 + x) + v * v)
+        else:  # near the strip's edge x = -1, where x*(2 + x) rounds to -1
+            one_x = (base + shift) / base
+            log_r = 0.5 * math.log(one_x * one_x + v * v)
+        angle = y * math.atan2(v, one_x)
         return base ** y * (math.expm1(y * log_r) * math.cos(angle)
                             - 2.0 * math.sin(0.5 * angle) ** 2)
 
@@ -454,8 +457,8 @@ def _cgmy_log_envelope(model: CGMYParams, market: MarketSpec, alpha: float, u: f
 
 def _log_envelope(model: ModelSpec, market: MarketSpec, alpha: float, u: float) -> float:
     """An upper bound on log|phi_T(u - i*alpha)| that does not increase in
-    u >= 0, for alpha inside the damping bounds; inf where no bound is
-    proven, and wherever the bound is nan or not finite.
+    u >= 0, for alpha inside :func:`damping_bounds`; inf where no bound is
+    proven, and wherever it is nan or not finite (Heston past an explosion).
 
     Heston: :func:`_heston_log_envelope`, except at |rho| = 1, where the
     conditional Gaussian it rests on degenerates.
@@ -568,6 +571,9 @@ class Cumulants:
 
 _CONTOUR_NODES = 64  # trapezoid nodes on the circle |s| = r
 _CONTOUR_HALVINGS = 8  # times r may halve before the cumulants are given up
+# Heston's strip is the whole line, and the halving finds its explosion;
+# its c4 rounding floor grows as r^-4, so r starts large
+_HESTON_RADIUS = 0.5
 # s/r at the nodes with Im(s) <= 0; the others are their conjugates
 _HALF_CIRCLE = np.exp(-1j * np.linspace(0.0, math.pi, _CONTOUR_NODES // 2 + 1))
 
@@ -583,11 +589,12 @@ def cumulants(model: ModelSpec, market: MarketSpec) -> Cumulants:
     probes K at s = +-2r.  r starts at a quarter of the nearer damping
     bound and halves while a coefficient is not finite or a probe is not
     real (past a moment explosion), so that K is analytic on a disc twice
-    the circle's size; only Heston halves, as Kou's and CGMY's strips are
-    proven.  Roundoff below zero in c2 or c4 is floored.
+    the circle's size; only Heston, which starts at _HESTON_RADIUS, halves,
+    as Kou's and CGMY's strips are proven.  Roundoff below zero in c2 or
+    c4 is floored.
     """
     lo, hi = damping_bounds(model)
-    radius = 0.25 * min(-lo, hi)
+    radius = _HESTON_RADIUS if isinstance(model, HestonParams) else 0.25 * min(-lo, hi)
     for _ in range(_CONTOUR_HALVINGS + 1):
         s = np.append(radius * _HALF_CIRCLE, (2.0 * radius, -2.0 * radius))
         # Heston's log-CF has a removable 0/0 at kappa = rho*sigma*s: nan

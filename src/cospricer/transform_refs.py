@@ -38,8 +38,8 @@ from .models import (
     ModelSpec,
     _log_envelope,
     char_fn,
+    check_damping,
     check_moment,
-    damping_bounds,
     live_band,
 )
 
@@ -141,6 +141,7 @@ def _damped_calls(
     """
     eta = config.spacing
     alpha = config.damping
+    check_damping(model, alpha + 1.0)
     top = _log_envelope(model, market, alpha + 1.0, 0.0)
     floor = top + _TAIL_LOG if top < math.inf else _UNDERFLOW_LOG
     phi = live_band(char_fn, model, market, eta, alpha + 1.0, _MAX_FREQUENCIES, floor)
@@ -181,8 +182,9 @@ def price_carr_madan(
     model, market : model parameters and market data.
     strikes : strike levels; each log-moneyness log(K/S0) must lie
         within config.strike_span = pi/spacing of zero.
-    config : damping and frequency step; the damping alpha must leave
-        E[(S_T/S_0)^(alpha+1)] finite.
+    config : damping and frequency step; a validation error unless the
+        shift alpha + 1 lies inside :func:`models.damping_bounds` and
+        E[(S_T/S_0)^(alpha+1)] is a valid moment.
 
     Returns
     -------
@@ -269,22 +271,16 @@ def price_fourier_integral(
     (returns a list in input order).  The characteristic function is
     evaluated once, as one vector, for the whole column, and not at all
     for an empty one.  The damping alpha must exceed 1 (call payoff
-    integrability), keep phi inside its analyticity strip and leave
-    E[(S_T/S_0)^alpha] finite; the result is invariant to the particular
-    alpha chosen, which is asserted in the test suite.
+    integrability), lie inside :func:`models.damping_bounds` and leave
+    E[(S_T/S_0)^alpha] a valid moment (or a validation error is raised);
+    the result is invariant to the alpha chosen, as the tests assert.
     """
     single = np.ndim(strike) == 0
     strikes = _validate_strikes([strike] if single else strike)
     if not strikes:
         return []
     alpha = config.damping
-    lo, hi = damping_bounds(model)
-    # phi is evaluated at -u - i*alpha, i.e. Im = -alpha, so alpha must
-    # lie inside the damping bounds (lo, hi)
-    if not (lo < alpha < hi):
-        raise ValidationError(
-            f"damping {alpha} leaves the characteristic-function strip ({lo}, {hi})"
-        )
+    check_damping(model, alpha)
 
     edges = [0.0]
     edge = alpha - 1.0

@@ -254,7 +254,7 @@ class TestConfigurationErrors:
 
     def test_damping_outside_strip_rejected(self, models, market):
         cfg = CosConfig(n_terms=128, range_width=8.0, damping=11.0)
-        with pytest.raises(ConfigurationError, match="admissible interval"):
+        with pytest.raises(ValidationError, match="admissible interval"):
             price(models["kou"], market, OptionSpec(strike=100.0), cfg)
 
     def test_asymmetric_cgmy_call_beyond_up_jump_decay_rejected(self, market):
@@ -262,14 +262,14 @@ class TestConfigurationErrors:
         # and the damped series has no price to converge to
         model = CGMYParams(C=1.0, G=10.0, M=3.0, Y=0.5)
         cfg = CosConfig(n_terms=256, range_width=10.0, damping=4.0)
-        with pytest.raises(ConfigurationError, match="admissible interval"):
+        with pytest.raises(ValidationError, match="admissible interval"):
             price(model, market, OptionSpec(strike=100.0), cfg)
 
     def test_kou_put_beyond_down_jump_decay_rejected(self, models, market):
         # alpha = -6 needs E[S^-6], which is infinite for the down-jump
         # rate eta2 = 5
         cfg = CosConfig(n_terms=140, range_width=7.0, damping=-6.0)
-        with pytest.raises(ConfigurationError, match="admissible interval"):
+        with pytest.raises(ValidationError, match="admissible interval"):
             price(models["kou"], market, OptionSpec(strike=100.0, kind=OptionKind.PUT), cfg)
 
     def test_kou_call_below_up_jump_decay_accepted(self, models, market):
@@ -428,6 +428,18 @@ class TestUnrepresentableSeries:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=match):
                 price(model, market, OptionSpec(strike=100.0), config)
+
+    @pytest.mark.parametrize("width", [882.0, 884.0])
+    def test_overflowing_coefficients_raise_without_warnings(self, width):
+        # undamped kou calls at K = 1e5 overflow payoff coefficients inside
+        # the live band; the series used to warn "overflow encountered in
+        # multiply" and "invalid value" before its ComputationError
+        model, market = presets.model_preset("kou"), presets.market_preset(1.0)
+        config = CosConfig(n_terms=200000, range_width=width, variant=Variant.DIRECT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ComputationError, match="non-finite value at strike 100000"):
+                price(model, market, OptionSpec(strike=1e5), config)
 
 
 class TestDiscountFactor:

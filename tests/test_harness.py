@@ -475,7 +475,8 @@ class TestWriteResult:
         result = self._small_result()
         sidecar_path = write_result(result, tmp_path / "table.csv")
         assert sidecar_path.endswith(".json")
-        sidecar = json.loads(open(sidecar_path).read())
+        with open(sidecar_path) as handle:
+            sidecar = json.load(handle)
         assert sidecar["experiment"] == "strike_table"
         assert sidecar["axes"][0][0] == "strike"
         assert sidecar["metadata"]["models"] == ["heston"]

@@ -33,7 +33,12 @@ from cospricer.models import (
     moment_is_valid,
     truncation_range,
 )
-from cospricer.transform_refs import _MAX_FREQUENCIES, _damped_calls
+from cospricer.transform_refs import (
+    _MAX_FREQUENCIES,
+    CarrMadanConfig,
+    _damped_calls,
+    price_carr_madan,
+)
 
 STRIKES = (1e-3, 60.0, 100.0, 160.0, 1e5)
 
@@ -55,7 +60,7 @@ def with_rho(rho):
 
 # (model, maturity, call damping, put damping) at the edges of the
 # envelope's reach: extreme maturities, |rho| near and at 1 (where the
-# whole contour is kept), alpha near the (-2, 2) bounds, and exploded
+# whole contour is kept), alpha near +-2, and exploded
 # moments, which must raise as the full grid does
 HESTON_EDGES = {
     "T=1e-3": (HESTON, 1e-3, 1.1, 0.0),
@@ -263,11 +268,18 @@ class CountingCharFn:
         return char_fn(model, market, u)
 
 
+# Heston's damping bounds are the whole line, as check_moment decides its
+# shift, so its contours draw the shift from a finite range
+HESTON_SHIFTS = (-2.0, 2.0)
+
+
 def contour(model, fraction, step, size):
     """step, shift and size of a contour whose shift is the given fraction
-    of the way through the damping bounds."""
-    lo, hi = damping_bounds(model)
-    return step, lo + fraction * (hi - lo), size
+    of the way through the damping bounds, or through HESTON_SHIFTS."""
+    lo, hi = HESTON_SHIFTS if isinstance(model, HestonParams) else damping_bounds(model)
+    shift = lo + fraction * (hi - lo)
+    assert math.isfinite(shift)
+    return step, shift, size
 
 
 def assert_live_band(model, market, step, shift, size):
@@ -392,6 +404,23 @@ class TestCarrMadanCut:
                                 points, floor)
         if maturity == 1.0:
             assert points <= self.AT_T1[name]
+
+    @pytest.mark.parametrize("damping", [3.999999999, 5.0 - 1e-12 - 1.0])
+    def test_cgmy_envelope_up_to_the_strip_edge(self, damping):
+        # the shift damping + 1 lies within 1e-9 of M = 5: x*(2 + x) in the
+        # envelope's modulus used to round to -1, and log1p(-1) raised an
+        # untyped "math domain error" before any price
+        model, market = presets.model_preset("cgmy1"), presets.market_preset(1.0)
+        config = CarrMadanConfig(damping=damping)
+        shift = config.damping + 1.0
+        bound = _log_envelope(model, market, shift, 0.0)
+        assert math.isfinite(bound)
+        assert bound >= math.log(abs(char_fn(model, market, -1j * shift)))
+        try:
+            value = price_carr_madan(model, market, [100.0], config)[0]
+        except PricingError:
+            return
+        assert math.isfinite(value)
 
 
 _fractions = st.floats(0.01, 0.99)

@@ -129,7 +129,7 @@ class TestFourierIntegral:
         # the up-jump rate eta1 caps the admissible contour shift at 10
         model = model_preset("kou")
         config = IntegralConfig(damping=12.0)
-        with pytest.raises(ValidationError, match="characteristic-function strip"):
+        with pytest.raises(ValidationError, match="admissible interval"):
             price_fourier_integral(model, market, 100.0, config)
 
     def test_rejects_bad_strike(self, market):
