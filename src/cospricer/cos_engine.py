@@ -44,7 +44,6 @@ from .models import (
     ModelSpec,
     TruncationRange,
     char_fn,
-    check_damping,
     check_moment,
     cumulants,
     live_band,
@@ -384,7 +383,6 @@ def _price_counts(
         raise ConfigurationError("alpha must exceed 1 for stable call pricing")
     if config.variant is Variant.STABLE and kind is OptionKind.PUT and alpha > 0.0:
         raise ConfigurationError("alpha must not exceed 0 for stable put pricing")
-    check_damping(model, alpha)
 
     cums = cumulants(model, market)
     discount = math.exp(-market.rate * market.maturity)

@@ -8,9 +8,11 @@ truncation interval built from them.
 
 Both fixed-grid consumers, the cosine engine and the Carr-Madan sum,
 read phi_T along a contour u - i*alpha, u = 0, du, 2*du, ..., through
-:func:`live_band`, which evaluates phi_T only before the first point
-where a proven non-increasing bound on |phi_T| falls below a floor: an
-exact zero for the cosine engine, the sum's rounding for Carr-Madan.
+:func:`live_band`, which checks the shift (:func:`check_damping`, as
+:func:`char_fn` does for the Fourier integral's nodes) and evaluates
+phi_T only before the first point where a proven non-increasing bound on
+|phi_T| falls below a floor: an exact zero for the cosine engine, the
+sum's rounding for Carr-Madan.
 """
 
 from __future__ import annotations
@@ -501,19 +503,20 @@ def live_band(
     step: float,
     shift: float,
     size: int,
-    log_floor: float = _UNDERFLOW_LOG,
+    tail: float = -math.inf,
 ) -> np.ndarray:
     """Characteristic-function values on the live prefix of a uniform contour.
 
     The contour is u_k - i*shift with u_k = k*step for k < size; evaluate
     is :func:`char_fn` as the caller binds it and is called as
-    evaluate(model, market, points).  Index 0, the moment
-    E[(S_T/S_0)^shift], is always kept.
+    evaluate(model, market, points), and nothing is evaluated before
+    :func:`check_damping` passes the shift.  Index 0, the moment
+    E[(S_T/S_0)^shift], is always kept; the caller checks it.
 
     The rule, the same for every model: :func:`_log_envelope` bounds
     log|phi_T| from above and does not increase along the contour, so
-    from the first index k >= 1 at which it lies below log_floor on,
-    every |phi_T| is below exp(log_floor).  Bisection finds that index
+    from the first index k >= 1 at which it lies below the floor on,
+    every |phi_T| is below exp(floor).  Bisection finds that index
     (the last point is tested first, so a contour live to its end costs
     one bound value), and one evaluate call covers the points before it.
     A model without a proven bound is evaluated on the whole contour.
@@ -521,17 +524,22 @@ def live_band(
     would return, up to and including the last nonzero one before that
     index.
 
-    The default floor, _UNDERFLOW_LOG, cuts only exact zeros, which add
-    nothing to a sum: the cosine engine keeps it, so its series is
-    bit-identical to the full one.  The Carr-Madan sum passes a higher
-    floor, proven to leave out a tail below its own rounding (see
-    ``transform_refs._damped_calls``); a floor below _UNDERFLOW_LOG is
-    raised to it.
+    The floor is log Psi(0) + tail, Psi(0) the bound at index 0, but never
+    below _UNDERFLOW_LOG, which alone is used where Psi(0) is not finite.
+    The default tail, -inf, cuts only exact zeros and costs no Psi(0):
+    the cosine engine keeps it, so its series is bit-identical to the
+    full one.  Carr-Madan passes a finite tail, proven to leave out terms
+    below its rounding (``transform_refs._damped_calls``).
     """
-    log_floor = max(log_floor, _UNDERFLOW_LOG)
+    check_damping(model, shift)
+    floor = _UNDERFLOW_LOG
+    if tail > -math.inf:
+        top = _log_envelope(model, market, shift, 0.0)
+        if top < math.inf:
+            floor = max(top + tail, floor)
 
     def dead(k: int) -> bool:
-        return _log_envelope(model, market, shift, k * step) < log_floor
+        return _log_envelope(model, market, shift, k * step) < floor
 
     end = size
     if size >= 2 and dead(size - 1):

@@ -102,12 +102,12 @@ _METHOD_PRESETS = {
 _INTEGRAL_DAMPING = {"heston": 1.1, "kou": 1.1, "cgmy1": 1.1, "cgmy2": 1.015}
 
 # Carr-Madan frequency steps per profile, chosen so the Simpson sum is
-# converged; the fat-tail set needs a small damping for the same moment
-# reason as above
+# converged: the defaults, except that the fat-tail set needs a small
+# damping for the same moment reason as above
 _CARR_MADAN = {
-    "heston": CarrMadanConfig(damping=0.75, spacing=0.05),
-    "kou": CarrMadanConfig(damping=0.75, spacing=0.05),
-    "cgmy1": CarrMadanConfig(damping=0.75, spacing=0.05),
+    "heston": CarrMadanConfig(),
+    "kou": CarrMadanConfig(),
+    "cgmy1": CarrMadanConfig(),
     "cgmy2": CarrMadanConfig(damping=0.1, spacing=0.00625),
 }
 

@@ -21,6 +21,8 @@ from which a proven bound puts the whole remaining tail of the sum below
 0.1*eps of its first term, under the sum's own rounding (the bound is in
 ``_damped_calls``).  The Fourier integral evaluates phi at its nodes
 and at the cut and raises when the integrand has not decayed there.
+Neither pricer checks the contour shift itself: ``live_band`` does for
+Carr-Madan, and ``char_fn`` for the Fourier integral.
 """
 
 from __future__ import annotations
@@ -32,16 +34,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .models import (
-    _UNDERFLOW_LOG,
-    MarketSpec,
-    ModelSpec,
-    _log_envelope,
-    char_fn,
-    check_damping,
-    check_moment,
-    live_band,
-)
+from .models import MarketSpec, ModelSpec, char_fn, check_moment, live_band
 
 __all__ = [
     "CarrMadanConfig",
@@ -69,11 +62,12 @@ class CarrMadanConfig:
     damping is the Carr-Madan exponent applied to the call in log-strike,
     spacing the frequency step eta of the Simpson rule.  The sum is
     2*pi/eta-periodic in the log-strike, so a strike prices only while
-    |log(K/S0)| <= strike_span = pi/eta.
+    |log(K/S0)| <= strike_span = pi/eta.  The defaults are the heston,
+    kou and cgmy1 presets.
     """
 
     damping: float = 0.75
-    spacing: float = 0.25
+    spacing: float = 0.05
 
     def __post_init__(self):
         if not (self.damping > 0.0 and math.isfinite(self.damping)):
@@ -130,10 +124,10 @@ def _damped_calls(
     |x_p| <= (4*eta/3)*e^{-rT}*Psi(v_p)*w(v_p), while
     |x_0| = (eta/3)*e^{-rT}*Psi(0)*w(0), since Psi(0) = phi(-i(alpha + 1))
     for every envelope.  So the terms from index k on sum to at most
-    4*cap*|x_0|*Psi(v_k)/Psi(0) for the contour's cap of points, and the
-    band stops where log Psi falls _TAIL_LOG below log Psi(0): the tail
-    left out is below 0.1*eps*|x_0|, under the sum's rounding.  Where
-    Psi(0) is not finite, only exact zeros are cut.
+    4*cap*|x_0|*Psi(v_k)/Psi(0) for the contour's cap of points: a band
+    read with tail _TAIL_LOG leaves out less than 0.1*eps*|x_0|, under
+    the sum's rounding.  Where Psi(0) is not finite, only exact zeros are
+    cut.
 
     With p = a + B*b (B about sqrt(m)) each twiddle is the product of
     e^{-i*eta*a*k} and e^{-i*eta*B*b*k}, so one matrix product and one
@@ -141,10 +135,7 @@ def _damped_calls(
     """
     eta = config.spacing
     alpha = config.damping
-    check_damping(model, alpha + 1.0)
-    top = _log_envelope(model, market, alpha + 1.0, 0.0)
-    floor = top + _TAIL_LOG if top < math.inf else _UNDERFLOW_LOG
-    phi = live_band(char_fn, model, market, eta, alpha + 1.0, _MAX_FREQUENCIES, floor)
+    phi = live_band(char_fn, model, market, eta, alpha + 1.0, _MAX_FREQUENCIES, _TAIL_LOG)
     check_moment(alpha + 1.0, phi[0])
     v = eta * np.arange(phi.size)
     # Fourier transform of the exp(alpha*k)-damped call in log-strike k
@@ -280,8 +271,6 @@ def price_fourier_integral(
     if not strikes:
         return []
     alpha = config.damping
-    check_damping(model, alpha)
-
     edges = [0.0]
     edge = alpha - 1.0
     while edge < config.max_frequency:

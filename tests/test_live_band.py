@@ -321,6 +321,27 @@ class TestLiveBand:
         assert bounds == [209 * 0.1]
         assert band[-1] != 0.0
 
+    @pytest.mark.parametrize("tail", [-math.inf, transform_refs._TAIL_LOG],
+                             ids=["zeros", "rounding"])
+    @pytest.mark.parametrize("name, shift", [
+        ("cgmy1", 5.0), ("cgmy1", 6.0), ("cgmy1", -5.0), ("kou", 10.0),
+    ])
+    def test_refuses_the_shift_before_any_bound(self, monkeypatch, name, shift, tail):
+        # the strip ends are M = G = 5 for cgmy1 and eta1 = 10 for kou;
+        # no envelope value is taken outside them
+        bounds = []
+
+        def counting_bound(model, market, alpha, u):
+            bounds.append(u)
+            return _log_envelope(model, market, alpha, u)
+
+        monkeypatch.setattr(models, "_log_envelope", counting_bound)
+        evaluate = CountingCharFn()
+        with pytest.raises(ValidationError, match="admissible interval"):
+            live_band(evaluate, presets.model_preset(name), self.MARKET, 0.1, shift, 210, tail)
+        assert bounds == []
+        assert evaluate.sizes == []
+
     @pytest.mark.parametrize("name", ["kou", "heston"])
     def test_cuts_after_the_last_nonzero_value(self, name):
         # near the underflow threshold roundoff could leave a subnormal
