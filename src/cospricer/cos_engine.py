@@ -22,10 +22,12 @@ the error-free sum unchanged, so each price is bit-identical to the sum
 over all n_terms.  phi itself is evaluated only before the first term
 where a proven bound shows it underflows (the rule is in ``live_band``).
 
-The frequencies u_k = k*pi/(b - a) do not depend on the term count, so
-:func:`price_curve` prices one option at several term counts from one
-series, built at the largest count, each price the sum of a prefix of it.
-:func:`price` is the one-count case of the same kernel.
+The frequencies u_k = k*pi/(b - a) depend on neither the term count nor
+the strike.  :func:`price_curve` prices one option at several term counts
+from one series, built at the largest count, each price the sum of a
+prefix of it; :func:`price` is its one-count case, for a batch of strikes
+whose ranges are [a + x, b + x], x each strike's log-moneyness: the series
+forms these endpoints once, as arrays, one payoff row per strike.
 """
 
 from __future__ import annotations
@@ -192,54 +194,38 @@ def chi(u, v: float, c, d, a):
     return num / (v * v + u * u)
 
 
-def _rows(rng, strike):
-    """Endpoints, widths and strikes, one entry per row, of one range and
-    strike or of a sequence of ranges and their strikes."""
-    ranges = (rng,) if isinstance(rng, TruncationRange) else tuple(rng)
-    a = np.array([r.a for r in ranges])
-    b = np.array([r.b for r in ranges])
-    width = np.array([r.width for r in ranges])
-    return a, b, width, np.asarray(strike, dtype=float).reshape(a.shape)
+def _payoff_coefficients(u, alpha: float, a, b, strike, kind: OptionKind) -> np.ndarray:
+    """Cosine coefficients of the damped payoff of kind, one row per range.
 
-
-def call_coefficients(u, alpha: float, rng, strike):
-    """Cosine coefficients of the damped call payoff K*(e^y - 1)^+ * e^(-alpha*y).
-
-    The payoff vanishes below y = 0, so the integral runs over
-    [max(a, 0), b]; a range entirely below zero yields zero coefficients.
-    rng and strike are one TruncationRange and one strike, giving one
-    coefficient per frequency, or a sequence of ranges and as many
-    strikes, giving one row per range.
+    The damped call and put payoffs are +-K*(e^y - 1)*e^(-alpha*y) on
+    [lo, hi] = [max(a, 0), b] for a call, [a, min(b, 0)] for a put.  a, b
+    and strike are equal-length 1-D arrays, the recentred ranges and their
+    strikes, one row each, zero unless lo < hi; one column per frequency u.
     """
-    u = np.asarray(u, dtype=float)
-    a, b, width, strike = _rows(rng, strike)
-    live = b > 0.0
-    a, b = a[live], b[live]
-    lo = np.maximum(a, 0.0)
-    out = np.zeros((live.size,) + u.shape)
-    out[live] = _column(2.0 * strike[live] / width[live]) * (
-        chi(u, 1.0 - alpha, lo, b, a) - chi(u, -alpha, lo, b, a)
+    a, b, strike = (np.asarray(v, dtype=float) for v in (a, b, strike))
+    if kind is OptionKind.CALL:
+        scale, lo, hi = 2.0 * strike, np.maximum(a, 0.0), b
+    else:
+        scale, lo, hi = -2.0 * strike, a, np.minimum(b, 0.0)
+    live = lo < hi
+    a, lo, hi = a[live], lo[live], hi[live]
+    out = np.zeros(live.shape + np.shape(u))
+    out[live] = _column(scale[live] / (b[live] - a)) * (
+        chi(u, 1.0 - alpha, lo, hi, a) - chi(u, -alpha, lo, hi, a)
     )
-    return out[0] if isinstance(rng, TruncationRange) else out
+    return out
 
 
-def put_coefficients(u, alpha: float, rng, strike):
-    """Cosine coefficients of the damped put payoff K*(1 - e^y)^+ * e^(-alpha*y).
+def call_coefficients(u, alpha: float, a, b, strike) -> np.ndarray:
+    """Cosine coefficients of the damped call payoff K*(e^y - 1)^+ * e^(-alpha*y)
+    on the ranges [a, b] (:func:`_payoff_coefficients`)."""
+    return _payoff_coefficients(u, alpha, a, b, strike, OptionKind.CALL)
 
-    The integral runs over [a, min(b, 0)]; a range entirely above zero
-    yields zero coefficients.  rng and strike are broadcast as in
-    :func:`call_coefficients`.
-    """
-    u = np.asarray(u, dtype=float)
-    a, b, width, strike = _rows(rng, strike)
-    live = a < 0.0
-    a, b = a[live], b[live]
-    hi = np.minimum(b, 0.0)
-    out = np.zeros((live.size,) + u.shape)
-    out[live] = _column(2.0 * strike[live] / width[live]) * (
-        chi(u, -alpha, a, hi, a) - chi(u, 1.0 - alpha, a, hi, a)
-    )
-    return out[0] if isinstance(rng, TruncationRange) else out
+
+def put_coefficients(u, alpha: float, a, b, strike) -> np.ndarray:
+    """Cosine coefficients of the damped put payoff K*(1 - e^y)^+ * e^(-alpha*y)
+    on the ranges [a, b] (:func:`_payoff_coefficients`)."""
+    return _payoff_coefficients(u, alpha, a, b, strike, OptionKind.PUT)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +241,7 @@ def _fsum(terms: list) -> float:
 
 
 def _tail_may_overflow(
-    alpha: float, base: TruncationRange, x: np.ndarray, strikes: np.ndarray,
+    alpha: float, a: np.ndarray, b: np.ndarray, strikes: np.ndarray,
     u_first: float, u_last: float,
 ) -> bool:
     """Whether a payoff coefficient at a frequency u in [u_first, u_last]
@@ -270,9 +256,8 @@ def _tail_may_overflow(
     max(1, 1/u_first^2); a payoff row is 2K/width times a difference of
     two chi values.  That bound is compared with 1e300, in logs.
     """
-    a, b = base.a + x, base.b + x
     exponent = np.maximum.reduce([(1.0 - alpha) * a, (1.0 - alpha) * b, -alpha * a, -alpha * b])
-    scale = np.log(np.maximum(1.0, 2.0 * strikes / base.width))
+    scale = np.log(np.maximum(1.0, 2.0 * strikes / (b - a)))
     log_bound = (
         math.log(8.0 * (1.0 + abs(alpha) + u_last))
         + 2.0 * max(0.0, -math.log(u_first))
@@ -291,14 +276,13 @@ def _series_values(
     alpha: float,
     base: TruncationRange,
     x: np.ndarray,
-    ranges: Sequence[TruncationRange],
     strikes: np.ndarray,
     counts: tuple,
-    discount: float,
 ) -> list:
-    """Series values for the strikes with log-moneyness x, each expanded on
-    base recentred by its x and discounted by discount: one array, in
-    strike order, per term count in counts.
+    """Series values for the strikes with log-moneyness x, discounted: one
+    array, in strike order, per term count in counts.  Each strike's range
+    is base recentred by its x, [base.a + x, base.b + x], formed here once,
+    as two arrays, for the payoff coefficients and the overflow test.
 
     The frequencies u_k = k*pi/width do not depend on the term count, so
     the terms are formed once, at the largest count, and each count sums
@@ -315,21 +299,22 @@ def _series_values(
     step = math.pi / base.width
     phi = live_band(char_fn, model, market, step, alpha, n_terms)
     check_moment(alpha, phi[0])
+    a, b = base.a + x, base.b + x
     live = phi.size
     if live < n_terms and _tail_may_overflow(
-        alpha, base, x, strikes, live * step, (n_terms - 1) * step
+        alpha, a, b, strikes, live * step, (n_terms - 1) * step
     ):
         phi = np.concatenate((phi, np.zeros(n_terms - live, dtype=complex)))
     u = np.arange(phi.size) * step
     # x - a = -base.a for every recentred range, so one phase serves all strikes
     density = np.real(np.exp(-1j * u * base.a) * phi)
     coefficients = call_coefficients if kind is OptionKind.CALL else put_coefficients
-    payoff = coefficients(u, alpha, ranges, strikes)
-    width = np.array([r.width for r in ranges])
+    payoff = coefficients(u, alpha, a, b, strikes)
+    width = b - a
     terms = _column(2.0 * _exp_each(alpha * x) / width) * density * payoff
     terms[:, 0] *= 0.5
     rows = terms.tolist()
-    scale = 0.5 * width * discount
+    scale = 0.5 * width * market.discount_factor
     # error-free accumulation; the direct call series trades accuracy for it.
     # A count that reaches past the band sums whole rows, without a copy
     return [
@@ -339,11 +324,22 @@ def _series_values(
 
 
 def _resolve_damping(config: CosConfig, kind: OptionKind) -> float:
+    """The damping alpha that config prices kind with: 0 for the undamped
+    variants, else config.damping or kind's default.  A configuration error
+    where the parity variant is asked for a put, or where alpha leaves the
+    damped payoff unbounded: a call needs alpha > 1, a put alpha <= 0."""
+    if config.variant is Variant.PUT_CALL_PARITY and kind is OptionKind.PUT:
+        raise ConfigurationError("parity variant prices calls; request the put directly")
     if config.variant is not Variant.STABLE:
         return 0.0
-    if config.damping is not None:
-        return config.damping
-    return DEFAULT_CALL_DAMPING if kind is OptionKind.CALL else DEFAULT_PUT_DAMPING
+    call = kind is OptionKind.CALL
+    default = DEFAULT_CALL_DAMPING if call else DEFAULT_PUT_DAMPING
+    alpha = default if config.damping is None else config.damping
+    if call and alpha <= 1.0:
+        raise ConfigurationError("alpha must exceed 1 for stable call pricing")
+    if not call and alpha > 0.0:
+        raise ConfigurationError("alpha must not exceed 0 for stable put pricing")
+    return alpha
 
 
 def term_counts(n_values) -> tuple:
@@ -376,33 +372,23 @@ def _price_counts(
     kind = options[0].kind
     if any(opt.kind is not kind for opt in options):
         raise ValidationError("a batch of options must share one kind")
-    if config.variant is Variant.PUT_CALL_PARITY and kind is OptionKind.PUT:
-        raise ConfigurationError("parity variant prices calls; request the put directly")
     alpha = _resolve_damping(config, kind)
-    if config.variant is Variant.STABLE and kind is OptionKind.CALL and alpha <= 1.0:
-        raise ConfigurationError("alpha must exceed 1 for stable call pricing")
-    if config.variant is Variant.STABLE and kind is OptionKind.PUT and alpha > 0.0:
-        raise ConfigurationError("alpha must not exceed 0 for stable put pricing")
 
     cums = cumulants(model, market)
-    discount = math.exp(-market.rate * market.maturity)
     strikes = np.array([opt.strike for opt in options])
     x = np.array([math.log(market.spot / opt.strike) for opt in options])
     # the expansion variable is log-moneyness y = log(S_T/K), so the cumulant
     # window of the log return is recentered by x per strike
     base = truncation_range(cums, config.range_width)
-    ranges = [TruncationRange(a=base.a + shift, b=base.b + shift) for shift in x.tolist()]
 
     if config.variant is Variant.PUT_CALL_PARITY:
-        forward = market.spot * math.exp(-market.dividend * market.maturity)
-        put_values = _series_values(
-            model, market, OptionKind.PUT, 0.0, base, x, ranges, strikes, counts, discount
-        )
-        values = [put + forward - strikes * discount for put in put_values]
+        forward = market.spot * market.dividend_factor
+        put_values = _series_values(model, market, OptionKind.PUT, 0.0, base, x, strikes, counts)
+        values = [put + forward - strikes * market.discount_factor for put in put_values]
     else:
-        values = _series_values(
-            model, market, kind, alpha, base, x, ranges, strikes, counts, discount
-        )
+        values = _series_values(model, market, kind, alpha, base, x, strikes, counts)
+
+    ranges = [TruncationRange(a=base.a + shift, b=base.b + shift) for shift in x.tolist()]
 
     curve = []
     for n, row in zip(counts, values):

@@ -18,7 +18,7 @@ sum's rounding for Carr-Madan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -63,15 +63,17 @@ class MarketSpec:
     maturity : float
         Time to expiry T > 0 in years.
 
-    The discount factor exp(-r*T) and the dividend factor exp(-q*T) must
-    each be a positive finite float, so every pricer can discount by them
-    without a check of its own.
+    exp(-r*T) and exp(-q*T) must each be a positive finite float; they are
+    kept as discount_factor and dividend_factor (derived: not arguments, not
+    in the repr or equality), so no pricer computes or checks them itself.
     """
 
     spot: float
     rate: float
     dividend: float = 0.0
     maturity: float = 1.0
+    discount_factor: float = field(init=False, repr=False, compare=False)
+    dividend_factor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.spot > 0.0 and math.isfinite(self.spot)):
@@ -92,6 +94,7 @@ class MarketSpec:
                     f"{name} factor exp({exponent:g}) is not a positive finite float: "
                     f"it {'underflows to 0' if factor == 0.0 else 'overflows'}"
                 )
+            object.__setattr__(self, f"{name}_factor", factor)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,10 @@ beyond the model layer.  Carr-Madan sums its transform over the live
 band of phi only (:func:`models.live_band`): up to the first frequency
 from which a proven bound puts the whole remaining tail of the sum below
 0.1*eps of its first term, under the sum's own rounding (the bound is in
-``_damped_calls``).  The Fourier integral evaluates phi at its nodes
-and at the cut and raises when the integrand has not decayed there.
+``_damped_calls``); where the contour's cap of 2^16 points ends the band
+before that floor, it raises.  The Fourier integral evaluates phi at
+its nodes and at the cut and raises when the integrand has not decayed
+there.
 Neither pricer checks the contour shift itself: ``live_band`` does for
 Carr-Madan, and ``char_fn`` for the Fourier integral.
 """
@@ -46,13 +48,15 @@ __all__ = [
 
 # the frequency contour of the Carr-Madan sum is capped at this many
 # points; every preset's band, cut at the rounding floor below, ends
-# well before it
+# well before it at T >= 1e-4, and a band the cap cuts is refused
 _MAX_FREQUENCIES = 2 ** 16
 
-# log(0.1*eps/(4*_MAX_FREQUENCIES)), about -50.8: where log|phi| has
-# fallen this far below the moment, the rest of the Simpson sum is under
-# 0.1*eps of its first term (see _damped_calls)
-_TAIL_LOG = math.log(0.1 * np.finfo(float).eps / (4 * _MAX_FREQUENCIES))
+# the share of its first term under which the Simpson sum's rest is left
+# out, and log(_TAIL_SHARE/(4*_MAX_FREQUENCIES)), about -50.8: where
+# log|phi| has fallen this far below the moment, the rest of the sum is
+# under that share (see _damped_calls)
+_TAIL_SHARE = 0.1 * np.finfo(float).eps
+_TAIL_LOG = math.log(_TAIL_SHARE / (4 * _MAX_FREQUENCIES))
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,9 @@ def _validate_strikes(strikes: Sequence[float]) -> list[float]:
     return strikes
 
 
+# an overflowing transform reads as inf or nan, without NumPy's warning:
+# price_carr_madan raises a computation error on a non-finite price
+@np.errstate(over="ignore", invalid="ignore")
 def _damped_calls(
     model: ModelSpec, market: MarketSpec, config: CarrMadanConfig, log_strikes: np.ndarray
 ) -> np.ndarray:
@@ -127,7 +134,9 @@ def _damped_calls(
     4*cap*|x_0|*Psi(v_k)/Psi(0) for the contour's cap of points: a band
     read with tail _TAIL_LOG leaves out less than 0.1*eps*|x_0|, under
     the sum's rounding.  Where Psi(0) is not finite, only exact zeros are
-    cut.
+    cut.  A band that the cap ends while its last term still exceeds
+    0.1*eps*|x_0| leaves out a tail no bound covers, so it is refused
+    with a computation error.
 
     With p = a + B*b (B about sqrt(m)) each twiddle is the product of
     e^{-i*eta*a*k} and e^{-i*eta*B*b*k}, so one matrix product and one
@@ -139,7 +148,7 @@ def _damped_calls(
     check_moment(alpha + 1.0, phi[0])
     v = eta * np.arange(phi.size)
     # Fourier transform of the exp(alpha*k)-damped call in log-strike k
-    psi = np.exp(-market.rate * market.maturity) * phi / (
+    psi = market.discount_factor * phi / (
         alpha * alpha + alpha - v * v + 1j * (2.0 * alpha + 1.0) * v
     )
     # Simpson weights eta/3 * (1, 4, 2, 4, ..., 2, 4)
@@ -150,6 +159,11 @@ def _damped_calls(
     rows = -(-v.size // block)
     terms = np.zeros(rows * block, dtype=complex)
     terms[: v.size] = psi * ((eta / 3.0) * weights)
+    if v.size == _MAX_FREQUENCIES and abs(terms[v.size - 1]) > _TAIL_SHARE * abs(terms[0]):
+        raise ComputationError(
+            f"Carr-Madan band reaches the {_MAX_FREQUENCIES}-point cap before its "
+            f"rounding floor; the transform decays too slowly for spacing {eta}"
+        )
 
     def twiddles(steps):
         return np.exp(-1j * eta * np.multiply.outer(log_strikes, steps))
@@ -182,9 +196,10 @@ def price_carr_madan(
     list of float
         Call prices in strike order, each the Simpson sum of the
         inverse transform taken at the strike's own log-moneyness.  An
-        empty column returns [] without evaluating phi.  A price above
-        S0*e^(-qT), or below max(S0*e^(-qT) - K*e^(-rT), 0), each by
-        more than 1e-9*S0, raises ComputationError.
+        empty column returns [] without evaluating phi.  A band cut by
+        the frequency cap, a non-finite price, and a price above
+        S0*e^(-qT) or below max(S0*e^(-qT) - K*e^(-rT), 0), each by
+        more than 1e-9*S0, raise ComputationError.
     """
     strikes = _validate_strikes(strikes)
     if not strikes:
@@ -198,8 +213,13 @@ def price_carr_madan(
     calls = _damped_calls(model, market, config, log_strikes)
     prices = market.spot * (np.exp(-config.damping * log_strikes) / math.pi * calls)
 
-    upper = market.spot * math.exp(-market.dividend * market.maturity)
-    bad = ~(np.isfinite(prices) & (prices <= upper + 1e-9 * market.spot))
+    upper = market.spot * market.dividend_factor
+    bad = ~np.isfinite(prices)
+    if bad.any():
+        raise ComputationError(
+            f"Carr-Madan sum produced a non-finite price at strike {strikes[bad.argmax()]:g}"
+        )
+    bad = ~(prices <= upper + 1e-9 * market.spot)
     if bad.any():
         # a call above S0*e^(-qT) signals the exp((damping+1)*y) moment has
         # overwhelmed the sum; lower the damping for heavy tails
@@ -211,7 +231,7 @@ def price_carr_madan(
     # the sum's rounding is scaled by exp(-damping*k) too, which swamps a
     # deep in-the-money call; the same allowance as the upper bound
     lower = np.maximum(
-        upper - np.asarray(strikes) * np.exp(-market.rate * market.maturity), 0.0
+        upper - np.asarray(strikes) * market.discount_factor, 0.0
     ) - 1e-9 * market.spot
     bad = ~(prices >= lower)
     if bad.any():
@@ -299,7 +319,7 @@ def price_fourier_integral(
 
     prices = []
     for k, coarse, value, tail in zip(strikes, rule, check, tails.tolist()):
-        price = k * math.exp(-market.rate * market.maturity) * value / (2.0 * math.pi)
+        price = k * market.discount_factor * value / (2.0 * math.pi)
         if not math.isfinite(price):
             raise ComputationError("Fourier integral produced a non-finite price")
         tolerance = 1e-6 * max(1.0, abs(value))

@@ -40,7 +40,7 @@ from cospricer import (
 )
 from cospricer.cos_engine import call_coefficients, chi, put_coefficients
 from cospricer.harness import run_convergence, run_stability_surface, run_strike_table
-from cospricer.models import TruncationRange, char_fn
+from cospricer.models import char_fn
 from cospricer.presets import (
     PROFILE_NAMES,
     STRIKE_GRID,
@@ -321,17 +321,16 @@ class TestCriterion6:
                 a = rng.uniform(-6.0, -0.5)
                 b = rng.uniform(0.5, 4.0)
                 width = b - a
-                tr = TruncationRange(a=a, b=b)
                 strike = rng.uniform(50.0, 150.0)
                 u = rng.integers(0, 24) * math.pi / width
                 if kind == "call":
                     alpha = rng.uniform(0.0, 1.2)
-                    got = call_coefficients(np.array([u]), alpha, tr, strike)[0]
+                    got = call_coefficients(np.array([u]), alpha, [a], [b], [strike])[0, 0]
                     payoff = lambda y: strike * (math.exp(y) - 1.0)
                     lo, hi = 0.0, b
                 else:
                     alpha = rng.uniform(-1.2, 0.5)
-                    got = put_coefficients(np.array([u]), alpha, tr, strike)[0]
+                    got = put_coefficients(np.array([u]), alpha, [a], [b], [strike])[0, 0]
                     payoff = lambda y: strike * (1.0 - math.exp(y))
                     lo, hi = a, 0.0
                 want, _ = quad(

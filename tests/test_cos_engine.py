@@ -24,7 +24,7 @@ from cospricer.cos_engine import (
     put_coefficients,
 )
 from cospricer.errors import ComputationError, ConfigurationError, PricingError, ValidationError
-from cospricer.models import CGMYParams, HestonParams, MarketSpec, TruncationRange
+from cospricer.models import CGMYParams, HestonParams, MarketSpec
 from cospricer.transform_refs import price_carr_madan, price_fourier_integral
 
 STRIKES = (80.0, 85.0, 90.0, 95.0, 100.0, 105.0, 110.0, 115.0, 120.0)
@@ -87,8 +87,7 @@ class TestPayoffCoefficients:
             strike = rng.uniform(50.0, 150.0)
             k = rng.integers(0, 24)
             u = k * math.pi / width
-            tr = TruncationRange(a=a, b=b)
-            got = call_coefficients(np.array([u]), alpha, tr, strike)[0]
+            got = call_coefficients(np.array([u]), alpha, [a], [b], [strike])[0, 0]
             want, _ = quad(
                 lambda y: strike * (math.exp(y) - 1.0) * math.exp(-alpha * y)
                 * math.cos(u * (y - a)),
@@ -107,8 +106,7 @@ class TestPayoffCoefficients:
             strike = rng.uniform(50.0, 150.0)
             k = rng.integers(0, 24)
             u = k * math.pi / width
-            tr = TruncationRange(a=a, b=b)
-            got = put_coefficients(np.array([u]), alpha, tr, strike)[0]
+            got = put_coefficients(np.array([u]), alpha, [a], [b], [strike])[0, 0]
             want, _ = quad(
                 lambda y: strike * (1.0 - math.exp(y)) * math.exp(-alpha * y)
                 * math.cos(u * (y - a)),
@@ -120,20 +118,17 @@ class TestPayoffCoefficients:
     def test_flat_mode_closed_forms(self):
         # k = 0, [a, b] = [-1, 1], alpha = 0: the coefficient integrals have
         # elementary values K*(e - 2) and K/e
-        tr = TruncationRange(a=-1.0, b=1.0)
-        call0 = call_coefficients(np.array([0.0]), 0.0, tr, 100.0)[0]
-        put0 = put_coefficients(np.array([0.0]), 0.0, tr, 100.0)[0]
+        call0 = call_coefficients(np.array([0.0]), 0.0, [-1.0], [1.0], [100.0])[0, 0]
+        put0 = put_coefficients(np.array([0.0]), 0.0, [-1.0], [1.0], [100.0])[0, 0]
         assert call0 == pytest.approx(100.0 * (math.e - 2.0), rel=1e-14)
         assert put0 == pytest.approx(100.0 / math.e, rel=1e-14)
 
     def test_call_vanishes_when_range_below_zero(self):
-        tr = TruncationRange(a=-3.0, b=-0.5)
-        vals = call_coefficients(np.linspace(0.0, 30.0, 7), 0.7, tr, 100.0)
+        vals = call_coefficients(np.linspace(0.0, 30.0, 7), 0.7, [-3.0], [-0.5], [100.0])
         assert np.all(vals == 0.0)
 
     def test_put_vanishes_when_range_above_zero(self):
-        tr = TruncationRange(a=0.5, b=3.0)
-        vals = put_coefficients(np.linspace(0.0, 30.0, 7), 0.0, tr, 100.0)
+        vals = put_coefficients(np.linspace(0.0, 30.0, 7), 0.0, [0.5], [3.0], [100.0])
         assert np.all(vals == 0.0)
 
 
@@ -151,11 +146,11 @@ class TestVariantIdentities:
         # on the line), so the identity is checked at the coefficient level:
         # the damped kernel is analytic in alpha and converges linearly to
         # the undamped one (measured rel gap ~1e-8 at alpha = 1e-9)
-        tr = TruncationRange(a=-2.0, b=1.5)
-        u = np.arange(24) * math.pi / tr.width
+        a, b = -2.0, 1.5
+        u = np.arange(24) * math.pi / (b - a)
         for strike in (80.0, 100.0, 120.0):
-            undamped = call_coefficients(u, 0.0, tr, strike)
-            shifted = call_coefficients(u, 1e-9, tr, strike)
+            undamped = call_coefficients(u, 0.0, [a], [b], [strike])
+            shifted = call_coefficients(u, 1e-9, [a], [b], [strike])
             np.testing.assert_allclose(undamped, shifted, rtol=1e-7)
 
     def test_parity_variant_equals_put_plus_forward(self, models, market):
@@ -613,13 +608,13 @@ class TestBroadcastCoefficients:
     U = np.arange(48) * 0.41
 
     def _ranges(self):
+        """Endpoint arrays a, b of recentred ranges, one per row."""
         gen = np.random.default_rng(11)
-        ranges = [
-            TruncationRange(a=a, b=a + w)
-            for a, w in zip(gen.uniform(-8.0, 2.0, 10), gen.uniform(0.5, 9.0, 10))
-        ]
-        # wholly below and wholly above zero: zero call and put rows
-        return ranges + [TruncationRange(a=-3.0, b=-0.5), TruncationRange(a=0.5, b=3.0)]
+        a = gen.uniform(-8.0, 2.0, 10)
+        b = a + gen.uniform(0.5, 9.0, 10)
+        # wholly below and wholly above zero: zero call and put rows; then
+        # ending and starting exactly at zero, the edges of the rule lo < hi
+        return np.append(a, [-3.0, 0.5, -2.0, 0.0]), np.append(b, [-0.5, 3.0, 0.0, 2.0])
 
     def test_chi_rows(self):
         gen = np.random.default_rng(12)
@@ -634,14 +629,21 @@ class TestBroadcastCoefficients:
 
     @pytest.mark.parametrize("coefficients", [call_coefficients, put_coefficients])
     def test_payoff_rows(self, coefficients):
-        ranges = self._ranges()
-        strikes = np.linspace(40.0, 200.0, len(ranges))
+        a, b = self._ranges()
+        strikes = np.linspace(40.0, 200.0, a.size)
         for alpha in (0.0, 1.1, -0.7):
-            rows = coefficients(self.U, alpha, ranges, strikes)
-            assert rows.shape == (len(ranges), self.U.size)
-            for rng, strike, row in zip(ranges, strikes, rows):
-                np.testing.assert_array_equal(row, coefficients(self.U, alpha, rng, strike))
-        assert (rows == 0.0).all(axis=1).any()  # one range misses the payoff
+            rows = coefficients(self.U, alpha, a, b, strikes)
+            assert rows.shape == (a.size, self.U.size)
+            for k, row in enumerate(rows):
+                one = slice(k, k + 1)
+                np.testing.assert_array_equal(
+                    row, coefficients(self.U, alpha, a[one], b[one], strikes[one])[0]
+                )
+            dead = (rows == 0.0).all(axis=1)
+            assert dead.any()  # one range misses the payoff
+            # [-2, 0] meets only the put payoff and [0, 2] only the call's
+            call = coefficients is call_coefficients
+            assert dead[-2:].tolist() == [call, not call]
 
 
 def _curve_outcome(model, market, option, config, n_values):

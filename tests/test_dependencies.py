@@ -2,7 +2,8 @@
 
 CGMY's Gamma(-Y) comes from the standard library's math.gamma, so the
 only special function the models need is checked here against SciPy's.
-The modules above the model layer use only its public names.
+The modules above the model layer use only its public names, and
+discount by the market's own factors.
 """
 
 import ast
@@ -62,3 +63,32 @@ def test_no_private_name_imported_from_models(module):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _exp_of_rate_or_dividend(tree):
+    """Lines of the exp calls (math.exp, np.exp, ...) whose argument reads
+    a .rate or .dividend attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "exp"
+        and any(
+            isinstance(sub, ast.Attribute) and sub.attr in ("rate", "dividend")
+            for arg in node.args
+            for sub in ast.walk(arg)
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "models.py")
+)
+def test_no_discount_factor_computed_outside_models(module):
+    # MarketSpec computes e^(-rT) and e^(-qT) once and keeps them as
+    # discount_factor and dividend_factor; a second exp can differ in the
+    # last bit (np.exp against math.exp)
+    probe = "np.exp(-market.rate * market.maturity) + exp(-m.dividend * t)"
+    assert _exp_of_rate_or_dividend(ast.parse(probe)) == [1, 1]
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    assert _exp_of_rate_or_dividend(tree) == []

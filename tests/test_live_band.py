@@ -80,12 +80,10 @@ def heston_market(maturity):
     return MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
 
 
-def full_grid_series_values(model, market, kind, alpha, base, x, ranges, strikes, counts,
-                            discount):
+def full_grid_series_values(model, market, kind, alpha, base, x, strikes, counts):
     """cos_engine._series_values over every term: phi on the whole grid of
     the largest count in one call, and each count's prefix of the terms
     summed."""
-    assert discount == math.exp(-market.rate * market.maturity)
     u = np.arange(max(counts)) * (math.pi / base.width)
     phi = char_fn(model, market, u - 1j * alpha)
     check_moment(alpha, phi[0])
@@ -93,13 +91,14 @@ def full_grid_series_values(model, market, kind, alpha, base, x, ranges, strikes
     coefficients = (
         cos_engine.call_coefficients if kind is OptionKind.CALL else cos_engine.put_coefficients
     )
-    payoff = coefficients(u, alpha, ranges, strikes)
-    width = np.array([r.width for r in ranges])
+    a, b = base.a + x, base.b + x
+    payoff = coefficients(u, alpha, a, b, strikes)
+    width = b - a
     terms = cos_engine._column(2.0 * cos_engine._exp_each(alpha * x) / width) * density * payoff
     terms[:, 0] *= 0.5
+    scale = 0.5 * width * market.discount_factor
     return [
-        0.5 * width * discount * np.array([cos_engine._fsum(row[:n]) for row in terms.tolist()])
-        for n in counts
+        scale * np.array([cos_engine._fsum(row[:n]) for row in terms.tolist()]) for n in counts
     ]
 
 
@@ -110,7 +109,7 @@ def simpson_terms(model, market, config):
     v = eta * np.arange(_MAX_FREQUENCIES)
     phi = char_fn(model, market, v - 1j * (alpha + 1.0))
     check_moment(alpha + 1.0, phi[0])
-    psi = np.exp(-market.rate * market.maturity) * phi / (
+    psi = market.discount_factor * phi / (
         alpha * alpha + alpha - v * v + 1j * (2.0 * alpha + 1.0) * v
     )
     weights = np.full(v.size, 2.0)

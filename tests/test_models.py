@@ -304,6 +304,20 @@ class TestValidationAndStrips:
         with pytest.raises(ValidationError):
             MarketSpec(spot=-1.0, rate=0.1, dividend=0.0, maturity=1.0)
 
+    def test_market_keeps_its_discount_and_dividend_factors(self):
+        market = MarketSpec(spot=100.0, rate=0.07, dividend=-0.03, maturity=2.5)
+        moved = replace(market, rate=-0.2, maturity=40.0)
+        for m in (market, moved):
+            assert m.discount_factor == math.exp(-m.rate * m.maturity)
+            assert m.dividend_factor == math.exp(-m.dividend * m.maturity)
+        # derived, so neither an argument nor part of the repr or equality
+        assert repr(market) == "MarketSpec(spot=100.0, rate=0.07, dividend=-0.03, maturity=2.5)"
+        same = MarketSpec(100.0, 0.07, -0.03, 2.5)
+        object.__setattr__(same, "discount_factor", 0.5)
+        assert same == market and hash(same) == hash(market) and moved != market
+        with pytest.raises(TypeError):
+            MarketSpec(spot=100.0, rate=0.07, discount_factor=1.0)
+
     @pytest.mark.parametrize(
         "name, field",
         [("heston", f) for f in ("kappa", "theta", "sigma", "v0")]

@@ -256,6 +256,38 @@ class TestCarrMadan:
         lower = market.spot - strike * math.exp(-market.rate * market.maturity)
         assert lower - 1e-9 * market.spot <= call <= market.spot
 
+    @pytest.mark.parametrize("name, maturity, strike", [
+        ("heston", 1e-5, 100.5), ("heston", 1e-5, 100.0), ("kou", 1e-5, 100.0),
+        ("cgmy1", 1e-5, 100.0), ("kou", 1e-4, 100.0),
+    ])
+    def test_band_cut_by_the_frequency_cap_rejected(self, name, maturity, strike):
+        # the 2^16-point cap used to end these bands above their rounding
+        # floor, and the sums came back, in this order, 2.25e-6 (where
+        # parity and the Fourier integral agree on 1.62e-12), 3.7e-5,
+        # 4.9e-4, 1.7e-6 and 3.4e-10 high, all inside the no-arbitrage bounds
+        market = market_preset(maturity)
+        with pytest.raises(ComputationError, match="point cap before its rounding floor"):
+            price_carr_madan(model_preset(name), market, [strike], carr_madan_preset(name))
+
+    @pytest.mark.parametrize("name", ["heston", "cgmy1"])
+    def test_short_maturity_inside_the_cap_prices(self, name):
+        model, market = model_preset(name), market_preset(1e-4)
+        [got] = price_carr_madan(model, market, [100.0], carr_madan_preset(name))
+        want = price_fourier_integral(model, market, 100.0, IntegralConfig(max_frequency=2e5))
+        assert abs(got - want) <= 1e-14
+
+    @pytest.mark.parametrize("name, rate, dividend, maturity", [
+        ("kou", -0.75, -1.0, 600.0), ("heston", -0.75, -1.0, 600.0), ("cgmy1", -0.75, -2.0, 180.0),
+    ])
+    def test_overflowing_transform_is_named_non_finite(self, name, rate, dividend, maturity):
+        # e^(-rT)*phi overflows: this used to leak three NumPy warnings and
+        # then blame the damping for a nan price
+        market = MarketSpec(spot=100.0, rate=rate, dividend=dividend, maturity=maturity)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ComputationError, match="non-finite price at strike 100"):
+                price_carr_madan(model_preset(name), market, [100.0], carr_madan_preset(name))
+
     def test_rejects_strike_outside_span(self, market):
         # widen the step so the span, pi, is cheap to leave
         config = CarrMadanConfig(spacing=1.0)
