@@ -28,6 +28,12 @@ from one series, built at the largest count, each price the sum of a
 prefix of it; :func:`price` is its one-count case, for a batch of strikes
 whose ranges are [a + x, b + x], x each strike's log-moneyness: the series
 forms these endpoints once, as arrays, one payoff row per strike.
+
+A payoff row is a difference of two :func:`chi` values that differ only in
+the exponent, so one ``chi`` call forms both from one set of cosines and
+sines.  Of its two phases, one has the same offset on every row of a
+column (a call's upper offset is the range width, a put's lower offset is
+zero), so only the other costs a cosine and a sine per strike and term.
 """
 
 from __future__ import annotations
@@ -164,34 +170,60 @@ def _exp_each(values: np.ndarray) -> np.ndarray:
     return np.array(out).reshape(values.shape)
 
 
-def chi(u, v: float, c, d, a):
+def _cos_sin(u: np.ndarray, offset: np.ndarray) -> tuple:
+    """cos and sin of the phase u*offset, one row per interval.  An offset
+    column that holds the same float on every row (a put's c - a = 0, a
+    column's common width) gives one row, which broadcasts to the same
+    values; the rows are compared as bits, so that 0.0 and -0.0 stay apart."""
+    if offset.ndim:
+        bits = offset.view(np.int64)
+        if (bits == bits[:1]).all():
+            offset = offset[:1]
+    phase = u * offset
+    return np.cos(phase), np.sin(phase)
+
+
+def chi(u, v, c, d, a):
     """Closed form of the integral of exp(v*y) * cos(u*(y - a)) over [c, d].
 
     Vectorized over u.  The bounds c, d and a are scalars, or equal-length
     1-D arrays holding one interval per row, in which case the result has
-    one row per interval and one column per frequency.  The v = 0, u = 0
-    limits are handled explicitly; for v != 0 the general expression is
-    already exact at u = 0.
+    one row per interval and one column per frequency.  v is one exponent,
+    giving one array, or a sequence of them, giving a list of arrays, one
+    per v: the cosines and sines of the phases u*(c - a) and u*(d - a) are
+    formed once for every v, and a phase whose offset is the same on every
+    row once for all rows, so each array is bit for bit that of a call for
+    its v alone.  The v = 0, u = 0 limits are handled explicitly; for v != 0
+    the general expression is already exact at u = 0.
     """
     u = np.asarray(u, dtype=float)
     c, d, a = _column(c), _column(d), _column(a)
-    if (c > d).any():
-        raise ValidationError(f"integration bounds must satisfy c <= d, got [{c}, {d}]")
-    phase_c = u * (c - a)
-    phase_d = u * (d - a)
-    if v == 0.0:
-        zero = u == 0.0
-        out = (np.sin(phase_d) - np.sin(phase_c)) / np.where(zero, 1.0, u)
-        return np.where(zero, d - c, out)
-    ecv = _exp_each(v * c)
-    edv = _exp_each(v * d)
-    num = (
-        -v * ecv * np.cos(phase_c)
-        - u * ecv * np.sin(phase_c)
-        + v * edv * np.cos(phase_d)
-        + u * edv * np.sin(phase_d)
-    )
-    return num / (v * v + u * u)
+    ok = np.isfinite(c) & np.isfinite(d) & np.isfinite(a) & (c <= d)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        bad_c, bad_d, bad_a = (float(np.broadcast_to(w, ok.shape).flat[row]) for w in (c, d, a))
+        raise ValidationError(
+            f"integration bounds must be finite with c <= d, got c={bad_c!r}, d={bad_d!r}, "
+            f"a={bad_a!r}" + (f" in row {row}" if ok.ndim else "")
+        )
+    (cos_c, sin_c), (cos_d, sin_d) = _cos_sin(u, c - a), _cos_sin(u, d - a)
+
+    def value(w):
+        if w == 0.0:
+            zero = u == 0.0
+            out = (sin_d - sin_c) / np.where(zero, 1.0, u)
+            return np.where(zero, d - c, out)
+        ecv = _exp_each(w * c)
+        edv = _exp_each(w * d)
+        num = (
+            -w * ecv * cos_c
+            - u * ecv * sin_c
+            + w * edv * cos_d
+            + u * edv * sin_d
+        )
+        return num / (w * w + u * u)
+
+    return [value(w) for w in v] if np.ndim(v) else value(v)
 
 
 def _payoff_coefficients(u, alpha: float, a, b, strike, kind: OptionKind) -> np.ndarray:
@@ -210,9 +242,9 @@ def _payoff_coefficients(u, alpha: float, a, b, strike, kind: OptionKind) -> np.
     live = lo < hi
     a, lo, hi = a[live], lo[live], hi[live]
     out = np.zeros(live.shape + np.shape(u))
-    out[live] = _column(scale[live] / (b[live] - a)) * (
-        chi(u, 1.0 - alpha, lo, hi, a) - chi(u, -alpha, lo, hi, a)
-    )
+    # (e^y - 1)*e^(-alpha*y) = e^((1 - alpha)*y) - e^(-alpha*y): one chi call for both
+    with_e, without_e = chi(u, (1.0 - alpha, -alpha), lo, hi, a)
+    out[live] = _column(scale[live] / (b[live] - a)) * (with_e - without_e)
     return out
 
 

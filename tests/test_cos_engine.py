@@ -24,7 +24,7 @@ from cospricer.cos_engine import (
     put_coefficients,
 )
 from cospricer.errors import ComputationError, ConfigurationError, PricingError, ValidationError
-from cospricer.models import CGMYParams, HestonParams, MarketSpec
+from cospricer.models import CGMYParams, HestonParams, MarketSpec, cumulants, truncation_range
 from cospricer.transform_refs import price_carr_madan, price_fourier_integral
 
 STRIKES = (80.0, 85.0, 90.0, 95.0, 100.0, 105.0, 110.0, 115.0, 120.0)
@@ -74,6 +74,25 @@ class TestChi:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValidationError):
             chi(np.array([1.0]), 0.5, 2.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_bound(self, bad):
+        for bounds in ((bad, 1.0, 0.0), (-1.0, bad, -2.0), (0.0, 1.0, bad)):
+            with pytest.raises(ValidationError, match="must be finite with c <= d"):
+                chi(np.array([1.0]), 0.5, *bounds)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_names_the_first_bad_row_as_scalars(self, bad):
+        a = np.full(4, -2.0)
+        c = np.array([-1.0, 0.5, bad, 0.5])
+        d = np.array([0.0, 0.25, 1.0, 0.25])
+        with pytest.raises(ValidationError) as caught:
+            chi(np.arange(3.0), -1.1, c, d, a)
+        message = str(caught.value)
+        assert message.endswith("got c=0.5, d=0.25, a=-2.0 in row 1")
+        assert "\n" not in message
+        with pytest.raises(ValidationError, match=f"got c={bad}, d=1.0, a=-2.0 in row 1"):
+            chi(np.arange(3.0), (0.0, -1.1), c[[0, 2]], d[[0, 2]], a[[0, 2]])
 
 
 class TestPayoffCoefficients:
@@ -644,6 +663,85 @@ class TestBroadcastCoefficients:
             # [-2, 0] meets only the put payoff and [0, 2] only the call's
             call = coefficients is call_coefficients
             assert dead[-2:].tolist() == [call, not call]
+
+
+class TestSharedPhases:
+    """chi forms each phase's cosine and sine once for every exponent of a
+    sequence, and as one row where the phase's offset is the same float on
+    every row.  Every array must be bit for bit that of one call per
+    exponent and per row."""
+
+    U = np.arange(64) * 0.37
+    # a call's exponents at alpha = 1.1, a put's at alpha = 0
+    V = (1.0 - 1.1, -1.1, 1.0, 0.0)
+    # half-unit strike lattice in [60, 160]
+    LATTICE = np.arange(60.0, 160.0 + 0.25, 0.5)
+
+    def _assert_rows_are_one_row_calls(self, c, d, a):
+        got = chi(self.U, self.V, c, d, a)
+        assert isinstance(got, list) and len(got) == len(self.V)
+        for v, rows in zip(self.V, got):
+            assert rows.shape == (a.size, self.U.size)
+            for k in range(a.size):
+                np.testing.assert_array_equal(rows[k], chi(self.U, v, c[k], d[k], a[k]))
+
+    def _preset_ranges(self, name, variant):
+        """The recentred ranges [base.a + x, base.b + x] of the lattice
+        strikes, as the engine forms them for the preset."""
+        model, market = presets.model_preset(name), presets.market_preset()
+        width = presets.method_preset(name, variant).range_width
+        base = truncation_range(cumulants(model, market), width)
+        x = np.array([math.log(market.spot / k) for k in self.LATTICE])
+        return base.a + x, base.b + x
+
+    @staticmethod
+    def _distinct(offsets) -> int:
+        return np.unique(np.asarray(offsets, dtype=float).view(np.int64)).size
+
+    def test_sequence_of_exponents_is_one_call_each(self):
+        gen = np.random.default_rng(21)
+        a = gen.uniform(-5.0, 0.0, 7)
+        c = a + gen.uniform(0.0, 2.0, 7)
+        d = c + gen.uniform(0.0, 3.0, 7)
+        for k in range(a.size):
+            got = chi(self.U, self.V, c[k], d[k], a[k])
+            for v, values in zip(self.V, got):
+                np.testing.assert_array_equal(values, chi(self.U, v, c[k], d[k], a[k]))
+        self._assert_rows_are_one_row_calls(c, d, a)
+
+    @pytest.mark.parametrize("name", presets.PROFILE_NAMES)
+    def test_call_rows_share_their_width(self, name):
+        a, b = self._preset_ranges(name, Variant.STABLE)
+        lo = np.maximum(a, 0.0)
+        assert self._distinct(b - a) == 1 and self._distinct(lo - a) > 1
+        self._assert_rows_are_one_row_calls(lo, b, a)
+        strikes = self.LATTICE
+        rows = call_coefficients(self.U, 1.1, a, b, strikes)
+        for k in range(a.size):
+            one = slice(k, k + 1)
+            np.testing.assert_array_equal(
+                rows[k], call_coefficients(self.U, 1.1, a[one], b[one], strikes[one])[0]
+            )
+
+    @pytest.mark.parametrize("name", presets.PROFILE_NAMES)
+    def test_put_rows_start_at_a(self, name):
+        a, b = self._preset_ranges(name, Variant.PUT_CALL_PARITY)
+        self._assert_rows_are_one_row_calls(a, np.minimum(b, 0.0), a)
+        strikes = self.LATTICE
+        for alpha in (0.0, -0.7):
+            rows = put_coefficients(self.U, alpha, a, b, strikes)
+            for k in range(a.size):
+                one = slice(k, k + 1)
+                np.testing.assert_array_equal(
+                    rows[k], put_coefficients(self.U, alpha, a[one], b[one], strikes[one])[0]
+                )
+
+    def test_column_of_two_widths(self):
+        # cgmy2's parity column: its recentred ranges round to two widths
+        a, b = self._preset_ranges("cgmy2", Variant.PUT_CALL_PARITY)
+        assert self._distinct(b - a) == 2
+        self._assert_rows_are_one_row_calls(a, b, a)
+        self._assert_rows_are_one_row_calls(np.maximum(a, 0.0), b, a)
 
 
 def _curve_outcome(model, market, option, config, n_values):

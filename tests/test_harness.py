@@ -4,6 +4,7 @@ import collections
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from cospricer.presets import (
     market_preset,
     model_preset,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestExperimentResult:
@@ -299,7 +302,8 @@ class TestConvergence:
     def test_curve_is_one_series(self, monkeypatch):
         # the benchmark traces these bindings: the 60000-term reference is
         # one harness.price call, the curve one price_curve call, so each
-        # builds its cumulants once and forms its payoff rows with two chi
+        # builds its cumulants once and forms its payoff rows with one chi
+        # call, for both of its exponents
         calls = collections.Counter()
 
         def count(module, name):
@@ -316,7 +320,7 @@ class TestConvergence:
         count(cos_engine, "chi")
         result = run_convergence("kou", [8, 16, 32, 64, 140])
         assert result.values.shape == (5,)
-        assert calls == {"price": 1, "cumulants": 2, "chi": 4}
+        assert calls == {"price": 1, "cumulants": 2, "chi": 2}
 
     def test_curve_matches_one_price_per_term_count(self):
         n_values = (140, 8, 64, 8, 4096)
@@ -481,3 +485,17 @@ class TestWriteResult:
         assert sidecar["axes"][0][0] == "strike"
         assert sidecar["metadata"]["models"] == ["heston"]
         assert "written_at" in sidecar and "library_version" in sidecar
+
+
+class TestGoldenCsv:
+    """The benchmark table and the reference set, as reproduce writes them,
+    are byte for byte the CSVs in tests/golden: a change that is meant to
+    leave every price unchanged must leave these bytes unchanged."""
+
+    @pytest.mark.parametrize("run, name", [
+        (run_strike_table, "strike_table.csv"),
+        (run_reference_set, "reference_set.csv"),
+    ])
+    def test_bytes_match_the_golden_file(self, tmp_path, run, name):
+        write_result(run(), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
