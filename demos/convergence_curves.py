@@ -5,8 +5,6 @@ terms, against the 13-digit recomputed reference.  If matplotlib is
 importable the curves are also saved to convergence_<profile>.png.
 """
 
-import numpy as np
-
 from cospricer.cos_engine import Variant
 from cospricer.harness import run_convergence
 

@@ -8,8 +8,6 @@ max - min over the whole grid; a flat surface means the damping and
 range choices are free parameters, which is the point of the method.
 """
 
-import numpy as np
-
 from cospricer.harness import run_stability_surface
 from cospricer.presets import PROFILE_NAMES
 

@@ -7,8 +7,6 @@ expansion has no preset for the Y=1.98 profile; those cells come back
 flagged "skipped".
 """
 
-import numpy as np
-
 from cospricer.harness import run_strike_table, write_result
 from cospricer.presets import load_strike_table
 

@@ -32,7 +32,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from importlib import metadata as _importlib_metadata
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -55,13 +54,6 @@ __all__ = [
 
 # column order of the benchmark table
 METHOD_NAMES = ("stable", "parity", "direct", "fourier_integral", "carr_madan")
-
-
-def _library_version() -> str:
-    try:
-        return _importlib_metadata.version("cospricer")
-    except _importlib_metadata.PackageNotFoundError:
-        return "unknown"
 
 
 @dataclass(frozen=True)
@@ -412,6 +404,9 @@ def write_result(result: ExperimentResult, csv_path) -> str:
             ]
             writer.writerow([row_val] + cells)
 
+    # the package defines __version__ after it imports this module
+    from . import __version__
+
     sidecar_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
     sidecar = {
         "experiment": result.experiment,
@@ -419,7 +414,7 @@ def write_result(result: ExperimentResult, csv_path) -> str:
         "flags": {",".join(map(str, idx)): flag for idx, flag in result.flags.items()},
         "metadata": result.metadata,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "library_version": _library_version(),
+        "library_version": __version__,
     }
     with open(sidecar_path, "w") as fh:
         json.dump(sidecar, fh, indent=2, default=float)

@@ -27,6 +27,7 @@ from .errors import ComputationError, ValidationError
 
 __all__ = [
     "MarketSpec",
+    "check_call_prices",
     "HestonParams",
     "KouParams",
     "CGMYParams",
@@ -95,6 +96,36 @@ class MarketSpec:
                     f"it {'underflows to 0' if factor == 0.0 else 'overflows'}"
                 )
             object.__setattr__(self, f"{name}_factor", factor)
+
+
+def check_call_prices(market: MarketSpec, strikes, prices, pricer: str) -> None:
+    """Refuse a column of call prices that no arbitrage-free market admits.
+
+    ``prices`` are the calls that ``pricer`` (its name and damping, for
+    the message) gave at ``strikes``.  Each rule runs over the whole
+    column in turn, and a computation error names the first strike that
+    breaks it: a price that is not finite; one above S0*e^(-qT), which
+    in a damped transform signals that the damped moment has overwhelmed
+    the sum (lower the damping for heavy tails); one below
+    max(S0*e^(-qT) - K*e^(-rT), 0), where the sum's rounding, scaled by
+    exp(-damping*log(K/S0)) with the price, swamps a deep in-the-money
+    call.  Each bound allows 1e-9*S0 of rounding.
+    """
+    strikes, prices = np.asarray(strikes, dtype=float), np.asarray(prices, dtype=float)
+    upper = market.spot * market.dividend_factor
+    lower = np.maximum(upper - strikes * market.discount_factor, 0.0)
+    slack = 1e-9 * market.spot
+    for bad, fault in (
+        (~np.isfinite(prices), "a non-finite price at strike {k:g}"),
+        (prices > upper + slack,
+         "{p:.6g} at strike {k:g}, above the spot bound S0*e^(-qT) = {u:.6g}"),
+        (prices < lower - slack,
+         "{p:.6g} at strike {k:g}, below the no-arbitrage lower bound {l:.6g}"),
+    ):
+        if bad.any():
+            j = bad.argmax()
+            fault = fault.format(p=prices[j], k=strikes[j], u=upper, l=lower[j])
+            raise ComputationError(f"{pricer} gave {fault}")
 
 
 @dataclass(frozen=True)

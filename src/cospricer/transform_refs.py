@@ -22,7 +22,7 @@ from which a proven bound puts the whole remaining tail of the sum below
 ``_damped_calls``); where the contour's cap of 2^16 points ends the band
 before that floor, it raises.  The Fourier integral evaluates phi at
 its nodes and at the cut and raises when the integrand has not decayed
-there.
+there.  Both refuse a price by one rule, :func:`models.check_call_prices`.
 Neither pricer checks the contour shift itself: ``live_band`` does for
 Carr-Madan, and ``char_fn`` for the Fourier integral.
 """
@@ -36,7 +36,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .models import MarketSpec, ModelSpec, char_fn, check_moment, live_band
+from .models import MarketSpec, ModelSpec, char_fn, check_call_prices, check_moment, live_band
 
 __all__ = [
     "CarrMadanConfig",
@@ -197,9 +197,8 @@ def price_carr_madan(
         Call prices in strike order, each the Simpson sum of the
         inverse transform taken at the strike's own log-moneyness.  An
         empty column returns [] without evaluating phi.  A band cut by
-        the frequency cap, a non-finite price, and a price above
-        S0*e^(-qT) or below max(S0*e^(-qT) - K*e^(-rT), 0), each by
-        more than 1e-9*S0, raise ComputationError.
+        the frequency cap raises ComputationError, and so does a price
+        that :func:`models.check_call_prices` refuses.
     """
     strikes = _validate_strikes(strikes)
     if not strikes:
@@ -212,35 +211,7 @@ def price_carr_madan(
         )
     calls = _damped_calls(model, market, config, log_strikes)
     prices = market.spot * (np.exp(-config.damping * log_strikes) / math.pi * calls)
-
-    upper = market.spot * market.dividend_factor
-    bad = ~np.isfinite(prices)
-    if bad.any():
-        raise ComputationError(
-            f"Carr-Madan sum produced a non-finite price at strike {strikes[bad.argmax()]:g}"
-        )
-    bad = ~(prices <= upper + 1e-9 * market.spot)
-    if bad.any():
-        # a call above S0*e^(-qT) signals the exp((damping+1)*y) moment has
-        # overwhelmed the sum; lower the damping for heavy tails
-        raise ComputationError(
-            f"Carr-Madan call price {prices[bad.argmax()]:.6g} violates the dividend-"
-            f"discounted spot bound S0*e^(-qT) = {upper:.6g}; damping {config.damping} "
-            f"is too aggressive for this model"
-        )
-    # the sum's rounding is scaled by exp(-damping*k) too, which swamps a
-    # deep in-the-money call; the same allowance as the upper bound
-    lower = np.maximum(
-        upper - np.asarray(strikes) * market.discount_factor, 0.0
-    ) - 1e-9 * market.spot
-    bad = ~(prices >= lower)
-    if bad.any():
-        j = bad.argmax()
-        raise ComputationError(
-            f"Carr-Madan call price {prices[j]:.3e} at strike {strikes[j]:g} is below "
-            f"the no-arbitrage lower bound {lower[j]:.6g}; the damped sum's rounding "
-            f"is amplified by exp(-damping*log(K/S0))"
-        )
+    check_call_prices(market, strikes, prices, f"Carr-Madan sum at damping {config.damping}")
     return prices.tolist()
 
 
@@ -275,8 +246,11 @@ def price_fourier_integral(
     panel edges start at alpha - 1, the distance from the contour to the
     payoff pole at u = -i(alpha - 1), and double up to max_frequency, so
     each panel sees that pole at the same relative distance.  The same
-    panels with 32 points give the returned value; a gap between the
-    two rules above 1e-6 * max(1, |integral|) raises ComputationError.
+    panels with 32 points give the returned value.  Three column tests
+    run in turn, each raising ComputationError at its first strike at
+    fault: the rules differ by over 1e-6 * max(1, |integral|), the
+    integrand at the cut times the cut exceeds that, and
+    :func:`models.check_call_prices`.
 
     ``strike`` is one strike (returns a float) or a sequence of strikes
     (returns a list in input order).  The characteristic function is
@@ -317,22 +291,21 @@ def price_fourier_integral(
     rule = 2.0 * terms[:, : u_rule.size].sum(axis=1)
     check = 2.0 * terms[:, u_rule.size :].sum(axis=1)
 
-    prices = []
-    for k, coarse, value, tail in zip(strikes, rule, check, tails.tolist()):
-        price = k * market.discount_factor * value / (2.0 * math.pi)
-        if not math.isfinite(price):
-            raise ComputationError("Fourier integral produced a non-finite price")
-        tolerance = 1e-6 * max(1.0, abs(value))
-        gap = abs(value - coarse)
-        if gap > tolerance:
-            raise ComputationError(
-                f"Fourier quadrature failed to converge at strike {k:g} "
-                f"(16- and 32-point rules differ by {gap:.2e})"
-            )
-        if tail > tolerance:
-            raise ComputationError(
-                f"Fourier integral truncated too early at strike {k:g}: the "
-                f"integrand at max_frequency={top:g} times the cut is {tail:.2e}"
-            )
-        prices.append(price)
+    tolerance = 1e-6 * np.maximum(1.0, np.abs(check))
+    gaps = np.abs(check - rule)
+    [bad] = np.nonzero(gaps > tolerance)
+    if bad.size:
+        raise ComputationError(
+            f"Fourier quadrature failed to converge at strike {strikes[bad[0]]:g} "
+            f"(16- and 32-point rules differ by {gaps[bad[0]]:.2e})"
+        )
+    [bad] = np.nonzero(tails > tolerance)
+    if bad.size:
+        raise ComputationError(
+            f"Fourier integral truncated too early at strike {strikes[bad[0]]:g}: the "
+            f"integrand at max_frequency={top:g} times the cut is {tails[bad[0]]:.2e}"
+        )
+    prices = np.asarray(strikes) * market.discount_factor * check / (2.0 * math.pi)
+    check_call_prices(market, strikes, prices, f"Fourier integral at damping {alpha}")
+    prices = prices.tolist()
     return prices[0] if single else prices

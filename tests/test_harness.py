@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cospricer
 from cospricer import (
     ComputationError,
     ConfigurationError,
@@ -485,6 +486,18 @@ class TestWriteResult:
         assert sidecar["axes"][0][0] == "strike"
         assert sidecar["metadata"]["models"] == ["heston"]
         assert "written_at" in sidecar and "library_version" in sidecar
+
+    def test_sidecar_records_the_package_version(self, tmp_path):
+        # the tests import the package from its source tree, where no
+        # installed distribution metadata exists
+        sidecar_path = write_result(self._small_result(), tmp_path / "table.csv")
+        with open(sidecar_path) as handle:
+            assert json.load(handle)["library_version"] == cospricer.__version__
+
+    def test_pyproject_states_the_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as handle:
+            assert tomllib.load(handle)["project"]["version"] == cospricer.__version__
 
 
 class TestGoldenCsv:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cospricer import models as models_module
-from cospricer.errors import ValidationError
+from cospricer.errors import ComputationError, ValidationError
 from cospricer.models import (
     CGMYParams,
     HestonParams,
@@ -22,6 +22,7 @@ from cospricer.models import (
     MarketSpec,
     _log_cf,
     char_fn,
+    check_call_prices,
     check_moment,
     cumulants,
     damping_bounds,
@@ -395,3 +396,36 @@ class TestMomentPredicate:
         after = MarketSpec(spot=100.0, rate=0.05, maturity=20.0)
         assert moment_is_valid(char_fn(model, before, -1.1j))
         assert not moment_is_valid(char_fn(model, after, -1.1j))
+
+
+class TestCallPriceBounds:
+    # S0*e^(-qT) = 81.873; the lower bound S0*e^(-qT) - K*e^(-rT) is 27.58
+    # at K = 60, 36.63 at K = 50, and 0 from K = 90.48 up
+    MARKET = MarketSpec(spot=100.0, rate=0.1, dividend=0.2, maturity=1.0)
+    UPPER = 100.0 * math.exp(-0.2)
+
+    def refuse(self, strikes, prices, match):
+        with pytest.raises(ComputationError, match=match):
+            check_call_prices(self.MARKET, strikes, prices, "pricer at damping 0.5")
+
+    def test_each_refusal_names_the_first_strike_at_fault(self):
+        self.refuse([160.0, 100.0, 60.0], [10.0, math.nan, math.inf],
+                    r"^pricer at damping 0.5 gave a non-finite price at strike 100$")
+        self.refuse([160.0, 100.0, 60.0], [10.0, self.UPPER + 1.0, self.UPPER + 2.0],
+                    r"gave 82.8731 at strike 100, above the spot bound S0\*e\^\(-qT\) = 81.8731$")
+        self.refuse([160.0, 60.0, 50.0], [1.0, 0.0, 0.0],
+                    r"gave 0 at strike 60, below the no-arbitrage lower bound 27.5828$")
+
+    def test_non_finite_before_upper_before_lower(self):
+        strikes = [60.0, 100.0, 160.0]
+        self.refuse(strikes, [0.0, self.UPPER + 1.0, math.nan], "non-finite price at strike 160")
+        self.refuse(strikes, [0.0, self.UPPER + 1.0, 1.0], "above the spot bound")
+        self.refuse(strikes, [0.0, 1.0, 1.0], "below the no-arbitrage lower bound")
+
+    @pytest.mark.parametrize("strike", [60.0, 160.0])
+    def test_each_bound_allows_1e_9_of_the_spot(self, strike):
+        near, far = 0.5e-9 * self.MARKET.spot, 2e-9 * self.MARKET.spot
+        lower = max(self.UPPER - strike * math.exp(-0.1), 0.0)
+        for bound, sign in ((self.UPPER, 1.0), (lower, -1.0)):
+            check_call_prices(self.MARKET, [strike], [bound + sign * near], "pricer")
+            self.refuse([strike], [bound + sign * far], "bound")
