@@ -22,6 +22,9 @@ Drivers:
     Price surface over a damping x range-width grid.
 ``run_l_sweep``
     Damped-call versus undamped-put prices as the range width varies.
+
+These two share one grid driver, ``_price_grid``: each states only its
+axes, the ``CosConfig`` of a cell and its own metadata keys.
 """
 
 from __future__ import annotations
@@ -266,6 +269,25 @@ def run_convergence(
     )
 
 
+def _price_grid(experiment: str, model_name: str, rows: tuple, columns: tuple, cell_config,
+                strike: float, maturity: float, metadata: dict) -> ExperimentResult:
+    """Price one call on every cell of the grid of (name, values) axes rows x
+    columns, row by row, each at the CosConfig cell_config(row, column); the
+    metadata is model, strike, maturity, the caller's keys, the loop's clock."""
+    model = presets.model_preset(model_name)
+    started = time.perf_counter()
+    market = presets.market_preset(maturity)
+    option = OptionSpec(strike=strike)
+    values = np.array([
+        [price(model, market, option, cell_config(row, col)).price for col in columns[1]]
+        for row in rows[1]
+    ])
+    metadata = {"model": model_name, "strike": strike, "maturity": maturity, **metadata,
+                "wall_clock_s": time.perf_counter() - started}
+    return ExperimentResult(f"{experiment}_{model_name}", (rows, columns), values,
+                            metadata=metadata)
+
+
 def run_stability_surface(
     model_name: str,
     alpha_values: Optional[Sequence[float]] = None,
@@ -286,7 +308,6 @@ def run_stability_surface(
     without it N is held fixed and wide ranges are undersampled by
     construction.
     """
-    model = presets.model_preset(model_name)
     preset = presets.method_preset(model_name, Variant.STABLE)
     if alpha_values is None:
         alpha_values = presets.sweep_dampings()
@@ -298,30 +319,15 @@ def run_stability_surface(
         raise ValidationError("stability grids must be non-empty")
     [base_n] = term_counts((preset.n_terms if n_terms is None else n_terms,))
 
-    started = time.perf_counter()
-    market = presets.market_preset(maturity)
-    option = OptionSpec(strike=strike)
-    values = np.empty((len(alpha_values), len(l_values)))
-    for j, width in enumerate(l_values):
-        n = base_n
-        if scale_terms:
-            n = max(base_n, math.ceil(base_n * width / preset.range_width))
-        for i, alpha in enumerate(alpha_values):
-            cfg = CosConfig(n_terms=n, range_width=width, damping=alpha)
-            values[i, j] = price(model, market, option, cfg).price
+    def cell_config(alpha: float, width: float) -> CosConfig:
+        scaled = max(base_n, math.ceil(base_n * width / preset.range_width))
+        return CosConfig(n_terms=scaled if scale_terms else base_n, range_width=width,
+                         damping=alpha)
 
-    return ExperimentResult(
-        experiment=f"stability_{model_name}",
-        axes=(("alpha", alpha_values), ("range_width", l_values)),
-        values=values,
-        metadata={
-            "model": model_name,
-            "strike": strike,
-            "maturity": maturity,
-            "n_terms": base_n,
-            "reference_width": preset.range_width if scale_terms else None,
-            "wall_clock_s": time.perf_counter() - started,
-        },
+    return _price_grid(
+        "stability", model_name, ("alpha", alpha_values), ("range_width", l_values),
+        cell_config, strike, maturity,
+        {"n_terms": base_n, "reference_width": preset.range_width if scale_terms else None},
     )
 
 
@@ -340,29 +346,10 @@ def run_l_sweep(
     l_values = tuple(float(w) for w in l_values)
     if not l_values:
         raise ValidationError("l_values must be non-empty")
-    model = presets.model_preset(model_name)
-
-    started = time.perf_counter()
-    market = presets.market_preset(maturity)
-    option = OptionSpec(strike=strike)
-    variants = ("stable", "parity")
-    values = np.empty((len(l_values), len(variants)))
-    for i, width in enumerate(l_values):
-        for j, name in enumerate(variants):
-            cfg = CosConfig(n_terms=n_terms, range_width=width, variant=Variant(name))
-            values[i, j] = price(model, market, option, cfg).price
-
-    return ExperimentResult(
-        experiment=f"l_sweep_{model_name}",
-        axes=(("range_width", l_values), ("variant", variants)),
-        values=values,
-        metadata={
-            "model": model_name,
-            "strike": strike,
-            "maturity": maturity,
-            "n_terms": n_terms,
-            "wall_clock_s": time.perf_counter() - started,
-        },
+    return _price_grid(
+        "l_sweep", model_name, ("range_width", l_values), ("variant", ("stable", "parity")),
+        lambda width, name: CosConfig(n_terms=n_terms, range_width=width, variant=Variant(name)),
+        strike, maturity, {"n_terms": n_terms},
     )
 
 
