@@ -330,7 +330,6 @@ def _series_values(
     n_terms = max(counts)
     step = math.pi / base.width
     phi = live_band(char_fn, model, market, step, alpha, n_terms)
-    check_moment(alpha, phi[0])
     a, b = base.a + x, base.b + x
     live = phi.size
     if live < n_terms and _tail_may_overflow(
@@ -398,15 +397,23 @@ def _price_counts(
     counts: tuple,
 ) -> list:
     """One tuple of PriceResults, in option order, per term count in counts;
-    config supplies every setting but the term count."""
+    config supplies every setting but the term count.
+
+    The range is sized from the cumulants of the law the series expands,
+    tilted by alpha: K(alpha + s).  Before that contour is read, a damping
+    is checked on its strip (by char_fn), then on its moment, so that each
+    refusal names its own fault.
+    """
     if not options:
         raise ValidationError("price needs at least one option")
     kind = options[0].kind
     if any(opt.kind is not kind for opt in options):
         raise ValidationError("a batch of options must share one kind")
     alpha = _resolve_damping(config, kind)
+    if alpha != 0.0:
+        check_moment(alpha, char_fn(model, market, -1j * alpha))
 
-    cums = cumulants(model, market)
+    cums = cumulants(model, market, alpha)
     strikes = np.array([opt.strike for opt in options])
     x = np.array([math.log(market.spot / opt.strike) for opt in options])
     # the expansion variable is log-moneyness y = log(S_T/K), so the cumulant

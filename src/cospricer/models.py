@@ -620,28 +620,31 @@ _HESTON_RADIUS = 0.5
 _HALF_CIRCLE = np.exp(-1j * np.linspace(0.0, math.pi, _CONTOUR_NODES // 2 + 1))
 
 
-def cumulants(model: ModelSpec, market: MarketSpec) -> Cumulants:
-    """First, second and fourth cumulants of ln(S_T / S_0).
+def cumulants(model: ModelSpec, market: MarketSpec, centre: float = 0.0) -> Cumulants:
+    """First, second and fourth cumulants of ln(S_T / S_0) under the law
+    tilted by exp(centre * X): the damped series at alpha expands the law
+    at centre alpha, and centre 0 is the undamped law.
 
-    c_n = n! * [s^n] K(s) for K(s) = log phi_T(-i*s) = log E[exp(s*X)],
-    which is analytic around 0: the trapezoid rule on a circle |s| = r
-    reads the Taylor coefficients off with one inverse real FFT and
-    converges geometrically (Bornemann 2011).  K is real on the real axis,
-    so only the nodes with Im(s) <= 0 are evaluated, in one call that also
-    probes K at s = +-2r.  r starts at a quarter of the nearer damping
-    bound and halves while a coefficient is not finite or a probe is not
-    real (past a moment explosion), so that K is analytic on a disc twice
-    the circle's size; only Heston, which starts at _HESTON_RADIUS, halves,
-    as Kou's and CGMY's strips are proven.  Roundoff below zero in c2 or
-    c4 is floored.
-    """
+    c_n = n! * [s^n] K(centre + s) for K(s) = log phi_T(-i*s) =
+    log E[exp(s*X)], which is analytic around any centre in the damping
+    strip: the trapezoid rule on a circle |s| = r reads the Taylor
+    coefficients off with one inverse real FFT and converges
+    geometrically (Bornemann 2011).  K is real on the real axis, so only
+    the nodes with Im(s) <= 0 are evaluated, in one call that also probes
+    K at centre +- 2r.  r starts at a quarter of the centre's distance to
+    the nearer damping bound and halves while a coefficient is not finite
+    or a probe is not real (past a moment explosion), so that K is
+    analytic on a disc twice the circle's size; only Heston, which starts
+    at _HESTON_RADIUS, halves, as Kou's and CGMY's strips are proven.
+    Roundoff below zero in c2 or c4 is floored."""
     lo, hi = damping_bounds(model)
-    radius = _HESTON_RADIUS if isinstance(model, HestonParams) else 0.25 * min(-lo, hi)
+    radius = (_HESTON_RADIUS if isinstance(model, HestonParams)
+              else 0.25 * min(centre - lo, hi - centre))
     for _ in range(_CONTOUR_HALVINGS + 1):
         s = np.append(radius * _HALF_CIRCLE, (2.0 * radius, -2.0 * radius))
         # Heston's log-CF has a removable 0/0 at kappa = rho*sigma*s: nan
         with np.errstate(all="ignore"):
-            values = _log_cf(model, market, -1j * s)
+            values = _log_cf(model, market, -1j * (centre + s))
             taylor = np.fft.irfft(values[:-2], _CONTOUR_NODES)[:5] / radius ** np.arange(5)
         c1, c2, c4 = taylor[1], 2.0 * taylor[2], 24.0 * taylor[4]
         # a valid moment's log carries ~1e-16 relative imaginary roundoff

@@ -414,12 +414,12 @@ class TestMomentCheck:
 
 
 class TestUnrepresentableSeries:
-    """Inputs whose cumulants are finite but whose series is not a double.
+    """Inputs whose series is not a double, refused at the moment check.
 
-    The cumulant contour stays finite whatever the maturity, so these fail
-    where the series does: at r = 0 a long maturity makes the moment
-    E[(S_T/S_0)^alpha] overflow, and CGMY with Y = -170 has c1 = -1.9e202,
-    beside which the range's half-width rounds away.
+    The damped moment E[(S_T/S_0)^alpha] is checked before the cumulant
+    contour is sized: at r = 0 a long maturity makes it overflow, and so
+    does CGMY with Y = -170, whose log-moment is 8.1e200 (its c1 = -1.9e202
+    would also round the range's half-width away).
     """
 
     @pytest.mark.parametrize(
@@ -429,7 +429,7 @@ class TestUnrepresentableSeries:
             (presets.model_preset("cgmy1"), 1e8, r"\] overflows; the drift"),
             (presets.model_preset("heston"), 1e10, r"\] overflows; the drift"),
             (presets.model_preset("cgmy2"), 1e6, r"\] overflows; the drift"),
-            (CGMYParams(C=1.0, G=5.0, M=5.0, Y=-170.0), 1.0, "range must satisfy a < b"),
+            (CGMYParams(C=1.0, G=5.0, M=5.0, Y=-170.0), 1.0, r"\] overflows; the drift"),
         ],
         ids=["kou", "cgmy1", "heston", "cgmy2", "cgmy-y-170"],
     )
@@ -516,9 +516,6 @@ class TestEveryAcceptedMarket:
                 assert math.isfinite(value), (name, method, market, value)
 
 
-_FIX_A = "ROADMAP item 1, Fix A: size the stable range for the damped law (the tilted range)"
-
-
 def assert_call_within_bounds_or_refused(model, market, strike, config):
     """A stable call inside [max(S e^(-qT) - K e^(-rT), 0), S e^(-qT)], up
     to 1e-9, or a PricingError."""
@@ -531,29 +528,86 @@ def assert_call_within_bounds_or_refused(model, market, strike, config):
     assert lower - 1e-9 <= call <= upper + 1e-9
 
 
-class TestKnownWrongStablePrices:
-    """Stable calls outside the no-arbitrage bounds, with no error.
+_PARITY = CosConfig(8192, 12.0, variant=Variant.PUT_CALL_PARITY)
+_PARITY_WIDE = CosConfig(65536, 40.0, variant=Variant.PUT_CALL_PARITY)
 
-    The stable series expands e^(alpha*y) f(y) on a range sized from the
-    cumulants of f, which misses the damped law at long maturity (cgmy2)
-    or where the damped law is ill-conditioned (explosive Heston).
-    """
+
+def _parity_gap(model, market, strike, config, parity=_PARITY):
+    """|stable call - put-call parity call| at one strike."""
+    option = OptionSpec(strike=strike)
+    return abs(price(model, market, option, config).price
+               - price(model, market, option, parity).price)
+
+
+# explosive Heston: the moment of order alpha explodes at a maturity T*(alpha)
+_EXPLOSIVE_HESTON = HestonParams(kappa=0.5, theta=0.09, sigma=1.0, rho=0.5, v0=0.09)
+
+
+def _explosive_market(maturity):
+    return MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
+
+
+class TestDampedLawRange:
+    """The stable series expands e^(alpha*y) f(y), so its range is sized
+    from the cumulants of the law tilted by alpha, K(alpha + s).  Sized
+    from f's, each of these cells came back without an error and off
+    parity: kou 33.77 for 23.93, cgmy2 100.63 > S0, Heston T=5 31.309 for
+    30.9956, and the cgmy2 preset at T=5, K=100 107.861 > S0 and at T=20,
+    K=80, alpha=1.0001 0.0 for 100."""
 
     @pytest.mark.parametrize(
-        "maturity, strike, damping",
+        "model, market, strike, config, parity",
         [
-            pytest.param(5.0, 100.0, None, marks=pytest.mark.xfail(
-                strict=True,
-                reason="the preset stable call returns 107.861 > S0 = 100 (parity "
-                "100.0, Fourier integral 100.00000000009); " + _FIX_A,
-            )),
-            pytest.param(20.0, 80.0, 1.0001, marks=pytest.mark.xfail(
-                strict=True,
-                reason="returns 0.0, below the lower bound 89.2: in y = log(S_T/K) "
-                "the range [-1699.5, -211.2] lies wholly below the strike y = 0; " + _FIX_A,
-            )),
+            (presets.model_preset("kou"), presets.market_preset(), 100.0,
+             CosConfig(8192, 12.0, damping=8.17), _PARITY),
+            (presets.model_preset("cgmy1"), presets.market_preset(), 100.0,
+             CosConfig(8192, 12.0, damping=4.17), _PARITY),
+            (presets.model_preset("cgmy2"), presets.market_preset(), 100.0,
+             CosConfig(8192, 12.0, damping=1.05), _PARITY),
+            (_EXPLOSIVE_HESTON, _explosive_market(5.0), 100.0,
+             CosConfig(8192, 12.0, damping=1.1), _PARITY),
+            (_EXPLOSIVE_HESTON, _explosive_market(2.0), 100.0,
+             CosConfig(8192, 12.0, damping=1.5), _PARITY),
+            (presets.model_preset("cgmy2"), MarketSpec(spot=100.0, rate=0.1, maturity=5.0),
+             100.0, _preset_config("cgmy2", Variant.STABLE), _PARITY_WIDE),
+            (presets.model_preset("cgmy2"), MarketSpec(spot=100.0, rate=0.1, maturity=20.0),
+             80.0, replace(_preset_config("cgmy2", Variant.STABLE), damping=1.0001),
+             _PARITY_WIDE),
         ],
+        ids=["kou-8.17", "cgmy1-4.17", "cgmy2-1.05", "heston-T5-1.1", "heston-T2-1.5",
+             "cgmy2-preset-T5", "cgmy2-preset-T20"],
     )
+    def test_stable_call_matches_parity(self, model, market, strike, config, parity):
+        assert _parity_gap(model, market, strike, config, parity) < 1e-9
+
+    @pytest.mark.parametrize("config, centre", [
+        (CosConfig(160, 10.0, damping=8.17), 8.17),
+        (CosConfig(160, 10.0, variant=Variant.PUT_CALL_PARITY), 0.0),
+        (CosConfig(160, 10.0, variant=Variant.DIRECT), 0.0),
+    ])
+    def test_range_is_sized_from_the_expanded_law(self, models, market, config, centre):
+        # at K = S0 the strike's range is the base range; the undamped
+        # variants size it from f itself, as they always did
+        result = price(models["kou"], market, OptionSpec(100.0), config)
+        want = truncation_range(cumulants(models["kou"], market, centre), 10.0)
+        assert (result.range.a, result.range.b) == (want.a, want.b)
+
+
+_ITEM_2 = "ROADMAP item 2 (no silent wrong price)"
+_ITEM_5 = "ROADMAP item 5 (an error budget: choose L from the damped law's tail mass)"
+
+
+class TestKnownWrongStablePrices:
+    """Stable calls that came back wrong, with no error.
+
+    Sizing the range from the damped law mended the two cgmy2 cells
+    outside the no-arbitrage bounds (107.861 > S0 at T=5, and 0.0 at
+    T=20, K=80).  The rest stay off parity: preset market at T=1, N=4096,
+    L=12; explosive Heston at r=0.05, N=8192, L=12.
+    """
+
+    @pytest.mark.parametrize("maturity, strike, damping", [(5.0, 100.0, None),
+                                                           (20.0, 80.0, 1.0001)])
     def test_call_within_bounds_or_refused(self, models, maturity, strike, damping):
         market = MarketSpec(spot=100.0, rate=0.1, maturity=maturity)
         config = _preset_config("cgmy2", Variant.STABLE)
@@ -561,18 +615,43 @@ class TestKnownWrongStablePrices:
             config = replace(config, damping=damping)
         assert_call_within_bounds_or_refused(models["cgmy2"], market, strike, config)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="returns 840.5958777583 > S0 = 100 with a valid moment (T*(3) > 1); "
-        "the Fourier integral's two rules disagree there, and ROADMAP item 2 (no "
-        "silent wrong price) asks for a typed error",
+    @pytest.mark.parametrize(
+        "model, market, config",
+        [
+            pytest.param(presets.model_preset("cgmy1"), presets.market_preset(),
+                         CosConfig(4096, 12.0, damping=4.95), marks=pytest.mark.xfail(
+                strict=True,
+                reason="returns 49.83181 against parity 49.79091: at L=12 the range is "
+                "too narrow for the law tilted by 4.95; " + _ITEM_5,
+            ), id="cgmy1-4.95"),
+            pytest.param(presets.model_preset("kou"), presets.market_preset(),
+                         CosConfig(4096, 12.0, damping=9.95), marks=pytest.mark.xfail(
+                strict=True,
+                reason="returns 0.0 against parity 23.93354, below the lower bound 9.52; "
+                + _ITEM_2,
+            ), id="kou-9.95"),
+            pytest.param(presets.model_preset("cgmy2"), presets.market_preset(),
+                         CosConfig(4096, 12.0, damping=1.83), marks=pytest.mark.xfail(
+                strict=True,
+                reason="returns -8.1e14 against parity 99.99991; " + _ITEM_2,
+            ), id="cgmy2-1.83"),
+            pytest.param(_EXPLOSIVE_HESTON, _explosive_market(3.0),
+                         CosConfig(8192, 12.0, damping=1.5), marks=pytest.mark.xfail(
+                strict=True,
+                reason="returns 22.66451 against parity 22.23472, inside the bounds, "
+                "just before the explosion T*(1.5) ~ 3.08; " + _ITEM_5,
+            ), id="heston-T3-1.5"),
+            pytest.param(_EXPLOSIVE_HESTON, _explosive_market(1.0),
+                         CosConfig(8192, 12.0, damping=3.0), marks=pytest.mark.xfail(
+                strict=True,
+                reason="returns 11.78147 against parity 11.65765 with a valid moment "
+                "(T*(3) > 1): inside the bounds but 0.12 off, so no bound check "
+                "refuses it; " + _ITEM_2,
+            ), id="heston-T1-3"),
+        ],
     )
-    def test_explosive_heston_within_bounds_or_refused(self):
-        # the moment of order 3 is still valid at T = 1, so the shift is admitted
-        model = HestonParams(kappa=0.5, theta=0.09, sigma=1.0, rho=0.5, v0=0.09)
-        market = MarketSpec(spot=100.0, rate=0.05, maturity=1.0)
-        config = CosConfig(n_terms=8192, range_width=12.0, damping=3.0)
-        assert_call_within_bounds_or_refused(model, market, 100.0, config)
+    def test_call_matches_parity(self, model, market, config):
+        assert _parity_gap(model, market, 100.0, config) < 1e-9
 
 
 class TestStrikeBatch:

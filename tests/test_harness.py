@@ -40,6 +40,17 @@ from cospricer.presets import (
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def stability_cgmy1_long():
+    """A 3x3 cgmy1 stability surface at T=20, N scaled with L."""
+    return run_stability_surface("cgmy1", presets.sweep_dampings(points=3),
+                                 presets.sweep_widths("cgmy1", 3), maturity=20.0,
+                                 scale_terms=True)
+
+
+def l_sweep_cgmy1():
+    return run_l_sweep("cgmy1", presets.sweep_widths("cgmy1"))
+
+
 class TestExperimentResult:
     def _axes(self):
         return (("row", (1.0, 2.0)), ("col", (10.0, 20.0, 30.0)))
@@ -396,6 +407,11 @@ class TestStabilitySurface:
         assert widths[0] == pytest.approx(17.0)
         assert widths[-1] == pytest.approx(25.0)
 
+    def test_long_maturity_surface_is_flat(self):
+        # the range is sized from the law tilted by alpha; sized from the
+        # undamped law, this surface spread 423
+        assert stability_cgmy1_long().value_spread < 1e-8
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
             run_stability_surface("heston", alpha_values=[], l_values=[7.0])
@@ -501,13 +517,16 @@ class TestWriteResult:
 
 
 class TestGoldenCsv:
-    """The benchmark table and the reference set, as reproduce writes them,
-    are byte for byte the CSVs in tests/golden: a change that is meant to
-    leave every price unchanged must leave these bytes unchanged."""
+    """The benchmark table, the reference set and two stability sweeps, as
+    the drivers write them, are byte for byte the CSVs in tests/golden: a
+    change that is meant to leave every price unchanged must leave these
+    bytes unchanged."""
 
     @pytest.mark.parametrize("run, name", [
         (run_strike_table, "strike_table.csv"),
         (run_reference_set, "reference_set.csv"),
+        (l_sweep_cgmy1, "l_sweep_cgmy1.csv"),
+        (stability_cgmy1_long, "stability_cgmy1.csv"),
     ])
     def test_bytes_match_the_golden_file(self, tmp_path, run, name):
         write_result(run(), tmp_path / name)

@@ -56,35 +56,40 @@ MATURITIES = (1e-4, 1e-2, 1.0, 20.0)
 EXPLOSIVE_HESTON = HestonParams(kappa=0.5, theta=0.09, sigma=1.0, rho=0.5, v0=0.09)
 
 
-def kou_cumulants(model, market):
-    """Closed-form c1, c2, c4 of Kou's log-return: a Brownian motion with
-    drift plus compound Poisson jumps, Exp(eta1) up with probability p and
-    Exp(eta2) down otherwise, whose n-th moment is
-    n! * (p / eta1^n + (1 - p) * (-1)^n / eta2^n)."""
+def kou_cumulants(model, market, centre=0.0):
+    """Closed-form c1, c2, c4 of Kou's log-return X under the law tilted by
+    exp(centre * X): a Brownian motion with drift plus compound Poisson
+    jumps, Exp(eta1) up with probability p and Exp(eta2) down otherwise.
+    c_n is the n-th derivative of K(s) = log E[exp(s*X)] at the centre,
+    whose jump part is lam*T times
+    n! * (p * eta1 / (eta1 - s)^(n+1) + (1 - p) * (-1)^n * eta2 / (eta2 + s)^(n+1))."""
     t = market.maturity
     p, e1, e2 = model.p, model.eta1, model.eta2
 
     def jump_moment(n):
-        return math.factorial(n) * (p / e1 ** n + (1.0 - p) * (-1) ** n / e2 ** n)
+        return math.factorial(n) * (p * e1 / (e1 - centre) ** (n + 1)
+                                    + (1.0 - p) * (-1) ** n * e2 / (e2 + centre) ** (n + 1))
 
     compensator = p * e1 / (e1 - 1.0) + (1.0 - p) * e2 / (e2 + 1.0) - 1.0
     mu = market.rate - market.dividend - 0.5 * model.sigma ** 2 - model.lam * compensator
     return (
-        (mu + model.lam * jump_moment(1)) * t,
+        (mu + model.sigma ** 2 * centre + model.lam * jump_moment(1)) * t,
         (model.sigma ** 2 + model.lam * jump_moment(2)) * t,
         model.lam * jump_moment(4) * t,
     )
 
 
-def cgmy_cumulants(model, market):
-    """Closed-form c1, c2, c4 of CGMY: the Levy measure gives
-    c_n = C*T*Gamma(n - Y)*(M^(Y - n) + (-1)^n * G^(Y - n)), and c1 also
+def cgmy_cumulants(model, market, centre=0.0):
+    """Closed-form c1, c2, c4 of CGMY under the law tilted by
+    exp(centre * X): the Levy measure gives c_n = C*T*Gamma(n - Y)*
+    ((M - centre)^(Y - n) + (-1)^n * (G + centre)^(Y - n)), and c1 also
     takes the martingale drift mu*T."""
     t = market.maturity
     c, g, m, y = model.C, model.G, model.M, model.Y
 
     def levy(n):
-        return c * t * math.gamma(n - y) * (m ** (y - n) + (-1) ** n * g ** (y - n))
+        return c * t * math.gamma(n - y) * ((m - centre) ** (y - n)
+                                            + (-1) ** n * (g + centre) ** (y - n))
 
     mu = market.rate - market.dividend - c * math.gamma(-y) * (
         (m - 1.0) ** y - m ** y + (g + 1.0) ** y - g ** y
@@ -230,6 +235,27 @@ class TestCumulants:
             c = cumulants(model, market)
             want = cgmy_cumulants(model, market)
             assert (c.c1, c.c2, c.c4) == pytest.approx(want, rel=1e-9, abs=0.0), (g, m)
+
+    @pytest.mark.parametrize("share", [0.02, 0.3, 0.6, 0.98])
+    @pytest.mark.parametrize("maturity", [0.1, 1.0, 20.0])
+    def test_tilted_law_against_closed_forms(self, models, maturity, share):
+        # the damped series expands the law tilted by alpha: its cumulants
+        # are the derivatives of K at the centre, read on a circle whose
+        # radius is a quarter of the centre's distance to the strip's edge.
+        # c4 carries the rounding of K over r^4: 2.5e-8 relative for Y = 1.98
+        # at 2% of the strip from its edge
+        market = MarketSpec(spot=100.0, rate=0.1, maturity=maturity)
+        cases = [(models["kou"], kou_cumulants)] + [
+            (CGMYParams(C=1.0, G=g, M=m, Y=y), cgmy_cumulants)
+            for g, m in ((5.0, 5.0), (9.0, 3.0)) for y in (0.5, 1.5, 1.98)
+        ]
+        for model, closed_form in cases:
+            lo, hi = damping_bounds(model)
+            centre = lo + share * (hi - lo)
+            c = cumulants(model, market, centre)
+            want = closed_form(model, market, centre)
+            assert (c.c1, c.c2) == pytest.approx(want[:2], rel=1e-12, abs=0.0), (model, centre)
+            assert c.c4 == pytest.approx(want[2], rel=1e-7, abs=0.0), (model, centre)
 
     @pytest.mark.parametrize("maturity", MATURITIES + (5.0,))
     def test_heston_c1_against_closed_form(self, models, maturity):
