@@ -282,10 +282,9 @@ def _price_grid(experiment: str, model_name: str, rows: tuple, columns: tuple, c
         [price(model, market, option, cell_config(row, col)).price for col in columns[1]]
         for row in rows[1]
     ])
-    metadata = {"model": model_name, "strike": strike, "maturity": maturity, **metadata,
-                "wall_clock_s": time.perf_counter() - started}
-    return ExperimentResult(f"{experiment}_{model_name}", (rows, columns), values,
-                            metadata=metadata)
+    return ExperimentResult(f"{experiment}_{model_name}", (rows, columns), values, metadata={
+        "model": model_name, "strike": strike, "maturity": maturity, **metadata,
+        "wall_clock_s": time.perf_counter() - started})
 
 
 def run_stability_surface(

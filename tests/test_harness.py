@@ -430,6 +430,11 @@ class TestStabilitySurface:
             run_stability_surface("kou", alpha_values=[1.1], l_values=[7.0, 18.0],
                                   n_terms=n_terms, scale_terms=scale_terms)
 
+    def test_metadata_keys_in_sidecar_order(self):
+        result = run_stability_surface("kou", alpha_values=[1.1], l_values=[7.0])
+        assert list(result.metadata) == ["model", "strike", "maturity", "n_terms",
+                                         "reference_width", "wall_clock_s"]
+
     def test_whole_term_count_is_recorded_as_int(self):
         got = run_stability_surface("heston", alpha_values=[1.1], l_values=[7.0],
                                     n_terms=np.int64(110))
@@ -453,6 +458,11 @@ class TestLSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
             run_l_sweep("kou", l_values=[])
+
+    def test_metadata_keys_in_sidecar_order(self):
+        result = run_l_sweep("kou", l_values=[7.0])
+        assert list(result.metadata) == ["model", "strike", "maturity", "n_terms",
+                                         "wall_clock_s"]
 
     def test_bool_term_count_is_refused(self):
         with pytest.raises(ValidationError, match="n_terms must be a positive whole number"):
