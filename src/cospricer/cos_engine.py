@@ -15,12 +15,14 @@ The series is evaluated in three variants sharing one kernel:
 ``parity``
     Prices the undamped put and maps it to the call through put-call parity.
 
-Every variant sums only the live band of phi(u_k - i*alpha): the terms
-up to the last k where phi has not underflowed to an exact zero
-(:func:`models.live_band`).  The terms past it are exact zeros and leave
-the error-free sum unchanged, so each price is bit-identical to the sum
-over all n_terms.  phi itself is evaluated only before the first term
-where a proven bound shows it underflows (the rule is in ``live_band``).
+Every variant sums only the live band of phi(u_k - i*alpha)
+(:func:`models.live_band`): phi is evaluated, and the terms summed, only
+before the first k from which a proven bound puts every remaining term
+of every strike's series, together, under ``models.TAIL_SHARE`` of that
+series' first term (the proof is in ``_series_values``).  A price
+therefore differs from the sum over all n_terms by less than that share
+of its first term plus the sum's rounding, and the cut does not depend
+on n_terms.
 
 The frequencies u_k = k*pi/(b - a) depend on neither the term count nor
 the strike.  :func:`price_curve` prices one option at several term counts
@@ -48,6 +50,7 @@ import numpy as np
 
 from .errors import ComputationError, ConfigurationError, ValidationError
 from .models import (
+    TAIL_SHARE,
     MarketSpec,
     ModelSpec,
     TruncationRange,
@@ -74,6 +77,14 @@ __all__ = [
 
 DEFAULT_CALL_DAMPING = 1.1
 DEFAULT_PUT_DAMPING = 0.0
+
+# the most terms whose band is cut at the rounding floor, and
+# log(TAIL_SHARE/(4*_MAX_TERMS)), about -60.5: where log Psi has fallen
+# this far below its value at u = 0, the rest of every strike's series is
+# under TAIL_SHARE of its first term (see _series_values).  A longer
+# series keeps the underflow floor
+_MAX_TERMS = 2 ** 30
+_TAIL_LOG = math.log(TAIL_SHARE / (4 * _MAX_TERMS))
 
 
 class OptionKind(Enum):
@@ -279,14 +290,14 @@ def _tail_may_overflow(
     """Whether a payoff coefficient at a frequency u in [u_first, u_last]
     could overflow.
 
-    Past the live band the density is an exact zero and 0 * inf is nan,
-    so such a coefficient would still make its row's sum non-finite; the
-    band is then not cut.  Each of the four summands of :func:`chi`'s
-    numerator is at most (|v| + u) * e^(v*y) for v in {1 - alpha, -alpha},
-    so |v| <= 1 + |alpha|, and y in the row's range, so v*y peaks at an
-    end of [a, b]; dividing by v^2 + u^2 multiplies by at most
-    max(1, 1/u_first^2); a payoff row is 2K/width times a difference of
-    two chi values.  That bound is compared with 1e300, in logs.
+    Such a coefficient makes the full series' row sum non-finite; past
+    the live band the density is padded with exact zeros, and 0 * inf is
+    nan, so the cut row sum fails too.  Each of the four summands of
+    :func:`chi`'s numerator is at most (|v| + u) * e^(v*y) for v in
+    {1 - alpha, -alpha}, so |v| <= 1 + |alpha|, and y in the row's range,
+    so v*y peaks at an end of [a, b]; dividing by v^2 + u^2 multiplies
+    by at most max(1, 1/u_first^2); a payoff row is 2K/width times a
+    difference of two chi values.  That bound is compared with 1e300, in logs.
     """
     exponent = np.maximum.reduce([(1.0 - alpha) * a, (1.0 - alpha) * b, -alpha * a, -alpha * b])
     scale = np.log(np.maximum(1.0, 2.0 * strikes / (b - a)))
@@ -319,17 +330,40 @@ def _series_values(
     The frequencies u_k = k*pi/width do not depend on the term count, so
     the terms are formed once, at the largest count, and each count sums
     its prefix of them.  The sum runs over the live band of
-    phi(u_k - i*alpha) only, the prefix that ends at its last nonzero value
-    (:func:`models.live_band`): the terms past it are exact zeros, which
-    leave every math.fsum unchanged, unless a payoff coefficient there
-    could overflow, when the full grid is summed so that 0 * inf still
-    reads as a failure.  That test only grows with the term count, and
-    where a smaller count would not pad, its extra terms are 0 * finite,
-    so every prefix sum is the value a series of that count alone gives.
+    phi(u_k - i*alpha) only (:func:`models.live_band`), cut at a floor
+    that this bound proves to lie under the sum's rounding:
+
+    - a row's damped payoff is >= 0 on its [lo, hi] (a put's sign is in
+      its scale), so each payoff coefficient, 2/width times a cosine
+      moment of it, has |V_k| <= V_0;
+    - the density coefficient Re(e^(-i*u_k*a)*phi(u_k - i*alpha)) is at
+      most Psi(u_k) in modulus, Psi the envelope of |phi| that live_band
+      reads, and at k = 0 it is the moment phi(-i*alpha) = Psi(0);
+    - so with t_0 halved, |t_k| <= 2*|t_0|*Psi(u_k)/Psi(0) on every
+      strike row, whatever its strike;
+    - Psi does not increase, so the terms from the first k at which
+      Psi(u_k) < Psi(0)*e^_TAIL_LOG on, fewer than _MAX_TERMS, sum to
+      under 2*_MAX_TERMS*|t_0|*e^_TAIL_LOG = TAIL_SHARE*|t_0|/2.
+
+    The factor 2 to spare covers Psi(0) exceeding the computed
+    phi(-i*alpha), which it does only by rounding; a computed V_k
+    exceeds V_0 only by the rounding of the chi values that V_0 also
+    carries.  The floor does not depend on the term count, so every
+    count up to _MAX_TERMS cuts at one index; a longer series, and a
+    model whose Psi(0) is not finite (Heston at |rho| = 1), cut only
+    exact zeros.
+
+    Where a payoff coefficient past the band could overflow, phi is
+    padded with zeros to the full grid so that 0 * inf still reads as a
+    failure, as the full series' phi * inf does.  That test only grows
+    with the term count, and where a smaller count would not pad, its
+    extra terms are 0 * finite, so every prefix sum is the value a series
+    of that count alone gives.
     """
     n_terms = max(counts)
     step = math.pi / base.width
-    phi = live_band(char_fn, model, market, step, alpha, n_terms)
+    tail = _TAIL_LOG if n_terms <= _MAX_TERMS else -math.inf
+    phi = live_band(char_fn, model, market, step, alpha, n_terms, tail)
     a, b = base.a + x, base.b + x
     live = phi.size
     if live < n_terms and _tail_may_overflow(

@@ -11,8 +11,9 @@ read phi_T along a contour u - i*alpha, u = 0, du, 2*du, ..., through
 :func:`live_band`, which checks the shift (:func:`check_damping`, as
 :func:`char_fn` does for the Fourier integral's nodes) and evaluates
 phi_T only before the first point where a proven non-increasing bound on
-|phi_T| falls below a floor: an exact zero for the cosine engine, the
-sum's rounding for Carr-Madan.
+|phi_T| falls below a floor: for both, a proven bound puts the terms
+left out under :data:`TAIL_SHARE` of the sum's first term, below the
+rounding it already carries.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "moment_is_valid",
     "check_moment",
     "live_band",
+    "TAIL_SHARE",
 ]
 
 
@@ -530,6 +532,12 @@ def _log_envelope(model: ModelSpec, market: MarketSpec, alpha: float, u: float) 
     return bound if math.isfinite(bound) else math.inf
 
 
+# the share of its first term under which a fixed-grid sum's rest is left
+# out, an order below the rounding that term carries: the cosine engine
+# and Carr-Madan each size live_band's tail from it and their own bound
+TAIL_SHARE = 0.1 * float(np.finfo(float).eps)
+
+
 def live_band(
     evaluate,
     model: ModelSpec,
@@ -560,10 +568,11 @@ def live_band(
 
     The floor is log Psi(0) + tail, Psi(0) the bound at index 0, but never
     below _UNDERFLOW_LOG, which alone is used where Psi(0) is not finite.
-    The default tail, -inf, cuts only exact zeros and costs no Psi(0):
-    the cosine engine keeps it, so its series is bit-identical to the
-    full one.  Carr-Madan passes a finite tail, proven to leave out terms
-    below its rounding (``transform_refs._damped_calls``).
+    The default tail, -inf, cuts only exact zeros and costs no Psi(0), so
+    a sum over the band is bit-identical to the full one.  Both callers
+    pass a finite tail (the cosine engine up to its cap of terms), each
+    proven to leave out less than TAIL_SHARE of its sum's first term
+    (``cos_engine._series_values``, ``transform_refs._damped_calls``).
     """
     check_damping(model, shift)
     floor = _UNDERFLOW_LOG

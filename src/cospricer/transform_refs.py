@@ -36,7 +36,15 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .models import MarketSpec, ModelSpec, char_fn, check_call_prices, check_moment, live_band
+from .models import (
+    TAIL_SHARE,
+    MarketSpec,
+    ModelSpec,
+    char_fn,
+    check_call_prices,
+    check_moment,
+    live_band,
+)
 
 __all__ = [
     "CarrMadanConfig",
@@ -51,12 +59,10 @@ __all__ = [
 # well before it at T >= 1e-4, and a band the cap cuts is refused
 _MAX_FREQUENCIES = 2 ** 16
 
-# the share of its first term under which the Simpson sum's rest is left
-# out, and log(_TAIL_SHARE/(4*_MAX_FREQUENCIES)), about -50.8: where
-# log|phi| has fallen this far below the moment, the rest of the sum is
-# under that share (see _damped_calls)
-_TAIL_SHARE = 0.1 * np.finfo(float).eps
-_TAIL_LOG = math.log(_TAIL_SHARE / (4 * _MAX_FREQUENCIES))
+# log(TAIL_SHARE/(4*_MAX_FREQUENCIES)), about -50.8: where log|phi| has
+# fallen this far below the moment, the rest of the Simpson sum is under
+# models.TAIL_SHARE of its first term (see _damped_calls)
+_TAIL_LOG = math.log(TAIL_SHARE / (4 * _MAX_FREQUENCIES))
 
 
 @dataclass(frozen=True)
@@ -132,10 +138,10 @@ def _damped_calls(
     |x_0| = (eta/3)*e^{-rT}*Psi(0)*w(0), since Psi(0) = phi(-i(alpha + 1))
     for every envelope.  So the terms from index k on sum to at most
     4*cap*|x_0|*Psi(v_k)/Psi(0) for the contour's cap of points: a band
-    read with tail _TAIL_LOG leaves out less than 0.1*eps*|x_0|, under
+    read with tail _TAIL_LOG leaves out less than TAIL_SHARE*|x_0|, under
     the sum's rounding.  Where Psi(0) is not finite, only exact zeros are
     cut.  A band that the cap ends while its last term still exceeds
-    0.1*eps*|x_0| leaves out a tail no bound covers, so it is refused
+    TAIL_SHARE*|x_0| leaves out a tail no bound covers, so it is refused
     with a computation error.
 
     With p = a + B*b (B about sqrt(m)) each twiddle is the product of
@@ -159,7 +165,7 @@ def _damped_calls(
     rows = -(-v.size // block)
     terms = np.zeros(rows * block, dtype=complex)
     terms[: v.size] = psi * ((eta / 3.0) * weights)
-    if v.size == _MAX_FREQUENCIES and abs(terms[v.size - 1]) > _TAIL_SHARE * abs(terms[0]):
+    if v.size == _MAX_FREQUENCIES and abs(terms[v.size - 1]) > TAIL_SHARE * abs(terms[0]):
         raise ComputationError(
             f"Carr-Madan band reaches the {_MAX_FREQUENCIES}-point cap before its "
             f"rounding floor; the transform decays too slowly for spacing {eta}"

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cospricer import presets
+from cospricer import cos_engine, presets
 from cospricer.cos_engine import (
     CosConfig,
     OptionKind,
@@ -24,7 +24,15 @@ from cospricer.cos_engine import (
     put_coefficients,
 )
 from cospricer.errors import ComputationError, ConfigurationError, PricingError, ValidationError
-from cospricer.models import CGMYParams, HestonParams, MarketSpec, cumulants, truncation_range
+from cospricer.models import (
+    CGMYParams,
+    HestonParams,
+    MarketSpec,
+    char_fn,
+    cumulants,
+    live_band,
+    truncation_range,
+)
 from cospricer.transform_refs import price_carr_madan, price_fourier_integral
 
 STRIKES = (80.0, 85.0, 90.0, 95.0, 100.0, 105.0, 110.0, 115.0, 120.0)
@@ -875,6 +883,18 @@ class TestPriceCurve:
             config = CosConfig(n_terms=1, range_width=12.0, variant=variant)
             got = _assert_curve_is_per_count(model, market, OptionSpec(100.0), config, grid)
             assert [r.n_terms for _, r in got] == list(grid)
+
+    def test_counts_straddling_the_rounding_cut(self):
+        # heston parity's 60000-term reference stops at its rounding floor,
+        # an index that does not depend on the term count: the counts
+        # around it price as they do alone
+        model, market = presets.model_preset("heston"), presets.market_preset(1.0)
+        step = math.pi / truncation_range(cumulants(model, market), 12.0).width
+        cut = live_band(char_fn, model, market, step, 0.0, 60000, cos_engine._TAIL_LOG).size
+        assert 151 < cut < live_band(char_fn, model, market, step, 0.0, 60000).size
+        config = CosConfig(n_terms=1, range_width=12.0, variant=Variant.PUT_CALL_PARITY)
+        _assert_curve_is_per_count(model, market, OptionSpec(100.0), config,
+                                   (150, cut - 1, cut, cut + 1, 60000))
 
     @pytest.mark.parametrize("width", range(870, 886))
     def test_overflowing_undamped_tails(self, width):
