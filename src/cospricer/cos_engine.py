@@ -16,13 +16,13 @@ The series is evaluated in three variants sharing one kernel:
     Prices the undamped put and maps it to the call through put-call parity.
 
 Every variant sums only the live band of phi(u_k - i*alpha)
-(:func:`models.live_band`): phi is evaluated, and the terms summed, only
-before the first k from which a proven bound puts every remaining term
-of every strike's series, together, under ``models.TAIL_SHARE`` of that
-series' first term (the proof is in ``_series_values``).  A price
-therefore differs from the sum over all n_terms by less than that share
-of its first term plus the sum's rounding, and the cut does not depend
-on n_terms.
+(:func:`models.live_band`, capped at ``_MAX_TERMS``): phi is evaluated,
+and the terms summed, only before the first k from which a proven bound
+puts every remaining term of every strike's series, together, under
+``models.TAIL_SHARE`` of that series' first term (the per-term bound is
+in ``_series_values``).  A price therefore differs from the sum over all
+n_terms by less than that share of its first term plus the sum's
+rounding, and the cut does not depend on n_terms.
 
 The frequencies u_k = k*pi/(b - a) depend on neither the term count nor
 the strike.  :func:`price_curve` prices one option at several term counts
@@ -50,7 +50,6 @@ import numpy as np
 
 from .errors import ComputationError, ConfigurationError, ValidationError
 from .models import (
-    TAIL_SHARE,
     MarketSpec,
     ModelSpec,
     TruncationRange,
@@ -78,13 +77,9 @@ __all__ = [
 DEFAULT_CALL_DAMPING = 1.1
 DEFAULT_PUT_DAMPING = 0.0
 
-# the most terms whose band is cut at the rounding floor, and
-# log(TAIL_SHARE/(4*_MAX_TERMS)), about -60.5: where log Psi has fallen
-# this far below its value at u = 0, the rest of every strike's series is
-# under TAIL_SHARE of its first term (see _series_values).  A longer
-# series keeps the underflow floor
+# the most terms whose band live_band cuts at the rounding floor; a
+# longer series keeps the underflow floor
 _MAX_TERMS = 2 ** 30
-_TAIL_LOG = math.log(TAIL_SHARE / (4 * _MAX_TERMS))
 
 
 class OptionKind(Enum):
@@ -330,28 +325,24 @@ def _series_values(
     The frequencies u_k = k*pi/width do not depend on the term count, so
     the terms are formed once, at the largest count, and each count sums
     its prefix of them.  The sum runs over the live band of
-    phi(u_k - i*alpha) only (:func:`models.live_band`), cut at a floor
-    that this bound proves to lie under the sum's rounding:
+    phi(u_k - i*alpha) only (:func:`models.live_band`, capped at
+    _MAX_TERMS terms), whose floor is proven to lie under the sum's
+    rounding once every term has |t_k| <= 4*|t_0|*Psi(u_k)/Psi(0), Psi
+    the envelope of |phi| that live_band reads:
 
     - a row's damped payoff is >= 0 on its [lo, hi] (a put's sign is in
       its scale), so each payoff coefficient, 2/width times a cosine
       moment of it, has |V_k| <= V_0;
     - the density coefficient Re(e^(-i*u_k*a)*phi(u_k - i*alpha)) is at
-      most Psi(u_k) in modulus, Psi the envelope of |phi| that live_band
-      reads, and at k = 0 it is the moment phi(-i*alpha) = Psi(0);
+      most Psi(u_k) in modulus, and at k = 0 it is the moment
+      phi(-i*alpha) = Psi(0);
     - so with t_0 halved, |t_k| <= 2*|t_0|*Psi(u_k)/Psi(0) on every
-      strike row, whatever its strike;
-    - Psi does not increase, so the terms from the first k at which
-      Psi(u_k) < Psi(0)*e^_TAIL_LOG on, fewer than _MAX_TERMS, sum to
-      under 2*_MAX_TERMS*|t_0|*e^_TAIL_LOG = TAIL_SHARE*|t_0|/2.
+      strike row, whatever its strike.
 
     The factor 2 to spare covers Psi(0) exceeding the computed
     phi(-i*alpha), which it does only by rounding; a computed V_k
     exceeds V_0 only by the rounding of the chi values that V_0 also
-    carries.  The floor does not depend on the term count, so every
-    count up to _MAX_TERMS cuts at one index; a longer series, and a
-    model whose Psi(0) is not finite (Heston at |rho| = 1), cut only
-    exact zeros.
+    carries.
 
     Where a payoff coefficient past the band could overflow, phi is
     padded with zeros to the full grid so that 0 * inf still reads as a
@@ -362,8 +353,7 @@ def _series_values(
     """
     n_terms = max(counts)
     step = math.pi / base.width
-    tail = _TAIL_LOG if n_terms <= _MAX_TERMS else -math.inf
-    phi = live_band(char_fn, model, market, step, alpha, n_terms, tail)
+    phi = live_band(char_fn, model, market, step, alpha, n_terms, _MAX_TERMS)
     a, b = base.a + x, base.b + x
     live = phi.size
     if live < n_terms and _tail_may_overflow(

@@ -8,12 +8,13 @@ truncation interval built from them.
 
 Both fixed-grid consumers, the cosine engine and the Carr-Madan sum,
 read phi_T along a contour u - i*alpha, u = 0, du, 2*du, ..., through
-:func:`live_band`, which checks the shift (:func:`check_damping`, as
-:func:`char_fn` does for the Fourier integral's nodes) and evaluates
-phi_T only before the first point where a proven non-increasing bound on
-|phi_T| falls below a floor: for both, a proven bound puts the terms
-left out under :data:`TAIL_SHARE` of the sum's first term, below the
-rounding it already carries.
+:func:`live_band`, which evaluates phi_T only before the first point
+where a proven non-increasing bound on |phi_T| falls below a floor sized
+from the caller's cap on its terms: the terms left out then sum to under
+:data:`TAIL_SHARE` of the sum's first term, below the rounding it
+already carries.  Every reader of a contour here (:func:`char_fn`,
+:func:`live_band`, :func:`cumulants`) refuses a shift outside the
+damping strip itself, by :func:`check_damping`.
 """
 
 from __future__ import annotations
@@ -533,8 +534,7 @@ def _log_envelope(model: ModelSpec, market: MarketSpec, alpha: float, u: float) 
 
 
 # the share of its first term under which a fixed-grid sum's rest is left
-# out, an order below the rounding that term carries: the cosine engine
-# and Carr-Madan each size live_band's tail from it and their own bound
+# out, an order below the rounding that term carries (see live_band)
 TAIL_SHARE = 0.1 * float(np.finfo(float).eps)
 
 
@@ -545,7 +545,7 @@ def live_band(
     step: float,
     shift: float,
     size: int,
-    tail: float = -math.inf,
+    cap: float = math.inf,
 ) -> np.ndarray:
     """Characteristic-function values on the live prefix of a uniform contour.
 
@@ -566,20 +566,24 @@ def live_band(
     would return, up to and including the last nonzero one before that
     index.
 
-    The floor is log Psi(0) + tail, Psi(0) the bound at index 0, but never
-    below _UNDERFLOW_LOG, which alone is used where Psi(0) is not finite.
-    The default tail, -inf, cuts only exact zeros and costs no Psi(0), so
-    a sum over the band is bit-identical to the full one.  Both callers
-    pass a finite tail (the cosine engine up to its cap of terms), each
-    proven to leave out less than TAIL_SHARE of its sum's first term
+    cap is the most terms the caller's sum may have.  Where size <= cap,
+    the floor is log Psi(0) + log(TAIL_SHARE/(4*cap)), Psi(0) the bound
+    at index 0, but never below _UNDERFLOW_LOG, which alone is used where
+    Psi(0) is not finite: a sum of at most cap terms t_k, each at most
+    4*|t_0|*Psi(u_k)/Psi(0), leaves out less than TAIL_SHARE*|t_0| past
+    the cut, and the caller proves that per-term bound
     (``cos_engine._series_values``, ``transform_refs._damped_calls``).
+    The floor does not depend on size, so every size up to cap cuts at
+    one index.  A larger size, and the default cap, cut only exact zeros
+    and cost no Psi(0), so a sum over the band is bit-identical to the
+    full one.
     """
     check_damping(model, shift)
     floor = _UNDERFLOW_LOG
-    if tail > -math.inf:
+    if size <= cap < math.inf:
         top = _log_envelope(model, market, shift, 0.0)
         if top < math.inf:
-            floor = max(top + tail, floor)
+            floor = max(top + math.log(TAIL_SHARE / (4 * cap)), floor)
 
     def dead(k: int) -> bool:
         return _log_envelope(model, market, shift, k * step) < floor
@@ -645,7 +649,9 @@ def cumulants(model: ModelSpec, market: MarketSpec, centre: float = 0.0) -> Cumu
     or a probe is not real (past a moment explosion), so that K is
     analytic on a disc twice the circle's size; only Heston, which starts
     at _HESTON_RADIUS, halves, as Kou's and CGMY's strips are proven.
-    Roundoff below zero in c2 or c4 is floored."""
+    Roundoff below zero in c2 or c4 is floored.  A centre outside the
+    strip is refused first, by :func:`check_damping`."""
+    check_damping(model, centre)
     lo, hi = damping_bounds(model)
     radius = (_HESTON_RADIUS if isinstance(model, HestonParams)
               else 0.25 * min(centre - lo, hi - centre))

@@ -18,13 +18,14 @@ oracles against the cosine-series engine; neither shares code with it
 beyond the model layer.  Carr-Madan sums its transform over the live
 band of phi only (:func:`models.live_band`): up to the first frequency
 from which a proven bound puts the whole remaining tail of the sum below
-0.1*eps of its first term, under the sum's own rounding (the bound is in
-``_damped_calls``); where the contour's cap of 2^16 points ends the band
-before that floor, it raises.  The Fourier integral evaluates phi at
-its nodes and at the cut and raises when the integrand has not decayed
-there.  Both refuse a price by one rule, :func:`models.check_call_prices`.
-Neither pricer checks the contour shift itself: ``live_band`` does for
-Carr-Madan, and ``char_fn`` for the Fourier integral.
+0.1*eps of its first term, under the sum's own rounding (the per-term
+bound is in ``_damped_calls``); where the contour's cap of 2^16 points
+ends the band before that floor, it raises.  The Fourier integral
+evaluates phi at its nodes and at the cut and raises when the integrand
+has not decayed there.  Both refuse a price by one rule,
+:func:`models.check_call_prices`.  Neither pricer checks the contour shift
+itself: ``live_band`` does for Carr-Madan, and ``char_fn`` for the
+Fourier integral.
 """
 
 from __future__ import annotations
@@ -55,14 +56,9 @@ __all__ = [
 
 
 # the frequency contour of the Carr-Madan sum is capped at this many
-# points; every preset's band, cut at the rounding floor below, ends
+# points; every preset's band, cut at live_band's rounding floor, ends
 # well before it at T >= 1e-4, and a band the cap cuts is refused
 _MAX_FREQUENCIES = 2 ** 16
-
-# log(TAIL_SHARE/(4*_MAX_FREQUENCIES)), about -50.8: where log|phi| has
-# fallen this far below the moment, the rest of the Simpson sum is under
-# models.TAIL_SHARE of its first term (see _damped_calls)
-_TAIL_LOG = math.log(TAIL_SHARE / (4 * _MAX_FREQUENCIES))
 
 
 @dataclass(frozen=True)
@@ -131,18 +127,17 @@ def _damped_calls(
     the call at k is S0 * exp(-damping*k)/pi times the value at k.
 
     x_p is the Simpson-weighted transform at v_p = eta*p on the live band
-    of phi (:func:`models.live_band`), m points, cut at a rounding floor.
-    With Psi the envelope of |phi| along the contour and
-    w(v) = 1/|(alpha + iv)(alpha + 1 + iv)|, neither of which increases,
-    |x_p| <= (4*eta/3)*e^{-rT}*Psi(v_p)*w(v_p), while
-    |x_0| = (eta/3)*e^{-rT}*Psi(0)*w(0), since Psi(0) = phi(-i(alpha + 1))
-    for every envelope.  So the terms from index k on sum to at most
-    4*cap*|x_0|*Psi(v_k)/Psi(0) for the contour's cap of points: a band
-    read with tail _TAIL_LOG leaves out less than TAIL_SHARE*|x_0|, under
-    the sum's rounding.  Where Psi(0) is not finite, only exact zeros are
-    cut.  A band that the cap ends while its last term still exceeds
-    TAIL_SHARE*|x_0| leaves out a tail no bound covers, so it is refused
-    with a computation error.
+    of phi (:func:`models.live_band`, capped at _MAX_FREQUENCIES points),
+    m points, cut at a rounding floor.  With Psi the envelope of |phi|
+    along the contour and w(v) = 1/|(alpha + iv)(alpha + 1 + iv)|,
+    neither of which increases, |x_p| <= (4*eta/3)*e^{-rT}*Psi(v_p)*w(v_p),
+    while |x_0| = (eta/3)*e^{-rT}*Psi(0)*w(0), since
+    Psi(0) = phi(-i(alpha + 1)) for every envelope: the Simpson weight
+    ratio 4 and w(v_p) <= w(0) give |x_p| <= 4*|x_0|*Psi(v_p)/Psi(0),
+    the per-term bound that live_band's floor rests on.  A band that the
+    cap ends while its last term still exceeds TAIL_SHARE*|x_0| leaves
+    out a tail no bound covers, so it is refused with a computation
+    error.
 
     With p = a + B*b (B about sqrt(m)) each twiddle is the product of
     e^{-i*eta*a*k} and e^{-i*eta*B*b*k}, so one matrix product and one
@@ -150,7 +145,7 @@ def _damped_calls(
     """
     eta = config.spacing
     alpha = config.damping
-    phi = live_band(char_fn, model, market, eta, alpha + 1.0, _MAX_FREQUENCIES, _TAIL_LOG)
+    phi = live_band(char_fn, model, market, eta, alpha + 1.0, _MAX_FREQUENCIES, _MAX_FREQUENCIES)
     check_moment(alpha + 1.0, phi[0])
     v = eta * np.arange(phi.size)
     # Fourier transform of the exp(alpha*k)-damped call in log-strike k

@@ -71,6 +71,11 @@ class TestExperimentResult:
         with pytest.raises(ValidationError, match="axes rank"):
             ExperimentResult("demo", self._axes(), np.zeros((2, 3)), flags={(1,): "x"})
 
+    @pytest.mark.parametrize("flag", [1, None, b"skipped"])
+    def test_flag_must_be_a_string(self, flag):
+        with pytest.raises(ValidationError, match=r"flag at \(0, 1\) must be a string"):
+            ExperimentResult("demo", self._axes(), np.zeros((2, 3)), flags={(0, 1): flag})
+
     def test_axis_lookup(self):
         result = ExperimentResult("demo", self._axes(), np.zeros((2, 3)))
         assert result.axis("col") == (10.0, 20.0, 30.0)
@@ -84,6 +89,11 @@ class TestExperimentResult:
         )
         # live cells are 1, 2, 3, 4
         assert result.value_spread == pytest.approx(3.0)
+
+    def test_value_spread_of_all_flagged_cells_is_nan(self):
+        values = np.full((2, 3), np.nan)
+        flags = {(i, j): "skipped" for i in range(2) for j in range(3)}
+        assert math.isnan(ExperimentResult("demo", self._axes(), values, flags).value_spread)
 
 
 @pytest.fixture

@@ -17,9 +17,11 @@ from cospricer import models as models_module
 from cospricer.errors import ComputationError, ValidationError
 from cospricer.models import (
     CGMYParams,
+    Cumulants,
     HestonParams,
     KouParams,
     MarketSpec,
+    TruncationRange,
     _log_cf,
     char_fn,
     check_call_prices,
@@ -276,6 +278,14 @@ class TestCumulants:
         want = contour_cumulants(EXPLOSIVE_HESTON, market, 0.0625)
         assert (c.c1, c.c2, c.c4) == pytest.approx(want, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("centre", [12.0, -6.0, 10.0])
+    def test_refuses_a_centre_outside_the_strip(self, models, market, centre):
+        # kou's strip is (-eta2, eta1) = (-5, 10): outside it K(centre)
+        # is infinite, and the contour once returned c1 = 5.62 at 12
+        with pytest.raises(ValidationError,
+                           match=r"lies outside the admissible interval \(-5, 10\)"):
+            cumulants(models["kou"], market, centre)
+
     @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0, 20.0])
     def test_one_log_cf_call_and_no_char_fn_call(self, models, maturity, monkeypatch):
         calls = []
@@ -330,6 +340,46 @@ class TestValidationAndStrips:
             CGMYParams(C=1.0, G=5.0, M=5.0, Y=2.1)
         with pytest.raises(ValidationError):
             MarketSpec(spot=-1.0, rate=0.1, dividend=0.0, maturity=1.0)
+
+    @pytest.mark.parametrize("make, error, match", [
+        (lambda: MarketSpec(spot=100.0, rate=math.inf), ValidationError,
+         "rate must be finite"),
+        (lambda: MarketSpec(spot=100.0, rate=0.1, dividend=math.nan), ValidationError,
+         "dividend must be finite"),
+        (lambda: HestonParams(kappa=0.85, theta=0.09, sigma=0.1, rho=-1.5, v0=0.0625),
+         ValidationError, r"rho must lie in \[-1, 1\], got -1.5"),
+        (lambda: _log_cf(object(), MarketSpec(spot=100.0, rate=0.1), 0.0), ValidationError,
+         "unsupported model type object"),
+        (lambda: Cumulants(c1=math.nan, c2=0.1, c4=0.0), ValidationError,
+         "cumulant c1 must be finite"),
+        (lambda: Cumulants(c1=0.0, c2=0.1, c4=math.inf), ValidationError,
+         "cumulant c4 must be finite"),
+        (lambda: Cumulants(c1=0.0, c2=-0.1, c4=0.0), ValidationError,
+         "c2 and c4 must be nonnegative"),
+        (lambda: Cumulants(c1=0.0, c2=0.1, c4=-1e-3), ValidationError,
+         "c2 and c4 must be nonnegative"),
+        # E[S_T^1.5] explodes at T* ~ 3.08, so every circle around 1.5
+        # reaches past it at T = 5
+        (lambda: cumulants(EXPLOSIVE_HESTON, MarketSpec(spot=100.0, rate=0.05, maturity=5.0),
+                           1.5),
+         ComputationError, r"log E\[exp\(s\*X\)\] is not finite and real near s = 0 for "
+         "HestonParams"),
+        (lambda: TruncationRange(a=-math.inf, b=1.0), ValidationError,
+         "range endpoints must be finite"),
+        (lambda: TruncationRange(a=0.0, b=math.nan), ValidationError,
+         "range endpoints must be finite"),
+        (lambda: TruncationRange(a=1.0, b=1.0), ValidationError,
+         r"range must satisfy a < b, got \[1.0, 1.0\]"),
+        (lambda: truncation_range(Cumulants(c1=0.0, c2=0.1, c4=0.0), 0.0), ValidationError,
+         "range_width must be positive, got 0.0"),
+        (lambda: truncation_range(Cumulants(c1=0.0, c2=0.1, c4=0.0), -2.0), ValidationError,
+         "range_width must be positive, got -2.0"),
+    ], ids=["rate-inf", "dividend-nan", "rho", "log_cf-model", "c1-nan", "c4-inf", "c2<0",
+            "c4<0", "cumulants-give-up", "range-a-inf", "range-b-nan", "range-a=b",
+            "width-0", "width<0"])
+    def test_refusals(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()
 
     def test_market_keeps_its_discount_and_dividend_factors(self):
         market = MarketSpec(spot=100.0, rate=0.07, dividend=-0.03, maturity=2.5)

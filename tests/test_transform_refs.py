@@ -129,6 +129,12 @@ class TestFourierIntegral:
         with pytest.raises(ValidationError, match="damping must exceed 1"):
             IntegralConfig(damping=0.5)
 
+    @pytest.mark.parametrize("top", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_max_frequency(self, top):
+        with pytest.raises(ValidationError,
+                           match=f"max_frequency must be positive and finite, got {top}"):
+            IntegralConfig(max_frequency=top)
+
     def test_rejects_damping_outside_model_strip(self, market):
         # the up-jump rate eta1 caps the admissible contour shift at 10
         model = model_preset("kou")
