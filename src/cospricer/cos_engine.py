@@ -29,13 +29,17 @@ the strike.  :func:`price_curve` prices one option at several term counts
 from one series, built at the largest count, each price the sum of a
 prefix of it; :func:`price` is its one-count case, for a batch of strikes
 whose ranges are [a + x, b + x], x each strike's log-moneyness: the series
-forms these endpoints once, as arrays, one payoff row per strike.
+forms these endpoints once, as arrays, one row per strike.
 
-A payoff row is a difference of two :func:`chi` values that differ only in
-the exponent, so one ``chi`` call forms both from one set of cosines and
-sines.  Of its two phases, one has the same offset on every row of a
-column (a call's upper offset is the range width, a put's lower offset is
-zero), so only the other costs a cosine and a sine per strike and term.
+A strike enters its series only through one integration limit, so no
+payoff coefficient is formed: each series is summed in closed form
+(:func:`_column_sums`) against weight vectors that the density
+coefficients give once per column.  Of a row's two phases, one has the
+same offset on every row of a column (a call's upper offset is the range
+width, a put's lower offset is zero), so only the other costs a cosine
+and a sine per strike and term.  :func:`chi` and the payoff coefficients
+it gives state the same series term by term; the tests sum them exactly
+as the engine's reference.
 """
 
 from __future__ import annotations
@@ -176,17 +180,36 @@ def _exp_each(values: np.ndarray) -> np.ndarray:
     return np.array(out).reshape(values.shape)
 
 
-def _cos_sin(u: np.ndarray, offset: np.ndarray) -> tuple:
-    """cos and sin of the phase u*offset, one row per interval.  An offset
-    column that holds the same float on every row (a put's c - a = 0, a
-    column's common width) gives one row, which broadcasts to the same
-    values; the rows are compared as bits, so that 0.0 and -0.0 stay apart."""
-    if offset.ndim:
+def _distinct(offset: np.ndarray) -> np.ndarray:
+    """offset, or its first row where every row holds the same float (a
+    put's c - a = 0, a column's common width): a phase formed from it
+    broadcasts to the same values.  The rows are compared as bits, so that
+    0.0 and -0.0 stay apart."""
+    if offset.size > 1:
         bits = offset.view(np.int64)
         if (bits == bits[:1]).all():
-            offset = offset[:1]
-    phase = u * offset
+            return offset[:1]
+    return offset
+
+
+def _cos_sin(u: np.ndarray, offset: np.ndarray) -> tuple:
+    """cos and sin of the phase u*offset, one row per interval, or one row
+    for all of them (:func:`_distinct`)."""
+    phase = u * _distinct(offset)
     return np.cos(phase), np.sin(phase)
+
+
+def _exponential_integral(w, e_c, e_d, span):
+    """The integral of exp(w*y) over [c, d], given e^(w*c), e^(w*d) and
+    span = d - c, for a scalar w or an array of them: the larger
+    exponential times (1 - e^(-|w|*span))/|w|, span itself at w = 0.  The
+    difference (e^(w*d) - e^(w*c))/w would lose eps*e^(w*d)/|w| to
+    cancellation as w -> 0, and the smaller exponential times an expm1
+    could overflow where the integral does not."""
+    decline = -np.abs(w)
+    nonzero = decline < 0.0
+    decay = np.expm1(decline * span) / np.where(nonzero, decline, -1.0)
+    return np.where(nonzero, np.where(w > 0.0, e_d, e_c) * decay, span)
 
 
 def chi(u, v, c, d, a):
@@ -199,8 +222,8 @@ def chi(u, v, c, d, a):
     per v: the cosines and sines of the phases u*(c - a) and u*(d - a) are
     formed once for every v, and a phase whose offset is the same on every
     row once for all rows, so each array is bit for bit that of a call for
-    its v alone.  The v = 0, u = 0 limits are handled explicitly; for v != 0
-    the general expression is already exact at u = 0.
+    its v alone.  At u = 0 the integral of exp(v*y) is formed without the
+    general expression's cancellation (:func:`_exponential_integral`).
     """
     u = np.asarray(u, dtype=float)
     c, d, a = _column(c), _column(d), _column(a)
@@ -213,10 +236,10 @@ def chi(u, v, c, d, a):
             f"a={bad_a!r}" + (f" in row {row}" if ok.ndim else "")
         )
     (cos_c, sin_c), (cos_d, sin_d) = _cos_sin(u, c - a), _cos_sin(u, d - a)
+    zero = u == 0.0
 
     def value(w):
         if w == 0.0:
-            zero = u == 0.0
             out = (sin_d - sin_c) / np.where(zero, 1.0, u)
             return np.where(zero, d - c, out)
         ecv = _exp_each(w * c)
@@ -227,7 +250,7 @@ def chi(u, v, c, d, a):
             + w * edv * cos_d
             + u * edv * sin_d
         )
-        return num / (w * w + u * u)
+        return np.where(zero, _exponential_integral(w, ecv, edv, d - c), num / (w * w + u * u))
 
     return [value(w) for w in v] if np.ndim(v) else value(v)
 
@@ -270,42 +293,56 @@ def put_coefficients(u, alpha: float, a, b, strike) -> np.ndarray:
 # pricing
 # ---------------------------------------------------------------------------
 
-def _fsum(terms: list) -> float:
-    """math.fsum, reading a sum that overflows or meets inf - inf as nan."""
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):
-        return math.nan
+def _column_sums(g: np.ndarray, u: np.ndarray, alpha: float, c, d, a, ends) -> tuple:
+    """Sum_{k<n} g_k*(chi(u_k, 1 - alpha) - chi(u_k, -alpha)) on each row
+    [c, d] with offset a, in closed form, for every n in ends (each at
+    most u.size); also a bound on the sum of the magnitudes of its
+    summands.  Returns the sums and the bounds, each one row per n and
+    one column per row.
 
+    g is the density row with g_0 halved.  For an exponent w, chi's
+    closed form splits each summand k >= 1 into the weights
+    p_k = g_k*w/(w^2 + u_k^2) and q_k = g_k*u_k/(w^2 + u_k^2), which no
+    row changes, and the cosines and sines of the row's two phases:
 
-def _tail_may_overflow(
-    alpha: float, a: np.ndarray, b: np.ndarray, strikes: np.ndarray,
-    u_first: float, u_last: float,
-) -> bool:
-    """Whether a payoff coefficient at a frequency u in [u_first, u_last]
-    could overflow.
+        sum_k g_k*chi_w(u_k) = e^(w*d)*L(d - a) - e^(w*c)*L(c - a) + g_0*I_w,
+        L(theta) = sum_{k>=1} p_k*cos(u_k*theta) + q_k*sin(u_k*theta),
 
-    Such a coefficient makes the full series' row sum non-finite; past
-    the live band the density is padded with exact zeros, and 0 * inf is
-    nan, so the cut row sum fails too.  Each of the four summands of
-    :func:`chi`'s numerator is at most (|v| + u) * e^(v*y) for v in
-    {1 - alpha, -alpha}, so |v| <= 1 + |alpha|, and y in the row's range,
-    so v*y peaks at an end of [a, b]; dividing by v^2 + u^2 multiplies
-    by at most max(1, 1/u_first^2); a payoff row is 2K/width times a
-    difference of two chi values.  That bound is compared with 1e300, in logs.
+    I_w the integral of e^(w*y) over [c, d] (:func:`_exponential_integral`).
+    A phase whose offset is the same float on every row is one row
+    (:func:`_distinct`).  Each row's products are formed once, over the
+    whole band, and each n reduces its own prefix of that row alone with
+    NumPy's pairwise sum, so a row's sums do not depend on the other rows
+    or on the other counts.  The bound is
+    sum_w (e^(w*c) + e^(w*d))*sum_{1<=k<n}(|p_k| + |q_k|) + |g_0*I_w|,
+    its inner sums read from one cumulative sum.
     """
-    exponent = np.maximum.reduce([(1.0 - alpha) * a, (1.0 - alpha) * b, -alpha * a, -alpha * b])
-    scale = np.log(np.maximum(1.0, 2.0 * strikes / (b - a)))
-    log_bound = (
-        math.log(8.0 * (1.0 + abs(alpha) + u_last))
-        + 2.0 * max(0.0, -math.log(u_first))
-        + float(np.max(exponent + scale))
-    )
-    return log_bound > math.log(1e300)
+    w = np.array([[1.0 - alpha], [-alpha]])
+    u1 = u[1:]
+    weight = g[1:] / (w * w + u1 * u1)
+    p, q = weight * w, weight * u1
+    # reach[n - 1] = sum_{1<=k<n} |p_k| + |q_k|
+    reach = np.zeros((u.size, 2))
+    np.cumsum((np.abs(p) + np.abs(q)).T, axis=0, out=reach[1:])
+    # per row and exponent: (rows, 2)
+    w = w[:, 0]
+    e_c, e_d = _exp_each(np.array((c, d))[:, :, None] * w)
+    first = g[0] * _exponential_integral(w, e_c, e_d, (d - c)[:, None])
+    # the rows of both phases, one cosine and sine call and one product for
+    # each row and exponent: (phase rows, 2, terms)
+    offsets = _distinct(c - a), _distinct(d - a)
+    phase = u1 * np.concatenate(offsets)[:, None]
+    products = np.cos(phase)[:, None, :] * p + np.sin(phase)[:, None, :] * q
+    # (counts, phase rows, 2); the rest is elementwise, for every count at once
+    sums = np.array([np.add.reduce(products[..., : n - 1], axis=-1) for n in ends])
+    split = offsets[0].size
+    terms = e_d * sums[:, split:] - e_c * sums[:, :split] + first
+    magnitude = (e_c + e_d) * reach[[n - 1 for n in ends], None] + np.abs(first)
+    return terms[..., 0] - terms[..., 1], magnitude[..., 0] + magnitude[..., 1]
 
 
-# an overflowing coefficient or term reads as inf or nan, without NumPy's
-# warning: the caller raises a computation error on it
+# an overflowing exponential product or bound reads as inf or nan, without
+# NumPy's warning: the caller raises a computation error on it
 @np.errstate(over="ignore", invalid="ignore")
 def _series_values(
     model: ModelSpec,
@@ -316,66 +353,66 @@ def _series_values(
     x: np.ndarray,
     strikes: np.ndarray,
     counts: tuple,
-) -> list:
+) -> np.ndarray:
     """Series values for the strikes with log-moneyness x, discounted: one
-    array, in strike order, per term count in counts.  Each strike's range
-    is base recentred by its x, [base.a + x, base.b + x], formed here once,
-    as two arrays, for the payoff coefficients and the overflow test.
+    row, in strike order, per term count in counts, nan where a value is
+    refused.  Each strike's range is base recentred by its x,
+    [a, b] = [base.a + x, base.b + x]; its damped payoff
+    +-K*(e^y - 1)*e^(-alpha*y) lives on [c, d] = [max(a, 0), b] for a
+    call, [a, min(b, 0)] for a put, and a row with c >= d prices 0.
 
     The frequencies u_k = k*pi/width do not depend on the term count, so
-    the terms are formed once, at the largest count, and each count sums
-    its prefix of them.  The sum runs over the live band of
-    phi(u_k - i*alpha) only (:func:`models.live_band`, capped at
-    _MAX_TERMS terms), whose floor is proven to lie under the sum's
-    rounding once every term has |t_k| <= 4*|t_0|*Psi(u_k)/Psi(0), Psi
-    the envelope of |phi| that live_band reads:
+    the density row is formed once, at the largest count, and each count
+    sums its prefix of it (:func:`_column_sums`).  The sum runs over the
+    live band of phi(u_k - i*alpha) only (:func:`models.live_band`,
+    capped at _MAX_TERMS terms), whose floor is proven to lie under the
+    sum's rounding once every term t_k = g_k*V_k, never formed, has
+    |t_k| <= 4*|t_0|*Psi(u_k)/Psi(0), Psi the envelope of |phi| that
+    live_band reads:
 
-    - a row's damped payoff is >= 0 on its [lo, hi] (a put's sign is in
-      its scale), so each payoff coefficient, 2/width times a cosine
+    - a row's damped payoff is >= 0 on its [c, d] (a put's sign is in
+      its scale), so each payoff coefficient V_k, 2/width times a cosine
       moment of it, has |V_k| <= V_0;
-    - the density coefficient Re(e^(-i*u_k*a)*phi(u_k - i*alpha)) is at
-      most Psi(u_k) in modulus, and at k = 0 it is the moment
+    - the density coefficient g_k = Re(e^(-i*u_k*a)*phi(u_k - i*alpha))
+      is at most Psi(u_k) in modulus, and at k = 0 it is the moment
       phi(-i*alpha) = Psi(0);
     - so with t_0 halved, |t_k| <= 2*|t_0|*Psi(u_k)/Psi(0) on every
       strike row, whatever its strike.
 
     The factor 2 to spare covers Psi(0) exceeding the computed
-    phi(-i*alpha), which it does only by rounding; a computed V_k
-    exceeds V_0 only by the rounding of the chi values that V_0 also
-    carries.
+    phi(-i*alpha), which it does only by rounding.
 
-    Where a payoff coefficient past the band could overflow, phi is
-    padded with zeros to the full grid so that 0 * inf still reads as a
-    failure, as the full series' phi * inf does.  That test only grows
-    with the term count, and where a smaller count would not pad, its
-    extra terms are 0 * finite, so every prefix sum is the value a series
-    of that count alone gives.
+    A value is refused where the bound on the magnitudes of its summands,
+    in price units, is not below 1e300: its sum cannot then be trusted to
+    be finite, nor its rounding to be below the price.
     """
     n_terms = max(counts)
     step = math.pi / base.width
     phi = live_band(char_fn, model, market, step, alpha, n_terms, _MAX_TERMS)
-    a, b = base.a + x, base.b + x
-    live = phi.size
-    if live < n_terms and _tail_may_overflow(
-        alpha, a, b, strikes, live * step, (n_terms - 1) * step
-    ):
-        phi = np.concatenate((phi, np.zeros(n_terms - live, dtype=complex)))
     u = np.arange(phi.size) * step
     # x - a = -base.a for every recentred range, so one phase serves all strikes
-    density = np.real(np.exp(-1j * u * base.a) * phi)
-    coefficients = call_coefficients if kind is OptionKind.CALL else put_coefficients
-    payoff = coefficients(u, alpha, a, b, strikes)
-    width = b - a
-    terms = _column(2.0 * _exp_each(alpha * x) / width) * density * payoff
-    terms[:, 0] *= 0.5
-    rows = terms.tolist()
-    scale = 0.5 * width * market.discount_factor
-    # error-free accumulation; the direct call series trades accuracy for it.
-    # A count that reaches past the band sums whole rows, without a copy
-    return [
-        scale * np.array([_fsum(row if n >= phi.size else row[:n]) for row in rows])
-        for n in counts
-    ]
+    g = np.real(np.exp(u * (-1j * base.a)) * phi)
+    g[0] *= 0.5
+    a, b = base.a + x, base.b + x
+    if kind is OptionKind.CALL:
+        sign, c, d = 1.0, np.maximum(a, 0.0), b
+    else:
+        sign, c, d = -1.0, a, np.minimum(b, 0.0)
+    factor = (sign * 2.0 * market.discount_factor) * strikes
+    if alpha:
+        factor = factor * _exp_each(alpha * x)
+    factor = factor / (b - a)
+    live = c < d
+    if not live.any():
+        return np.zeros((len(counts), x.size))
+    if live.all():
+        live = slice(None)  # every row: views, not copies
+    ends = [min(n, phi.size) for n in counts]
+    sums, bounds = _column_sums(g, u, alpha, c[live], d[live], a[live], ends)
+    values = np.zeros((len(counts), x.size))
+    factor = factor[live]
+    values[:, live] = np.where(np.abs(factor) * bounds < 1e300, factor * sums, math.nan)
+    return values
 
 
 def _resolve_damping(config: CosConfig, kind: OptionKind) -> float:
@@ -480,13 +517,15 @@ def price(
     sequence of OptionSpecs of one kind, giving a tuple of PriceResults in
     input order.  The cumulants, the truncation range, the frequency grid
     and the characteristic function are computed once per call; each
-    strike adds one row of payoff coefficients and one sum.
+    strike adds one cosine and one sine row of its own phase and one sum
+    per row.
 
     Raises a configuration error when the damped variant is asked to price a
     call with alpha <= 1 or a put with alpha > 0 (the damped payoff grows
     without bound there), or when the parity variant is asked for a put; a
     validation error when alpha leaves :func:`models.damping_bounds` or its
-    moment is not valid; a computation error when a value is not finite.
+    moment is not valid; a computation error when the exponential of a
+    range end overflows, or a value's summands could reach 1e300.
     """
     options = (option,) if isinstance(option, OptionSpec) else tuple(option)
     [results] = _price_counts(model, market, options, config, (config.n_terms,))

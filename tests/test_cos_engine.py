@@ -458,15 +458,17 @@ class TestUnrepresentableSeries:
 
     @pytest.mark.parametrize("width", [882.0, 884.0])
     def test_overflowing_coefficients_raise_without_warnings(self, width):
-        # undamped kou calls at K = 1e5 overflow payoff coefficients inside
-        # the live band; the series used to warn "overflow encountered in
+        # undamped kou calls at K = 1e5 have summands past 1e300 inside the
+        # live band; the series used to warn "overflow encountered in
         # multiply" and "invalid value" before its ComputationError
         model, market = presets.model_preset("kou"), presets.market_preset(1.0)
-        config = CosConfig(n_terms=200000, range_width=width, variant=Variant.DIRECT)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ComputationError, match="non-finite value at strike 100000"):
-                price(model, market, OptionSpec(strike=1e5), config)
+        for n_terms in (256, 4096, 60000, 200000):
+            config = CosConfig(n_terms=n_terms, range_width=width, variant=Variant.DIRECT)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ComputationError,
+                                   match=f"non-finite value at strike 100000.0 .*n_terms={n_terms},"):
+                    price(model, market, OptionSpec(strike=1e5), config)
 
 
 class TestDiscountFactor:
@@ -615,9 +617,9 @@ class TestKnownWrongStablePrices:
 
     Sizing the range from the damped law mended the two cgmy2 cells
     outside the no-arbitrage bounds (107.861 > S0 at T=5, and 0.0 at
-    T=20, K=80).  The rest stay off parity: preset market at T=1, N=4096,
-    L=12; explosive Heston at r=0.05, N=8192, L=12.  At a damping of
-    1 + 1e-9 the loss is chi's own rounding, not the range.
+    T=20, K=80), and forming the u = 0 term without cancellation the
+    calls at a damping just above 1.  The xfails stay off parity: preset
+    market at T=1, N=4096, L=12; explosive Heston at r=0.05, N=8192, L=12.
     """
 
     @pytest.mark.parametrize("maturity, strike, damping", [(5.0, 100.0, None),
@@ -663,16 +665,13 @@ class TestKnownWrongStablePrices:
                 "refuses it; " + _ITEM_2,
             ), id="heston-T1-3"),
         ] + [
+            # the u = 0 term (e^(vd) - e^(vc))/v lost eps*e^(vd)/|v| as
+            # v = 1 - alpha -> 0: 5.50e-8 (heston), 2.83e-7 (kou) and 3.08e-7
+            # (cgmy1) off parity at 1 + 1e-9, 1.3e-4 to 2.8e-4 at 1 + 1e-12
             pytest.param(presets.model_preset(name), presets.market_preset(),
-                         CosConfig(4096, 12.0, damping=1 + 1e-9), marks=pytest.mark.xfail(
-                strict=True,
-                reason=f"returns {gap} off parity: chi's closed form at u = 0, "
-                "(e^(vd) - e^(vc))/v, loses eps*e^(vd)/|v| as v = 1 - alpha -> 0; at "
-                "alpha = 1.0001 it is within 3e-12 (CHANGES.md FOUND, cos_engine.chi "
-                "near a damping of 1); " + _ITEM_2,
-            ), id=f"{name}-1+1e-9")
-            for name, gap in (("heston", "5.50e-8"), ("kou", "2.83e-7"),
-                              ("cgmy1", "3.08e-7"))
+                         CosConfig(4096, 12.0, damping=damping), id=f"{name}-{label}")
+            for name in ("heston", "kou", "cgmy1")
+            for damping, label in ((1 + 1e-9, "1+1e-9"), (1 + 1e-12, "1+1e-12"))
         ],
     )
     def test_call_matches_parity(self, model, market, config):
@@ -915,24 +914,27 @@ class TestPriceCurve:
 
     @pytest.mark.parametrize("width", range(870, 886))
     def test_overflowing_undamped_tails(self, width):
-        # kou direct calls on ranges this wide overflow payoff coefficients
-        # past the live band: some term counts keep the full grid and fail,
-        # some cut it and price, so the first failing count varies
+        # kou direct calls on ranges this wide have summands near 1e300, or
+        # an e^b that overflows: every term count refuses the series, the
+        # curve as price() does alone, down to the u = 0 term by itself
         model, market = presets.model_preset("kou"), presets.market_preset(1.0)
         config = CosConfig(n_terms=1, range_width=float(width), variant=Variant.DIRECT)
         for strike in (60.0, 100.0, 1e5):
-            _assert_curve_is_per_count(model, market, OptionSpec(strike), config,
-                                       (4096, 200000, 256, 60000))
+            option = OptionSpec(strike)
+            got = _assert_curve_is_per_count(model, market, option, config,
+                                             (4096, 200000, 256, 60000, 1))
+            assert got[0] is ComputationError
+            for n in (1, 256, 4096, 60000, 200000):
+                assert _curve_outcome(model, market, option, config, (n,))[0] is ComputationError
 
     def test_a_failing_count_is_named_in_input_order(self):
-        # at L=876, K=60 the 4096- and 60000-term series fail and 256 prices
+        # at L=876, K=60 every count fails; the error names the first
         model, market = presets.model_preset("kou"), presets.market_preset(1.0)
         config = CosConfig(n_terms=1, range_width=876.0, variant=Variant.DIRECT)
         option = OptionSpec(60.0)
-        for grid, first in (((256, 60000, 4096), 60000), ((256, 4096, 60000), 4096)):
-            with pytest.raises(ComputationError, match=f"n_terms={first},"):
+        for grid in ((256, 60000, 4096), (4096, 256, 60000), (60000, 4096, 256)):
+            with pytest.raises(ComputationError, match=f"n_terms={grid[0]},"):
                 price_curve(model, market, option, config, grid)
-        assert price_curve(model, market, option, config, (256,))[0].n_terms == 256
 
     def test_exploded_moment_raises_as_price_does(self):
         explosive = TestMomentCheck.EXPLOSIVE

@@ -213,7 +213,8 @@ class TestStrikeTable:
 
     def test_cos_column_is_one_batch_price_call(self, monkeypatch):
         # the benchmark traces the layers through these module bindings: a
-        # strike column must reach harness.price once and every COS layer
+        # strike column must reach harness.price once and every COS layer,
+        # and sum all its strikes' series in one kernel call
         calls = collections.Counter()
 
         def count(module, name):
@@ -226,13 +227,14 @@ class TestStrikeTable:
             monkeypatch.setattr(module, name, wrapper)
 
         count(harness, "price")
-        layers = ("cumulants", "char_fn", "call_coefficients", "chi")
+        layers = ("cumulants", "char_fn", "_column_sums")
         for name in layers:
             count(cos_engine, name)
         result = run_strike_table(models=["heston"], methods=["stable"])
         assert len(result.axis("strike")) == 9
         assert calls["price"] == 1
         assert all(calls[name] for name in layers), calls
+        assert calls["_column_sums"] == 1
 
     def test_oracle_columns_are_one_call_each(self, monkeypatch):
         # each oracle prices its strike column with one call and no scalar
@@ -324,8 +326,8 @@ class TestConvergence:
     def test_curve_is_one_series(self, monkeypatch):
         # the benchmark traces these bindings: the 60000-term reference is
         # one harness.price call, the curve one price_curve call, so each
-        # builds its cumulants once and forms its payoff rows with one chi
-        # call, for both of its exponents
+        # builds its cumulants once and sums its series, at every term
+        # count, in one kernel call
         calls = collections.Counter()
 
         def count(module, name):
@@ -339,10 +341,10 @@ class TestConvergence:
 
         count(harness, "price")
         count(cos_engine, "cumulants")
-        count(cos_engine, "chi")
+        count(cos_engine, "_column_sums")
         result = run_convergence("kou", [8, 16, 32, 64, 140])
         assert result.values.shape == (5,)
-        assert calls == {"price": 1, "cumulants": 2, "chi": 2}
+        assert calls == {"price": 1, "cumulants": 2, "_column_sums": 2}
 
     def test_curve_matches_one_price_per_term_count(self):
         n_values = (140, 8, 64, 8, 4096)

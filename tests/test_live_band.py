@@ -3,11 +3,11 @@ only up to a floor below which a proven bound puts the rest of the sum
 under its rounding.
 
 Certification compares the engine with a full-grid evaluator written
-out here (no cut), within that bound (bit for bit where the series keep
-the underflow floor), and the Carr-Madan sum at K = S0 with the FFT
-over the whole capped contour, to rounding; the property tests check
-the bounds on log|phi| and on the payoff coefficients that place the
-cut.
+out here (no cut, each term formed and the terms summed exactly), within
+that bound plus the rounding of a sum of those terms, and the Carr-Madan
+sum at K = S0 with the FFT over the whole capped contour, to rounding;
+the property tests check the bounds on log|phi| and on the payoff
+coefficients that place the cut.
 """
 
 import itertools
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from cospricer import cos_engine, models, presets, transform_refs
 from cospricer.cos_engine import CosConfig, OptionKind, OptionSpec, Variant, price
-from cospricer.errors import PricingError, ValidationError
+from cospricer.errors import ComputationError, PricingError, ValidationError
 from cospricer.models import (
     CGMYParams,
     HestonParams,
@@ -83,15 +83,25 @@ def heston_market(maturity):
     return MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
 
 
+def _fsum(terms: list) -> float:
+    """math.fsum, reading a sum that overflows or meets inf - inf as nan."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 # an overflowing coefficient or term reads as inf or nan, without NumPy's
 # warning, as in cos_engine._series_values
 @np.errstate(over="ignore", invalid="ignore")
 def full_grid_series_values(model, market, kind, alpha, base, x, strikes, counts,
-                            first_terms=None):
-    """cos_engine._series_values over every term: phi on the whole grid of
-    the largest count in one call, and each count's prefix of the terms
-    summed.  first_terms, a list, receives each row's |t_0| scaled as its
-    sum is."""
+                            magnitudes=None):
+    """cos_engine._series_values summed term by term, over every term: phi
+    on the whole grid of the largest count in one call, the terms formed
+    from the payoff coefficients of cos_engine.chi, and each count's
+    prefix of them summed exactly by math.fsum.  magnitudes, a list,
+    receives for each count and row the pair (sum |t_k|, |t_0|) of its
+    terms, scaled as its sum is."""
     u = np.arange(max(counts)) * (math.pi / base.width)
     phi = char_fn(model, market, u - 1j * alpha)
     check_moment(alpha, phi[0])
@@ -105,10 +115,12 @@ def full_grid_series_values(model, market, kind, alpha, base, x, strikes, counts
     terms = cos_engine._column(2.0 * cos_engine._exp_each(alpha * x) / width) * density * payoff
     terms[:, 0] *= 0.5
     scale = 0.5 * width * market.discount_factor
-    if first_terms is not None:
-        first_terms.extend((scale * np.abs(terms[:, 0])).tolist())
+    if magnitudes is not None:
+        for n in counts:
+            magnitudes.extend(zip((scale * np.abs(terms[:, :n]).sum(axis=1)).tolist(),
+                                  (scale * np.abs(terms[:, 0])).tolist()))
     return [
-        scale * np.array([cos_engine._fsum(row[:n]) for row in terms.tolist()]) for n in counts
+        scale * np.array([_fsum(row[:n]) for row in terms.tolist()]) for n in counts
     ]
 
 
@@ -178,40 +190,27 @@ def prices(model, market, options, config):
     return tuple(r.price for r in results)
 
 
-def outcome(model, market, options, config):
-    """The prices as bit patterns, or the type of the error raised."""
-    got = prices(model, market, options, config)
-    return got if isinstance(got, type) else tuple(p.hex() for p in got)
-
-
-def assert_matches_full_grid(monkeypatch, model, market, options, config):
-    got = outcome(model, market, options, config)
-    with monkeypatch.context() as patch:
-        patch.setattr(cos_engine, "_series_values", full_grid_series_values)
-        want = outcome(model, market, options, config)
-    assert got == want, (model, market.maturity, options, config)
-    return got
-
-
-def ulp_scale(market, option, config, value):
-    """The largest magnitude a price is rounded at: the price, and under
-    parity the forward and the discounted strike its put is mapped with."""
+def parity_rounding(market, option, config):
+    """Under parity, 2 ulp of the forward and the discounted strike that
+    the put is mapped with, a rounding its series does not carry; else 0."""
     if config.variant is not Variant.PUT_CALL_PARITY:
-        return abs(value)
+        return 0.0
     forward = market.spot * market.dividend_factor
-    return max(abs(value), forward, option.strike * market.discount_factor)
+    return 2.0 * np.spacing(max(forward, option.strike * market.discount_factor))
 
 
 def assert_within_tail_bound_of_full_grid(monkeypatch, model, market, options, config):
     """The same error type as the full grid where either raises; else each
-    price within 2 ulp, at its ulp_scale, plus TAIL_SHARE of its series'
-    first term (cos_engine._series_values proves TAIL_SHARE/2).  Returns
-    the prices or the error type."""
+    price within 16 eps sum |t_k| (the rounding of a sum of those terms)
+    plus TAIL_SHARE |t_0| (cos_engine._series_values proves TAIL_SHARE/2
+    for the terms past the live band) of the full grid's exact sum, both
+    from the full grid's own terms, plus parity_rounding.  Returns the
+    prices or the error type."""
     got = prices(model, market, options, config)
-    first_terms = []
+    magnitudes = []
 
     def full_grid(*args):
-        return full_grid_series_values(*args, first_terms=first_terms)
+        return full_grid_series_values(*args, magnitudes=magnitudes)
 
     with monkeypatch.context() as patch:
         patch.setattr(cos_engine, "_series_values", full_grid)
@@ -219,11 +218,26 @@ def assert_within_tail_bound_of_full_grid(monkeypatch, model, market, options, c
     if isinstance(got, type) or isinstance(want, type):
         assert got == want, (model, market.maturity, options, config)
         return got
-    for option, value, full, first in zip(options, got, want, first_terms):
-        bound = 2.0 * np.spacing(ulp_scale(market, option, config, full)) + (
-            models.TAIL_SHARE * first)
+    eps = np.finfo(float).eps
+    for option, value, full, (total, first) in zip(options, got, want, magnitudes):
+        bound = (16.0 * eps * total + models.TAIL_SHARE * first
+                 + parity_rounding(market, option, config))
         assert abs(value - full) <= bound, (model, market.maturity, option, config, value, full)
     return got
+
+
+def _has_preset(name, variant):
+    try:
+        presets.method_preset(name, variant)
+    except PricingError:
+        return False
+    return True
+
+
+# every (profile, variant) with a strike-table preset: all but cgmy2 direct
+PRESET_CELLS = [(name, variant) for name in presets.PROFILE_NAMES for variant in Variant
+                if _has_preset(name, variant)]
+LATTICE = tuple(np.arange(60.0, 160.0 + 0.25, 0.5).tolist())
 
 
 class TestEngineCertification:
@@ -243,7 +257,7 @@ class TestEngineCertification:
                         monkeypatch, model, market, [option], config)
 
     @pytest.mark.parametrize("edge", HESTON_EDGES)
-    def test_heston_edges_bit_identical_to_full_grid(self, monkeypatch, edge):
+    def test_heston_edges_within_the_tail_bound_of_full_grid(self, monkeypatch, edge):
         model, maturity, call_alpha, put_alpha = HESTON_EDGES[edge]
         market = heston_market(maturity)
         series = [(Variant.STABLE, OptionKind.CALL, call_alpha),
@@ -256,28 +270,47 @@ class TestEngineCertification:
             config = CosConfig(n_terms=n_terms, range_width=width, damping=alpha,
                                variant=variant)
             options = [OptionSpec(k, kind) for k in STRIKES]
-            got = assert_matches_full_grid(monkeypatch, model, market, options, config)
+            got = assert_within_tail_bound_of_full_grid(
+                monkeypatch, model, market, options, config)
             if isinstance(got, type):
                 for option in options:
-                    assert_matches_full_grid(monkeypatch, model, market, [option], config)
+                    assert_within_tail_bound_of_full_grid(
+                        monkeypatch, model, market, [option], config)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cell=st.sampled_from(PRESET_CELLS),
+           strikes=st.lists(st.sampled_from(LATTICE), min_size=5, max_size=41, unique=True))
+    def test_preset_columns_within_the_tail_bound_and_each_its_own_batch(self, cell, strikes):
+        # the benchmark's strike columns: a half-unit lattice in [60, 160]
+        name, variant = cell
+        model, market = presets.model_preset(name), presets.market_preset(1.0)
+        config = presets.method_preset(name, variant).cos_config(variant)
+        options = [OptionSpec(k) for k in strikes]
+        got = assert_within_tail_bound_of_full_grid(
+            pytest.MonkeyPatch(), model, market, options, config)
+        assert not isinstance(got, type), got
+        for option, value in zip(options, got):
+            assert price(model, market, option, config).price.hex() == value.hex(), option
 
     def test_explosive_moment_raises_as_the_full_grid_does(self, monkeypatch):
         config = CosConfig(n_terms=60000, range_width=12.0, damping=1.5)
-        got = assert_matches_full_grid(
+        got = assert_within_tail_bound_of_full_grid(
             monkeypatch, EXPLOSIVE, heston_market(5.0), [OptionSpec(100.0)], config
         )
         assert got is ValidationError
 
     @pytest.mark.parametrize("width", [871.0, 872.0, 880.0, 884.0])
     @pytest.mark.parametrize("strike", [60.0, 100.0, 1e5])
-    def test_overflowing_tail_still_raises(self, monkeypatch, width, strike):
-        # undamped kou calls on ranges this wide overflow some payoff
-        # coefficients past the live band; 0 * inf = nan there made the
-        # full sum fail, and at L=871, K=60 and L=872, K=100 a cut sum
-        # would instead return a finite 1e292
+    def test_overflowing_tail_still_raises(self, width, strike):
+        # undamped kou calls on ranges this wide have summands near 1e300,
+        # or an e^b that overflows: the exact sum of the full grid's rounded
+        # terms is a finite 1e292 at L=871, K=60 and L=872, K=100, and no
+        # price at all; the engine refuses the series at every term count
         model, market = presets.model_preset("kou"), presets.market_preset(1.0)
-        config = CosConfig(n_terms=200000, range_width=width, variant=Variant.DIRECT)
-        assert_matches_full_grid(monkeypatch, model, market, [OptionSpec(strike)], config)
+        for n_terms in (256, 4096, 60000, 200000):
+            config = CosConfig(n_terms=n_terms, range_width=width, variant=Variant.DIRECT)
+            with pytest.raises(ComputationError):
+                price(model, market, OptionSpec(strike), config)
 
 
 class TestSpectrumCertification:
