@@ -5,9 +5,11 @@ under its rounding.
 Certification compares the engine with a full-grid evaluator written
 out here (no cut, each term formed and the terms summed exactly), within
 that bound plus the rounding of a sum of those terms, and the Carr-Madan
-sum at K = S0 with the FFT over the whole capped contour, to rounding;
-the property tests check the bounds on log|phi| and on the payoff
-coefficients that place the cut.
+sum at K = S0 with the FFT over the whole capped contour, to rounding.
+On the Heston edges the engine also gives bit for bit the prices it
+gives with its band's values read from the full grid.  The property
+tests check the bounds on log|phi| and on the payoff coefficients that
+place the cut.
 """
 
 import itertools
@@ -226,6 +228,48 @@ def assert_within_tail_bound_of_full_grid(monkeypatch, model, market, options, c
     return got
 
 
+def outcome(model, market, options, config):
+    """The prices as bit patterns, or the type of the error raised."""
+    got = prices(model, market, options, config)
+    return got if isinstance(got, type) else tuple(p.hex() for p in got)
+
+
+def full_grid_band(evaluate, model, market, step, shift, size, cap=math.inf):
+    """models.live_band's values read from one evaluate call on the whole
+    contour of size points, cut where live_band cuts: all of them where it
+    keeps every point."""
+    kept = live_band(evaluate, model, market, step, shift, size, cap).size
+    return evaluate(model, market, np.arange(size) * step - 1j * shift)[:kept]
+
+
+def assert_bit_identical_to_full_grid_band(monkeypatch, model, market, options, config):
+    """The engine's prices, or its error type, bit for bit those it gives
+    with its band's values taken from the full grid (full_grid_band).
+    Returns them."""
+    got = outcome(model, market, options, config)
+    with monkeypatch.context() as patch:
+        patch.setattr(cos_engine, "live_band", full_grid_band)
+        want = outcome(model, market, options, config)
+    assert got == want, (model, market.maturity, options, config)
+    return got
+
+
+def heston_edge_cases(edge):
+    """(config, kind) for each series and grid a Heston edge is checked on:
+    stable calls and puts at the edge's dampings, direct calls and puts,
+    and parity calls, each on narrow to wide ranges and short to long
+    grids."""
+    _, _, call_alpha, put_alpha = HESTON_EDGES[edge]
+    series = [(Variant.STABLE, OptionKind.CALL, call_alpha),
+              (Variant.STABLE, OptionKind.PUT, put_alpha),
+              (Variant.DIRECT, OptionKind.CALL, None),
+              (Variant.DIRECT, OptionKind.PUT, None),
+              (Variant.PUT_CALL_PARITY, OptionKind.CALL, None)]
+    grids = [(7.0, 64), (7.0, 4096), (30.0, 64), (30.0, 4096), (12.0, 60000)]
+    return [(CosConfig(n_terms=n_terms, range_width=width, damping=alpha, variant=variant), kind)
+            for (variant, kind, alpha), (width, n_terms) in itertools.product(series, grids)]
+
+
 def _has_preset(name, variant):
     try:
         presets.method_preset(name, variant)
@@ -258,23 +302,30 @@ class TestEngineCertification:
 
     @pytest.mark.parametrize("edge", HESTON_EDGES)
     def test_heston_edges_within_the_tail_bound_of_full_grid(self, monkeypatch, edge):
-        model, maturity, call_alpha, put_alpha = HESTON_EDGES[edge]
+        model, maturity, _, _ = HESTON_EDGES[edge]
         market = heston_market(maturity)
-        series = [(Variant.STABLE, OptionKind.CALL, call_alpha),
-                  (Variant.STABLE, OptionKind.PUT, put_alpha),
-                  (Variant.DIRECT, OptionKind.CALL, None),
-                  (Variant.DIRECT, OptionKind.PUT, None),
-                  (Variant.PUT_CALL_PARITY, OptionKind.CALL, None)]
-        grids = [(7.0, 64), (7.0, 4096), (30.0, 64), (30.0, 4096), (12.0, 60000)]
-        for (variant, kind, alpha), (width, n_terms) in itertools.product(series, grids):
-            config = CosConfig(n_terms=n_terms, range_width=width, damping=alpha,
-                               variant=variant)
+        for config, kind in heston_edge_cases(edge):
             options = [OptionSpec(k, kind) for k in STRIKES]
             got = assert_within_tail_bound_of_full_grid(
                 monkeypatch, model, market, options, config)
             if isinstance(got, type):
                 for option in options:
                     assert_within_tail_bound_of_full_grid(
+                        monkeypatch, model, market, [option], config)
+
+    @pytest.mark.parametrize("edge", HESTON_EDGES)
+    def test_heston_edges_bit_identical_to_full_grid(self, monkeypatch, edge):
+        # the band's values are the full grid's, so the cut is the only
+        # difference: none where the band keeps the whole contour
+        model, maturity, _, _ = HESTON_EDGES[edge]
+        market = heston_market(maturity)
+        for config, kind in heston_edge_cases(edge):
+            options = [OptionSpec(k, kind) for k in STRIKES]
+            got = assert_bit_identical_to_full_grid_band(
+                monkeypatch, model, market, options, config)
+            if isinstance(got, type):
+                for option in options:
+                    assert_bit_identical_to_full_grid_band(
                         monkeypatch, model, market, [option], config)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
