@@ -496,8 +496,8 @@ def _price_counts(
         for value, opt, rng in zip(row.tolist(), options, ranges):
             if not math.isfinite(value):
                 raise ComputationError(
-                    f"cosine series produced a non-finite value at strike {opt.strike} "
-                    f"(variant={config.variant.value}, n_terms={n}, "
+                    f"cosine series value at strike {opt.strike} is not finite, or its "
+                    f"summands could reach 1e300 (variant={config.variant.value}, n_terms={n}, "
                     f"range=[{rng.a:.3f}, {rng.b:.3f}])"
                 )
             results.append(PriceResult(price=value, n_terms=n, damping=alpha, range=rng))

@@ -21,11 +21,14 @@ from which a proven bound puts the whole remaining tail of the sum below
 0.1*eps of its first term, under the sum's own rounding (the per-term
 bound is in ``_damped_calls``); where the contour's cap of 2^16 points
 ends the band before that floor, it raises.  The Fourier integral
-evaluates phi at its nodes and at the cut and raises when the integrand
-has not decayed there.  Both refuse a price by one rule,
+evaluates phi at the nodes of its panels up to the first edge e from
+which the rest of the integral is proven below 0.1*eps of its first
+node's term (:func:`models.envelope_cut`; the bound is
+2*e^(alpha*x)*h(e)*(max_frequency - e), h in ``price_fourier_integral``),
+and at max_frequency, and raises when the integrand has not decayed
+there.  Both refuse a price by one rule,
 :func:`models.check_call_prices`.  Neither pricer checks the contour shift
-itself: ``live_band`` does for Carr-Madan, and ``char_fn`` for the
-Fourier integral.
+itself: ``envelope_cut`` does, through ``live_band`` for Carr-Madan.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .models import (
     char_fn,
     check_call_prices,
     check_moment,
+    envelope_cut,
     live_band,
 )
 
@@ -253,6 +257,20 @@ def price_fourier_integral(
     integrand at the cut times the cut exceeds that, and
     :func:`models.check_call_prices`.
 
+    The panels past an edge e are left out where a proof puts them
+    under the sum's rounding.  With f(u) = phi(-u - i*alpha)/
+    ((alpha - i*u)(alpha - 1 - i*u)) and Psi the envelope of
+    :func:`models.envelope_cut`, |f(u)| <= h(u) =
+    Psi(u)/|(alpha - i*u)(alpha - 1 - i*u)|, which does not increase in
+    u >= 0; a panel's weights sum to its width, so those panels add at
+    most 2*e^(alpha*x)*h(e)*(max_frequency - e) to either rule.  They
+    are cut from the first edge where that is below TAIL_SHARE of the
+    first node's term, 2*e^(alpha*x)*W_1*Psi(0)/(alpha*(alpha - 1)),
+    W_1 the first 32-point weight, as f is real and positive at u = 0;
+    e^(alpha*x) cancels, so one edge serves the column.  Where no bound
+    is proven every panel is kept.  phi at u = 0 and at max_frequency
+    is always evaluated.
+
     ``strike`` is one strike (returns a float) or a sequence of strikes
     (returns a list in input order).  The characteristic function is
     evaluated once, as one vector, for the whole column, and not at all
@@ -266,17 +284,26 @@ def price_fourier_integral(
     if not strikes:
         return []
     alpha = config.damping
+    top = config.max_frequency
     edges = [0.0]
     edge = alpha - 1.0
-    while edge < config.max_frequency:
+    while edge < top:
         edges.append(edge)
         edge *= 2.0
-    edges = np.append(edges, config.max_frequency)
+    edges = np.append(edges, top)
+    # the panel cut of the docstring, relative to log Psi(0)
+    share = math.log(TAIL_SHARE * 0.5 * edges[1] * _CHECK[1][0] / (alpha * (alpha - 1.0)))
+
+    def slack(c: int) -> float:
+        e = edges[c]
+        return share + math.log(math.hypot(alpha, e) * math.hypot(alpha - 1.0, e) / (top - e))
+
+    cut = envelope_cut(model, market, alpha, edges.size - 1, edges.__getitem__, slack)
+    edges = edges[: cut + 1]
     u_rule, w_rule = _panel_nodes(edges, _RULE)
     u_check, w_check = _panel_nodes(edges, _CHECK)
     # u = 0 rides along for the moment phi(-i*alpha) = E[(S_T/S_0)^alpha],
     # u = max_frequency for the integrand left at the cut
-    top = config.max_frequency
     u = np.concatenate(([0.0], u_rule, u_check, [top]))
     w = -u - 1j * alpha
     phi = char_fn(model, market, w)

@@ -1,4 +1,5 @@
-"""The package runs on NumPy alone; SciPy is a test dependency.
+"""The package runs on NumPy alone; SciPy is a test dependency, and
+every third-party module the tests import is declared.
 
 CGMY's Gamma(-Y) comes from the standard library's math.gamma, so the
 only special function the models need is checked here against SciPy's.
@@ -9,6 +10,7 @@ discount by the market's own factors.
 import ast
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,9 @@ import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cospricer"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cospricer"
+TESTS = ROOT / "tests"
 
 
 def test_runtime_imports_no_scipy():
@@ -33,6 +37,27 @@ def test_runtime_imports_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_test_imports_are_declared():
+    # a module the tests import is the standard library's, the package's,
+    # a sibling test module's, or a runtime or test-extra requirement
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in requirements}
+    local = {"cospricer"} | {path.stem for path in TESTS.glob("*.py")}
+    imported = set()
+    for path in TESTS.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert {"numpy", "scipy", "mpmath"} <= imported
+    assert sorted(imported - set(sys.stdlib_module_names) - local - declared) == []
 
 
 # Y over (-1, 2) without the poles 0 and 1, and negative Y down to -171.5,

@@ -10,6 +10,7 @@ import cmath
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,11 +24,13 @@ from cospricer.models import (
     MarketSpec,
     TruncationRange,
     _log_cf,
+    _real_log,
     char_fn,
     check_call_prices,
     check_moment,
     cumulants,
     damping_bounds,
+    live_band,
     moment_is_valid,
     truncation_range,
 )
@@ -302,6 +305,81 @@ class TestCumulants:
             calls.clear()
             cumulants(model, market)
             assert len(calls) == 1, name
+
+
+def heston_log_cf_40_digits(model, market, u):
+    """Heston's log phi_T(u) by the closed form of models._heston_log_cf,
+    evaluated from the same double inputs in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        kappa, theta, sigma, rho, v0, t, r, q = map(mpmath.mpf, (
+            model.kappa, model.theta, model.sigma, model.rho, model.v0,
+            market.maturity, market.rate, market.dividend))
+        u = mpmath.mpc(u.real, u.imag)
+        zeta = -(1j * u + u * u) / 2
+        gam = kappa - 1j * rho * sigma * u
+        xi = mpmath.sqrt(gam * gam - 2 * sigma ** 2 * zeta)
+        decay = 1 - mpmath.exp(-xi * t)
+        denom = 2 * xi - (xi - gam) * decay
+        return complex(1j * u * (r - q) * t + 2 * zeta * decay * v0 / denom
+                       - kappa * theta / sigma ** 2 * (2 * mpmath.log(denom / (2 * xi))
+                                                      + (xi - gam) * t))
+
+
+class TestHestonLogInRealArithmetic:
+    """Heston's log-CF takes its complex log as log|z| + i*arg(z) from real
+    ufuncs (models._real_log); it keeps the closed form's accuracy on
+    every contour the pricers read."""
+
+    @staticmethod
+    def contours(model, market):
+        def cos_band(alpha):
+            # the preset's L = 7, N = 110 series on the law tilted by alpha
+            width = truncation_range(cumulants(model, market, alpha), 7.0).width
+            return np.arange(110) * (math.pi / width) - 1j * alpha
+
+        # every fifth point of the Carr-Madan band at shift 1.75
+        band = live_band(char_fn, model, market, 0.05, 1.75, 2 ** 16, 2 ** 16).size
+        carr_madan = np.arange(0, band, 5) * 0.05 - 1.75j
+        # the Fourier integral's 32-point nodes at alpha = 1.1 up to u = 200
+        x, _ = np.polynomial.legendre.leggauss(32)
+        edges = np.append(0.0, 0.1 * 2.0 ** np.arange(12))
+        nodes = (0.5 * (edges[1:] + edges[:-1])[:, None] + 0.5 * np.diff(edges)[:, None] * x)
+        nodes = nodes.ravel()
+        fourier = -nodes[nodes <= 200.0] - 1.1j
+        # the cumulant circles |s| = 0.5 about the centres 0 and 1.1
+        circle = np.concatenate([-1j * (centre + 0.5 * np.exp(1j * np.linspace(-math.pi, 0.0, 33)))
+                                 for centre in (0.0, 1.1)])
+        return {"cos alpha=0": cos_band(0.0), "cos alpha=1.1": cos_band(1.1),
+                "carr-madan": carr_madan, "fourier integral": fourier, "cumulant circle": circle}
+
+    def test_log_cf_against_40_digits(self, models, market):
+        model = models["heston"]
+        for name, u in self.contours(model, market).items():
+            want = np.array([heston_log_cf_40_digits(model, market, z) for z in u])
+            worst = np.abs(_log_cf(model, market, u) - want).max()
+            assert worst <= 1e-13, name
+
+    def test_real_log_matches_numpy(self):
+        # moduli over [1e-3, 1e3] and densely over [0.5, 1), where glibc's
+        # clog takes its extra-precision path
+        modulus = np.concatenate((np.geomspace(1e-3, 1e3, 301), np.linspace(0.5, 1.0, 200)))
+        angle = np.linspace(-math.pi, math.pi, 181)
+        z = np.multiply.outer(modulus, np.exp(1j * angle)).ravel()
+        want = np.log(z)
+        ulp = np.spacing(np.maximum(1.0, np.abs(want)))
+        assert np.all(np.abs(_real_log(z) - want) <= 4.0 * ulp)
+
+    def test_real_log_on_the_negative_real_axis(self):
+        # the signed zero picks the side of the cut: arg is +pi or -pi
+        # exactly, as np.log gives it.  The moduli agree to the grid's
+        # 4 ulp, not bit for bit: at |z| = 0.7 np.log's real part can be
+        # one ulp from the correctly rounded log(0.7)
+        z = np.array([complex(-x, sign * 0.0) for x in (1e-3, 0.7, 1.0, 2.5, 1e3)
+                      for sign in (1.0, -1.0)])
+        got, want = _real_log(z), np.log(z)
+        assert got.imag.tobytes() == want.imag.tobytes()
+        assert got.imag.tolist() == [math.pi, -math.pi] * 5
+        assert np.all(np.abs(got.real - want.real) <= 4.0 * np.spacing(np.maximum(1.0, np.abs(want))))
 
 
 class TestTruncationRange:

@@ -18,6 +18,7 @@ from scipy.integrate import quad
 
 from cospricer import (
     CarrMadanConfig,
+    CGMYParams,
     ComputationError,
     CosConfig,
     HestonParams,
@@ -32,7 +33,7 @@ from cospricer import (
     price_carr_madan,
     price_fourier_integral,
 )
-from cospricer import transform_refs
+from cospricer import models, transform_refs
 from cospricer.transform_refs import _damped_calls
 from cospricer.presets import (
     STRIKE_GRID,
@@ -43,7 +44,7 @@ from cospricer.presets import (
     model_preset,
 )
 
-from test_live_band import full_grid_spectrum, simpson_terms
+from test_live_band import CountingCharFn, full_grid_spectrum, simpson_terms
 
 PROFILES = ("heston", "kou", "cgmy1", "cgmy2")
 
@@ -210,8 +211,10 @@ class TestCarrMadan:
     @pytest.mark.xfail(
         strict=True,
         reason="the cgmy2 preset returns 99.99917912834 where the Fourier integral "
-        "gives 100.00000000008, both inside the no-arbitrage bounds: its Simpson "
-        "step is too coarse at T=4 (ROADMAP item 2, no silent wrong price)",
+        "gives 100.00000000008, both inside the no-arbitrage bounds. The cause is "
+        "phi's own rounding, amplified by the sum, not the Simpson step: with a "
+        "40-digit phi on the same step and band the sum gives 100 - 1.6e-20, and "
+        "halving the step gives 99.99924 (ROADMAP item 3)",
     )
     def test_cgmy2_preset_matches_fourier_integral_at_four_years(self):
         model, market = model_preset("cgmy2"), market_preset(4.0)
@@ -422,6 +425,93 @@ class TestFourierIntegralRule:
         config = CosConfig(n_terms=2 ** 18, range_width=40.0, variant=Variant.PUT_CALL_PARITY)
         want = [r.price for r in price(model, market, [OptionSpec(k) for k in strikes], config)]
         assert got == pytest.approx(want, rel=1e-6, abs=1e-14)
+
+
+def panel_edges(config):
+    """Every panel edge of the Fourier integral's rule: 0, then alpha - 1
+    doubling up to max_frequency."""
+    edges = [0.0]
+    edge = config.damping - 1.0
+    while edge < config.max_frequency:
+        edges.append(edge)
+        edge *= 2.0
+    return edges + [config.max_frequency]
+
+
+class TestFourierIntegralPanelCut:
+    """The Fourier integral leaves out the panels past the first edge e
+    from which the envelope Psi proves that both rules' remaining terms
+    sum to at most 2*e^(alpha*x)*h(e)*(max_frequency - e), with
+    h(e) = Psi(e)/|(alpha - ie)(alpha - 1 - ie)|, below TAIL_SHARE of the
+    first node's term; with no bound proven every panel is kept."""
+
+    @staticmethod
+    def nodes(monkeypatch, model, market, strikes, config):
+        """(prices, number of phi points) of one column."""
+        evaluate = CountingCharFn()
+        with monkeypatch.context() as patch:
+            patch.setattr(transform_refs, "char_fn", evaluate)
+            prices = price_fourier_integral(model, market, strikes, config)
+        [size] = evaluate.sizes
+        return prices, size
+
+    @staticmethod
+    def full_size(config):
+        # u = 0, 16 + 32 nodes per panel, and u = max_frequency
+        return 2 + 48 * (len(panel_edges(config)) - 1)
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_every_preset_evaluates_fewer_nodes_at_one_year(self, monkeypatch, name):
+        config = integral_preset(name)
+        _, size = self.nodes(monkeypatch, model_preset(name), market_preset(1.0), [100.0], config)
+        assert size < self.full_size(config)
+
+    def test_short_maturity_heston_evaluates_every_panel(self, monkeypatch):
+        config = integral_preset("heston")
+        _, size = self.nodes(monkeypatch, model_preset("heston"), market_preset(1e-5),
+                             [100.0], config)
+        assert size == self.full_size(config)
+
+    @pytest.mark.parametrize("model", [
+        HestonParams(kappa=0.85, theta=0.09, sigma=0.1, rho=-1.0, v0=0.0625),
+        CGMYParams(C=1.0, G=5.0, M=5.0, Y=-1.5),
+    ], ids=["heston-unit-rho", "cgmy-y-below-minus-one"])
+    def test_unproven_decay_evaluates_every_panel(self, monkeypatch, model):
+        # no envelope is proven for either; the CGMY column is then
+        # refused, as before, because its 16- and 32-point rules differ
+        evaluate = CountingCharFn()
+        monkeypatch.setattr(transform_refs, "char_fn", evaluate)
+        try:
+            price_fourier_integral(model, market_preset(1.0), [100.0])
+        except ComputationError as error:
+            assert "16- and 32-point rules differ" in str(error)
+        assert evaluate.sizes == [self.full_size(IntegralConfig())]
+
+    @pytest.mark.parametrize("name", PROFILES)
+    @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0])
+    def test_cut_prices_within_the_tail_bound(self, monkeypatch, name, maturity):
+        model, market, config = model_preset(name), market_preset(maturity), integral_preset(name)
+        strikes = list(LATTICE)
+        envelope = models._log_envelope
+        cut, size = self.nodes(monkeypatch, model, market, strikes, config)
+        # the uncut rule: an envelope that proves nothing keeps every panel
+        monkeypatch.setattr(models, "_log_envelope", lambda *args: math.inf)
+        full, full_size = self.nodes(monkeypatch, model, market, strikes, config)
+        assert full_size == self.full_size(config) > size
+        alpha, top = config.damping, config.max_frequency
+        edge = panel_edges(config)[(size - 2) // 48]
+        h = math.exp(envelope(model, market, alpha, edge)) / abs(
+            complex(alpha, -edge) * complex(alpha - 1.0, -edge))
+        x = np.log(market.spot / LATTICE)
+        # in price units: K*e^(-rT)/(2*pi) times the integral's bound
+        scale = LATTICE * market.discount_factor / (2.0 * math.pi) * 2.0 * np.exp(alpha * x)
+        bound = scale * h * (top - edge)
+        assert np.all(np.abs(np.subtract(cut, full)) <= bound + 1e-13)
+        # and the bound lies below TAIL_SHARE of the first node's term
+        first_weight = 0.5 * (alpha - 1.0) * np.polynomial.legendre.leggauss(32)[1][0]
+        moment = math.exp(envelope(model, market, alpha, 0.0))
+        first = scale * first_weight * moment / (alpha * (alpha - 1.0))
+        assert np.all(bound < models.TAIL_SHARE * first)
 
 
 def extended_direct_sum(model, market, config, log_strikes):
