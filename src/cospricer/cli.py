@@ -194,23 +194,16 @@ def _reproduce_stability(out_dir: str, target: str, maturity: float) -> int:
     return 0
 
 
-def _convergence(profile: str, variant: Variant, maturity: float,
-                 n_values: Sequence[int] = _DEFAULT_N_GRID):
-    """Convergence curve gated at the profile's bundled-reference tolerance."""
-    return harness.run_convergence(profile, n_values, variant, maturity=maturity,
-                                   reference_tolerance=presets.reference_gate(profile))
-
-
 def _reproduce_convergence(out_dir: str, target: str, model_names, variants,
                            maturity: float = 1.0) -> int:
     for name in model_names:
         for variant in variants:
             try:
-                presets.method_preset(name, variant)
+                result = harness.run_convergence(name, _DEFAULT_N_GRID, variant,
+                                                 maturity=maturity)
             except ConfigurationError:
                 print(f"{target} {name} {variant.value}: skipped (no preset)")
                 continue
-            result = _convergence(name, variant, maturity)
             harness.write_result(
                 result, os.path.join(out_dir, f"{target}_{name}_{variant.value}.csv")
             )
@@ -291,8 +284,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gap = np.abs(result.values[:, 0] - result.values[:, 1]).max()
         summary = f"max variant gap {gap:.3e}"
     else:  # convergence
-        n_values = _parse_terms(args.n_values) if args.n_values else _DEFAULT_N_GRID
-        result = _convergence(args.profile, Variant(args.method), args.maturity, n_values)
+        n_values = _DEFAULT_N_GRID if args.n_values is None else _parse_terms(args.n_values)
+        result = harness.run_convergence(args.profile, n_values, args.method,
+                                         maturity=args.maturity)
         summary = f"final log10 error {result.values[-1]:.2f}"
 
     csv_path = args.output or f"{result.experiment}.csv"
@@ -351,7 +345,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PricingError as exc:
+    except (PricingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -205,29 +205,32 @@ def run_convergence(
     model_name: str,
     n_values: Sequence[int],
     method: Union[str, Variant] = Variant.STABLE,
-    reference_tolerance: float = presets.REFERENCE_TOLERANCE,
+    reference_tolerance: Optional[float] = None,
     maturity: float = 1.0,
 ) -> ExperimentResult:
     """log10 absolute error versus term count at strike 100.
 
     n_values is a non-empty sequence (a list, a tuple or a NumPy array)
     of positive whole term counts; anything else is a ValidationError,
-    raised before any pricing.  At the benchmark maturity (T=1) the
-    stored reference is used, but only after it is recomputed from
-    scratch (undamped put, 60000 terms) and the two agree within
-    reference_tolerance; a wider gap aborts with a diagnostic.  The
-    bundled fat-tail reference is rounded in its 13th digit at the
-    ~1.3e-12 level, so callers probing that profile pass its wider
-    ``presets.reference_gate`` and accept that floor on the curve.  At
-    any other maturity no stored value exists and the recomputation
-    itself is the reference.  The curve is then priced by one
-    ``price_curve`` call: one series at the largest count, each value
-    bit-identical to a ``price`` call at its own count.
+    and a method with no preset a ConfigurationError, both raised before
+    any pricing.  At the benchmark maturity (T=1) the stored reference
+    is used, but only after it is recomputed from scratch (undamped put,
+    60000 terms) and the two agree within reference_tolerance, by
+    default ``presets.reference_gate``; a wider gap aborts with a
+    diagnostic.  That gate is wider for the fat-tail profile, whose
+    bundled reference is rounded in its 13th digit (~1.3e-12), and the
+    curve keeps that floor.  At any other maturity no stored value
+    exists and the recomputation itself is the reference.  The curve is
+    then priced by one ``price_curve`` call: one series at the largest
+    count, each value bit-identical to a ``price`` call at its own count.
 
     Errors are floored at 5e-17 so the log is finite.
     """
     n_values = term_counts(n_values)
     variant = Variant(method)
+    preset = presets.method_preset(model_name, variant)
+    if reference_tolerance is None:
+        reference_tolerance = presets.reference_gate(model_name)
     recomputed = _recompute_reference(model_name, maturity)
 
     if maturity == 1.0:
@@ -245,7 +248,6 @@ def run_convergence(
         gap = 0.0
 
     started = time.perf_counter()
-    preset = presets.method_preset(model_name, variant)
     model = presets.model_preset(model_name)
     market = presets.market_preset(maturity)
     curve = price_curve(model, market, OptionSpec(strike=100.0), preset.cos_config(variant),

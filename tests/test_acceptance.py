@@ -43,6 +43,7 @@ from cospricer.harness import run_convergence, run_stability_surface, run_strike
 from cospricer.models import char_fn
 from cospricer.presets import (
     PROFILE_NAMES,
+    REFERENCE_TOLERANCE,
     STRIKE_GRID,
     load_reference_prices,
     load_strike_table,
@@ -179,7 +180,7 @@ class TestCriterion2:
         "1.3e-12 from the recomputation; the bounded test pins it",
     )
     def test_c2_fat_tail_reference_strict(self):
-        run_convergence("cgmy2", [16])
+        run_convergence("cgmy2", [16], reference_tolerance=REFERENCE_TOLERANCE)
 
     def test_c2_fat_tail_reference_bounded(self):
         result = run_convergence("cgmy2", [16], reference_tolerance=2e-12)

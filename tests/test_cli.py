@@ -92,6 +92,14 @@ class TestPrice:
         assert code == 0 and out == ""
         assert target.read_text() == "15.6621055646 (stable)\n"
 
+    @pytest.mark.parametrize("where", ["missing/x.txt", "."])
+    def test_unwritable_output_is_an_error_line(self, capsys, tmp_path, where):
+        # a missing directory, or a directory itself, used to end in a traceback
+        code, out, err = run_cli(capsys, "price", "--output", str(tmp_path / where))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert os.listdir(tmp_path) == []
+
     def test_low_alpha_call_is_refused(self, capsys):
         code, out, err = run_cli(
             capsys, "price", "--profile", "heston", "--strike", "100", "--alpha", "0.5"
@@ -287,6 +295,12 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config key 'vol' at line 1" in err
 
+    def test_missing_file_is_an_error_line(self, capsys, tmp_path):
+        path = tmp_path / "absent.cfg"
+        code, out, err = run_cli(capsys, "price", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "No such file" in err and str(path) in err
+
     def test_unknown_profile_in_file(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("profile = bs\n")
@@ -309,6 +323,13 @@ class TestReproduce:
         assert (code, out) == (2, "")
         assert "unknown target 'tabel5'" in err
         assert not out_dir.exists()
+
+    def test_output_that_is_a_file_is_an_error_line(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run_cli(capsys, "reproduce", "table6", "--output", str(taken))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(taken) in err
 
     def test_strike_table_report(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "reproduce", "table5", "--output", str(tmp_path))
@@ -485,6 +506,15 @@ class TestSweep:
         assert "invalid choice: 'csv'" in err
         assert not target.exists()
 
+    def test_unwritable_output_is_an_error_line(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "widths.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--experiment", "l_sweep", "--profile", "kou",
+            "--l-min", "7", "--l-max", "9", "--l-points", "3", "--output", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(target) in err
+
     def test_bad_n_values_grid(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--experiment", "convergence", "--profile", "heston",
@@ -494,9 +524,10 @@ class TestSweep:
         assert "--n-values must be a comma-separated number list" in err
 
     @pytest.mark.parametrize("n_values", ["16.7,32", "16,32.5", "0,16", "-16", "inf", "nan",
-                                          "true,16"])
+                                          "true,16", "", ","])
     def test_term_counts_must_be_whole(self, capsys, tmp_path, monkeypatch, n_values):
-        # 16.7 used to be truncated and recorded as a row 16
+        # 16.7 used to be truncated and recorded as a row 16, and an empty
+        # list used to run the default grid
         from cospricer import cli
 
         def unreachable(*args, **kwargs):

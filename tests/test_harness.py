@@ -305,9 +305,14 @@ class TestConvergence:
 
     def test_fat_tail_reference_gate_aborts_at_default_tolerance(self):
         # the stored fat-tail reference is rounded in its 13th digit,
-        # ~1.3e-12 away from the recomputation, so the 5e-13 gate trips
+        # ~1.3e-12 away from the recomputation, so the strict 5e-13 gate
+        # of the other profiles trips
         with pytest.raises(ComputationError, match="reference recomputation mismatch"):
-            run_convergence("cgmy2", [64])
+            run_convergence("cgmy2", [64], reference_tolerance=presets.REFERENCE_TOLERANCE)
+
+    def test_fat_tail_defaults_to_its_own_gate(self):
+        result = run_convergence("cgmy2", [70])
+        assert 0.0 < result.metadata["reference_gap"] < 2e-12
 
     def test_fat_tail_passes_with_widened_gate(self):
         result = run_convergence("cgmy2", [70], reference_tolerance=2e-12)
@@ -377,6 +382,15 @@ class TestConvergence:
         monkeypatch.setattr(harness, "price_curve", unreachable)
         with pytest.raises(ValidationError, match="term counts"):
             run_convergence("heston", n_values)
+
+    def test_rejects_missing_preset_before_pricing(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a missing preset must be refused before any pricing")
+
+        monkeypatch.setattr(harness, "price", unreachable)
+        monkeypatch.setattr(harness, "price_curve", unreachable)
+        with pytest.raises(ConfigurationError, match="no direct preset for profile 'cgmy2'"):
+            run_convergence("cgmy2", [16], "direct")
 
 
 class TestStabilitySurface:
