@@ -97,11 +97,24 @@ def _given(**values) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
+def _check_writable(path: Optional[str]) -> None:
+    """Raise open's own OSError for an output path that cannot be written,
+    before any pricing; a file the check creates is removed again."""
+    if not path:
+        return
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def cmd_price(args: argparse.Namespace) -> int:
     settings = {name: default for name, _, _, default, _ in _SETTINGS.values()}
     settings.update(_parse_config_file(args.config) if args.config else {})
     settings.update(_given(**{name: getattr(args, name) for name in settings}))
     config = argparse.Namespace(**settings)
+    _check_writable(config.output)
     # one step: the preset rate at the given maturity may be a market that
     # MarketSpec refuses, though the given rate makes it valid
     market = replace(
@@ -257,6 +270,7 @@ def _parse_terms(text: str) -> tuple:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_writable(args.output)
     if (args.l_min is None) != (args.l_max is None):
         raise ConfigurationError("--l-min and --l-max must be given together")
     for flag, points in (("--alpha-points", args.alpha_points), ("--l-points", args.l_points)):

@@ -38,8 +38,8 @@ coefficients give once per column.  Of a row's two phases, one has the
 same offset on every row of a column (a call's upper offset is the range
 width, a put's lower offset is zero), so only the other costs a cosine
 and a sine per strike and term.  :func:`chi` and the payoff coefficients
-it gives state the same series term by term; the tests sum them exactly
-as the engine's reference.
+are a term-by-term reference that the tests sum exactly; no price path
+calls them.
 """
 
 from __future__ import annotations
@@ -158,12 +158,6 @@ class PriceResult:
 # cosine coefficients
 # ---------------------------------------------------------------------------
 
-def _column(values):
-    """A 1-D array as a column, so that it broadcasts against a frequency row."""
-    values = np.asarray(values, dtype=float)
-    return values[:, None] if values.ndim else values
-
-
 def _exp_each(values: np.ndarray) -> np.ndarray:
     """math.exp of every element; an overflow is a computation error.
 
@@ -192,13 +186,6 @@ def _distinct(offset: np.ndarray) -> np.ndarray:
     return offset
 
 
-def _cos_sin(u: np.ndarray, offset: np.ndarray) -> tuple:
-    """cos and sin of the phase u*offset, one row per interval, or one row
-    for all of them (:func:`_distinct`)."""
-    phase = u * _distinct(offset)
-    return np.cos(phase), np.sin(phase)
-
-
 def _exponential_integral(w, e_c, e_d, span):
     """The integral of exp(w*y) over [c, d], given e^(w*c), e^(w*d) and
     span = d - c, for a scalar w or an array of them: the larger
@@ -212,80 +199,51 @@ def _exponential_integral(w, e_c, e_d, span):
     return np.where(nonzero, np.where(w > 0.0, e_d, e_c) * decay, span)
 
 
-def chi(u, v, c, d, a):
+def chi(u, v: float, c: float, d: float, a: float) -> np.ndarray:
     """Closed form of the integral of exp(v*y) * cos(u*(y - a)) over [c, d].
 
-    Vectorized over u.  The bounds c, d and a are scalars, or equal-length
-    1-D arrays holding one interval per row, in which case the result has
-    one row per interval and one column per frequency.  v is one exponent,
-    giving one array, or a sequence of them, giving a list of arrays, one
-    per v: the cosines and sines of the phases u*(c - a) and u*(d - a) are
-    formed once for every v, and a phase whose offset is the same on every
-    row once for all rows, so each array is bit for bit that of a call for
-    its v alone.  At u = 0 the integral of exp(v*y) is formed without the
-    general expression's cancellation (:func:`_exponential_integral`).
+    Vectorized over u, for one exponent v and scalar bounds.  At u = 0 the
+    integral of exp(v*y) is formed without the general expression's
+    cancellation (:func:`_exponential_integral`).
     """
     u = np.asarray(u, dtype=float)
-    c, d, a = _column(c), _column(d), _column(a)
-    ok = np.isfinite(c) & np.isfinite(d) & np.isfinite(a) & (c <= d)
-    if not ok.all():
-        row = int(np.argmin(ok))
-        bad_c, bad_d, bad_a = (float(np.broadcast_to(w, ok.shape).flat[row]) for w in (c, d, a))
+    c, d, a = float(c), float(d), float(a)
+    if not (math.isfinite(c) and math.isfinite(d) and math.isfinite(a) and c <= d):
         raise ValidationError(
-            f"integration bounds must be finite with c <= d, got c={bad_c!r}, d={bad_d!r}, "
-            f"a={bad_a!r}" + (f" in row {row}" if ok.ndim else "")
+            f"integration bounds must be finite with c <= d, got c={c!r}, d={d!r}, a={a!r}"
         )
-    (cos_c, sin_c), (cos_d, sin_d) = _cos_sin(u, c - a), _cos_sin(u, d - a)
+    (cos_c, sin_c), (cos_d, sin_d) = ((np.cos(p), np.sin(p)) for p in (u * (c - a), u * (d - a)))
     zero = u == 0.0
-
-    def value(w):
-        if w == 0.0:
-            out = (sin_d - sin_c) / np.where(zero, 1.0, u)
-            return np.where(zero, d - c, out)
-        ecv = _exp_each(w * c)
-        edv = _exp_each(w * d)
-        num = (
-            -w * ecv * cos_c
-            - u * ecv * sin_c
-            + w * edv * cos_d
-            + u * edv * sin_d
-        )
-        return np.where(zero, _exponential_integral(w, ecv, edv, d - c), num / (w * w + u * u))
-
-    return [value(w) for w in v] if np.ndim(v) else value(v)
+    if v == 0.0:
+        return np.where(zero, d - c, (sin_d - sin_c) / np.where(zero, 1.0, u))
+    e_c, e_d = _exp_each(np.array((v * c, v * d)))
+    num = -v * e_c * cos_c - u * e_c * sin_c + v * e_d * cos_d + u * e_d * sin_d
+    return np.where(zero, _exponential_integral(v, e_c, e_d, d - c), num / (v * v + u * u))
 
 
-def _payoff_coefficients(u, alpha: float, a, b, strike, kind: OptionKind) -> np.ndarray:
-    """Cosine coefficients of the damped payoff of kind, one row per range.
-
-    The damped call and put payoffs are +-K*(e^y - 1)*e^(-alpha*y) on
-    [lo, hi] = [max(a, 0), b] for a call, [a, min(b, 0)] for a put.  a, b
-    and strike are equal-length 1-D arrays, the recentred ranges and their
-    strikes, one row each, zero unless lo < hi; one column per frequency u.
-    """
-    a, b, strike = (np.asarray(v, dtype=float) for v in (a, b, strike))
+def _payoff_coefficients(u, alpha: float, a: float, b: float, strike: float, kind: OptionKind):
+    """Cosine coefficients, one per frequency u, of the damped payoff of kind
+    on the range [a, b]: +-K*(e^y - 1)*e^(-alpha*y) on [lo, hi] =
+    [max(a, 0), b] for a call, [a, min(b, 0)] for a put, zero unless lo < hi."""
     if kind is OptionKind.CALL:
-        scale, lo, hi = 2.0 * strike, np.maximum(a, 0.0), b
+        scale, lo, hi = 2.0 * strike, max(a, 0.0), b
     else:
-        scale, lo, hi = -2.0 * strike, a, np.minimum(b, 0.0)
-    live = lo < hi
-    a, lo, hi = a[live], lo[live], hi[live]
-    out = np.zeros(live.shape + np.shape(u))
-    # (e^y - 1)*e^(-alpha*y) = e^((1 - alpha)*y) - e^(-alpha*y): one chi call for both
-    with_e, without_e = chi(u, (1.0 - alpha, -alpha), lo, hi, a)
-    out[live] = _column(scale[live] / (b[live] - a)) * (with_e - without_e)
-    return out
+        scale, lo, hi = -2.0 * strike, a, min(b, 0.0)
+    if not lo < hi:
+        return np.zeros(np.shape(u))
+    # (e^y - 1)*e^(-alpha*y) = e^((1 - alpha)*y) - e^(-alpha*y)
+    return scale / (b - a) * (chi(u, 1.0 - alpha, lo, hi, a) - chi(u, -alpha, lo, hi, a))
 
 
-def call_coefficients(u, alpha: float, a, b, strike) -> np.ndarray:
+def call_coefficients(u, alpha: float, a: float, b: float, strike: float) -> np.ndarray:
     """Cosine coefficients of the damped call payoff K*(e^y - 1)^+ * e^(-alpha*y)
-    on the ranges [a, b] (:func:`_payoff_coefficients`)."""
+    on the range [a, b] (:func:`_payoff_coefficients`)."""
     return _payoff_coefficients(u, alpha, a, b, strike, OptionKind.CALL)
 
 
-def put_coefficients(u, alpha: float, a, b, strike) -> np.ndarray:
+def put_coefficients(u, alpha: float, a: float, b: float, strike: float) -> np.ndarray:
     """Cosine coefficients of the damped put payoff K*(1 - e^y)^+ * e^(-alpha*y)
-    on the ranges [a, b] (:func:`_payoff_coefficients`)."""
+    on the range [a, b] (:func:`_payoff_coefficients`)."""
     return _payoff_coefficients(u, alpha, a, b, strike, OptionKind.PUT)
 
 

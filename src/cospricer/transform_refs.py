@@ -114,7 +114,10 @@ class IntegralConfig:
 
 
 def _validate_strikes(strikes: Sequence[float]) -> list[float]:
-    strikes = [float(k) for k in strikes]
+    try:  # a string's characters are not a strike column
+        strikes = [float(k) for k in (None if isinstance(strikes, str) else strikes)]
+    except (TypeError, ValueError):
+        raise ValidationError(f"strikes must be a sequence of numbers, got {strikes!r}") from None
     for k in strikes:
         if not (k > 0.0 and math.isfinite(k)):
             raise ValidationError(f"strike must be positive and finite, got {k}")

@@ -326,12 +326,12 @@ class TestCriterion6:
                 u = rng.integers(0, 24) * math.pi / width
                 if kind == "call":
                     alpha = rng.uniform(0.0, 1.2)
-                    got = call_coefficients(np.array([u]), alpha, [a], [b], [strike])[0, 0]
+                    got = call_coefficients(np.array([u]), alpha, a, b, strike)[0]
                     payoff = lambda y: strike * (math.exp(y) - 1.0)
                     lo, hi = 0.0, b
                 else:
                     alpha = rng.uniform(-1.2, 0.5)
-                    got = put_coefficients(np.array([u]), alpha, [a], [b], [strike])[0, 0]
+                    got = put_coefficients(np.array([u]), alpha, a, b, strike)[0]
                     payoff = lambda y: strike * (1.0 - math.exp(y))
                     lo, hi = a, 0.0
                 want, _ = quad(

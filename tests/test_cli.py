@@ -93,8 +93,15 @@ class TestPrice:
         assert target.read_text() == "15.6621055646 (stable)\n"
 
     @pytest.mark.parametrize("where", ["missing/x.txt", "."])
-    def test_unwritable_output_is_an_error_line(self, capsys, tmp_path, where):
-        # a missing directory, or a directory itself, used to end in a traceback
+    def test_unwritable_output_is_an_error_line(self, capsys, tmp_path, monkeypatch, where):
+        # a missing directory, or a directory itself, used to end in a
+        # traceback; it is refused before any pricing
+        from cospricer import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an unwritable --output must be refused before any pricing")
+
+        monkeypatch.setattr(cli, "price", unreachable)
         code, out, err = run_cli(capsys, "price", "--output", str(tmp_path / where))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and str(tmp_path) in err
@@ -506,14 +513,23 @@ class TestSweep:
         assert "invalid choice: 'csv'" in err
         assert not target.exists()
 
-    def test_unwritable_output_is_an_error_line(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "widths.csv"
+    @pytest.mark.parametrize("where", ["missing/widths.csv", "."])
+    def test_unwritable_output_is_an_error_line(self, capsys, tmp_path, monkeypatch, where):
+        # the whole grid used to be priced before the write failed
+        from cospricer import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an unwritable --output must be refused before any pricing")
+
+        monkeypatch.setattr(cli.harness, "run_l_sweep", unreachable)
+        target = tmp_path / where
         code, out, err = run_cli(
             capsys, "sweep", "--experiment", "l_sweep", "--profile", "kou",
             "--l-min", "7", "--l-max", "9", "--l-points", "3", "--output", str(target),
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and str(target) in err
+        assert os.listdir(tmp_path) == []
 
     def test_bad_n_values_grid(self, capsys, tmp_path):
         code, _, err = run_cli(

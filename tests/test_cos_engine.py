@@ -89,19 +89,6 @@ class TestChi:
             with pytest.raises(ValidationError, match="must be finite with c <= d"):
                 chi(np.array([1.0]), 0.5, *bounds)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_names_the_first_bad_row_as_scalars(self, bad):
-        a = np.full(4, -2.0)
-        c = np.array([-1.0, 0.5, bad, 0.5])
-        d = np.array([0.0, 0.25, 1.0, 0.25])
-        with pytest.raises(ValidationError) as caught:
-            chi(np.arange(3.0), -1.1, c, d, a)
-        message = str(caught.value)
-        assert message.endswith("got c=0.5, d=0.25, a=-2.0 in row 1")
-        assert "\n" not in message
-        with pytest.raises(ValidationError, match=f"got c={bad}, d=1.0, a=-2.0 in row 1"):
-            chi(np.arange(3.0), (0.0, -1.1), c[[0, 2]], d[[0, 2]], a[[0, 2]])
-
 
 class TestPayoffCoefficients:
     def test_call_against_quadrature_randomized(self):
@@ -114,7 +101,7 @@ class TestPayoffCoefficients:
             strike = rng.uniform(50.0, 150.0)
             k = rng.integers(0, 24)
             u = k * math.pi / width
-            got = call_coefficients(np.array([u]), alpha, [a], [b], [strike])[0, 0]
+            got = call_coefficients(np.array([u]), alpha, a, b, strike)[0]
             want, _ = quad(
                 lambda y: strike * (math.exp(y) - 1.0) * math.exp(-alpha * y)
                 * math.cos(u * (y - a)),
@@ -133,7 +120,7 @@ class TestPayoffCoefficients:
             strike = rng.uniform(50.0, 150.0)
             k = rng.integers(0, 24)
             u = k * math.pi / width
-            got = put_coefficients(np.array([u]), alpha, [a], [b], [strike])[0, 0]
+            got = put_coefficients(np.array([u]), alpha, a, b, strike)[0]
             want, _ = quad(
                 lambda y: strike * (1.0 - math.exp(y)) * math.exp(-alpha * y)
                 * math.cos(u * (y - a)),
@@ -145,18 +132,28 @@ class TestPayoffCoefficients:
     def test_flat_mode_closed_forms(self):
         # k = 0, [a, b] = [-1, 1], alpha = 0: the coefficient integrals have
         # elementary values K*(e - 2) and K/e
-        call0 = call_coefficients(np.array([0.0]), 0.0, [-1.0], [1.0], [100.0])[0, 0]
-        put0 = put_coefficients(np.array([0.0]), 0.0, [-1.0], [1.0], [100.0])[0, 0]
+        call0 = call_coefficients(np.array([0.0]), 0.0, -1.0, 1.0, 100.0)[0]
+        put0 = put_coefficients(np.array([0.0]), 0.0, -1.0, 1.0, 100.0)[0]
         assert call0 == pytest.approx(100.0 * (math.e - 2.0), rel=1e-14)
         assert put0 == pytest.approx(100.0 / math.e, rel=1e-14)
 
     def test_call_vanishes_when_range_below_zero(self):
-        vals = call_coefficients(np.linspace(0.0, 30.0, 7), 0.7, [-3.0], [-0.5], [100.0])
+        vals = call_coefficients(np.linspace(0.0, 30.0, 7), 0.7, -3.0, -0.5, 100.0)
         assert np.all(vals == 0.0)
 
     def test_put_vanishes_when_range_above_zero(self):
-        vals = put_coefficients(np.linspace(0.0, 30.0, 7), 0.0, [0.5], [3.0], [100.0])
+        vals = put_coefficients(np.linspace(0.0, 30.0, 7), 0.0, 0.5, 3.0, 100.0)
         assert np.all(vals == 0.0)
+
+    def test_range_ending_or_starting_at_zero(self):
+        # the edges of the rule lo < hi: [-2, 0] meets only the put payoff
+        # and [0, 2] only the call's
+        u = np.arange(48) * 0.41
+        for alpha in (0.0, 1.1, -0.7):
+            for (a, b), live, dead in (((-2.0, 0.0), put_coefficients, call_coefficients),
+                                       ((0.0, 2.0), call_coefficients, put_coefficients)):
+                assert np.all(dead(u, alpha, a, b, 100.0) == 0.0)
+                assert live(u, alpha, a, b, 100.0)[0] != 0.0
 
 
 class TestVariantIdentities:
@@ -176,8 +173,8 @@ class TestVariantIdentities:
         a, b = -2.0, 1.5
         u = np.arange(24) * math.pi / (b - a)
         for strike in (80.0, 100.0, 120.0):
-            undamped = call_coefficients(u, 0.0, [a], [b], [strike])
-            shifted = call_coefficients(u, 1e-9, [a], [b], [strike])
+            undamped = call_coefficients(u, 0.0, a, b, strike)
+            shifted = call_coefficients(u, 1e-9, a, b, strike)
             np.testing.assert_allclose(undamped, shifted, rtol=1e-7)
 
     def test_parity_variant_equals_put_plus_forward(self, models, market):
@@ -725,69 +722,14 @@ class TestStrikeBatch:
             price(models["heston"], market, options, cfg)
 
 
-class TestBroadcastCoefficients:
-    """Row-wise bounds and strikes give the scalar results bit for bit."""
-
-    U = np.arange(48) * 0.41
-
-    def _ranges(self):
-        """Endpoint arrays a, b of recentred ranges, one per row."""
-        gen = np.random.default_rng(11)
-        a = gen.uniform(-8.0, 2.0, 10)
-        b = a + gen.uniform(0.5, 9.0, 10)
-        # wholly below and wholly above zero: zero call and put rows; then
-        # ending and starting exactly at zero, the edges of the rule lo < hi
-        return np.append(a, [-3.0, 0.5, -2.0, 0.0]), np.append(b, [-0.5, 3.0, 0.0, 2.0])
-
-    def test_chi_rows(self):
-        gen = np.random.default_rng(12)
-        a = gen.uniform(-5.0, 0.0, 9)
-        c = a + gen.uniform(0.0, 2.0, 9)
-        d = c + gen.uniform(0.0, 3.0, 9)
-        for v in (0.0, -1.1, 0.5):
-            rows = chi(self.U, v, c, d, a)
-            assert rows.shape == (9, self.U.size)
-            for k in range(9):
-                np.testing.assert_array_equal(rows[k], chi(self.U, v, c[k], d[k], a[k]))
-
-    @pytest.mark.parametrize("coefficients", [call_coefficients, put_coefficients])
-    def test_payoff_rows(self, coefficients):
-        a, b = self._ranges()
-        strikes = np.linspace(40.0, 200.0, a.size)
-        for alpha in (0.0, 1.1, -0.7):
-            rows = coefficients(self.U, alpha, a, b, strikes)
-            assert rows.shape == (a.size, self.U.size)
-            for k, row in enumerate(rows):
-                one = slice(k, k + 1)
-                np.testing.assert_array_equal(
-                    row, coefficients(self.U, alpha, a[one], b[one], strikes[one])[0]
-                )
-            dead = (rows == 0.0).all(axis=1)
-            assert dead.any()  # one range misses the payoff
-            # [-2, 0] meets only the put payoff and [0, 2] only the call's
-            call = coefficients is call_coefficients
-            assert dead[-2:].tolist() == [call, not call]
-
-
 class TestSharedPhases:
-    """chi forms each phase's cosine and sine once for every exponent of a
-    sequence, and as one row where the phase's offset is the same float on
-    every row.  Every array must be bit for bit that of one call per
-    exponent and per row."""
+    """cos_engine._distinct keeps one row of a phase offset that is the same
+    float on every row of a column, which is why _column_sums forms only one
+    phase row per strike: on a preset lattice column a call's width and a
+    put's zero offset each collapse to one row."""
 
-    U = np.arange(64) * 0.37
-    # a call's exponents at alpha = 1.1, a put's at alpha = 0
-    V = (1.0 - 1.1, -1.1, 1.0, 0.0)
     # half-unit strike lattice in [60, 160]
     LATTICE = np.arange(60.0, 160.0 + 0.25, 0.5)
-
-    def _assert_rows_are_one_row_calls(self, c, d, a):
-        got = chi(self.U, self.V, c, d, a)
-        assert isinstance(got, list) and len(got) == len(self.V)
-        for v, rows in zip(self.V, got):
-            assert rows.shape == (a.size, self.U.size)
-            for k in range(a.size):
-                np.testing.assert_array_equal(rows[k], chi(self.U, v, c[k], d[k], a[k]))
 
     def _preset_ranges(self, name, variant):
         """The recentred ranges [base.a + x, base.b + x] of the lattice
@@ -799,53 +741,36 @@ class TestSharedPhases:
         return base.a + x, base.b + x
 
     @staticmethod
-    def _distinct(offsets) -> int:
-        return np.unique(np.asarray(offsets, dtype=float).view(np.int64)).size
+    def _kept_rows(offsets) -> int:
+        """The rows _distinct keeps of offsets; a collapsed row must equal
+        every row it stands for, bit for bit."""
+        kept = cos_engine._distinct(offsets)
+        np.testing.assert_array_equal(np.broadcast_to(kept, offsets.shape), offsets)
+        return kept.size
 
-    def test_sequence_of_exponents_is_one_call_each(self):
-        gen = np.random.default_rng(21)
-        a = gen.uniform(-5.0, 0.0, 7)
-        c = a + gen.uniform(0.0, 2.0, 7)
-        d = c + gen.uniform(0.0, 3.0, 7)
-        for k in range(a.size):
-            got = chi(self.U, self.V, c[k], d[k], a[k])
-            for v, values in zip(self.V, got):
-                np.testing.assert_array_equal(values, chi(self.U, v, c[k], d[k], a[k]))
-        self._assert_rows_are_one_row_calls(c, d, a)
+    @staticmethod
+    def _distinct_floats(offsets) -> int:
+        return np.unique(np.asarray(offsets, dtype=float).view(np.int64)).size
 
     @pytest.mark.parametrize("name", presets.PROFILE_NAMES)
     def test_call_rows_share_their_width(self, name):
         a, b = self._preset_ranges(name, Variant.STABLE)
         lo = np.maximum(a, 0.0)
-        assert self._distinct(b - a) == 1 and self._distinct(lo - a) > 1
-        self._assert_rows_are_one_row_calls(lo, b, a)
-        strikes = self.LATTICE
-        rows = call_coefficients(self.U, 1.1, a, b, strikes)
-        for k in range(a.size):
-            one = slice(k, k + 1)
-            np.testing.assert_array_equal(
-                rows[k], call_coefficients(self.U, 1.1, a[one], b[one], strikes[one])[0]
-            )
+        assert self._kept_rows(b - a) == 1
+        assert self._kept_rows(lo - a) == a.size and self._distinct_floats(lo - a) > 1
 
     @pytest.mark.parametrize("name", presets.PROFILE_NAMES)
     def test_put_rows_start_at_a(self, name):
         a, b = self._preset_ranges(name, Variant.PUT_CALL_PARITY)
-        self._assert_rows_are_one_row_calls(a, np.minimum(b, 0.0), a)
-        strikes = self.LATTICE
-        for alpha in (0.0, -0.7):
-            rows = put_coefficients(self.U, alpha, a, b, strikes)
-            for k in range(a.size):
-                one = slice(k, k + 1)
-                np.testing.assert_array_equal(
-                    rows[k], put_coefficients(self.U, alpha, a[one], b[one], strikes[one])[0]
-                )
+        hi = np.minimum(b, 0.0)
+        assert self._kept_rows(a - a) == 1
+        assert self._kept_rows(hi - a) == a.size and self._distinct_floats(hi - a) > 1
 
     def test_column_of_two_widths(self):
         # cgmy2's parity column: its recentred ranges round to two widths
         a, b = self._preset_ranges("cgmy2", Variant.PUT_CALL_PARITY)
-        assert self._distinct(b - a) == 2
-        self._assert_rows_are_one_row_calls(a, b, a)
-        self._assert_rows_are_one_row_calls(np.maximum(a, 0.0), b, a)
+        assert self._distinct_floats(b - a) == 2
+        assert self._kept_rows(b - a) == a.size
 
 
 def _curve_outcome(model, market, option, config, n_values):

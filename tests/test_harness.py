@@ -39,6 +39,9 @@ from cospricer.presets import (
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# the term-by-term COS reference, which no price path calls
+REFERENCE = ("chi", "call_coefficients", "put_coefficients")
+
 
 def stability_cgmy1_long():
     """A 3x3 cgmy1 stability surface at T=20, N scaled with L."""
@@ -211,10 +214,12 @@ class TestStrikeTable:
         result = run_strike_table(models=["heston"], strikes=[], methods=["stable", "carr_madan"])
         assert result.values.shape == (0, 1, 2)
 
-    def test_cos_column_is_one_batch_price_call(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["stable", "parity", "direct"])
+    def test_cos_column_is_one_batch_price_call(self, monkeypatch, method):
         # the benchmark traces the layers through these module bindings: a
         # strike column must reach harness.price once and every COS layer,
-        # and sum all its strikes' series in one kernel call
+        # and sum all its strikes' series in one kernel call, calling none
+        # of the term-by-term reference
         calls = collections.Counter()
 
         def count(module, name):
@@ -228,13 +233,14 @@ class TestStrikeTable:
 
         count(harness, "price")
         layers = ("cumulants", "char_fn", "_column_sums")
-        for name in layers:
+        for name in layers + REFERENCE:
             count(cos_engine, name)
-        result = run_strike_table(models=["heston"], methods=["stable"])
+        result = run_strike_table(models=["heston"], methods=[method])
         assert len(result.axis("strike")) == 9
         assert calls["price"] == 1
         assert all(calls[name] for name in layers), calls
         assert calls["_column_sums"] == 1
+        assert [calls[name] for name in REFERENCE] == [0, 0, 0]
 
     def test_oracle_columns_are_one_call_each(self, monkeypatch):
         # each oracle prices its strike column with one call and no scalar
@@ -332,7 +338,8 @@ class TestConvergence:
         # the benchmark traces these bindings: the 60000-term reference is
         # one harness.price call, the curve one price_curve call, so each
         # builds its cumulants once and sums its series, at every term
-        # count, in one kernel call
+        # count, in one kernel call, calling none of the term-by-term
+        # reference
         calls = collections.Counter()
 
         def count(module, name):
@@ -346,10 +353,12 @@ class TestConvergence:
 
         count(harness, "price")
         count(cos_engine, "cumulants")
-        count(cos_engine, "_column_sums")
+        for name in ("_column_sums",) + REFERENCE:
+            count(cos_engine, name)
         result = run_convergence("kou", [8, 16, 32, 64, 140])
         assert result.values.shape == (5,)
         assert calls == {"price": 1, "cumulants": 2, "_column_sums": 2}
+        assert [calls[name] for name in REFERENCE] == [0, 0, 0]
 
     def test_curve_matches_one_price_per_term_count(self):
         n_values = (140, 8, 64, 8, 4096)

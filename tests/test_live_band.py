@@ -112,9 +112,9 @@ def full_grid_series_values(model, market, kind, alpha, base, x, strikes, counts
         cos_engine.call_coefficients if kind is OptionKind.CALL else cos_engine.put_coefficients
     )
     a, b = base.a + x, base.b + x
-    payoff = coefficients(u, alpha, a, b, strikes)
+    payoff = np.array([coefficients(u, alpha, *row) for row in zip(a, b, strikes)])
     width = b - a
-    terms = cos_engine._column(2.0 * cos_engine._exp_each(alpha * x) / width) * density * payoff
+    terms = (2.0 * cos_engine._exp_each(alpha * x) / width)[:, None] * density * payoff
     terms[:, 0] *= 0.5
     scale = 0.5 * width * market.discount_factor
     if magnitudes is not None:
@@ -766,7 +766,7 @@ class TestCosCut:
         alpha = 1.0 + excess if call else -excess
         coefficients = cos_engine.call_coefficients if call else cos_engine.put_coefficients
         u = np.arange(1024) * (math.pi / width)
-        [v] = coefficients(u, alpha, np.array([a]), np.array([b]), np.array([strike]))
+        v = coefficients(u, alpha, a, b, strike)
         lo, hi = (max(a, 0.0), b) if call else (a, min(b, 0.0))
         slack = coefficient_rounding(alpha, lo, hi, strike, width)
         eps = np.finfo(float).eps

@@ -88,6 +88,18 @@ def black_scholes_call(spot, strike, rate, dividend, sigma, maturity):
     ) * cdf(d2)
 
 
+@pytest.mark.parametrize("pricer", [price_carr_madan, price_fourier_integral])
+def test_malformed_strike_column_is_a_validation_error(pricer, market):
+    # these used to escape as a TypeError or a ValueError
+    malformed = ["abc", [100.0, None], [100.0, "abc"], [[100.0, 110.0]]]
+    if pricer is price_carr_madan:
+        # it prices a column only, and a string's characters are not one
+        malformed += [100.0, "125"]
+    for strikes in malformed:
+        with pytest.raises(ValidationError, match="strikes must be a sequence of numbers"):
+            pricer(model_preset("kou"), market, strikes)
+
+
 class TestFourierIntegral:
     def test_matches_lognormal_closed_form(self, market):
         # double-exponential jumps with intensity zero reduce the model
