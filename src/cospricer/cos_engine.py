@@ -105,6 +105,8 @@ class OptionSpec:
     def __post_init__(self):
         if not (self.strike > 0.0 and math.isfinite(self.strike)):
             raise ValidationError(f"strike must be positive and finite, got {self.strike}")
+        if not isinstance(self.kind, OptionKind):
+            raise ValidationError(f"kind must be an OptionKind member, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,8 @@ class CosConfig:
     variant: Variant = Variant.STABLE
 
     def __post_init__(self):
+        if not isinstance(self.variant, Variant):
+            raise ValidationError(f"variant must be a Variant member, got {self.variant!r}")
         try:
             [n_terms] = term_counts((self.n_terms,))
         except ValidationError:
@@ -159,19 +163,13 @@ class PriceResult:
 # ---------------------------------------------------------------------------
 
 def _exp_each(values: np.ndarray) -> np.ndarray:
-    """math.exp of every element; an overflow is a computation error.
-
-    math.exp rather than np.exp: the two can differ in the last ulp, which
-    the cancellation of the undamped call series magnifies.
-    """
-    try:
-        out = [math.exp(v) for v in values.ravel().tolist()]
-    except OverflowError:
-        raise ComputationError(
-            f"exp({values.max():.6g}) overflows; the truncation range is too wide "
-            f"for this series"
-        ) from None
-    return np.array(out).reshape(values.shape)
+    """np.exp of every element of finite values; an overflow, which the
+    caller's errstate reads as inf without a warning, is a computation error."""
+    out = np.exp(values)
+    if np.isinf(out).any():
+        raise ComputationError(f"exp({values.max():.6g}) overflows; the truncation range "
+                               f"is too wide for this series")
+    return out
 
 
 def _distinct(offset: np.ndarray) -> np.ndarray:
@@ -199,6 +197,8 @@ def _exponential_integral(w, e_c, e_d, span):
     return np.where(nonzero, np.where(w > 0.0, e_d, e_c) * decay, span)
 
 
+# an overflowing exponential reads as inf, which _exp_each refuses
+@np.errstate(over="ignore")
 def chi(u, v: float, c: float, d: float, a: float) -> np.ndarray:
     """Closed form of the integral of exp(v*y) * cos(u*(y - a)) over [c, d].
 
@@ -299,8 +299,7 @@ def _column_sums(g: np.ndarray, u: np.ndarray, alpha: float, c, d, a, ends) -> t
     return terms[..., 0] - terms[..., 1], magnitude[..., 0] + magnitude[..., 1]
 
 
-# an overflowing exponential product or bound reads as inf or nan, without
-# NumPy's warning: the caller raises a computation error on it
+# an overflowing product or bound reads as inf or nan, without NumPy's warning
 @np.errstate(over="ignore", invalid="ignore")
 def _series_values(
     model: ModelSpec,
@@ -344,9 +343,8 @@ def _series_values(
     in price units, is not below 1e300: its sum cannot then be trusted to
     be finite, nor its rounding to be below the price.
     """
-    n_terms = max(counts)
     step = math.pi / base.width
-    phi = live_band(char_fn, model, market, step, alpha, n_terms, _MAX_TERMS)
+    phi = live_band(char_fn, model, market, step, alpha, max(counts), _MAX_TERMS)
     u = np.arange(phi.size) * step
     # x - a = -base.a for every recentred range, so one phase serves all strikes
     g = np.real(np.exp(u * (-1j * base.a)) * phi)
@@ -356,20 +354,12 @@ def _series_values(
         sign, c, d = 1.0, np.maximum(a, 0.0), b
     else:
         sign, c, d = -1.0, a, np.minimum(b, 0.0)
-    factor = (sign * 2.0 * market.discount_factor) * strikes
-    if alpha:
-        factor = factor * _exp_each(alpha * x)
-    factor = factor / (b - a)
+    factor = (sign * 2.0 * market.discount_factor) * strikes * _exp_each(alpha * x) / (b - a)
     live = c < d
-    if not live.any():
-        return np.zeros((len(counts), x.size))
-    if live.all():
-        live = slice(None)  # every row: views, not copies
     ends = [min(n, phi.size) for n in counts]
     sums, bounds = _column_sums(g, u, alpha, c[live], d[live], a[live], ends)
     values = np.zeros((len(counts), x.size))
-    factor = factor[live]
-    values[:, live] = np.where(np.abs(factor) * bounds < 1e300, factor * sums, math.nan)
+    values[:, live] = np.where(np.abs(factor[live]) * bounds < 1e300, factor[live] * sums, math.nan)
     return values
 
 
@@ -439,28 +429,24 @@ def _price_counts(
     # window of the log return is recentered by x per strike
     base = truncation_range(cums, config.range_width)
 
-    if config.variant is Variant.PUT_CALL_PARITY:
-        forward = market.spot * market.dividend_factor
-        put_values = _series_values(model, market, OptionKind.PUT, 0.0, base, x, strikes, counts)
-        values = [put + forward - strikes * market.discount_factor for put in put_values]
-    else:
-        values = _series_values(model, market, kind, alpha, base, x, strikes, counts)
+    # parity prices the undamped put (alpha = 0) and maps it to the call
+    parity = config.variant is Variant.PUT_CALL_PARITY
+    series_kind = OptionKind.PUT if parity else kind
+    values = np.asarray(_series_values(model, market, series_kind, alpha, base, x, strikes, counts))
+    if parity:
+        values = values + market.spot * market.dividend_factor - strikes * market.discount_factor
 
+    if not np.isfinite(values).all():
+        # the first refused value in row order: the first count, then the first strike
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise ComputationError(
+            f"cosine series value at strike {options[col].strike} is not finite, or its "
+            f"summands could reach 1e300 (variant={config.variant.value}, n_terms={counts[row]}, "
+            f"range=[{base.a + x[col]:.3f}, {base.b + x[col]:.3f}])"
+        )
     ranges = [TruncationRange(a=base.a + shift, b=base.b + shift) for shift in x.tolist()]
-
-    curve = []
-    for n, row in zip(counts, values):
-        results = []
-        for value, opt, rng in zip(row.tolist(), options, ranges):
-            if not math.isfinite(value):
-                raise ComputationError(
-                    f"cosine series value at strike {opt.strike} is not finite, or its "
-                    f"summands could reach 1e300 (variant={config.variant.value}, n_terms={n}, "
-                    f"range=[{rng.a:.3f}, {rng.b:.3f}])"
-                )
-            results.append(PriceResult(price=value, n_terms=n, damping=alpha, range=rng))
-        curve.append(tuple(results))
-    return curve
+    return [tuple(PriceResult(price=value, n_terms=n, damping=alpha, range=rng)
+                  for value, rng in zip(row, ranges)) for n, row in zip(counts, values.tolist())]
 
 
 def price(

@@ -112,6 +112,14 @@ class ExperimentResult:
 _REFERENCE_CONFIG = CosConfig(n_terms=60000, range_width=12.0, variant=Variant.PUT_CALL_PARITY)
 
 
+def _sequence(values, name: str, default) -> tuple:
+    """values as a tuple, or default where it is None.  A bare string is
+    refused: its characters are not the sequence a driver takes."""
+    if isinstance(values, str):
+        raise ValidationError(f"{name} must be a sequence, not the string {values!r}")
+    return tuple(default if values is None else values)
+
+
 def _recompute_reference(model_name: str, maturity: float = 1.0) -> float:
     model = presets.model_preset(model_name)
     market = presets.market_preset(maturity)
@@ -152,9 +160,9 @@ def run_strike_table(
     with no preset (the undamped fat-tail case) are NaN with flag
     ``skipped``.  An empty strike list calls no pricer.
     """
-    models = tuple(models) if models is not None else presets.PROFILE_NAMES
-    strikes = tuple(float(k) for k in strikes) if strikes is not None else presets.STRIKE_GRID
-    methods = tuple(methods) if methods is not None else METHOD_NAMES
+    models = _sequence(models, "models", presets.PROFILE_NAMES)
+    strikes = tuple(float(k) for k in _sequence(strikes, "strikes", presets.STRIKE_GRID))
+    methods = _sequence(methods, "methods", METHOD_NAMES)
     for name in models:
         presets.model_preset(name)
     for m in methods:
@@ -227,7 +235,11 @@ def run_convergence(
     Errors are floored at 5e-17 so the log is finite.
     """
     n_values = term_counts(n_values)
-    variant = Variant(method)
+    try:
+        variant = Variant(method)
+    except ValueError:
+        raise ValidationError(f"unknown method {method!r}; expected one of "
+                              f"{tuple(v.value for v in Variant)}") from None
     preset = presets.method_preset(model_name, variant)
     if reference_tolerance is None:
         reference_tolerance = presets.reference_gate(model_name)
@@ -310,12 +322,9 @@ def run_stability_surface(
     construction.
     """
     preset = presets.method_preset(model_name, Variant.STABLE)
-    if alpha_values is None:
-        alpha_values = presets.sweep_dampings()
-    if l_values is None:
-        l_values = presets.sweep_widths(model_name)
-    alpha_values = tuple(float(a) for a in alpha_values)
-    l_values = tuple(float(w) for w in l_values)
+    alpha_values = _sequence(alpha_values, "alpha_values", presets.sweep_dampings())
+    l_values = _sequence(l_values, "l_values", presets.sweep_widths(model_name))
+    alpha_values, l_values = (tuple(map(float, v)) for v in (alpha_values, l_values))
     if not alpha_values or not l_values:
         raise ValidationError("stability grids must be non-empty")
     [base_n] = term_counts((preset.n_terms if n_terms is None else n_terms,))
@@ -344,7 +353,7 @@ def run_l_sweep(
     Both variants are evaluated with the same generous term count so
     any divergence reflects range sensitivity, not resolution.
     """
-    l_values = tuple(float(w) for w in l_values)
+    l_values = tuple(float(w) for w in _sequence(l_values, "l_values", ()))
     if not l_values:
         raise ValidationError("l_values must be non-empty")
     return _price_grid(

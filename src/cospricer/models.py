@@ -21,6 +21,7 @@ search, :func:`envelope_cut`.  Every reader of a contour here
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -571,34 +572,26 @@ def envelope_cut(
     size if there is none.
 
     :func:`_log_envelope` is log Psi, a bound on log|phi_T| that does
-    not increase in u >= 0.  level_k is max(log Psi(0) + slack_k, floor)
-    where a slack is given and Psi(0) is finite, and floor otherwise;
-    Psi(0) is taken only for a slack.  slack is a number, the same at
-    every index, or slack(k).  point(k) and slack_k must not decrease in
-    k, so that the test is monotone and bisection finds the index; the
-    last index is tested first, so a contour live to its end costs one
-    bound value.  A model without a proven bound has no such index.  The
-    shift is checked first, by :func:`check_damping`.
+    not increase in u >= 0.  slack is None or a function of the index:
+    level_k is max(log Psi(0) + slack(k), floor) where a slack is given
+    and Psi(0) is finite, and floor otherwise; Psi(0) is taken only for a
+    slack.  point(k) and slack(k) must not decrease in k, so that the
+    test is monotone and bisection finds the index; the last index is
+    tested first, so a contour live to its end costs one bound value.  A
+    model without a proven bound has no such index.  The shift is
+    checked first, by :func:`check_damping`.
     """
     check_damping(model, shift)
     top = math.inf if slack is None else _log_envelope(model, market, shift, 0.0)
-    # one level for every index, or None where slack varies with it
-    level = floor if top == math.inf else None if callable(slack) else max(top + slack, floor)
 
     def dead(k: int) -> bool:
-        bar = max(top + slack(k), floor) if level is None else level
+        bar = floor if top == math.inf else max(top + slack(k), floor)
         return _log_envelope(model, market, shift, point(k)) < bar
 
-    end = size
-    if size >= 2 and dead(size - 1):
-        live, end = 0, size - 1
-        while end - live > 1:
-            mid = (live + end) // 2
-            if dead(mid):
-                end = mid
-            else:
-                live = mid
-    return end
+    if size < 2 or not dead(size - 1):
+        return size
+    # the first dead index in [1, size - 1), else size - 1
+    return 1 + bisect.bisect_left(range(1, size - 1), True, key=dead)
 
 
 def live_band(
@@ -637,11 +630,10 @@ def live_band(
     and cost no Psi(0), so a sum over the band is bit-identical to the
     full one.
     """
-    slack = math.log(TAIL_SHARE / (4 * cap)) if size <= cap < math.inf else None
+    tail = math.log(TAIL_SHARE / (4 * cap)) if size <= cap < math.inf else None
+    slack = None if tail is None else lambda k: tail
     end = envelope_cut(model, market, shift, size, lambda k: k * step, slack, _UNDERFLOW_LOG)
     phi = evaluate(model, market, np.arange(end) * step - 1j * shift)
-    if phi[-1] != 0.0:
-        return phi
     nonzero = np.flatnonzero(phi)
     return phi[: nonzero[-1] + 1 if nonzero.size else 1]
 

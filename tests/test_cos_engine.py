@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -314,6 +315,21 @@ class TestConfigurationErrors:
         with pytest.raises(ValidationError):
             OptionSpec(strike=-5.0)
 
+    @pytest.mark.parametrize("kind", ["call", "put", None])
+    def test_option_kind_must_be_a_member(self, kind):
+        # the engine compares kinds with `is`, so "call" used to price a put
+        with pytest.raises(ValidationError, match="kind must be an OptionKind member"):
+            OptionSpec(100.0, kind)
+
+    @pytest.mark.parametrize("variant, damping", [
+        ("stable", None), ("bogus", None), ("direct", None), ("stable", 1.001),
+    ])
+    def test_variant_must_be_a_member(self, variant, damping):
+        # "stable" and "bogus" used to price the undamped direct series, and
+        # "stable" with a damping to raise an AttributeError
+        with pytest.raises(ValidationError, match="variant must be a Variant member"):
+            CosConfig(80, 17.0, damping=damping, variant=variant)
+
     @pytest.mark.parametrize("damping", [math.inf, -math.inf, math.nan])
     def test_non_finite_damping_refused(self, damping):
         with pytest.raises(ValidationError, match="damping must be finite"):
@@ -357,6 +373,16 @@ class TestConfigurationErrors:
         cfg = CosConfig(n_terms=210, range_width=885.0, variant=Variant.DIRECT)
         with pytest.raises(ComputationError, match="strike 100000.0"):
             price(models["kou"], market, OptionSpec(strike=1e5), cfg)
+
+    @pytest.mark.parametrize("strikes", [(2e5, 1e5), (1e5, 2e5)])
+    def test_a_column_names_its_first_refused_strike(self, models, market, strikes):
+        # both strikes are refused alone; the column names the first in input order
+        cfg = CosConfig(n_terms=210, range_width=885.0, variant=Variant.DIRECT)
+        for strike in strikes:
+            with pytest.raises(ComputationError, match=re.escape(f"strike {strike} is")):
+                price(models["kou"], market, OptionSpec(strike=strike), cfg)
+        with pytest.raises(ComputationError, match=re.escape(f"strike {strikes[0]} is")):
+            price(models["kou"], market, [OptionSpec(strike=k) for k in strikes], cfg)
 
 
 # unsorted and duplicated half-unit lattice strikes in [60, 160], plus two
@@ -698,6 +724,18 @@ class TestStrikeBatch:
         assert calls[0].range.b <= 0.0 and calls[0].price == 0.0
         assert puts[0].range.a >= 0.0 and puts[0].price == 0.0
         assert calls[1].price > 0.0 and puts[1].price > 0.0
+
+    @pytest.mark.parametrize("kind, strikes", [
+        (OptionKind.CALL, (1e5, 2e5)), (OptionKind.PUT, (1e-3, 2e-3)),
+    ])
+    def test_a_column_of_empty_payoff_rows_prices_zeros(self, models, market, kind, strikes):
+        # every row's payoff interval is empty: no row reaches the series
+        cfg = _preset_config("heston", Variant.DIRECT)
+        options = tuple(OptionSpec(k, kind) for k in strikes)
+        counts = (1, 16, cfg.n_terms, 4096)
+        curve = cos_engine._price_counts(models["heston"], market, options, cfg, counts)
+        assert [[r.price for r in results] for results in curve] == [[0.0, 0.0]] * len(counts)
+        assert [[r.n_terms for r in results] for results in curve] == [[n, n] for n in counts]
 
     def test_single_option_gives_a_result_and_a_sequence_a_tuple(self, models, market):
         cfg = _WIDE["heston"]

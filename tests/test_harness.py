@@ -43,6 +43,10 @@ GOLDEN = Path(__file__).parent / "golden"
 REFERENCE = ("chi", "call_coefficients", "put_coefficients")
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a bad driver argument must be refused before any pricing")
+
+
 def stability_cgmy1_long():
     """A 3x3 cgmy1 stability surface at T=20, N scaled with L."""
     return run_stability_surface("cgmy1", presets.sweep_dampings(points=3),
@@ -199,6 +203,16 @@ class TestStrikeTable:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError, match="unknown method"):
             run_strike_table(models=["heston"], methods=["midpoint"])
+
+    @pytest.mark.parametrize("argument, value", [
+        ("models", "heston"), ("strikes", "95"), ("methods", "stable"),
+    ])
+    def test_a_bare_string_is_not_a_sequence(self, monkeypatch, argument, value):
+        # its characters used to be read as the sequence: "95" priced strikes 9 and 5
+        monkeypatch.setattr(harness, "price", _unreachable)
+        axes = {"models": ("heston",), "strikes": (95.0,), "methods": ("stable",), argument: value}
+        with pytest.raises(ValidationError, match=f"{argument} must be a sequence, not the string"):
+            run_strike_table(**axes)
 
     def test_preset_lookup_failure_propagates(self, monkeypatch):
         # only a missing preset becomes a skipped cell; any other failure
@@ -392,6 +406,14 @@ class TestConvergence:
         with pytest.raises(ValidationError, match="term counts"):
             run_convergence("heston", n_values)
 
+    @pytest.mark.parametrize("method", ["bad", "carr_madan", None])
+    def test_unknown_method_is_refused_before_pricing(self, monkeypatch, method):
+        monkeypatch.setattr(harness, "price", _unreachable)
+        monkeypatch.setattr(harness, "price_curve", _unreachable)
+        with pytest.raises(ValidationError,
+                           match=r"unknown method .*\('stable', 'direct', 'parity'\)"):
+            run_convergence("heston", (8, 16), method)
+
     def test_rejects_missing_preset_before_pricing(self, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("a missing preset must be refused before any pricing")
@@ -451,6 +473,13 @@ class TestStabilitySurface:
         with pytest.raises(ValidationError, match="non-empty"):
             run_stability_surface("heston", alpha_values=[], l_values=[7.0])
 
+    @pytest.mark.parametrize("argument", ["alpha_values", "l_values"])
+    def test_a_bare_string_is_not_a_sequence(self, monkeypatch, argument):
+        monkeypatch.setattr(harness, "price", _unreachable)
+        axes = {"alpha_values": [1.1], "l_values": [7.0], argument: "12"}
+        with pytest.raises(ValidationError, match=f"{argument} must be a sequence, not the string"):
+            run_stability_surface("heston", **axes)
+
     @pytest.mark.parametrize("scale_terms", [False, True])
     @pytest.mark.parametrize("n_terms", [16.7, True, 0])
     def test_bad_term_count_is_refused_before_pricing(self, monkeypatch, n_terms,
@@ -493,6 +522,12 @@ class TestLSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
             run_l_sweep("kou", l_values=[])
+
+    def test_a_bare_string_is_not_a_sequence(self, monkeypatch):
+        # "79" used to sweep the widths 7 and 9
+        monkeypatch.setattr(harness, "price", _unreachable)
+        with pytest.raises(ValidationError, match="l_values must be a sequence, not the string"):
+            run_l_sweep("heston", "79")
 
     def test_metadata_keys_in_sidecar_order(self):
         result = run_l_sweep("kou", l_values=[7.0])
