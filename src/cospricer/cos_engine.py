@@ -48,7 +48,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -403,18 +403,24 @@ def _price_counts(
     market: MarketSpec,
     options: tuple,
     config: CosConfig,
-    counts: tuple,
+    counts: Optional[tuple] = None,
 ) -> list:
-    """One tuple of PriceResults, in option order, per term count in counts;
-    config supplies every setting but the term count.
+    """One tuple of PriceResults, in option order, per term count in counts
+    (by default config's n_terms alone); config supplies every other setting.
 
     The range is sized from the cumulants of the law the series expands,
     tilted by alpha: K(alpha + s).  Before that contour is read, a damping
     is checked on its strip (by char_fn), then on its moment, so that each
     refusal names its own fault.
     """
+    if not isinstance(config, CosConfig):
+        raise ValidationError(f"config must be a CosConfig, got {type(config).__name__}")
+    counts = (config.n_terms,) if counts is None else counts
     if not options:
         raise ValidationError("price needs at least one option")
+    for opt in options:
+        if not isinstance(opt, OptionSpec):
+            raise ValidationError(f"an option must be an OptionSpec, got {type(opt).__name__}")
     kind = options[0].kind
     if any(opt.kind is not kind for opt in options):
         raise ValidationError("a batch of options must share one kind")
@@ -467,12 +473,13 @@ def price(
     Raises a configuration error when the damped variant is asked to price a
     call with alpha <= 1 or a put with alpha > 0 (the damped payoff grows
     without bound there), or when the parity variant is asked for a put; a
-    validation error when alpha leaves :func:`models.damping_bounds` or its
+    validation error when config is not a CosConfig, an option not an
+    OptionSpec, or alpha leaves :func:`models.damping_bounds` or its
     moment is not valid; a computation error when the exponential of a
     range end overflows, or a value's summands could reach 1e300.
     """
-    options = (option,) if isinstance(option, OptionSpec) else tuple(option)
-    [results] = _price_counts(model, market, options, config, (config.n_terms,))
+    options = tuple(option) if isinstance(option, Iterable) else (option,)
+    [results] = _price_counts(model, market, options, config)
     return results[0] if isinstance(option, OptionSpec) else results
 
 

@@ -2,9 +2,14 @@
 
 Each model is a frozen parameter dataclass with an extended characteristic
 function phi_T(u) = E[exp(i u ln(S_T / S_0))], valid for complex u inside the
-model's strip of analyticity.  The module also provides log-cumulants of the
-log-return (Cauchy contour integrals of log phi_T) and the series
-truncation interval built from them.
+model's strip of analyticity.  The class carries the three facts the
+pricers read of its model, as private methods: log phi_T (``_log_cf``),
+the strip of contour shifts (``_strip``) and a non-increasing bound on
+log|phi_T| along a contour (``_log_envelope``).  The module functions
+read a model only through these, and test no model type beyond
+:func:`damping_bounds`' refusal of a non-model.  The module also provides
+log-cumulants of the log-return (Cauchy contour integrals of log phi_T)
+and the series truncation interval built from them.
 
 Both fixed-grid consumers, the cosine engine and the Carr-Madan sum,
 read phi_T along a contour u - i*alpha, u = 0, du, 2*du, ..., through
@@ -24,7 +29,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -53,7 +58,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# parameter containers
+# market and models
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -135,6 +140,23 @@ def check_call_prices(market: MarketSpec, strikes, prices, pricer: str) -> None:
             raise ComputationError(f"{pricer} gave {fault}")
 
 
+def _real_log(z):
+    """log|z| + i*arg(z), the principal complex log, from three real
+    ufuncs; the -0.0 of a negative real z gives arg -pi, as np.log does."""
+    out = np.empty_like(z)
+    np.log(np.hypot(z.real, z.imag), out=out.real)
+    np.arctan2(z.imag, z.real, out=out.imag)
+    return out
+
+
+def _cexpm1(z):
+    """exp(z) - 1 for complex input without cancellation at small |z|."""
+    x, y = z.real, z.imag
+    cos_y = np.cos(y)
+    # cos(y) - 1 written as -2 sin^2(y/2) stays accurate near y = 0
+    return (np.expm1(x) * cos_y - 2.0 * np.sin(0.5 * y) ** 2) + 1j * (np.exp(x) * np.sin(y))
+
+
 @dataclass(frozen=True)
 class HestonParams:
     """Square-root stochastic volatility model.
@@ -160,6 +182,97 @@ class HestonParams:
             raise ValidationError(f"rho must lie in [-1, 1], got {self.rho}")
         if not 0.0 <= self.v0 < math.inf:
             raise ValidationError(f"v0 must be nonnegative and finite, got {self.v0}")
+
+    def _log_cf(self, market: MarketSpec, u):
+        t = market.maturity
+        zeta = -0.5 * (1j * u + u * u)
+        gam = self.kappa - 1j * self.rho * self.sigma * u
+        xi = np.sqrt(gam * gam - 2.0 * self.sigma ** 2 * zeta)
+        decay = 1.0 - np.exp(-xi * t)
+        denom = 2.0 * xi - (xi - gam) * decay
+        drift = 1j * u * (market.rate - market.dividend) * t
+        vol_term = 2.0 * zeta * decay * self.v0 / denom
+        # the log in real arithmetic: np.log is glibc's clog, which takes an
+        # extra-precision path where max(|Re z|, |Im z|) lies in [0.5, 1),
+        # and denom/(2*xi) has modulus in [0.7, 1] on every contour the
+        # pricers read.  There clog costs 150-190 ns a point on a shared
+        # 2-vCPU Xeon (43 ns off that path), _real_log 15-20 ns.  z already
+        # carries the division's rounding, so clog's extra precision buys
+        # nothing.  CGMY's logs stay on np.log: this form loses accuracy there
+        mean_term = -(self.kappa * self.theta / self.sigma ** 2) * (
+            2.0 * _real_log(denom / (2.0 * xi)) + (xi - gam) * t
+        )
+        return drift + vol_term + mean_term
+
+    def _strip(self) -> tuple[float, float]:
+        return (-math.inf, math.inf)
+
+    def _log_envelope(self, market: MarketSpec, alpha: float, u: float) -> float:
+        """log Psi_alpha(u), an upper bound on log|phi_T(u - i*alpha)| that
+        does not increase in u >= 0; inf where the bound is not finite or
+        has no real closed form, and at |rho| = 1, where the conditional
+        Gaussian it rests on degenerates.
+
+        With dv = kappa*(theta - v)dt + sigma*sqrt(v)dW and
+        I_T = int_0^T v dt >= 0, the stochastic integral against W is
+        (v_T - v0 - kappa*theta*T + kappa*I_T)/sigma, so given the path of W
+        the log-return X_T is Gaussian with mean
+        (r - q)*T - I_T/2 + rho*(v_T - v0 - kappa*theta*T + kappa*I_T)/sigma
+        and variance (1 - rho^2)*I_T.  Its conditional
+        E[exp((iu + alpha)*X_T)] then has modulus
+        exp(alpha*mean + (alpha^2 - u^2)*(1 - rho^2)*I_T/2), and the triangle
+        inequality gives |phi_T(u - i*alpha)| <= Psi_alpha(u) =
+        e^c * E[exp(lam*v_T + nu(u)*I_T)] with
+
+            lam   = alpha*rho/sigma
+            nu(u) = alpha*(rho*kappa/sigma - 1/2) + (alpha^2 - u^2)*(1 - rho^2)/2
+            c     = alpha*(r - q)*T - lam*(v0 + kappa*theta*T).
+
+        nu falls as u grows and I_T >= 0, so Psi_alpha does not increase in
+        u >= 0, and at u = 0 the integrand is positive, so
+        Psi_alpha(0) = phi_T(-i*alpha).  E[exp(lam*v_T + nu*I_T)] is
+        exp(A + B*v0) for the CIR Riccati pair B' = nu - kappa*B + sigma^2*B^2/2,
+        B(0) = lam, A' = kappa*theta*B, A(0) = 0.  With
+        d = sqrt(kappa^2 - 2*sigma^2*nu), the roots
+        B- = (kappa - d)/sigma^2 = 2*nu/(kappa + d) and B+ = (kappa + d)/sigma^2,
+        and g = (lam - B-)/(lam - B+), the ratio (B - B-)/(B - B+) is
+        h = g*e^(-d*T), so
+
+            log Psi = c + kappa*theta*(B-*T - (2/sigma^2)*log((1 - h)/(1 - g)))
+                      + v0*(B- - B+*h)/(1 - h).
+
+        Past a moment explosion (1 - h)/(1 - g) < 0 and the expectation is
+        infinite; where kappa^2 < 2*sigma^2*nu, near u = 0, d is imaginary.
+        Both read as inf, a bound that rules nothing out.
+        """
+        if abs(self.rho) == 1.0:
+            return math.inf
+        kappa, theta, sigma, rho, v0 = self.kappa, self.theta, self.sigma, self.rho, self.v0
+        t = market.maturity
+        lam = alpha * rho / sigma
+        nu = alpha * (rho * kappa / sigma - 0.5) + 0.5 * (alpha * alpha - u * u) * (1.0 - rho * rho)
+        c = alpha * (market.rate - market.dividend) * t - lam * (v0 + kappa * theta * t)
+        disc = kappa * kappa - 2.0 * sigma * sigma * nu
+        if not disc >= 0.0:
+            return math.inf
+        d = math.sqrt(disc)
+        b_minus = 2.0 * nu / (kappa + d)
+        b_plus = (kappa + d) / (sigma * sigma)
+        # lam = B+ and g = 1 leave a zero divisor; like an explosion, they
+        # rule nothing out
+        if lam == b_plus:
+            return math.inf
+        g = (lam - b_minus) / (lam - b_plus)
+        h = g * math.exp(-d * t)
+        ratio = (1.0 - h) / (1.0 - g) if g != 1.0 else math.nan
+        if not ratio > 0.0:
+            return math.inf
+        out = (
+            c
+            + kappa * theta * (b_minus * t - (2.0 / (sigma * sigma)) * math.log(ratio))
+            + v0 * (b_minus - b_plus * h) / (1.0 - h)
+        )
+        return out if math.isfinite(out) else math.inf
 
 
 @dataclass(frozen=True)
@@ -187,6 +300,27 @@ class KouParams:
             raise ValidationError(f"eta2 must be positive and finite, got {self.eta2}")
         if not 0.0 <= self.lam < math.inf:
             raise ValidationError(f"lam must be nonnegative and finite, got {self.lam}")
+
+    def _log_cf(self, market: MarketSpec, u):
+        t = market.maturity
+        p, e1, e2 = self.p, self.eta1, self.eta2
+        jump_drift = p * e1 / (e1 - 1.0) + (1.0 - p) * e2 / (e2 + 1.0) - 1.0
+        mu = market.rate - market.dividend - 0.5 * self.sigma ** 2 - self.lam * jump_drift
+        jump_cf = p * e1 / (e1 - 1j * u) + (1.0 - p) * e2 / (e2 + 1j * u) - 1.0
+        return 1j * u * mu * t - 0.5 * self.sigma ** 2 * u * u * t + self.lam * t * jump_cf
+
+    def _strip(self) -> tuple[float, float]:
+        return (-self.eta2, self.eta1)
+
+    def _log_envelope(self, market: MarketSpec, alpha: float, u: float) -> float:
+        """Re log phi_T(u - i*alpha) itself.  The drift contributes
+        alpha*mu*T, a constant; the diffusion gives
+        -sigma^2*T*(u^2 - alpha^2)/2 and each jump side
+        lam*T*p*eta1*(eta1 - alpha)/((eta1 - alpha)^2 + u^2) or
+        lam*T*(1 - p)*eta2*(eta2 + alpha)/((eta2 + alpha)^2 + u^2); inside
+        the strip eta1 - alpha > 0 and eta2 + alpha > 0, so every term is
+        non-increasing in u >= 0."""
+        return self._log_cf(market, complex(u, -alpha)).real
 
 
 @dataclass(frozen=True)
@@ -222,112 +356,90 @@ class CGMYParams:
                 f"Y must not equal 0 or 1, and Gamma(-Y) must be finite, got {self.Y}"
             )
 
+    def _drift(self, market: MarketSpec) -> float:
+        """The drift mu of the log-return; its compensator is
+        C*Gamma(-Y) times psi at u = -i, in real arithmetic."""
+        c, g, m, y = self.C, self.G, self.M, self.Y
+        psi_mart = m ** y * math.expm1(y * math.log1p(-1.0 / m)) + g ** y * math.expm1(
+            y * math.log1p(1.0 / g)
+        )
+        return market.rate - market.dividend - c * math.gamma(-y) * psi_mart
+
+    def _log_cf(self, market: MarketSpec, u):
+        t, g, m, y = market.maturity, self.G, self.M, self.Y
+        # psi = (m - iu)^y - m^y + (g + iu)^y - g^y, free of the cancellation
+        # between the power terms that dominates a naive evaluation at small
+        # |u|; principal-branch logs, as Re(m - iu) and Re(g + iu) stay
+        # positive for Im(u) inside (-m, g)
+        psi = m ** y * _cexpm1(y * np.log(1.0 - 1j * u / m)) + g ** y * _cexpm1(
+            y * np.log(1.0 + 1j * u / g)
+        )
+        return 1j * u * self._drift(market) * t + self.C * t * math.gamma(-y) * psi
+
+    def _strip(self) -> tuple[float, float]:
+        return (-self.G, self.M)
+
+    def _log_envelope(self, market: MarketSpec, alpha: float, u: float) -> float:
+        """Re log phi_T(u - i*alpha) for -1 < Y < 2, in real arithmetic:
+
+            alpha*mu*T + C*T*Gamma(-Y)*[Re(M - alpha - iu)^Y - M^Y
+                                        + Re(G + alpha + iu)^Y - G^Y];
+
+        inf for Y <= -1.  Each bracketed pair is b^Y*Re expm1(Y*log(1 + z))
+        for b = M, G and z = (-alpha - iu)/M, (alpha + iu)/G, with the real
+        and imaginary parts of log(1 + z) from log1p and atan2, free of the
+        cancellation at small |z| that the psi of ``_log_cf`` avoids the
+        same way; near the strip's edge, from 1 + x = (b + shift)/b instead.
+
+        The drift term is a constant.  The bracket is Re(a - iu)^Y for
+        a = M - alpha > 0 and for a = G + alpha > 0 (the G side is a
+        conjugate, with the same real part), less constants.  Writing
+        a - iu = r*e^(-i*theta) with theta in [0, pi/2),
+        d/du Re(a - iu)^Y = -Y*r^(Y-1)*sin((Y-1)*theta), and
+        -Y*Gamma(-Y) = Gamma(1-Y).  For 1 < Y < 2, Gamma(1-Y) < 0 and
+        (Y-1)*theta lies in [0, pi/2); for -1 < Y < 1, Gamma(1-Y) > 0 and
+        (Y-1)*theta lies in (-pi, 0].  Either way the derivative is <= 0.
+        For Y <= -1 the angle can pass -pi, so no bound is claimed.
+        """
+        y = self.Y
+        if y <= -1.0:
+            return math.inf
+
+        def gap(base: float, shift: float) -> float:
+            x, v = shift / base, u / base
+            if x > -0.5:
+                one_x, log_r = 1.0 + x, 0.5 * math.log1p(x * (2.0 + x) + v * v)
+            else:  # near the strip's edge x = -1, where x*(2 + x) rounds to -1
+                one_x = (base + shift) / base
+                log_r = 0.5 * math.log(one_x * one_x + v * v)
+            angle = y * math.atan2(v, one_x)
+            return base ** y * (math.expm1(y * log_r) * math.cos(angle)
+                                - 2.0 * math.sin(0.5 * angle) ** 2)
+
+        t = market.maturity
+        return alpha * self._drift(market) * t + self.C * t * math.gamma(-y) * (
+            gap(self.M, -alpha) + gap(self.G, alpha)
+        )
+
 
 ModelSpec = Union[HestonParams, KouParams, CGMYParams]
 
 
 # ---------------------------------------------------------------------------
-# characteristic functions
+# strips, moments and the characteristic function
 # ---------------------------------------------------------------------------
-
-def _real_log(z):
-    """log|z| + i*arg(z), the principal complex log, from three real
-    ufuncs; the -0.0 of a negative real z gives arg -pi, as np.log does."""
-    out = np.empty_like(z)
-    np.log(np.hypot(z.real, z.imag), out=out.real)
-    np.arctan2(z.imag, z.real, out=out.imag)
-    return out
-
-
-def _heston_log_cf(model: HestonParams, market: MarketSpec, u):
-    t = market.maturity
-    zeta = -0.5 * (1j * u + u * u)
-    gam = model.kappa - 1j * model.rho * model.sigma * u
-    xi = np.sqrt(gam * gam - 2.0 * model.sigma ** 2 * zeta)
-    decay = 1.0 - np.exp(-xi * t)
-    denom = 2.0 * xi - (xi - gam) * decay
-    drift = 1j * u * (market.rate - market.dividend) * t
-    vol_term = 2.0 * zeta * decay * model.v0 / denom
-    # the log in real arithmetic: np.log is glibc's clog, which takes an
-    # extra-precision path where max(|Re z|, |Im z|) lies in [0.5, 1),
-    # and denom/(2*xi) has modulus in [0.7, 1] on every contour the
-    # pricers read.  There clog costs 150-190 ns a point on a shared
-    # 2-vCPU Xeon (43 ns off that path), _real_log 15-20 ns.  z already
-    # carries the division's rounding, so clog's extra precision buys
-    # nothing.  CGMY's logs stay on np.log: this form loses accuracy there
-    mean_term = -(model.kappa * model.theta / model.sigma ** 2) * (
-        2.0 * _real_log(denom / (2.0 * xi)) + (xi - gam) * t
-    )
-    return drift + vol_term + mean_term
-
-
-def _kou_log_cf(model: KouParams, market: MarketSpec, u):
-    t = market.maturity
-    p, e1, e2 = model.p, model.eta1, model.eta2
-    jump_drift = p * e1 / (e1 - 1.0) + (1.0 - p) * e2 / (e2 + 1.0) - 1.0
-    mu = market.rate - market.dividend - 0.5 * model.sigma ** 2 - model.lam * jump_drift
-    jump_cf = p * e1 / (e1 - 1j * u) + (1.0 - p) * e2 / (e2 + 1j * u) - 1.0
-    return 1j * u * mu * t - 0.5 * model.sigma ** 2 * u * u * t + model.lam * t * jump_cf
-
-
-def _cexpm1(z):
-    """exp(z) - 1 for complex input without cancellation at small |z|."""
-    x, y = z.real, z.imag
-    cos_y = np.cos(y)
-    # cos(y) - 1 written as -2 sin^2(y/2) stays accurate near y = 0
-    return (np.expm1(x) * cos_y - 2.0 * np.sin(0.5 * y) ** 2) + 1j * (np.exp(x) * np.sin(y))
-
-
-def _cgmy_psi(g: float, m: float, y: float, u):
-    """(m - iu)^y - m^y + (g + iu)^y - g^y, free of the cancellation between
-    the power terms that dominates a naive evaluation at small |u|."""
-    return m ** y * _cexpm1(y * np.log(1.0 - 1j * u / m)) + g ** y * _cexpm1(
-        y * np.log(1.0 + 1j * u / g)
-    )
-
-
-def _cgmy_drift(model: CGMYParams, market: MarketSpec) -> float:
-    """The drift mu of the CGMY log-return; its compensator is
-    C*Gamma(-Y) times psi at u = -i, in real arithmetic."""
-    c, g, m, y = model.C, model.G, model.M, model.Y
-    psi_mart = m ** y * math.expm1(y * math.log1p(-1.0 / m)) + g ** y * math.expm1(
-        y * math.log1p(1.0 / g)
-    )
-    return market.rate - market.dividend - c * math.gamma(-y) * psi_mart
-
-
-def _cgmy_log_cf(model: CGMYParams, market: MarketSpec, u):
-    t = market.maturity
-    mu = _cgmy_drift(model, market)
-    # principal-branch logs; Re(m - iu) and Re(g + iu) stay positive for
-    # Im(u) inside (-m, g)
-    levy = model.C * t * math.gamma(-model.Y) * _cgmy_psi(model.G, model.M, model.Y, u)
-    return 1j * u * mu * t + levy
-
-
-def _log_cf(model: ModelSpec, market: MarketSpec, u):
-    """log phi_T(u), the exponent that :func:`char_fn` exponentiates."""
-    if isinstance(model, HestonParams):
-        return _heston_log_cf(model, market, u)
-    if isinstance(model, KouParams):
-        return _kou_log_cf(model, market, u)
-    if isinstance(model, CGMYParams):
-        return _cgmy_log_cf(model, market, u)
-    raise ValidationError(f"unsupported model type {type(model).__name__}")
-
 
 def damping_bounds(model: ModelSpec) -> tuple[float, float]:
     """Open interval of contour shifts alpha for which phi_T(u - i*alpha) is
     proven defined for all real u at every maturity: Kou's (-eta2, eta1)
     and CGMY's (-G, M), and the whole line for Heston, whose moment of
     order alpha explodes at a maturity T*(alpha) (Andersen & Piterbarg
-    2007): :func:`check_moment` reads that off the closed form.
+    2007): :func:`check_moment` reads that off the closed form.  A
+    non-model is refused here, and so by every reader of a contour.
     """
-    if isinstance(model, KouParams):
-        return (-model.eta2, model.eta1)
-    if isinstance(model, CGMYParams):
-        return (-model.G, model.M)
-    return (-math.inf, math.inf)
+    if not isinstance(model, get_args(ModelSpec)):
+        raise ValidationError(f"unsupported model type {type(model).__name__}")
+    return model._strip()
 
 
 def check_damping(model: ModelSpec, shift: float) -> None:
@@ -402,7 +514,7 @@ def char_fn(model: ModelSpec, market: MarketSpec, u):
     # an overflow is inf, without NumPy's warning: |phi_T| along a contour is
     # at most its moment at index 0, which every pricer checks
     with np.errstate(over="ignore"):
-        out = np.exp(_log_cf(model, market, u_arr))
+        out = np.exp(model._log_cf(market, u_arr))
     if np.ndim(u) == 0 and not isinstance(u, np.ndarray):
         return complex(out)
     return out
@@ -418,139 +530,14 @@ def char_fn(model: ModelSpec, market: MarketSpec, u):
 _UNDERFLOW_LOG = -1075.0 * math.log(2.0) - 1.0
 
 
-def _heston_log_envelope(model: HestonParams, market: MarketSpec, alpha: float, u: float) -> float:
-    """log Psi_alpha(u), an upper bound on log|phi_T(u - i*alpha)| for the
-    Heston model that does not increase in u >= 0; inf where the bound is
-    not finite or has no real closed form.
-
-    With dv = kappa*(theta - v)dt + sigma*sqrt(v)dW and
-    I_T = int_0^T v dt >= 0, the stochastic integral against W is
-    (v_T - v0 - kappa*theta*T + kappa*I_T)/sigma, so given the path of W
-    the log-return X_T is Gaussian with mean
-    (r - q)*T - I_T/2 + rho*(v_T - v0 - kappa*theta*T + kappa*I_T)/sigma
-    and variance (1 - rho^2)*I_T.  Its conditional
-    E[exp((iu + alpha)*X_T)] then has modulus
-    exp(alpha*mean + (alpha^2 - u^2)*(1 - rho^2)*I_T/2), and the triangle
-    inequality gives |phi_T(u - i*alpha)| <= Psi_alpha(u) =
-    e^c * E[exp(lam*v_T + nu(u)*I_T)] with
-
-        lam   = alpha*rho/sigma
-        nu(u) = alpha*(rho*kappa/sigma - 1/2) + (alpha^2 - u^2)*(1 - rho^2)/2
-        c     = alpha*(r - q)*T - lam*(v0 + kappa*theta*T).
-
-    nu falls as u grows and I_T >= 0, so Psi_alpha does not increase in
-    u >= 0, and at u = 0 the integrand is positive, so
-    Psi_alpha(0) = phi_T(-i*alpha).  E[exp(lam*v_T + nu*I_T)] is
-    exp(A + B*v0) for the CIR Riccati pair B' = nu - kappa*B + sigma^2*B^2/2,
-    B(0) = lam, A' = kappa*theta*B, A(0) = 0.  With
-    d = sqrt(kappa^2 - 2*sigma^2*nu), the roots
-    B- = (kappa - d)/sigma^2 = 2*nu/(kappa + d) and B+ = (kappa + d)/sigma^2,
-    and g = (lam - B-)/(lam - B+), the ratio (B - B-)/(B - B+) is
-    h = g*e^(-d*T), so
-
-        log Psi = c + kappa*theta*(B-*T - (2/sigma^2)*log((1 - h)/(1 - g)))
-                  + v0*(B- - B+*h)/(1 - h).
-
-    Past a moment explosion (1 - h)/(1 - g) < 0 and the expectation is
-    infinite; where kappa^2 < 2*sigma^2*nu, near u = 0, d is imaginary.
-    Both read as inf, a bound that rules nothing out.
-    """
-    kappa, theta, sigma, rho, v0 = model.kappa, model.theta, model.sigma, model.rho, model.v0
-    t = market.maturity
-    lam = alpha * rho / sigma
-    nu = alpha * (rho * kappa / sigma - 0.5) + 0.5 * (alpha * alpha - u * u) * (1.0 - rho * rho)
-    c = alpha * (market.rate - market.dividend) * t - lam * (v0 + kappa * theta * t)
-    disc = kappa * kappa - 2.0 * sigma * sigma * nu
-    if not disc >= 0.0:
-        return math.inf
-    d = math.sqrt(disc)
-    b_minus = 2.0 * nu / (kappa + d)
-    b_plus = (kappa + d) / (sigma * sigma)
-    # lam = B+ and g = 1 leave a zero divisor; like an explosion, they
-    # rule nothing out
-    if lam == b_plus:
-        return math.inf
-    g = (lam - b_minus) / (lam - b_plus)
-    h = g * math.exp(-d * t)
-    ratio = (1.0 - h) / (1.0 - g) if g != 1.0 else math.nan
-    if not ratio > 0.0:
-        return math.inf
-    out = (
-        c
-        + kappa * theta * (b_minus * t - (2.0 / (sigma * sigma)) * math.log(ratio))
-        + v0 * (b_minus - b_plus * h) / (1.0 - h)
-    )
-    return out if math.isfinite(out) else math.inf
-
-
-def _cgmy_log_envelope(model: CGMYParams, market: MarketSpec, alpha: float, u: float) -> float:
-    """Re log phi_T(u - i*alpha) for the CGMY model, in real arithmetic:
-
-        alpha*mu*T + C*T*Gamma(-Y)*[Re(M - alpha - iu)^Y - M^Y
-                                    + Re(G + alpha + iu)^Y - G^Y].
-
-    Each bracketed pair is b^Y*Re expm1(Y*log(1 + z)) for b = M, G and
-    z = (-alpha - iu)/M, (alpha + iu)/G, with the real and imaginary
-    parts of log(1 + z) from log1p and atan2, free of the cancellation
-    at small |z| that :func:`_cgmy_psi` avoids the same way; near the
-    strip's edge, from 1 + x = (b + shift)/b instead.
-    """
-    y = model.Y
-
-    def gap(base: float, shift: float) -> float:
-        x, v = shift / base, u / base
-        if x > -0.5:
-            one_x, log_r = 1.0 + x, 0.5 * math.log1p(x * (2.0 + x) + v * v)
-        else:  # near the strip's edge x = -1, where x*(2 + x) rounds to -1
-            one_x = (base + shift) / base
-            log_r = 0.5 * math.log(one_x * one_x + v * v)
-        angle = y * math.atan2(v, one_x)
-        return base ** y * (math.expm1(y * log_r) * math.cos(angle)
-                            - 2.0 * math.sin(0.5 * angle) ** 2)
-
-    t = market.maturity
-    return alpha * _cgmy_drift(model, market) * t + model.C * t * math.gamma(-y) * (
-        gap(model.M, -alpha) + gap(model.G, alpha)
-    )
-
-
 def _log_envelope(model: ModelSpec, market: MarketSpec, alpha: float, u: float) -> float:
-    """An upper bound on log|phi_T(u - i*alpha)| that does not increase in
-    u >= 0, for alpha inside :func:`damping_bounds`; inf where no bound is
-    proven, and wherever it is nan or not finite (Heston past an explosion).
-
-    Heston: :func:`_heston_log_envelope`, except at |rho| = 1, where the
-    conditional Gaussian it rests on degenerates.
-
-    Kou, and CGMY with -1 < Y < 2: Re log phi_T(u - i*alpha) itself,
-    CGMY's in real arithmetic (:func:`_cgmy_log_envelope`).  The drift
-    contributes alpha*mu*T to it, a constant, so only the other terms
-    matter.
-
-    Kou: the diffusion gives -sigma^2*T*(u^2 - alpha^2)/2 and each jump
-    side lam*T*p*eta1*(eta1 - alpha)/((eta1 - alpha)^2 + u^2) or
-    lam*T*(1 - p)*eta2*(eta2 + alpha)/((eta2 + alpha)^2 + u^2); inside
-    the bounds eta1 - alpha > 0 and eta2 + alpha > 0, so every term is
-    non-increasing in u >= 0.
-
-    CGMY: the Levy part is C*T*Gamma(-Y) times Re(a - iu)^Y for
-    a = M - alpha > 0 and for a = G + alpha > 0 (the G side is a
-    conjugate, with the same real part).  Writing a - iu = r*e^(-i*theta)
-    with theta in [0, pi/2), d/du Re(a - iu)^Y = -Y*r^(Y-1)*sin((Y-1)*theta),
-    and -Y*Gamma(-Y) = Gamma(1-Y).  For 1 < Y < 2, Gamma(1-Y) < 0 and
-    (Y-1)*theta lies in [0, pi/2); for -1 < Y < 1, Gamma(1-Y) > 0 and
-    (Y-1)*theta lies in (-pi, 0].  Either way the derivative is <= 0.  For
-    Y <= -1 the angle can pass -pi, so no bound is claimed.
-    """
-    if isinstance(model, HestonParams):
-        bound = math.inf if abs(model.rho) == 1.0 else _heston_log_envelope(model, market, alpha, u)
-    elif isinstance(model, KouParams):
-        bound = _log_cf(model, market, complex(u, -alpha)).real
-    elif isinstance(model, CGMYParams) and -1.0 < model.Y < 2.0:
-        bound = _cgmy_log_envelope(model, market, alpha, u)
-    else:
-        return math.inf
+    """The model's upper bound on log|phi_T(u - i*alpha)| that does not
+    increase in u >= 0, for alpha inside :func:`damping_bounds`; inf where
+    no bound is proven, and wherever it is nan or not finite (Heston past
+    an explosion)."""
+    bound = model._log_envelope(market, alpha, u)
     return bound if math.isfinite(bound) else math.inf
+
 
 
 # the share of its first term under which a fixed-grid sum's rest is left
@@ -660,8 +647,8 @@ class Cumulants:
 
 _CONTOUR_NODES = 64  # trapezoid nodes on the circle |s| = r
 _CONTOUR_HALVINGS = 8  # times r may halve before the cumulants are given up
-# Heston's strip is the whole line, and the halving finds its explosion;
-# its c4 rounding floor grows as r^-4, so r starts large
+# the radius where the strip is the whole line (Heston's): the halving
+# finds its explosion, and its c4 rounding floor grows as r^-4, so r starts large
 _HESTON_RADIUS = 0.5
 # s/r at the nodes with Im(s) <= 0; the others are their conjugates
 _HALF_CIRCLE = np.exp(-1j * np.linspace(0.0, math.pi, _CONTOUR_NODES // 2 + 1))
@@ -679,21 +666,22 @@ def cumulants(model: ModelSpec, market: MarketSpec, centre: float = 0.0) -> Cumu
     geometrically (Bornemann 2011).  K is real on the real axis, so only
     the nodes with Im(s) <= 0 are evaluated, in one call that also probes
     K at centre +- 2r.  r starts at a quarter of the centre's distance to
-    the nearer damping bound and halves while a coefficient is not finite
-    or a probe is not real (past a moment explosion), so that K is
-    analytic on a disc twice the circle's size; only Heston, which starts
-    at _HESTON_RADIUS, halves, as Kou's and CGMY's strips are proven.
+    the nearer damping bound, at _HESTON_RADIUS where the strip is the
+    whole line, and halves while a coefficient is not finite or a probe is
+    not real (past a moment explosion), so that K is analytic on a disc
+    twice the circle's size; only Heston's halves, as the other strips are
+    proven.
     Roundoff below zero in c2 or c4 is floored.  A centre outside the
     strip is refused first, by :func:`check_damping`."""
     check_damping(model, centre)
     lo, hi = damping_bounds(model)
-    radius = (_HESTON_RADIUS if isinstance(model, HestonParams)
-              else 0.25 * min(centre - lo, hi - centre))
+    radius = 0.25 * min(centre - lo, hi - centre)
+    radius = _HESTON_RADIUS if radius == math.inf else radius
     for _ in range(_CONTOUR_HALVINGS + 1):
         s = np.append(radius * _HALF_CIRCLE, (2.0 * radius, -2.0 * radius))
         # Heston's log-CF has a removable 0/0 at kappa = rho*sigma*s: nan
         with np.errstate(all="ignore"):
-            values = _log_cf(model, market, -1j * (centre + s))
+            values = model._log_cf(market, -1j * (centre + s))
             taylor = np.fft.irfft(values[:-2], _CONTOUR_NODES)[:5] / radius ** np.arange(5)
         c1, c2, c4 = taylor[1], 2.0 * taylor[2], 24.0 * taylor[4]
         # a valid moment's log carries ~1e-16 relative imaginary roundoff

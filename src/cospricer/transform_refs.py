@@ -195,7 +195,7 @@ def price_carr_madan(
     model, market : model parameters and market data.
     strikes : strike levels; each log-moneyness log(K/S0) must lie
         within config.strike_span = pi/spacing of zero.
-    config : damping and frequency step; a validation error unless the
+    config : a CarrMadanConfig; a validation error unless it is one, its
         shift alpha + 1 lies inside :func:`models.damping_bounds` and
         E[(S_T/S_0)^(alpha+1)] is a valid moment.
 
@@ -208,6 +208,8 @@ def price_carr_madan(
         the frequency cap raises ComputationError, and so does a price
         that :func:`models.check_call_prices` refuses.
     """
+    if not isinstance(config, CarrMadanConfig):
+        raise ValidationError(f"config must be a CarrMadanConfig, got {type(config).__name__}")
     strikes = _validate_strikes(strikes)
     if not strikes:
         return []
@@ -277,11 +279,14 @@ def price_fourier_integral(
     ``strike`` is one strike (returns a float) or a sequence of strikes
     (returns a list in input order).  The characteristic function is
     evaluated once, as one vector, for the whole column, and not at all
-    for an empty one.  The damping alpha must exceed 1 (call payoff
-    integrability), lie inside :func:`models.damping_bounds` and leave
-    E[(S_T/S_0)^alpha] a valid moment (or a validation error is raised);
-    the result is invariant to the alpha chosen, as the tests assert.
+    for an empty one.  config must be an IntegralConfig, whose damping
+    alpha must exceed 1 (call payoff integrability), lie inside
+    :func:`models.damping_bounds` and leave E[(S_T/S_0)^alpha] a valid
+    moment (or a validation error is raised); the result is invariant to
+    the alpha chosen, as the tests assert.
     """
+    if not isinstance(config, IntegralConfig):
+        raise ValidationError(f"config must be an IntegralConfig, got {type(config).__name__}")
     single = np.ndim(strike) == 0
     strikes = _validate_strikes([strike] if single else strike)
     if not strikes:

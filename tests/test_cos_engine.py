@@ -272,6 +272,30 @@ class TestConfigurationErrors:
             price(models["heston"], market,
                   OptionSpec(strike=100.0, kind=OptionKind.PUT), cfg)
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda m, mk: price(m, mk, OptionSpec(100.0),
+                             presets.method_preset("heston", Variant.STABLE)),
+         "config must be a CosConfig, got MethodPreset"),
+        (lambda m, mk: price_curve(m, mk, OptionSpec(100.0),
+                                   presets.method_preset("heston", Variant.STABLE), (8, 16)),
+         "config must be a CosConfig, got MethodPreset"),
+        (lambda m, mk: price(m, mk, OptionSpec(100.0), None),
+         "config must be a CosConfig, got NoneType"),
+        (lambda m, mk: price_curve(m, mk, OptionSpec(100.0), None, (8,)),
+         "config must be a CosConfig, got NoneType"),
+        (lambda m, mk: price(m, mk, [100.0], CosConfig(64, 10.0)),
+         "an option must be an OptionSpec, got float"),
+        (lambda m, mk: price(m, mk, 100.0, CosConfig(64, 10.0)),
+         "an option must be an OptionSpec, got float"),
+        (lambda m, mk: price(m, mk, [OptionSpec(100.0), "call"], CosConfig(64, 10.0)),
+         "an option must be an OptionSpec, got str"),
+    ], ids=["price-preset", "curve-preset", "price-none", "curve-none", "batch-float",
+            "float", "batch-str"])
+    def test_wrong_type_refused(self, models, market, call, match):
+        # each once escaped as an AttributeError or a TypeError
+        with pytest.raises(ValidationError, match=match):
+            call(models["heston"], market)
+
     def test_damping_outside_strip_rejected(self, models, market):
         cfg = CosConfig(n_terms=128, range_width=8.0, damping=11.0)
         with pytest.raises(ValidationError, match="admissible interval"):
@@ -567,6 +591,18 @@ def assert_call_within_bounds_or_refused(model, market, strike, config):
     assert lower - 1e-9 <= call <= upper + 1e-9
 
 
+def assert_put_within_bounds_or_refused(model, market, strike, config):
+    """A put inside [max(K e^(-rT) - S e^(-qT), 0), K e^(-rT)], up to 1e-9,
+    or a PricingError."""
+    try:
+        put = price(model, market, OptionSpec(strike, OptionKind.PUT), config).price
+    except PricingError:
+        return
+    upper = strike * math.exp(-market.rate * market.maturity)
+    lower = max(upper - market.spot * math.exp(-market.dividend * market.maturity), 0.0)
+    assert lower - 1e-9 <= put <= upper + 1e-9
+
+
 _PARITY = CosConfig(8192, 12.0, variant=Variant.PUT_CALL_PARITY)
 _PARITY_WIDE = CosConfig(65536, 40.0, variant=Variant.PUT_CALL_PARITY)
 
@@ -700,6 +736,49 @@ class TestKnownWrongStablePrices:
     )
     def test_call_matches_parity(self, model, market, config):
         assert _parity_gap(model, market, 100.0, config) < 1e-9
+
+
+def _pin(reason):
+    # the wrong value fails the assertion; any other error is a new fault
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
+class TestKnownWrongPrices:
+    """Prices that come back wrong, with no error, at the preset market
+    re-dated to T: the silent-wrong families that the strike lattice
+    found, one cell each.  A refusal passes."""
+
+    @pytest.mark.parametrize("name, maturity, strike, kind, config", [
+        pytest.param("cgmy1", 10.0, 100.0, OptionKind.CALL,
+                     _preset_config("cgmy1", Variant.DIRECT), id="cgmy1-direct-T10",
+                     marks=_pin("returns -56997.66; " + _ITEM_2)),
+        pytest.param("kou", 1e-3, 157.5, OptionKind.PUT, CosConfig(140, 7.0),
+                     id="kou-stable-put-T1e-3", marks=_pin(
+                         "returns 57.48254, under the put lower bound 57.48425: the range "
+                         "and the term count are both too small; " + _ITEM_5)),
+        pytest.param("kou", 1e-3, 157.5, OptionKind.CALL,
+                     _preset_config("kou", Variant.PUT_CALL_PARITY), id="kou-parity-T1e-3",
+                     marks=_pin("returns a negative call, -2.03e-4; " + _ITEM_5)),
+        pytest.param("cgmy2", 5.0, 100.0, OptionKind.CALL, CosConfig(4096, 12.0),
+                     id="cgmy2-4096-T5",
+                     marks=_pin("returns 100.03211, above S0*e^(-qT) = 100; " + _ITEM_2)),
+        pytest.param("cgmy2", 20.0, 100.0, OptionKind.CALL, CosConfig(4096, 12.0),
+                     id="cgmy2-4096-T20", marks=_pin("returns -2.29e6; " + _ITEM_2)),
+    ])
+    def test_within_bounds_or_refused(self, models, name, maturity, strike, kind, config):
+        check = (assert_call_within_bounds_or_refused if kind is OptionKind.CALL
+                 else assert_put_within_bounds_or_refused)
+        check(models[name], presets.market_preset(maturity), strike, config)
+
+    @_pin("returns 86.19858 against parity 87.78483, inside the bounds, so only "
+          "the cancellation of the undamped call coefficients shows it; " + _ITEM_2)
+    def test_cgmy1_direct_preset_matches_parity_at_t5(self, models):
+        config = _preset_config("cgmy1", Variant.DIRECT)
+        try:
+            gap = _parity_gap(models["cgmy1"], presets.market_preset(5.0), 100.0, config)
+        except PricingError:
+            return
+        assert gap < 1e-6
 
 
 class TestStrikeBatch:

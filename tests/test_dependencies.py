@@ -90,6 +90,33 @@ def test_no_private_name_imported_from_models(module):
     assert private == []
 
 
+_MODEL_CLASSES = {"HestonParams", "KouParams", "CGMYParams"}
+
+
+def _model_type_tests(tree):
+    """Lines of the isinstance calls whose type argument names a model class."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and len(node.args) == 2
+        and any(getattr(sub, "id", getattr(sub, "attr", None)) in _MODEL_CLASSES
+                for sub in ast.walk(node.args[1]))
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_no_isinstance_on_a_model_class(module):
+    # each class carries its own log-CF, strip and envelope; the one model
+    # type test is damping_bounds' isinstance(model, get_args(ModelSpec))
+    probe = "isinstance(m, HestonParams) or isinstance(m, (models.KouParams, float))"
+    assert _model_type_tests(ast.parse(probe)) == [1, 1]
+    assert _model_type_tests(ast.parse("isinstance(m, get_args(ModelSpec))")) == []
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    assert _model_type_tests(tree) == []
+
+
 def _exp_of_rate_or_dividend(tree):
     """Lines of the exp calls (math.exp, np.exp, ...) whose argument reads
     a .rate or .dividend attribute."""

@@ -28,7 +28,6 @@ from cospricer.models import (
     HestonParams,
     KouParams,
     MarketSpec,
-    _heston_log_envelope,
     _log_envelope,
     char_fn,
     check_moment,
@@ -684,7 +683,7 @@ class TestHestonEnvelope:
         market = heston_market(5.0)
         alpha = self.EXPLODED_ALPHA
         assert not moment_is_valid(char_fn(self.EXPLODED, market, -1j * alpha))
-        assert _heston_log_envelope(self.EXPLODED, market, alpha, 0.5194976531371707) == math.inf
+        assert self.EXPLODED._log_envelope(market, alpha, 0.5194976531371707) == math.inf
 
     @pytest.mark.parametrize("step, size", [(0.05, 2000), (0.01, 60000)])
     def test_past_an_explosion_the_band_is_one_call(self, step, size):
@@ -704,7 +703,7 @@ class TestHestonEnvelope:
         u = np.concatenate(([0.0], np.geomspace(1e-3, 1e5, 2000)))
         phi = char_fn(model, market, u - 1j * alpha)
         assume(moment_is_valid(phi[0]))  # past an explosion the bound is infinite
-        envelope = np.array([_heston_log_envelope(model, market, alpha, x) for x in u])
+        envelope = np.array([model._log_envelope(market, alpha, x) for x in u])
         # below the smallest normal double exp loses its relative accuracy
         # (at the bottom it rounds up to 4.9e-324), so the bound is checked
         # on normal values only

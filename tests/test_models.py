@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from cospricer import models as models_module
+from cospricer.cos_engine import CosConfig, OptionSpec, Variant, price
 from cospricer.errors import ComputationError, ValidationError
 from cospricer.models import (
     CGMYParams,
@@ -23,10 +24,10 @@ from cospricer.models import (
     KouParams,
     MarketSpec,
     TruncationRange,
-    _log_cf,
     _real_log,
     char_fn,
     check_call_prices,
+    check_damping,
     check_moment,
     cumulants,
     damping_bounds,
@@ -113,7 +114,7 @@ def contour_cumulants(model, market, radius, nodes=64):
     """c1, c2, c4 from the trapezoid rule on the whole circle |s| = radius,
     by a complex FFT of log phi_T(-i*s)."""
     s = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    taylor = np.fft.fft(_log_cf(model, market, -1j * s))[:5].real / nodes / radius ** np.arange(5)
+    taylor = np.fft.fft(model._log_cf(market, -1j * s))[:5].real / nodes / radius ** np.arange(5)
     return taylor[1], 2.0 * taylor[2], 24.0 * taylor[4]
 
 
@@ -292,13 +293,15 @@ class TestCumulants:
     @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0, 20.0])
     def test_one_log_cf_call_and_no_char_fn_call(self, models, maturity, monkeypatch):
         calls = []
-        log_cf = models_module._log_cf
 
-        def spy(*args):
-            calls.append(args)
-            return log_cf(*args)
+        def spy(log_cf):
+            def counted(*args):
+                calls.append(args)
+                return log_cf(*args)
+            return counted
 
-        monkeypatch.setattr(models_module, "_log_cf", spy)
+        for cls in (HestonParams, KouParams, CGMYParams):
+            monkeypatch.setattr(cls, "_log_cf", spy(cls._log_cf))
         monkeypatch.setattr(models_module, "char_fn", None)
         market = MarketSpec(spot=100.0, rate=0.1, maturity=maturity)
         for name, model in models.items():
@@ -356,7 +359,7 @@ class TestHestonLogInRealArithmetic:
         model = models["heston"]
         for name, u in self.contours(model, market).items():
             want = np.array([heston_log_cf_40_digits(model, market, z) for z in u])
-            worst = np.abs(_log_cf(model, market, u) - want).max()
+            worst = np.abs(model._log_cf(market, u) - want).max()
             assert worst <= 1e-13, name
 
     def test_real_log_matches_numpy(self):
@@ -426,8 +429,15 @@ class TestValidationAndStrips:
          "dividend must be finite"),
         (lambda: HestonParams(kappa=0.85, theta=0.09, sigma=0.1, rho=-1.5, v0=0.0625),
          ValidationError, r"rho must lie in \[-1, 1\], got -1.5"),
-        (lambda: _log_cf(object(), MarketSpec(spot=100.0, rate=0.1), 0.0), ValidationError,
+        (lambda: char_fn(object(), MarketSpec(spot=100.0, rate=0.1), 0.0), ValidationError,
          "unsupported model type object"),
+        (lambda: damping_bounds(object()), ValidationError, "unsupported model type object"),
+        (lambda: check_damping(object(), 0.5), ValidationError, "unsupported model type object"),
+        # the parity series reads the cumulants first; their radius was
+        # once inf for a non-model, and 0 * inf raised NumPy's warning
+        (lambda: price(object(), MarketSpec(spot=100.0, rate=0.1), OptionSpec(100.0),
+                       CosConfig(64, 10.0, variant=Variant.PUT_CALL_PARITY)),
+         ValidationError, "unsupported model type object"),
         (lambda: Cumulants(c1=math.nan, c2=0.1, c4=0.0), ValidationError,
          "cumulant c1 must be finite"),
         (lambda: Cumulants(c1=0.0, c2=0.1, c4=math.inf), ValidationError,
@@ -452,9 +462,10 @@ class TestValidationAndStrips:
          "range_width must be positive, got 0.0"),
         (lambda: truncation_range(Cumulants(c1=0.0, c2=0.1, c4=0.0), -2.0), ValidationError,
          "range_width must be positive, got -2.0"),
-    ], ids=["rate-inf", "dividend-nan", "rho", "log_cf-model", "c1-nan", "c4-inf", "c2<0",
-            "c4<0", "cumulants-give-up", "range-a-inf", "range-b-nan", "range-a=b",
-            "width-0", "width<0"])
+    ], ids=["rate-inf", "dividend-nan", "rho", "log_cf-model", "damping_bounds-model",
+            "check_damping-model", "price-model", "c1-nan", "c4-inf", "c2<0", "c4<0",
+            "cumulants-give-up", "range-a-inf", "range-b-nan", "range-a=b", "width-0",
+            "width<0"])
     def test_refusals(self, make, error, match):
         with pytest.raises(error, match=match):
             make()

@@ -100,6 +100,18 @@ def test_malformed_strike_column_is_a_validation_error(pricer, market):
             pricer(model_preset("kou"), market, strikes)
 
 
+@pytest.mark.parametrize("pricer, config, match", [
+    (price_carr_madan, IntegralConfig(), "must be a CarrMadanConfig, got IntegralConfig"),
+    (price_carr_madan, None, "must be a CarrMadanConfig, got NoneType"),
+    (price_fourier_integral, CarrMadanConfig(), "must be an IntegralConfig, got CarrMadanConfig"),
+    (price_fourier_integral, CosConfig(64, 10.0), "must be an IntegralConfig, got CosConfig"),
+], ids=["carr-madan-integral", "carr-madan-none", "integral-carr-madan", "integral-cos"])
+def test_wrong_config_type_is_a_validation_error(pricer, config, match, market):
+    # each once escaped as an AttributeError (strike_span, max_frequency)
+    with pytest.raises(ValidationError, match=match):
+        pricer(model_preset("kou"), market, [100.0], config)
+
+
 class TestFourierIntegral:
     def test_matches_lognormal_closed_form(self, market):
         # double-exponential jumps with intensity zero reduce the model
