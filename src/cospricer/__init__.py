@@ -16,6 +16,7 @@ from .cos_engine import (
     CosConfig,
     OptionKind,
     OptionSpec,
+    PriceColumn,
     PriceResult,
     Variant,
     price,
@@ -69,6 +70,7 @@ __all__ = [
     "MarketSpec",
     "OptionKind",
     "OptionSpec",
+    "PriceColumn",
     "PriceResult",
     "PricingError",
     "TruncationRange",

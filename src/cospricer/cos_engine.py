@@ -29,7 +29,8 @@ the strike.  :func:`price_curve` prices one option at several term counts
 from one series, built at the largest count, each price the sum of a
 prefix of it; :func:`price` is its one-count case, for a batch of strikes
 whose ranges are [a + x, b + x], x each strike's log-moneyness: the series
-forms these endpoints once, as arrays, one row per strike.
+forms these endpoints once, as arrays, one row per strike, and returns one
+:class:`PriceColumn` of arrays, with no object per strike.
 
 A strike enters its series only through one integration limit, so no
 payoff coefficient is formed: each series is summed in closed form
@@ -70,6 +71,7 @@ __all__ = [
     "Variant",
     "CosConfig",
     "PriceResult",
+    "PriceColumn",
     "chi",
     "call_coefficients",
     "put_coefficients",
@@ -156,6 +158,23 @@ class PriceResult:
     n_terms: int
     damping: float
     range: TruncationRange
+
+
+@dataclass(frozen=True, eq=False)
+class PriceColumn:
+    """A batch's prices as one column, with what the engine decided for
+    them: prices, read-only, in input order; n_terms; damping; range, the
+    base range; shifts, read-only, each strike's log-moneyness x, so that
+    strike i's range is [range.a + shifts[i], range.b + shifts[i]]."""
+
+    prices: np.ndarray
+    n_terms: int
+    damping: float
+    range: TruncationRange
+    shifts: np.ndarray
+
+    def __post_init__(self):
+        self.prices.flags.writeable = self.shifts.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +423,12 @@ def _price_counts(
     options: tuple,
     config: CosConfig,
     counts: Optional[tuple] = None,
-) -> list:
-    """One tuple of PriceResults, in option order, per term count in counts
-    (by default config's n_terms alone); config supplies every other setting.
+) -> tuple:
+    """The values of options, strikes of one kind, at each term count in
+    counts (by default config's n_terms alone), one row per count, with
+    alpha, the base range and x, each strike's log-moneyness (its range is
+    [base.a + x, base.b + x]); config supplies every other setting.  No object
+    is built per strike.
 
     The range is sized from the cumulants of the law the series expands,
     tilted by alpha: K(alpha + s).  Before that contour is read, a damping
@@ -418,21 +440,22 @@ def _price_counts(
     counts = (config.n_terms,) if counts is None else counts
     if not options:
         raise ValidationError("price needs at least one option")
+    kind = getattr(options[0], "kind", None)
+    strikes, x = [], []
     for opt in options:
         if not isinstance(opt, OptionSpec):
             raise ValidationError(f"an option must be an OptionSpec, got {type(opt).__name__}")
-    kind = options[0].kind
-    if any(opt.kind is not kind for opt in options):
-        raise ValidationError("a batch of options must share one kind")
+        if opt.kind is not kind:
+            raise ValidationError("a batch of options must share one kind")
+        # y = log(S_T/K), so the log return's window is recentred by x per strike
+        strikes.append(opt.strike)
+        x.append(math.log(market.spot / opt.strike))
     alpha = _resolve_damping(config, kind)
     if alpha != 0.0:
         check_moment(alpha, char_fn(model, market, -1j * alpha))
 
     cums = cumulants(model, market, alpha)
-    strikes = np.array([opt.strike for opt in options])
-    x = np.array([math.log(market.spot / opt.strike) for opt in options])
-    # the expansion variable is log-moneyness y = log(S_T/K), so the cumulant
-    # window of the log return is recentered by x per strike
+    strikes, x = np.array(strikes), np.array(x)
     base = truncation_range(cums, config.range_width)
 
     # parity prices the undamped put (alpha = 0) and maps it to the call
@@ -450,9 +473,14 @@ def _price_counts(
             f"summands could reach 1e300 (variant={config.variant.value}, n_terms={counts[row]}, "
             f"range=[{base.a + x[col]:.3f}, {base.b + x[col]:.3f}])"
         )
-    ranges = [TruncationRange(a=base.a + shift, b=base.b + shift) for shift in x.tolist()]
-    return [tuple(PriceResult(price=value, n_terms=n, damping=alpha, range=rng)
-                  for value, rng in zip(row, ranges)) for n, row in zip(counts, values.tolist())]
+    return values, alpha, base, x
+
+
+def _curve(counts: tuple, values: np.ndarray, alpha: float, base: TruncationRange, x) -> tuple:
+    """One option's values from _price_counts as PriceResults, one per count."""
+    rng = TruncationRange(a=base.a + float(x[0]), b=base.b + float(x[0]))
+    return tuple(PriceResult(price=value, n_terms=n, damping=alpha, range=rng)
+                 for n, value in zip(counts, values[:, 0].tolist()))
 
 
 def price(
@@ -460,15 +488,16 @@ def price(
     market: MarketSpec,
     option: Union[OptionSpec, Sequence[OptionSpec]],
     config: CosConfig,
-) -> Union[PriceResult, tuple[PriceResult, ...]]:
-    """Price a European option, or a batch of options, by the cosine expansion.
+) -> Union[PriceResult, PriceColumn]:
+    """Price a European option, or a column of options, by the cosine expansion.
 
     option is one OptionSpec, giving one PriceResult, or a non-empty
-    sequence of OptionSpecs of one kind, giving a tuple of PriceResults in
-    input order.  The cumulants, the truncation range, the frequency grid
-    and the characteristic function are computed once per call; each
-    strike adds one cosine and one sine row of its own phase and one sum
-    per row.
+    sequence of OptionSpecs of one kind, giving one PriceColumn whose
+    prices are in input order.  The cumulants, the truncation range, the
+    frequency grid and the characteristic function are computed once per
+    call; each strike adds one cosine and one sine row of its own phase
+    and one sum per row.  A column's price i is bit for bit what pricing
+    option i alone gives, and so is its range.
 
     Raises a configuration error when the damped variant is asked to price a
     call with alpha <= 1 or a put with alpha > 0 (the damped payoff grows
@@ -479,8 +508,10 @@ def price(
     range end overflows, or a value's summands could reach 1e300.
     """
     options = tuple(option) if isinstance(option, Iterable) else (option,)
-    [results] = _price_counts(model, market, options, config)
-    return results[0] if isinstance(option, OptionSpec) else results
+    values, alpha, base, x = _price_counts(model, market, options, config)
+    if isinstance(option, OptionSpec):
+        return _curve((config.n_terms,), values, alpha, base, x)[0]
+    return PriceColumn(values[0], config.n_terms, alpha, base, x)
 
 
 def price_curve(
@@ -502,4 +533,4 @@ def price_curve(
     if not isinstance(option, OptionSpec):
         raise ValidationError(f"price_curve prices one OptionSpec, got {type(option).__name__}")
     counts = term_counts(n_values)
-    return tuple(results[0] for results in _price_counts(model, market, (option,), config, counts))
+    return _curve(counts, *_price_counts(model, market, (option,), config, counts))

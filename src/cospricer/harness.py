@@ -194,7 +194,7 @@ def run_strike_table(
                     flags[(i, j, k)] = "skipped"
                 continue
             options = [OptionSpec(strike=s) for s in strikes]
-            values[:, j, k] = [r.price for r in price(model, market, options, cos_cfg)]
+            values[:, j, k] = price(model, market, options, cos_cfg).prices
 
     return ExperimentResult(
         experiment="strike_table",

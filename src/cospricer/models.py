@@ -423,6 +423,7 @@ class CGMYParams:
 
 
 ModelSpec = Union[HestonParams, KouParams, CGMYParams]
+_MODEL_TYPES = get_args(ModelSpec)
 
 
 # ---------------------------------------------------------------------------
@@ -437,20 +438,22 @@ def damping_bounds(model: ModelSpec) -> tuple[float, float]:
     2007): :func:`check_moment` reads that off the closed form.  A
     non-model is refused here, and so by every reader of a contour.
     """
-    if not isinstance(model, get_args(ModelSpec)):
+    if not isinstance(model, _MODEL_TYPES):
         raise ValidationError(f"unsupported model type {type(model).__name__}")
     return model._strip()
 
 
-def check_damping(model: ModelSpec, shift: float) -> None:
-    """Raise a validation error unless the contour shift (alpha, or the
-    Carr-Madan damping plus 1) lies inside :func:`damping_bounds`."""
+def check_damping(model: ModelSpec, *shifts: float) -> None:
+    """Raise a validation error unless each contour shift (alpha, or the
+    Carr-Madan damping plus 1) lies inside :func:`damping_bounds`, which
+    refuses a non-model even where no shift is given."""
     lo, hi = damping_bounds(model)
-    if not lo < shift < hi:
-        raise ValidationError(
-            f"contour shift {shift:g} lies outside the admissible interval ({lo:g}, {hi:g}) "
-            f"for {type(model).__name__}, so E[(S_T/S_0)^{shift:g}] is infinite"
-        )
+    for shift in shifts:
+        if not lo < shift < hi:
+            raise ValidationError(
+                f"contour shift {shift:g} lies outside the admissible interval ({lo:g}, {hi:g}) "
+                f"for {type(model).__name__}, so E[(S_T/S_0)^{shift:g}] is infinite"
+            )
 
 
 def moment_is_valid(value: complex) -> bool:
@@ -507,10 +510,8 @@ def char_fn(model: ModelSpec, market: MarketSpec, u):
     complex scalar or ndarray matching the shape of ``u``.
     """
     u_arr = np.asarray(u, dtype=np.complex128)
-    if u_arr.size:
-        im = np.imag(u_arr)
-        for shift in (-im.max(), -im.min()):
-            check_damping(model, float(shift))
+    im = np.imag(u_arr)
+    check_damping(model, *((-float(im.max()), -float(im.min())) if im.size else ()))
     # an overflow is inf, without NumPy's warning: |phi_T| along a contour is
     # at most its moment at index 0, which every pricer checks
     with np.errstate(over="ignore"):

@@ -4,7 +4,7 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -12,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cospricer import cos_engine, presets
+from cospricer import cos_engine, harness, presets
 from cospricer.cos_engine import (
     CosConfig,
     OptionKind,
     OptionSpec,
+    PriceColumn,
+    PriceResult,
     Variant,
     call_coefficients,
     chi,
@@ -29,6 +31,7 @@ from cospricer.models import (
     CGMYParams,
     HestonParams,
     MarketSpec,
+    TruncationRange,
     char_fn,
     cumulants,
     live_band,
@@ -764,11 +767,30 @@ class TestKnownWrongPrices:
                      marks=_pin("returns 100.03211, above S0*e^(-qT) = 100; " + _ITEM_2)),
         pytest.param("cgmy2", 20.0, 100.0, OptionKind.CALL, CosConfig(4096, 12.0),
                      id="cgmy2-4096-T20", marks=_pin("returns -2.29e6; " + _ITEM_2)),
+        pytest.param("cgmy2", 1.0, 100.0, OptionKind.CALL,
+                     CosConfig(256, 20.0, variant=Variant.DIRECT), id="cgmy2-direct-256-L20",
+                     marks=_pin("returns 2.3616e49: the undamped call coefficients cancel; "
+                                + _ITEM_2)),
+        pytest.param("cgmy2", 1.0, 100.0, OptionKind.CALL,
+                     CosConfig(256, 60.0, variant=Variant.DIRECT), id="cgmy2-direct-256-L60",
+                     marks=_pin("returns -4.662e223: the undamped call coefficients cancel; "
+                                + _ITEM_2)),
+        pytest.param("cgmy2", 20.0, 100.0, OptionKind.CALL, CosConfig(256, 20.0),
+                     id="cgmy2-256-L20-T20", marks=_pin("returns 6.711e21; " + _ITEM_2)),
     ])
     def test_within_bounds_or_refused(self, models, name, maturity, strike, kind, config):
         check = (assert_call_within_bounds_or_refused if kind is OptionKind.CALL
                  else assert_put_within_bounds_or_refused)
         check(models[name], presets.market_preset(maturity), strike, config)
+
+    @_pin("reproduce fig3's cgmy2 surface spreads 7.2306e65: from alpha = 1.04 up its "
+          "calls leave the bounds, growing with alpha and L; " + _ITEM_2)
+    def test_fig3_cgmy2_spread_within_spot(self):
+        try:
+            surface = harness.run_stability_surface("cgmy2", maturity=20.0, scale_terms=True)
+        except PricingError:
+            return
+        assert surface.value_spread <= presets.market_preset(20.0).spot
 
     @_pin("returns 86.19858 against parity 87.78483, inside the bounds, so only "
           "the cancellation of the undamped call coefficients shows it; " + _ITEM_2)
@@ -781,6 +803,12 @@ class TestKnownWrongPrices:
         assert gap < 1e-6
 
 
+def _strike_range(column, i):
+    """Strike i's truncation range: the column's base range shifted by x_i."""
+    shift = float(column.shifts[i])
+    return TruncationRange(a=column.range.a + shift, b=column.range.b + shift)
+
+
 class TestStrikeBatch:
     @pytest.mark.parametrize(
         "name, variant, kind", _BATCH_CASES,
@@ -789,20 +817,23 @@ class TestStrikeBatch:
     def test_each_element_equals_its_batch_of_one(self, models, market, name, variant, kind):
         cfg = _preset_config(name, variant, kind)
         options = [OptionSpec(strike=k, kind=kind) for k in _BATCH_STRIKES]
-        batch = price(models[name], market, options, cfg)
-        assert isinstance(batch, tuple) and len(batch) == len(options)
-        for option, result in zip(options, batch):
-            # dataclass equality: the price bit for bit, and the range
-            assert result == price(models[name], market, option, cfg), option.strike
+        column = price(models[name], market, options, cfg)
+        assert isinstance(column, PriceColumn) and column.prices.shape == (len(options),)
+        for i, option in enumerate(options):
+            single = price(models[name], market, option, cfg)
+            # the price bit for bit, and the range
+            assert column.prices[i].hex() == single.price.hex(), option.strike
+            assert _strike_range(column, i) == single.range, option.strike
+            assert (column.n_terms, column.damping) == (single.n_terms, single.damping)
 
     def test_extreme_strikes_have_empty_payoff_rows(self, models, market):
         cfg = _preset_config("heston", Variant.DIRECT)
         calls = price(models["heston"], market, [OptionSpec(1e5), OptionSpec(100.0)], cfg)
         puts = price(models["heston"], market,
                      [OptionSpec(1e-3, OptionKind.PUT), OptionSpec(100.0, OptionKind.PUT)], cfg)
-        assert calls[0].range.b <= 0.0 and calls[0].price == 0.0
-        assert puts[0].range.a >= 0.0 and puts[0].price == 0.0
-        assert calls[1].price > 0.0 and puts[1].price > 0.0
+        assert _strike_range(calls, 0).b <= 0.0 and calls.prices[0] == 0.0
+        assert _strike_range(puts, 0).a >= 0.0 and puts.prices[0] == 0.0
+        assert calls.prices[1] > 0.0 and puts.prices[1] > 0.0
 
     @pytest.mark.parametrize("kind, strikes", [
         (OptionKind.CALL, (1e5, 2e5)), (OptionKind.PUT, (1e-3, 2e-3)),
@@ -812,16 +843,21 @@ class TestStrikeBatch:
         cfg = _preset_config("heston", Variant.DIRECT)
         options = tuple(OptionSpec(k, kind) for k in strikes)
         counts = (1, 16, cfg.n_terms, 4096)
-        curve = cos_engine._price_counts(models["heston"], market, options, cfg, counts)
-        assert [[r.price for r in results] for results in curve] == [[0.0, 0.0]] * len(counts)
-        assert [[r.n_terms for r in results] for results in curve] == [[n, n] for n in counts]
+        values, *_ = cos_engine._price_counts(models["heston"], market, options, cfg, counts)
+        assert values.tolist() == [[0.0, 0.0]] * len(counts)
 
     def test_single_option_gives_a_result_and_a_sequence_a_tuple(self, models, market):
+        # a sequence, a tuple or a list, gives one column
         cfg = _WIDE["heston"]
         option = OptionSpec(strike=100.0)
         single = price(models["heston"], market, option, cfg)
-        assert single == price(models["heston"], market, (option,), cfg)[0]
-        assert price(models["heston"], market, [option], cfg) == (single,)
+        assert isinstance(single, PriceResult)
+        for batch in ((option,), [option]):
+            column = price(models["heston"], market, batch, cfg)
+            assert isinstance(column, PriceColumn)
+            assert column.prices.tolist() == [single.price]
+            assert (column.n_terms, column.damping) == (single.n_terms, single.damping)
+            assert _strike_range(column, 0) == single.range
 
     def test_empty_batch_rejected(self, models, market):
         with pytest.raises(ValidationError, match="at least one option"):
@@ -837,6 +873,55 @@ class TestStrikeBatch:
         options = [OptionSpec(strike=k, kind=OptionKind.PUT) for k in (90.0, 110.0)]
         with pytest.raises(ConfigurationError, match="request the put directly"):
             price(models["heston"], market, options, cfg)
+
+
+class _Counting:
+    """Stands in for a class and counts the instances built through it."""
+
+    def __init__(self, cls):
+        self.cls, self.built = cls, 0
+
+    def __call__(self, *args, **kwargs):
+        self.built += 1
+        return self.cls(*args, **kwargs)
+
+
+class TestPriceColumn:
+    """A batch is priced as one column of arrays: no PriceResult and no
+    TruncationRange is built per strike, on the engine's path or on the
+    strike table's."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counters = {name: _Counting(getattr(cos_engine, name))
+                    for name in ("PriceResult", "TruncationRange")}
+        for name, counter in counters.items():
+            monkeypatch.setattr(cos_engine, name, counter)
+        return lambda: {name: counter.built for name, counter in counters.items()}
+
+    def test_a_batch_builds_no_per_strike_object(self, built, models, market):
+        cfg = _preset_config("kou", Variant.STABLE)
+        options = [OptionSpec(k) for k in np.arange(60.0, 161.0, 2.5)]
+        column = price(models["kou"], market, options, cfg)
+        assert column.prices.shape == (41,) and np.isfinite(column.prices).all()
+        assert built() == {"PriceResult": 0, "TruncationRange": 0}
+        # the counters see what one option builds: its result and its range
+        price(models["kou"], market, options[0], cfg)
+        assert built() == {"PriceResult": 1, "TruncationRange": 1}
+
+    def test_a_strike_table_column_builds_no_per_strike_object(self, built):
+        table = harness.run_strike_table(models=("heston",), methods=("stable",))
+        assert np.isfinite(table.values).all()
+        assert built() == {"PriceResult": 0, "TruncationRange": 0}
+
+    def test_prices_and_shifts_are_read_only(self, models, market):
+        options = [OptionSpec(k) for k in (90.0, 100.0, 110.0)]
+        column = price(models["heston"], market, options, _WIDE["heston"])
+        for values in (column.prices, column.shifts):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            column.prices = np.zeros(3)
 
 
 class TestSharedPhases:

@@ -1,0 +1,72 @@
+"""A slice of the lattice audit: one profile, three strikes, one maturity.
+
+The script runs as its own process, against this checkout and with this
+checkout as its own baseline, so its bit-move table must read no move.
+"""
+
+import csv
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from cospricer import CosConfig, OptionKind, OptionSpec, presets, price
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "lattice_audit.py"
+STRIKES = ("60", "100", "157.5")
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("lattice_audit", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def audit(tmp_path_factory):
+    output = tmp_path_factory.mktemp("audit") / "slice.csv"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--output", str(output), "--profiles", "kou",
+         "--maturities", "0.001", "--strikes", *STRIKES, "--baseline", str(ROOT)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    with open(output, newline="") as handle:
+        return list(csv.DictReader(handle)), done.stdout
+
+
+def test_one_row_per_cell(audit):
+    rows, _ = audit
+    module = _script()
+    assert len(rows) == len(module.SERIES) * len(module.CONFIGS) * len(STRIKES)
+    assert {tuple(row) for row in rows} == {module.FIELDS}
+    for row in rows:
+        # a price with its verdict, or a refusal with neither
+        assert bool(row["price"]) == bool(row["verdict"]) != bool(row["refusal"]), row
+        assert row["verdict"] in ("", "ok", "above", "below"), row
+
+
+def test_a_row_holds_the_package_price_bit_for_bit(audit):
+    rows, _ = audit
+    [row] = [r for r in rows if (r["variant"], r["kind"], r["config"], r["strike"])
+             == ("stable", "put", "4096x12", "157.5")]
+    want = price(presets.model_preset("kou"), presets.market_preset(1e-3),
+                 OptionSpec(157.5, OptionKind.PUT), CosConfig(4096, 12.0))
+    assert float(row["price"]).hex() == want.price.hex()
+
+
+def test_its_own_baseline_moves_nothing(audit):
+    _, stdout = audit
+    assert "| all | 60 | 0 | 0 | 0 | 0 |" in stdout.splitlines()
+
+
+def test_reads_either_batch_form():
+    module = _script()
+    results = tuple(SimpleNamespace(price=p) for p in (1.5, 2.5))
+    column = SimpleNamespace(prices=SimpleNamespace(tolist=lambda: [1.5, 2.5]))
+    assert module.column_prices(results) == module.column_prices(column) == [1.5, 2.5]

@@ -185,10 +185,10 @@ def assert_at_the_money_matches_full_grid(model, market, config):
 def prices(model, market, options, config):
     """The prices, or the type of the error raised."""
     try:
-        results = price(model, market, options, config)
+        column = price(model, market, options, config)
     except PricingError as exc:
         return type(exc)
-    return tuple(r.price for r in results)
+    return tuple(column.prices.tolist())
 
 
 def parity_rounding(market, option, config):

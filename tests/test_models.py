@@ -431,6 +431,9 @@ class TestValidationAndStrips:
          ValidationError, r"rho must lie in \[-1, 1\], got -1.5"),
         (lambda: char_fn(object(), MarketSpec(spot=100.0, rate=0.1), 0.0), ValidationError,
          "unsupported model type object"),
+        # an empty contour has no shift to check, but its model still is
+        (lambda: char_fn(object(), MarketSpec(spot=100.0, rate=0.1), np.array([])),
+         ValidationError, "unsupported model type object"),
         (lambda: damping_bounds(object()), ValidationError, "unsupported model type object"),
         (lambda: check_damping(object(), 0.5), ValidationError, "unsupported model type object"),
         # the parity series reads the cumulants first; their radius was
@@ -462,10 +465,10 @@ class TestValidationAndStrips:
          "range_width must be positive, got 0.0"),
         (lambda: truncation_range(Cumulants(c1=0.0, c2=0.1, c4=0.0), -2.0), ValidationError,
          "range_width must be positive, got -2.0"),
-    ], ids=["rate-inf", "dividend-nan", "rho", "log_cf-model", "damping_bounds-model",
-            "check_damping-model", "price-model", "c1-nan", "c4-inf", "c2<0", "c4<0",
-            "cumulants-give-up", "range-a-inf", "range-b-nan", "range-a=b", "width-0",
-            "width<0"])
+    ], ids=["rate-inf", "dividend-nan", "rho", "log_cf-model", "log_cf-model-empty",
+            "damping_bounds-model", "check_damping-model", "price-model", "c1-nan", "c4-inf",
+            "c2<0", "c4<0", "cumulants-give-up", "range-a-inf", "range-b-nan", "range-a=b",
+            "width-0", "width<0"])
     def test_refusals(self, make, error, match):
         with pytest.raises(error, match=match):
             make()

@@ -447,7 +447,7 @@ class TestFourierIntegralRule:
         strikes = [100.0, 100.5]
         got = price_fourier_integral(model, market, strikes, integral_preset("heston"))
         config = CosConfig(n_terms=2 ** 18, range_width=40.0, variant=Variant.PUT_CALL_PARITY)
-        want = [r.price for r in price(model, market, [OptionSpec(k) for k in strikes], config)]
+        want = price(model, market, [OptionSpec(k) for k in strikes], config).prices.tolist()
         assert got == pytest.approx(want, rel=1e-6, abs=1e-14)
 
 
