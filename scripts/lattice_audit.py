@@ -20,15 +20,19 @@ A priced row gets the no-arbitrage verdict ``ok``, ``above`` or ``below``:
 the bounds are [max(S0 e^(-qT) - K e^(-rT), 0), S0 e^(-qT)] for a call and
 [max(K e^(-rT) - S0 e^(-qT), 0), K e^(-rT)] for a put, each with 1e-9*S0
 of slack, the rule of ``models.check_call_prices``.  Prices are written
-with ``repr``, so they read back bit for bit.
+with ``repr``, so they read back bit for bit.  A stable or parity call
+row whose partner is priced at the same profile, maturity, configuration
+and strike holds their ``gap``, |stable - parity|; other rows leave it
+blank.  The summary counts, per profile, the pairs whose gap exceeds
+1e-6*max(1, |parity|).
 
 ``--baseline DIR`` also prices the same cells with DIR/src, in a child
 process, and prints the bit-move table: per profile, the cells compared,
 the prices that moved, the largest move among moved cells inside the
 bounds in both trees, the moved cells outside them in either tree, and
 the cells whose refusal changed (a price that became a refusal counts
-there too).  A batch call may return either form: a column with a
-``prices`` array, or a tuple of results that each hold ``.price``.
+there too).  It compares prices, refusals and verdicts alone, so a
+baseline CSV without the gap column compares too.
 """
 
 from __future__ import annotations
@@ -51,8 +55,9 @@ SERIES = (("stable", "call"), ("direct", "call"), ("parity", "call"),
 CONFIGS = {"preset": None, "4096x12": (4096, 12.0), "256x20": (256, 20.0),
            "60000x12": (60000, 12.0)}
 FIELDS = ("profile", "maturity", "variant", "kind", "config", "strike", "price", "refusal",
-          "verdict")
+          "verdict", "gap")
 SLACK = 1e-9  # of S0, as models.check_call_prices allows
+GAP = 1e-6  # of max(1, |parity|): a stable-parity gap the summary counts
 
 
 def load(src: Path):
@@ -64,13 +69,6 @@ def load(src: Path):
         raise SystemExit(f"lattice_audit: cospricer was imported from {cospricer.__file__}, "
                          f"not from {src}")
     return cospricer
-
-
-def column_prices(result) -> list:
-    """The prices of a batch price call, in strike order, as floats: from a
-    column's ``prices`` array, or from a tuple of results."""
-    prices = getattr(result, "prices", None)
-    return [r.price for r in result] if prices is None else prices.tolist()
 
 
 def series_config(cospricer, profile: str, variant: str, kind: str, config: str):
@@ -98,7 +96,7 @@ def price_column(cospricer, model, market, kind: str, strikes, config) -> list:
     option_kind = cospricer.OptionKind(kind)
     options = [cospricer.OptionSpec(k, option_kind) for k in strikes]
     try:
-        return [(p, "") for p in column_prices(cospricer.price(model, market, options, config))]
+        return [(p, "") for p in cospricer.price(model, market, options, config).prices.tolist()]
     except cospricer.PricingError:
         pass
     cells = []
@@ -135,8 +133,23 @@ def audit(cospricer, profiles, maturities, strikes) -> list:
                             "refusal": refusal,
                             "verdict": "" if value is None else verdict(market, kind, strike,
                                                                         value),
+                            "gap": "",
                         })
+    add_gaps(rows)
     return rows
+
+
+def add_gaps(rows) -> None:
+    """Fill the gap of each stable and parity call row whose partner is priced."""
+    pairs = {}
+    for row in rows:
+        if row["kind"] == "call" and row["variant"] in ("stable", "parity") and row["price"]:
+            cell = (row["profile"], row["maturity"], row["config"], row["strike"])
+            pairs.setdefault(cell, {})[row["variant"]] = row
+    for pair in pairs.values():
+        if len(pair) == 2:
+            gap = abs(float(pair["stable"]["price"]) - float(pair["parity"]["price"]))
+            pair["stable"]["gap"] = pair["parity"]["gap"] = repr(gap)
 
 
 def write_rows(path: Path, rows) -> None:
@@ -163,6 +176,13 @@ def summary(rows) -> list:
              f"{f' ({by_type})' if by_type else ''}, outside the bounds {sum(outside.values())}"]
     for (profile, variant, kind, config, maturity, where), count in sorted(outside.items()):
         lines.append(f"  {profile} {variant} {kind} {config} T={maturity}: {count} {where}")
+    gaps = Counter()
+    for row in rows:
+        if row["variant"] == "parity" and row["gap"]:
+            bar = GAP * max(1.0, abs(float(row["price"])))
+            gaps[row["profile"]] += float(row["gap"]) > bar
+    lines.append(f"stable-parity call gaps above {GAP:g}*max(1, |parity|): "
+                 + ", ".join(f"{profile} {count}" for profile, count in gaps.items()))
     return lines
 
 

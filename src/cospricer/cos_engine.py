@@ -46,7 +46,6 @@ calls them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
@@ -55,11 +54,16 @@ import numpy as np
 
 from .errors import ComputationError, ConfigurationError, ValidationError
 from .models import (
+    FINITE,
+    POSITIVE,
     MarketSpec,
     ModelSpec,
     TruncationRange,
     char_fn,
+    check_fields,
     check_moment,
+    check_number,
+    check_numbers,
     cumulants,
     live_band,
     truncation_range,
@@ -105,8 +109,7 @@ class OptionSpec:
     kind: OptionKind = OptionKind.CALL
 
     def __post_init__(self):
-        if not (self.strike > 0.0 and math.isfinite(self.strike)):
-            raise ValidationError(f"strike must be positive and finite, got {self.strike}")
+        object.__setattr__(self, "strike", check_number("strike", self.strike, POSITIVE))
         if not isinstance(self.kind, OptionKind):
             raise ValidationError(f"kind must be an OptionKind member, got {self.kind!r}")
 
@@ -138,15 +141,14 @@ class CosConfig:
                 f"n_terms must be a positive whole number, got {self.n_terms!r}"
             ) from None
         object.__setattr__(self, "n_terms", n_terms)
-        if not (self.range_width > 0.0 and math.isfinite(self.range_width)):
-            raise ValidationError(f"range_width must be positive, got {self.range_width}")
-        if self.damping is not None and not math.isfinite(self.damping):
-            raise ValidationError("damping must be finite")
-        if self.damping is not None and self.variant is not Variant.STABLE:
-            raise ConfigurationError(
-                f"damping {self.damping} applies to the stable variant only, "
-                f"not {self.variant.value}"
-            )
+        check_fields(self, range_width=POSITIVE)
+        if self.damping is not None:
+            check_fields(self, damping=FINITE)
+            if self.variant is not Variant.STABLE:
+                raise ConfigurationError(
+                    f"damping {self.damping} applies to the stable variant only, "
+                    f"not {self.variant.value}"
+                )
 
 
 @dataclass(frozen=True)
@@ -402,19 +404,16 @@ def _resolve_damping(config: CosConfig, kind: OptionKind) -> float:
 
 
 def term_counts(n_values) -> tuple:
-    """n_values as a tuple of ints, refusing an empty sequence and any
-    entry that is not a positive whole number (a bool is not one; 1e3 is)."""
-    try:
-        values = tuple(n_values)
-    except TypeError:
-        raise ValidationError(f"term counts must be a sequence, got {n_values!r}") from None
-    if not values:
+    """n_values as a tuple of ints: a non-empty sequence of numbers by the
+    rule of :func:`models.check_numbers`, each a positive whole number (a
+    bool is not one; 1e3 is)."""
+    counts = check_numbers("term counts", n_values, "term counts", POSITIVE)
+    if not counts:
         raise ValidationError("term counts must be non-empty")
-    for n in values:
-        if (isinstance(n, (bool, np.bool_)) or not isinstance(n, numbers.Real)
-                or not (math.isfinite(n) and n >= 1 and n == int(n))):
+    for n in counts:
+        if n != int(n):
             raise ValidationError(f"term counts must be positive whole numbers, got {n!r}")
-    return tuple(int(n) for n in values)
+    return tuple(map(int, counts))
 
 
 def _price_counts(

@@ -42,6 +42,7 @@ import numpy as np
 from .cos_engine import CosConfig, OptionSpec, Variant, price, price_curve, term_counts
 from .errors import ComputationError, ConfigurationError, ValidationError
 from . import presets
+from .models import NONNEGATIVE, POSITIVE, check_number, check_numbers
 from .transform_refs import price_carr_madan, price_fourier_integral
 
 __all__ = [
@@ -114,10 +115,14 @@ _REFERENCE_CONFIG = CosConfig(n_terms=60000, range_width=12.0, variant=Variant.P
 
 def _sequence(values, name: str, default) -> tuple:
     """values as a tuple, or default where it is None.  A bare string is
-    refused: its characters are not the sequence a driver takes."""
+    refused: its characters are not the sequence a driver takes; so is a
+    value that is not iterable."""
     if isinstance(values, str):
         raise ValidationError(f"{name} must be a sequence, not the string {values!r}")
-    return tuple(default if values is None else values)
+    try:
+        return tuple(default if values is None else values)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence, got {values!r}") from None
 
 
 def _recompute_reference(model_name: str, maturity: float = 1.0) -> float:
@@ -161,7 +166,8 @@ def run_strike_table(
     ``skipped``.  An empty strike list calls no pricer.
     """
     models = _sequence(models, "models", presets.PROFILE_NAMES)
-    strikes = tuple(float(k) for k in _sequence(strikes, "strikes", presets.STRIKE_GRID))
+    strikes = check_numbers("strikes", _sequence(strikes, "strikes", presets.STRIKE_GRID),
+                            "strike", POSITIVE)
     methods = _sequence(methods, "methods", METHOD_NAMES)
     for name in models:
         presets.model_preset(name)
@@ -243,6 +249,7 @@ def run_convergence(
     preset = presets.method_preset(model_name, variant)
     if reference_tolerance is None:
         reference_tolerance = presets.reference_gate(model_name)
+    reference_tolerance = check_number("reference_tolerance", reference_tolerance, NONNEGATIVE)
     recomputed = _recompute_reference(model_name, maturity)
 
     if maturity == 1.0:
@@ -322,9 +329,10 @@ def run_stability_surface(
     construction.
     """
     preset = presets.method_preset(model_name, Variant.STABLE)
-    alpha_values = _sequence(alpha_values, "alpha_values", presets.sweep_dampings())
-    l_values = _sequence(l_values, "l_values", presets.sweep_widths(model_name))
-    alpha_values, l_values = (tuple(map(float, v)) for v in (alpha_values, l_values))
+    alpha_values = check_numbers("alpha_values", _sequence(
+        alpha_values, "alpha_values", presets.sweep_dampings()), "damping")
+    l_values = check_numbers("l_values", _sequence(
+        l_values, "l_values", presets.sweep_widths(model_name)), "range_width", POSITIVE)
     if not alpha_values or not l_values:
         raise ValidationError("stability grids must be non-empty")
     [base_n] = term_counts((preset.n_terms if n_terms is None else n_terms,))
@@ -353,7 +361,8 @@ def run_l_sweep(
     Both variants are evaluated with the same generous term count so
     any divergence reflects range sensitivity, not resolution.
     """
-    l_values = tuple(float(w) for w in _sequence(l_values, "l_values", ()))
+    l_values = check_numbers("l_values", _sequence(l_values, "l_values", ()), "range_width",
+                             POSITIVE)
     if not l_values:
         raise ValidationError("l_values must be non-empty")
     return _price_grid(

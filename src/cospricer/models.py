@@ -22,12 +22,19 @@ search, :func:`envelope_cut`.  Every reader of a contour here
 (:func:`char_fn`, :func:`envelope_cut` and so :func:`live_band`,
 :func:`cumulants`) refuses a shift outside the damping strip itself, by
 :func:`check_damping`.
+
+Every number the package takes passes one rule, :func:`check_number`: a
+real number, not a bool, inside a named interval (FINITE, POSITIVE, ...),
+which admits no inf or nan; anything else, a numeric string too, is a
+validation error.  :func:`check_numbers` is its form for a column, and
+:func:`check_fields` its form for a dataclass's fields.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Union, get_args
 
@@ -36,6 +43,16 @@ import numpy as np
 from .errors import ComputationError, ValidationError
 
 __all__ = [
+    "FINITE",
+    "POSITIVE",
+    "NONNEGATIVE",
+    "ABOVE_ONE",
+    "BELOW_TWO",
+    "UNIT",
+    "CORRELATION",
+    "check_number",
+    "check_numbers",
+    "check_fields",
     "MarketSpec",
     "check_call_prices",
     "HestonParams",
@@ -55,6 +72,66 @@ __all__ = [
     "live_band",
     "TAIL_SHARE",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the number rule
+# ---------------------------------------------------------------------------
+
+# an interval (low, high, rule) admits low <= value <= high: an open end is
+# the next float inward and a free end the largest float, so none admits
+# inf or nan
+_TOP = float(np.finfo(float).max)
+FINITE = (-_TOP, _TOP, "be finite")
+POSITIVE = (math.nextafter(0.0, 1.0), _TOP, "be positive and finite")
+NONNEGATIVE = (0.0, _TOP, "be nonnegative and finite")
+ABOVE_ONE = (math.nextafter(1.0, 2.0), _TOP, "exceed 1 and be finite")
+BELOW_TWO = (-_TOP, math.nextafter(2.0, 1.0), "be below 2 and finite")
+UNIT = (0.0, 1.0, "lie in [0, 1]")
+CORRELATION = (-1.0, 1.0, "lie in [-1, 1]")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and type(value) is not bool
+
+
+def check_number(name: str, value, interval: tuple = FINITE) -> float:
+    """value as a float, where it is a real number, not a bool, inside
+    interval; else a validation error "{name} must {rule}, got {value!r}"."""
+    low, high, rule = interval
+    # a float skips the ABC test, which costs several times as much: the
+    # rule runs once per option built.  The bounds are compared with a
+    # float, as a NumPy scalar would cast them to its own type
+    try:
+        number = float(value) if isinstance(value, float) or _is_real(value) else math.nan
+    except OverflowError:  # an int or a fraction past the largest float
+        number = math.nan
+    if low <= number <= high:
+        return number
+    raise ValidationError(f"{name} must {rule}, got {value!r}")
+
+
+def check_numbers(name: str, values, each: str, interval: tuple = FINITE) -> tuple:
+    """:func:`check_number` for each of values, a column named name, under
+    the name each: a tuple of floats.  A bare string, a non-iterable and a
+    column holding a non-number are a validation error
+    "{name} must be a sequence of numbers, got {values!r}"."""
+    try:
+        column = tuple(None if isinstance(values, (str, bytes)) else values)
+        return tuple([check_number(each, value, interval) for value in column])
+    except TypeError:
+        pass
+    except ValidationError:
+        if all(map(_is_real, column)):
+            raise
+    raise ValidationError(f"{name} must be a sequence of numbers, got {values!r}")
+
+
+def check_fields(obj, **intervals) -> None:
+    """:func:`check_number` for each named field of the frozen dataclass
+    obj under its interval, in order, storing the float it returns."""
+    for name, interval in intervals.items():
+        object.__setattr__(obj, name, check_number(name, getattr(obj, name), interval))
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +166,7 @@ class MarketSpec:
     dividend_factor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.spot > 0.0 and math.isfinite(self.spot)):
-            raise ValidationError(f"spot must be positive and finite, got {self.spot}")
-        if not (self.maturity > 0.0 and math.isfinite(self.maturity)):
-            raise ValidationError(f"maturity must be positive and finite, got {self.maturity}")
-        for name in ("rate", "dividend"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+        check_fields(self, spot=POSITIVE, maturity=POSITIVE, rate=FINITE, dividend=FINITE)
         for name, exponent in (("discount", -self.rate * self.maturity),
                                ("dividend", -self.dividend * self.maturity)):
             try:
@@ -172,16 +243,8 @@ class HestonParams:
     v0: float
 
     def __post_init__(self):
-        if not 0.0 < self.kappa < math.inf:
-            raise ValidationError(f"kappa must be positive and finite, got {self.kappa}")
-        if not 0.0 <= self.theta < math.inf:
-            raise ValidationError(f"theta must be nonnegative and finite, got {self.theta}")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValidationError(f"rho must lie in [-1, 1], got {self.rho}")
-        if not 0.0 <= self.v0 < math.inf:
-            raise ValidationError(f"v0 must be nonnegative and finite, got {self.v0}")
+        check_fields(self, kappa=POSITIVE, theta=NONNEGATIVE, sigma=POSITIVE, rho=CORRELATION,
+                     v0=NONNEGATIVE)
 
     def _log_cf(self, market: MarketSpec, u):
         t = market.maturity
@@ -290,16 +353,7 @@ class KouParams:
     lam: float
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < math.inf:
-            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValidationError(f"p must lie in [0, 1], got {self.p}")
-        if not 1.0 < self.eta1 < math.inf:
-            raise ValidationError(f"eta1 must exceed 1 and be finite, got {self.eta1}")
-        if not 0.0 < self.eta2 < math.inf:
-            raise ValidationError(f"eta2 must be positive and finite, got {self.eta2}")
-        if not 0.0 <= self.lam < math.inf:
-            raise ValidationError(f"lam must be nonnegative and finite, got {self.lam}")
+        check_fields(self, sigma=POSITIVE, p=UNIT, eta1=ABOVE_ONE, eta2=POSITIVE, lam=NONNEGATIVE)
 
     def _log_cf(self, market: MarketSpec, u):
         t = market.maturity
@@ -339,14 +393,7 @@ class CGMYParams:
     Y: float
 
     def __post_init__(self):
-        if not 0.0 < self.C < math.inf:
-            raise ValidationError(f"C must be positive and finite, got {self.C}")
-        if not 0.0 < self.G < math.inf:
-            raise ValidationError(f"G must be positive and finite, got {self.G}")
-        if not 1.0 < self.M < math.inf:
-            raise ValidationError(f"M must exceed 1 and be finite, got {self.M}")
-        if not self.Y < 2.0:
-            raise ValidationError(f"Y must be below 2, got {self.Y}")
+        check_fields(self, C=POSITIVE, G=POSITIVE, M=ABOVE_ONE, Y=BELOW_TWO)
         try:
             gamma_finite = math.isfinite(math.gamma(-self.Y))
         except (ValueError, OverflowError):
@@ -457,8 +504,8 @@ def check_damping(model: ModelSpec, *shifts: float) -> None:
 
 
 def moment_is_valid(value: complex) -> bool:
-    """Whether phi_T(-i*p) = E[(S_T/S_0)^p] is a usable moment: real,
-    positive and finite.
+    """Whether phi_T(-i*p) = E[(S_T/S_0)^p] is a usable moment: a real,
+    positive, finite number.
 
     Past a moment explosion the closed forms still return a number, but
     a complex one, and a contour through it prices nonsense.  Valid

@@ -34,6 +34,7 @@ itself: ``envelope_cut`` does, through ``live_band`` for Carr-Madan.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -41,12 +42,16 @@ import numpy as np
 
 from .errors import ComputationError, ValidationError
 from .models import (
+    ABOVE_ONE,
+    POSITIVE,
     TAIL_SHARE,
     MarketSpec,
     ModelSpec,
     char_fn,
     check_call_prices,
+    check_fields,
     check_moment,
+    check_numbers,
     envelope_cut,
     live_band,
 )
@@ -80,10 +85,7 @@ class CarrMadanConfig:
     spacing: float = 0.05
 
     def __post_init__(self):
-        if not (self.damping > 0.0 and math.isfinite(self.damping)):
-            raise ValidationError(f"damping must be positive and finite, got {self.damping}")
-        if not (self.spacing > 0.0 and math.isfinite(self.spacing)):
-            raise ValidationError(f"spacing must be positive and finite, got {self.spacing}")
+        check_fields(self, damping=POSITIVE, spacing=POSITIVE)
 
     @property
     def strike_span(self) -> float:
@@ -105,23 +107,7 @@ class IntegralConfig:
     max_frequency: float = 5000.0
 
     def __post_init__(self):
-        if not (self.damping > 1.0 and math.isfinite(self.damping)):
-            raise ValidationError(f"damping must exceed 1, got {self.damping}")
-        if not (self.max_frequency > 0.0 and math.isfinite(self.max_frequency)):
-            raise ValidationError(
-                f"max_frequency must be positive and finite, got {self.max_frequency}"
-            )
-
-
-def _validate_strikes(strikes: Sequence[float]) -> list[float]:
-    try:  # a string's characters are not a strike column
-        strikes = [float(k) for k in (None if isinstance(strikes, str) else strikes)]
-    except (TypeError, ValueError):
-        raise ValidationError(f"strikes must be a sequence of numbers, got {strikes!r}") from None
-    for k in strikes:
-        if not (k > 0.0 and math.isfinite(k)):
-            raise ValidationError(f"strike must be positive and finite, got {k}")
-    return strikes
+        check_fields(self, damping=ABOVE_ONE, max_frequency=POSITIVE)
 
 
 # an overflowing transform reads as inf or nan, without NumPy's warning:
@@ -210,7 +196,7 @@ def price_carr_madan(
     """
     if not isinstance(config, CarrMadanConfig):
         raise ValidationError(f"config must be a CarrMadanConfig, got {type(config).__name__}")
-    strikes = _validate_strikes(strikes)
+    strikes = check_numbers("strikes", strikes, "strike", POSITIVE)
     if not strikes:
         return []
     log_strikes = np.log(np.asarray(strikes) / market.spot)
@@ -280,15 +266,15 @@ def price_fourier_integral(
     (returns a list in input order).  The characteristic function is
     evaluated once, as one vector, for the whole column, and not at all
     for an empty one.  config must be an IntegralConfig, whose damping
-    alpha must exceed 1 (call payoff integrability), lie inside
+    alpha must lie above 1 (call payoff integrability), inside
     :func:`models.damping_bounds` and leave E[(S_T/S_0)^alpha] a valid
     moment (or a validation error is raised); the result is invariant to
     the alpha chosen, as the tests assert.
     """
     if not isinstance(config, IntegralConfig):
         raise ValidationError(f"config must be an IntegralConfig, got {type(config).__name__}")
-    single = np.ndim(strike) == 0
-    strikes = _validate_strikes([strike] if single else strike)
+    single = isinstance(strike, str) or not isinstance(strike, Iterable)
+    strikes = check_numbers("strikes", [strike] if single else strike, "strike", POSITIVE)
     if not strikes:
         return []
     alpha = config.damping

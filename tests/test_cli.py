@@ -201,7 +201,7 @@ INVALID_SETTINGS = [
     ("strike", "-10", "strike must be positive and finite, got -10.0"),
     ("strike", "nan", "strike must be positive and finite, got nan"),
     ("maturity", "0", "maturity must be positive and finite, got 0.0"),
-    ("L", "-2", "range_width must be positive, got -2.0"),
+    ("L", "-2", "range_width must be positive and finite, got -2.0"),
     ("N", "0", "n_terms must be a positive whole number, got 0"),
     ("N", "-5", "n_terms must be a positive whole number, got -5"),
 ]

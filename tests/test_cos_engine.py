@@ -777,6 +777,18 @@ class TestKnownWrongPrices:
                                 + _ITEM_2)),
         pytest.param("cgmy2", 20.0, 100.0, OptionKind.CALL, CosConfig(256, 20.0),
                      id="cgmy2-256-L20-T20", marks=_pin("returns 6.711e21; " + _ITEM_2)),
+        # N = 4096 at the preset L mends all three; L = 12 alone only the kou cell
+        pytest.param("cgmy1", 1e-3, 61.5, OptionKind.CALL,
+                     _preset_config("cgmy1", Variant.STABLE), id="cgmy1-stable-T1e-3",
+                     marks=_pin("returns 38.5054724, under the lower bound 38.5061497; "
+                                + _ITEM_5)),
+        pytest.param("cgmy1", 1e-3, 60.0, OptionKind.CALL,
+                     _preset_config("cgmy1", Variant.DIRECT), id="cgmy1-direct-T1e-3",
+                     marks=_pin("returns 40.0057417, under the lower bound 40.0059997; "
+                                + _ITEM_5)),
+        pytest.param("kou", 1e-3, 160.0, OptionKind.CALL,
+                     _preset_config("kou", Variant.STABLE), id="kou-stable-T1e-3",
+                     marks=_pin("returns a negative call, -3.3994e-5; " + _ITEM_5)),
     ])
     def test_within_bounds_or_refused(self, models, name, maturity, strike, kind, config):
         check = (assert_call_within_bounds_or_refused if kind is OptionKind.CALL

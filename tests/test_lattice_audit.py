@@ -9,11 +9,10 @@ import importlib.util
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from cospricer import CosConfig, OptionKind, OptionSpec, presets, price
+from cospricer import CosConfig, OptionKind, OptionSpec, Variant, presets, price
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "lattice_audit.py"
@@ -65,8 +64,16 @@ def test_its_own_baseline_moves_nothing(audit):
     assert "| all | 60 | 0 | 0 | 0 | 0 |" in stdout.splitlines()
 
 
-def test_reads_either_batch_form():
-    module = _script()
-    results = tuple(SimpleNamespace(price=p) for p in (1.5, 2.5))
-    column = SimpleNamespace(prices=SimpleNamespace(tolist=lambda: [1.5, 2.5]))
-    assert module.column_prices(results) == module.column_prices(column) == [1.5, 2.5]
+def test_a_call_row_holds_the_stable_parity_gap_bit_for_bit(audit):
+    rows, stdout = audit
+    gaps = {r["variant"]: r["gap"] for r in rows
+            if (r["kind"], r["config"], r["strike"]) == ("call", "4096x12", "100.0")}
+    model, market = presets.model_preset("kou"), presets.market_preset(1e-3)
+    stable, parity = (price(model, market, OptionSpec(100.0), CosConfig(4096, 12.0, variant=v))
+                      .price for v in (Variant.STABLE, Variant.PUT_CALL_PARITY))
+    assert gaps["stable"] == gaps["parity"]
+    assert float(gaps["stable"]).hex() == abs(stable - parity).hex()
+    # direct calls and puts have no partner
+    assert gaps["direct"] == "" and all(r["gap"] == "" for r in rows if r["kind"] == "put")
+    assert any(line.startswith("stable-parity call gaps above 1e-06*max(1, |parity|): kou ")
+               for line in stdout.splitlines())
