@@ -300,9 +300,9 @@ def _column_sums(g: np.ndarray, u: np.ndarray, alpha: float, c, d, a, ends) -> t
     u1 = u[1:]
     weight = g[1:] / (w * w + u1 * u1)
     p, q = weight * w, weight * u1
-    # reach[n - 1] = sum_{1<=k<n} |p_k| + |q_k|
-    reach = np.zeros((u.size, 2))
-    np.cumsum((np.abs(p) + np.abs(q)).T, axis=0, out=reach[1:])
+    # reach[:, n - 1] = sum_{1<=k<n} |p_k| + |q_k|, one row per exponent
+    reach = np.zeros((2, u.size))
+    np.cumsum(np.abs(p) + np.abs(q), axis=1, out=reach[:, 1:])
     # per row and exponent: (rows, 2)
     w = w[:, 0]
     e_c, e_d = _exp_each(np.array((c, d))[:, :, None] * w)
@@ -311,12 +311,13 @@ def _column_sums(g: np.ndarray, u: np.ndarray, alpha: float, c, d, a, ends) -> t
     # each row and exponent: (phase rows, 2, terms)
     offsets = _distinct(c - a), _distinct(d - a)
     phase = u1 * np.concatenate(offsets)[:, None]
-    products = np.cos(phase)[:, None, :] * p + np.sin(phase)[:, None, :] * q
+    products = np.cos(phase)[:, None, :] * p
+    products += np.sin(phase)[:, None, :] * q
     # (counts, phase rows, 2); the rest is elementwise, for every count at once
     sums = np.array([np.add.reduce(products[..., : n - 1], axis=-1) for n in ends])
     split = offsets[0].size
     terms = e_d * sums[:, split:] - e_c * sums[:, :split] + first
-    magnitude = (e_c + e_d) * reach[[n - 1 for n in ends], None] + np.abs(first)
+    magnitude = (e_c + e_d) * reach[:, [n - 1 for n in ends]].T[:, None] + np.abs(first)
     return terms[..., 0] - terms[..., 1], magnitude[..., 0] + magnitude[..., 1]
 
 

@@ -77,6 +77,10 @@ class ExperimentResult:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.values, np.ndarray):
+            raise ValidationError(
+                f"values must be a NumPy array, got {type(self.values).__name__}"
+            )
         shape = tuple(len(vals) for _, vals in self.axes)
         if self.values.shape != shape:
             raise ValidationError(
@@ -87,10 +91,10 @@ class ExperimentResult:
                 raise ValidationError(f"flag index {idx} does not match axes rank")
             if not isinstance(flag, str):
                 raise ValidationError(f"flag at {idx} must be a string")
-        bad = np.argwhere(~np.isfinite(self.values))
-        for idx in map(tuple, bad):
-            if idx not in self.flags:
-                raise ValidationError(f"non-finite cell {idx} lacks a flag")
+        if not np.isfinite(self.values).all():
+            for idx in map(tuple, np.argwhere(~np.isfinite(self.values))):
+                if idx not in self.flags:
+                    raise ValidationError(f"non-finite cell {idx} lacks a flag")
 
     def axis(self, name: str):
         return dict(self.axes)[name]
@@ -178,6 +182,7 @@ def run_strike_table(
     started = time.perf_counter()
     values = np.full((len(strikes), len(models), len(methods)), np.nan)
     flags = {}
+    options = [OptionSpec(strike=s) for s in strikes]
     # an empty strike list calls no pricer; price() would refuse its empty batch
     for j, name in enumerate(models if strikes else ()):
         model = presets.model_preset(name)
@@ -199,7 +204,6 @@ def run_strike_table(
                 for i in range(len(strikes)):
                     flags[(i, j, k)] = "skipped"
                 continue
-            options = [OptionSpec(strike=s) for s in strikes]
             values[:, j, k] = price(model, market, options, cos_cfg).prices
 
     return ExperimentResult(

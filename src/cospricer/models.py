@@ -7,9 +7,14 @@ pricers read of its model, as private methods: log phi_T (``_log_cf``),
 the strip of contour shifts (``_strip``) and a non-increasing bound on
 log|phi_T| along a contour (``_log_envelope``).  The module functions
 read a model only through these, and test no model type beyond
-:func:`damping_bounds`' refusal of a non-model.  The module also provides
-log-cumulants of the log-return (Cauchy contour integrals of log phi_T)
-and the series truncation interval built from them.
+:func:`damping_bounds`' refusal of a non-model.  What a model's methods
+read that depends on neither the market nor the contour is computed once,
+at construction, as :class:`MarketSpec` computes its discount factors:
+Kou's jump drift, and CGMY's Gamma(-Y), M^Y, G^Y and martingale bracket;
+each call computes only what depends on its market and its points.  The
+module also provides log-cumulants of the log-return (Cauchy contour
+integrals of log phi_T, on a fixed set of nodes) and the series
+truncation interval built from them.
 
 Both fixed-grid consumers, the cosine engine and the Carr-Madan sum,
 read phi_T along a contour u - i*alpha, u = 0, du, 2*du, ..., through
@@ -351,15 +356,19 @@ class KouParams:
     eta1: float
     eta2: float
     lam: float
+    # E[e^J] - 1 of one jump, the drift's compensator per unit intensity
+    _jump_drift: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self, sigma=POSITIVE, p=UNIT, eta1=ABOVE_ONE, eta2=POSITIVE, lam=NONNEGATIVE)
+        p, e1, e2 = self.p, self.eta1, self.eta2
+        object.__setattr__(self, "_jump_drift",
+                           p * e1 / (e1 - 1.0) + (1.0 - p) * e2 / (e2 + 1.0) - 1.0)
 
     def _log_cf(self, market: MarketSpec, u):
         t = market.maturity
         p, e1, e2 = self.p, self.eta1, self.eta2
-        jump_drift = p * e1 / (e1 - 1.0) + (1.0 - p) * e2 / (e2 + 1.0) - 1.0
-        mu = market.rate - market.dividend - 0.5 * self.sigma ** 2 - self.lam * jump_drift
+        mu = market.rate - market.dividend - 0.5 * self.sigma ** 2 - self.lam * self._jump_drift
         jump_cf = p * e1 / (e1 - 1j * u) + (1.0 - p) * e2 / (e2 + 1j * u) - 1.0
         return 1j * u * mu * t - 0.5 * self.sigma ** 2 * u * u * t + self.lam * t * jump_cf
 
@@ -391,26 +400,42 @@ class CGMYParams:
     G: float
     M: float
     Y: float
+    # the market-free constants every log-CF and envelope value reads:
+    # Gamma(-Y), M^Y, G^Y and psi at u = -i, the drift's martingale bracket
+    _gamma: float = field(init=False, repr=False, compare=False)
+    _m_power: float = field(init=False, repr=False, compare=False)
+    _g_power: float = field(init=False, repr=False, compare=False)
+    _bracket: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self, C=POSITIVE, G=POSITIVE, M=ABOVE_ONE, Y=BELOW_TWO)
+        g, m, y = self.G, self.M, self.Y
         try:
-            gamma_finite = math.isfinite(math.gamma(-self.Y))
+            gamma = math.gamma(-y)
         except (ValueError, OverflowError):
-            gamma_finite = False
-        if not gamma_finite:
+            gamma = math.nan
+        if not math.isfinite(gamma):
             raise ValidationError(
                 f"Y must not equal 0 or 1, and Gamma(-Y) must be finite, got {self.Y}"
             )
+        try:
+            m_power, g_power = m ** y, g ** y
+            bracket = m_power * math.expm1(y * math.log1p(-1.0 / m)) + g_power * math.expm1(
+                y * math.log1p(1.0 / g)
+            )
+        except OverflowError:
+            raise ValidationError(
+                f"M^Y, G^Y and the drift's compensator must be finite floats, got "
+                f"G={g}, M={m}, Y={y}"
+            ) from None
+        for name, value in (("_gamma", gamma), ("_m_power", m_power), ("_g_power", g_power),
+                            ("_bracket", bracket)):
+            object.__setattr__(self, name, value)
 
     def _drift(self, market: MarketSpec) -> float:
         """The drift mu of the log-return; its compensator is
         C*Gamma(-Y) times psi at u = -i, in real arithmetic."""
-        c, g, m, y = self.C, self.G, self.M, self.Y
-        psi_mart = m ** y * math.expm1(y * math.log1p(-1.0 / m)) + g ** y * math.expm1(
-            y * math.log1p(1.0 / g)
-        )
-        return market.rate - market.dividend - c * math.gamma(-y) * psi_mart
+        return market.rate - market.dividend - self.C * self._gamma * self._bracket
 
     def _log_cf(self, market: MarketSpec, u):
         t, g, m, y = market.maturity, self.G, self.M, self.Y
@@ -418,10 +443,10 @@ class CGMYParams:
         # between the power terms that dominates a naive evaluation at small
         # |u|; principal-branch logs, as Re(m - iu) and Re(g + iu) stay
         # positive for Im(u) inside (-m, g)
-        psi = m ** y * _cexpm1(y * np.log(1.0 - 1j * u / m)) + g ** y * _cexpm1(
+        psi = self._m_power * _cexpm1(y * np.log(1.0 - 1j * u / m)) + self._g_power * _cexpm1(
             y * np.log(1.0 + 1j * u / g)
         )
-        return 1j * u * self._drift(market) * t + self.C * t * math.gamma(-y) * psi
+        return 1j * u * self._drift(market) * t + self.C * t * self._gamma * psi
 
     def _strip(self) -> tuple[float, float]:
         return (-self.G, self.M)
@@ -452,7 +477,7 @@ class CGMYParams:
         if y <= -1.0:
             return math.inf
 
-        def gap(base: float, shift: float) -> float:
+        def gap(base: float, power: float, shift: float) -> float:
             x, v = shift / base, u / base
             if x > -0.5:
                 one_x, log_r = 1.0 + x, 0.5 * math.log1p(x * (2.0 + x) + v * v)
@@ -460,12 +485,12 @@ class CGMYParams:
                 one_x = (base + shift) / base
                 log_r = 0.5 * math.log(one_x * one_x + v * v)
             angle = y * math.atan2(v, one_x)
-            return base ** y * (math.expm1(y * log_r) * math.cos(angle)
-                                - 2.0 * math.sin(0.5 * angle) ** 2)
+            return power * (math.expm1(y * log_r) * math.cos(angle)
+                            - 2.0 * math.sin(0.5 * angle) ** 2)
 
         t = market.maturity
-        return alpha * self._drift(market) * t + self.C * t * math.gamma(-y) * (
-            gap(self.M, -alpha) + gap(self.G, alpha)
+        return alpha * self._drift(market) * t + self.C * t * self._gamma * (
+            gap(self.M, self._m_power, -alpha) + gap(self.G, self._g_power, alpha)
         )
 
 
@@ -698,8 +723,12 @@ _CONTOUR_HALVINGS = 8  # times r may halve before the cumulants are given up
 # the radius where the strip is the whole line (Heston's): the halving
 # finds its explosion, and its c4 rounding floor grows as r^-4, so r starts large
 _HESTON_RADIUS = 0.5
-# s/r at the nodes with Im(s) <= 0; the others are their conjugates
-_HALF_CIRCLE = np.exp(-1j * np.linspace(0.0, math.pi, _CONTOUR_NODES // 2 + 1))
+# s/r at the nodes with Im(s) <= 0 (the others are their conjugates), then
+# at the two probes +-2r
+_NODES = np.append(np.exp(-1j * np.linspace(0.0, math.pi, _CONTOUR_NODES // 2 + 1)),
+                   (2.0, -2.0))
+# the exponents of the powers of r that scale the Taylor coefficients 0..4
+_POWERS = np.arange(5)
 
 
 def cumulants(model: ModelSpec, market: MarketSpec, centre: float = 0.0) -> Cumulants:
@@ -726,11 +755,10 @@ def cumulants(model: ModelSpec, market: MarketSpec, centre: float = 0.0) -> Cumu
     radius = 0.25 * min(centre - lo, hi - centre)
     radius = _HESTON_RADIUS if radius == math.inf else radius
     for _ in range(_CONTOUR_HALVINGS + 1):
-        s = np.append(radius * _HALF_CIRCLE, (2.0 * radius, -2.0 * radius))
         # Heston's log-CF has a removable 0/0 at kappa = rho*sigma*s: nan
         with np.errstate(all="ignore"):
-            values = model._log_cf(market, -1j * (centre + s))
-            taylor = np.fft.irfft(values[:-2], _CONTOUR_NODES)[:5] / radius ** np.arange(5)
+            values = model._log_cf(market, -1j * (centre + radius * _NODES))
+            taylor = np.fft.irfft(values[:-2], _CONTOUR_NODES)[:5] / radius ** _POWERS
         c1, c2, c4 = taylor[1], 2.0 * taylor[2], 24.0 * taylor[4]
         # a valid moment's log carries ~1e-16 relative imaginary roundoff
         if all(map(math.isfinite, (c1, c2, c4))) and all(

@@ -6,6 +6,12 @@ model, a double-exponential jump-diffusion, and two tempered-stable
 parameter sets, the second of which is deep in the fat-tail regime.
 All share spot 100, rate 0.1, zero dividend, maturity 1.
 
+Every preset object is built once, at import: the market, the models,
+each method preset's CosConfigs and the oracle configurations, so a
+preset call builds nothing.  The exceptions are a market re-dated to
+another maturity and a CosConfig of a variant its preset does not admit,
+each built, and checked, on the call.
+
 Reference prices ship as CSV data files.  The strike table holds the
 10-decimal call values each method is expected to reproduce; the
 convergence references are 13-digit anchors computed by the undamped
@@ -18,7 +24,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Optional
 
@@ -64,19 +70,36 @@ _MODELS = {
 
 @dataclass(frozen=True)
 class MethodPreset:
-    """Per-profile series settings: damping alpha, range width L, terms N."""
+    """Per-profile series settings: damping alpha, range width L, terms N.
+
+    The CosConfig of every variant the settings admit (each variant when
+    there is no damping, else the stable one) is built once, here.
+    """
 
     damping: Optional[float]
     range_width: float
     n_terms: int
+    _configs: dict = field(init=False, repr=False, compare=False)
 
-    def cos_config(self, variant: Variant) -> CosConfig:
+    def __post_init__(self):
+        object.__setattr__(self, "_configs", {
+            variant: self._build(variant) for variant in Variant
+            if self.damping is None or variant is Variant.STABLE
+        })
+
+    def _build(self, variant: Variant) -> CosConfig:
         return CosConfig(
             n_terms=self.n_terms,
             range_width=self.range_width,
             damping=self.damping,
             variant=variant,
         )
+
+    def cos_config(self, variant: Variant) -> CosConfig:
+        """The CosConfig of these settings for variant; a variant they do not
+        admit is built, and so refused, by CosConfig itself."""
+        config = self._configs.get(variant)
+        return self._build(variant) if config is None else config
 
 
 # benchmark series settings per (profile, variant); the damped variant
@@ -99,7 +122,8 @@ _METHOD_PRESETS = {
 
 # damped-integral alpha per profile; the fat-tail set needs alpha near 1
 # to keep the exp(alpha*y) moment representable
-_INTEGRAL_DAMPING = {"heston": 1.1, "kou": 1.1, "cgmy1": 1.1, "cgmy2": 1.015}
+_INTEGRAL = {name: IntegralConfig(damping=alpha)
+             for name, alpha in (("heston", 1.1), ("kou", 1.1), ("cgmy1", 1.1), ("cgmy2", 1.015))}
 
 # Carr-Madan frequency steps per profile, chosen so the Simpson sum is
 # converged: the defaults, except that the fat-tail set needs a small
@@ -121,7 +145,11 @@ def _require_profile(name: str) -> str:
 
 
 def market_preset(maturity: float = 1.0) -> MarketSpec:
-    """Benchmark market data, optionally re-dated to another maturity."""
+    """Benchmark market data, optionally re-dated to another maturity: the
+    module's own frozen MarketSpec at the bundled maturity, given as a
+    float, and a new one, built and checked, for any other value."""
+    if isinstance(maturity, float) and maturity == _MARKET.maturity:
+        return _MARKET
     return replace(_MARKET, maturity=maturity)
 
 
@@ -140,7 +168,7 @@ def method_preset(name: str, variant: Variant) -> MethodPreset:
 
 
 def integral_preset(name: str) -> IntegralConfig:
-    return IntegralConfig(damping=_INTEGRAL_DAMPING[_require_profile(name)])
+    return _INTEGRAL[_require_profile(name)]
 
 
 def carr_madan_preset(name: str) -> CarrMadanConfig:

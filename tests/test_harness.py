@@ -66,6 +66,13 @@ class TestExperimentResult:
         with pytest.raises(ValidationError, match="does not match axes"):
             ExperimentResult("demo", self._axes(), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("values, name", [([1.0, 2.0], "list"), ((0.0,), "tuple"),
+                                              (None, "NoneType")])
+    def test_values_must_be_an_array(self, values, name):
+        # a list once escaped as an AttributeError on its missing shape
+        with pytest.raises(ValidationError, match=f"^values must be a NumPy array, got {name}$"):
+            ExperimentResult("demo", (("row", (1.0, 2.0)),), values)
+
     def test_non_finite_cells_must_be_flagged(self):
         values = np.zeros((2, 3))
         values[1, 2] = np.nan

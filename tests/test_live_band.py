@@ -805,6 +805,28 @@ class TestCosCut:
         assert points <= self.REFERENCE_BAND[name]
 
     @pytest.mark.parametrize("name", presets.PROFILE_NAMES)
+    def test_every_bound_value_passes_the_module_function(self, monkeypatch, name):
+        # the tests that count bound values patch models._log_envelope, so a
+        # reference price and a Carr-Madan column must reach every one of
+        # the model's values through it, none from a stored copy
+        model, market = presets.model_preset(name), presets.market_preset(1.0)
+        calls = {"module": 0, "model": 0}
+        module_bound, model_bound = models._log_envelope, type(model)._log_envelope
+
+        def counted(key, bound):
+            def wrapper(*args):
+                calls[key] += 1
+                return bound(*args)
+            return wrapper
+
+        monkeypatch.setattr(models, "_log_envelope", counted("module", module_bound))
+        monkeypatch.setattr(type(model), "_log_envelope", counted("model", model_bound))
+        config = CosConfig(n_terms=60000, range_width=12.0, variant=Variant.PUT_CALL_PARITY)
+        price(model, market, OptionSpec(100.0), config)
+        price_carr_madan(model, market, [100.0], presets.carr_madan_preset(name))
+        assert calls["module"] == calls["model"] > 2
+
+    @pytest.mark.parametrize("name", presets.PROFILE_NAMES)
     def test_preset_bands_are_whole(self, monkeypatch, name):
         # the strike-table presets (N <= 210) end before their floor
         model, market = presets.model_preset(name), presets.market_preset(1.0)

@@ -8,7 +8,7 @@ implementation against them.
 
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -24,6 +24,7 @@ from cospricer.models import (
     KouParams,
     MarketSpec,
     TruncationRange,
+    _cexpm1,
     _real_log,
     char_fn,
     check_call_prices,
@@ -408,6 +409,71 @@ class TestTruncationRange:
             assert outer.a < inner.a and inner.b < outer.b
 
 
+def per_call_log_cf(model, market, u):
+    """Kou's and CGMY's log phi_T with every market-free constant computed
+    on the call, as the classes did before they stored them."""
+    t = market.maturity
+    if isinstance(model, KouParams):
+        p, e1, e2 = model.p, model.eta1, model.eta2
+        jump_drift = p * e1 / (e1 - 1.0) + (1.0 - p) * e2 / (e2 + 1.0) - 1.0
+        mu = market.rate - market.dividend - 0.5 * model.sigma ** 2 - model.lam * jump_drift
+        jump_cf = p * e1 / (e1 - 1j * u) + (1.0 - p) * e2 / (e2 + 1j * u) - 1.0
+        return 1j * u * mu * t - 0.5 * model.sigma ** 2 * u * u * t + model.lam * t * jump_cf
+    c, g, m, y = model.C, model.G, model.M, model.Y
+    bracket = m ** y * math.expm1(y * math.log1p(-1.0 / m)) + g ** y * math.expm1(
+        y * math.log1p(1.0 / g))
+    drift = market.rate - market.dividend - c * math.gamma(-y) * bracket
+    psi = m ** y * _cexpm1(y * np.log(1.0 - 1j * u / m)) + g ** y * _cexpm1(
+        y * np.log(1.0 + 1j * u / g))
+    return 1j * u * drift * t + c * t * math.gamma(-y) * psi
+
+
+class TestStoredConstants:
+    """Kou's jump drift and CGMY's Gamma(-Y), M^Y, G^Y and martingale
+    bracket are computed once, at construction, as MarketSpec's discount
+    factors are: not arguments, and not read by ==, hash or repr."""
+
+    JUMP_MODELS = ("kou", "cgmy1", "cgmy2")
+
+    @pytest.mark.parametrize("name, text", [
+        ("kou", "KouParams(sigma=0.16, p=0.4, eta1=10.0, eta2=5.0, lam=5.0)"),
+        ("cgmy1", "CGMYParams(C=1.0, G=5.0, M=5.0, Y=1.5)"),
+    ])
+    def test_eq_hash_and_repr_read_the_parameters_alone(self, models, name, text):
+        model = models[name]
+        params = tuple(getattr(model, f.name) for f in fields(model) if f.init)
+        assert repr(model) == text
+        assert hash(model) == hash(params)
+        assert type(model)(*params) == model
+        assert [f.name for f in fields(model) if f.compare or f.repr] == [
+            f.name for f in fields(model) if f.init]
+
+    def test_replace_recomputes_them(self, models):
+        assert replace(models["cgmy1"], Y=1.98)._gamma == models["cgmy2"]._gamma
+        assert replace(models["kou"], p=0.5)._jump_drift == KouParams(
+            sigma=0.16, p=0.5, eta1=10.0, eta2=5.0, lam=5.0)._jump_drift
+
+    @pytest.mark.parametrize("name", JUMP_MODELS)
+    @pytest.mark.parametrize("maturity", [1e-3, 1.0, 20.0])
+    def test_log_cf_is_bit_for_bit_the_per_call_form(self, models, name, maturity):
+        model, market = models[name], MarketSpec(100.0, 0.07, 0.02, maturity)
+        lo, hi = damping_bounds(model)
+        for alpha in (0.0, 0.5 * lo, 0.5 * hi, 0.99 * hi):
+            u = np.linspace(0.0, 300.0, 257) - 1j * alpha
+            assert model._log_cf(market, u).tobytes() == per_call_log_cf(
+                model, market, u).tobytes()
+
+    @pytest.mark.parametrize("y", [1.5, 1.98, 0.5, -0.9])
+    def test_cgmy_envelope_is_the_per_call_log_modulus(self, market, y):
+        # G != M, so a swapped power would show
+        model = CGMYParams(C=1.0, G=5.0, M=7.0, Y=y)
+        for alpha in (-4.0, 0.0, 1.1, 6.9):
+            for u in (0.0, 0.3, 10.0, 1e4):
+                per_call = per_call_log_cf(model, market, complex(u, -alpha)).real
+                assert model._log_envelope(market, alpha, u) == pytest.approx(
+                    per_call, rel=1e-12, abs=1e-12)
+
+
 class TestValidationAndStrips:
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
@@ -509,6 +575,14 @@ class TestValidationAndStrips:
         with pytest.raises(ValidationError, match="Gamma"):
             CGMYParams(C=1.0, G=5.0, M=5.0, Y=-172.0)
         assert CGMYParams(C=1.0, G=5.0, M=5.0, Y=-170.0).Y == -170.0
+
+    @pytest.mark.parametrize("params", [dict(G=5.0, M=1e300, Y=1.5), dict(G=1e-300, M=5.0, Y=1.9)],
+                             ids=["M^Y", "compensator"])
+    def test_cgmy_constant_overflow_refused(self, params):
+        # each once escaped from pricing as an OverflowError
+        with pytest.raises(ValidationError, match=r"^M\^Y, G\^Y and the drift's compensator must "
+                                                  r"be finite floats, got "):
+            CGMYParams(C=1.0, **params)
 
     def test_kou_strip_enforced(self, market):
         kou = KouParams(sigma=0.16, p=0.4, eta1=10.0, eta2=5.0, lam=5.0)

@@ -118,6 +118,23 @@ def test_check_numbers_names_an_element_outside_its_interval():
         check_numbers("xs", [1.0, -1.0], "x", models.POSITIVE)
 
 
+# the bundled market is one frozen object; any other maturity is a new
+# MarketSpec, so it passes the rule as every field does
+@pytest.mark.parametrize("bad", [True, "1.0", math.nan, 0.0], ids=repr)
+def test_market_preset_refuses_a_maturity_by_the_rule(bad):
+    with pytest.raises(ValidationError,
+                       match=rf"^maturity must be positive and finite, got {re.escape(repr(bad))}$"):
+        presets.market_preset(bad)
+
+
+@pytest.mark.parametrize("maturity", [1, np.float64(1.0), 1.0], ids=repr)
+def test_market_preset_at_the_bundled_maturity(maturity):
+    market = presets.market_preset(maturity)
+    assert market == MarketSpec(100.0, 0.1, 0.0, 1.0)
+    assert type(market.maturity) is float
+    assert presets.market_preset() is presets.market_preset(1.0)
+
+
 def _kou_market():
     return presets.model_preset("kou"), presets.market_preset()
 
