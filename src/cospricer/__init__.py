@@ -21,6 +21,7 @@ from .cos_engine import (
     Variant,
     price,
     price_curve,
+    price_curves,
 )
 from .errors import (
     ComputationError,
@@ -82,6 +83,7 @@ __all__ = [
     "price",
     "price_carr_madan",
     "price_curve",
+    "price_curves",
     "price_fourier_integral",
     "run_convergence",
     "run_l_sweep",

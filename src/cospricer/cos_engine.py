@@ -31,6 +31,12 @@ prefix of it; :func:`price` is its one-count case, for a batch of strikes
 whose ranges are [a + x, b + x], x each strike's log-moneyness: the series
 forms these endpoints once, as arrays, one row per strike, and returns one
 :class:`PriceColumn` of arrays, with no object per strike.
+:func:`price_curves` prices several curves of one model and market with
+the model read in one pass: one :func:`models.cumulants` call for the
+contours of every distinct damping and one :func:`models.live_band` call
+for the bands of every curve, each series otherwise its own; a single
+series (``price``, ``price_curve``) keeps the one-contour calls, whose
+fixed cost a batch of one would only add to.
 
 A strike enters its series only through one integration limit, so no
 payoff coefficient is formed: each series is summed in closed form
@@ -52,7 +58,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ComputationError, ConfigurationError, ValidationError
+from .errors import ComputationError, ConfigurationError, PricingError, ValidationError
 from .models import (
     FINITE,
     POSITIVE,
@@ -81,6 +87,7 @@ __all__ = [
     "put_coefficients",
     "price",
     "price_curve",
+    "price_curves",
     "term_counts",
 ]
 
@@ -332,6 +339,7 @@ def _series_values(
     x: np.ndarray,
     strikes: np.ndarray,
     counts: tuple,
+    phi: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Series values for the strikes with log-moneyness x, discounted: one
     row, in strike order, per term count in counts, nan where a value is
@@ -344,7 +352,8 @@ def _series_values(
     the density row is formed once, at the largest count, and each count
     sums its prefix of it (:func:`_column_sums`).  The sum runs over the
     live band of phi(u_k - i*alpha) only (:func:`models.live_band`,
-    capped at _MAX_TERMS terms), whose floor is proven to lie under the
+    capped at _MAX_TERMS terms; phi, where the caller has read it, as a
+    batch reads every band in one call), whose floor is proven to lie under the
     sum's rounding once every term t_k = g_k*V_k, never formed, has
     |t_k| <= 4*|t_0|*Psi(u_k)/Psi(0), Psi the envelope of |phi| that
     live_band reads:
@@ -366,7 +375,8 @@ def _series_values(
     be finite, nor its rounding to be below the price.
     """
     step = math.pi / base.width
-    phi = live_band(char_fn, model, market, step, alpha, max(counts), _MAX_TERMS)
+    if phi is None:
+        phi = live_band(char_fn, model, market, step, alpha, max(counts), _MAX_TERMS)
     u = np.arange(phi.size) * step
     # x - a = -base.a for every recentred range, so one phase serves all strikes
     g = np.real(np.exp(u * (-1j * base.a)) * phi)
@@ -417,6 +427,70 @@ def term_counts(n_values) -> tuple:
     return tuple(map(int, counts))
 
 
+class _Series:
+    """One series to price: options, strikes of one kind, at each term
+    count in counts (by default config's n_terms alone), config supplying
+    every other setting.  Building it makes every refusal that reads no
+    model; it holds the strikes, x, each strike's log-moneyness (its range
+    is [base.a + x, base.b + x]), and the damping alpha.  No object is
+    built per strike."""
+
+    __slots__ = ("options", "config", "counts", "kind", "alpha", "strikes", "x")
+
+    def __init__(self, market: MarketSpec, options: tuple, config: CosConfig,
+                 counts: Optional[tuple] = None):
+        if not isinstance(config, CosConfig):
+            raise ValidationError(f"config must be a CosConfig, got {type(config).__name__}")
+        self.options, self.config = options, config
+        self.counts = (config.n_terms,) if counts is None else counts
+        if not options:
+            raise ValidationError("price needs at least one option")
+        self.kind = kind = getattr(options[0], "kind", None)
+        strikes, x = [], []
+        for opt in options:
+            if not isinstance(opt, OptionSpec):
+                raise ValidationError(f"an option must be an OptionSpec, got {type(opt).__name__}")
+            if opt.kind is not kind:
+                raise ValidationError("a batch of options must share one kind")
+            # y = log(S_T/K), so the log return's window is recentred by x per strike
+            strikes.append(opt.strike)
+            x.append(math.log(market.spot / opt.strike))
+        self.alpha = _resolve_damping(config, kind)
+        self.strikes, self.x = np.array(strikes), np.array(x)
+
+    def values(self, model: ModelSpec, market: MarketSpec, base: TruncationRange,
+               *band: np.ndarray) -> np.ndarray:
+        """The series' values on the base range, one row per count, from its
+        live band phi where the caller has read it (band is then (phi,); see
+        :func:`_series_values`); a computation error names the first value
+        that is not finite."""
+        config, counts, x = self.config, self.counts, self.x
+        # parity prices the undamped put (alpha = 0) and maps it to the call
+        parity = config.variant is Variant.PUT_CALL_PARITY
+        series_kind = OptionKind.PUT if parity else self.kind
+        values = np.asarray(_series_values(model, market, series_kind, self.alpha, base, x,
+                                           self.strikes, counts, *band))
+        if parity:
+            values = (values + market.spot * market.dividend_factor
+                      - self.strikes * market.discount_factor)
+
+        if not np.isfinite(values).all():
+            # the first refused value in row order: the first count, then the first strike
+            row, col = np.argwhere(~np.isfinite(values))[0]
+            raise ComputationError(
+                f"cosine series value at strike {self.options[col].strike} is not finite, or "
+                f"its summands could reach 1e300 (variant={config.variant.value}, "
+                f"n_terms={counts[row]}, range=[{base.a + x[col]:.3f}, {base.b + x[col]:.3f}])"
+            )
+        return values
+
+
+def _check_moment(model: ModelSpec, market: MarketSpec, alpha: float) -> None:
+    """A nonzero damping's moment, checked by :func:`models.check_moment`."""
+    if alpha != 0.0:
+        check_moment(alpha, char_fn(model, market, -1j * alpha))
+
+
 def _price_counts(
     model: ModelSpec,
     market: MarketSpec,
@@ -424,56 +498,40 @@ def _price_counts(
     config: CosConfig,
     counts: Optional[tuple] = None,
 ) -> tuple:
-    """The values of options, strikes of one kind, at each term count in
-    counts (by default config's n_terms alone), one row per count, with
-    alpha, the base range and x, each strike's log-moneyness (its range is
-    [base.a + x, base.b + x]); config supplies every other setting.  No object
-    is built per strike.
+    """The values of the :class:`_Series` of options, config and counts,
+    with its alpha, its base range and its x.
 
     The range is sized from the cumulants of the law the series expands,
     tilted by alpha: K(alpha + s).  Before that contour is read, a damping
     is checked on its strip (by char_fn), then on its moment, so that each
     refusal names its own fault.
     """
-    if not isinstance(config, CosConfig):
-        raise ValidationError(f"config must be a CosConfig, got {type(config).__name__}")
-    counts = (config.n_terms,) if counts is None else counts
-    if not options:
-        raise ValidationError("price needs at least one option")
-    kind = getattr(options[0], "kind", None)
-    strikes, x = [], []
-    for opt in options:
-        if not isinstance(opt, OptionSpec):
-            raise ValidationError(f"an option must be an OptionSpec, got {type(opt).__name__}")
-        if opt.kind is not kind:
-            raise ValidationError("a batch of options must share one kind")
-        # y = log(S_T/K), so the log return's window is recentred by x per strike
-        strikes.append(opt.strike)
-        x.append(math.log(market.spot / opt.strike))
-    alpha = _resolve_damping(config, kind)
-    if alpha != 0.0:
-        check_moment(alpha, char_fn(model, market, -1j * alpha))
+    series = _Series(market, options, config, counts)
+    alpha = series.alpha
+    _check_moment(model, market, alpha)
+    base = truncation_range(cumulants(model, market, alpha), config.range_width)
+    return series.values(model, market, base), alpha, base, series.x
 
-    cums = cumulants(model, market, alpha)
-    strikes, x = np.array(strikes), np.array(x)
-    base = truncation_range(cums, config.range_width)
 
-    # parity prices the undamped put (alpha = 0) and maps it to the call
-    parity = config.variant is Variant.PUT_CALL_PARITY
-    series_kind = OptionKind.PUT if parity else kind
-    values = np.asarray(_series_values(model, market, series_kind, alpha, base, x, strikes, counts))
-    if parity:
-        values = values + market.spot * market.dividend_factor - strikes * market.discount_factor
-
-    if not np.isfinite(values).all():
-        # the first refused value in row order: the first count, then the first strike
-        row, col = np.argwhere(~np.isfinite(values))[0]
-        raise ComputationError(
-            f"cosine series value at strike {options[col].strike} is not finite, or its "
-            f"summands could reach 1e300 (variant={config.variant.value}, n_terms={counts[row]}, "
-            f"range=[{base.a + x[col]:.3f}, {base.b + x[col]:.3f}])"
-        )
-    return values, alpha, base, x
+def _price_batch(model: ModelSpec, market: MarketSpec, batch: list) -> list:
+    """:func:`_price_counts` of each (options, config, counts) in batch, in
+    order, with the model read in one pass: each distinct damping's moment
+    is checked once, one :func:`models.cumulants` call reads the contours
+    of them all, and one :func:`models.live_band` call the bands of every
+    series.  Each result is bit for bit the one-series one; the refusals
+    are each series' own, but not necessarily the first series' to refuse
+    (see :func:`price_curves`)."""
+    batch = [_Series(market, *series) for series in batch]
+    alphas = tuple(dict.fromkeys(series.alpha for series in batch))
+    for alpha in alphas:
+        _check_moment(model, market, alpha)
+    cums = dict(zip(alphas, cumulants(model, market, alphas)))
+    bases = [truncation_range(cums[series.alpha], series.config.range_width) for series in batch]
+    phis = live_band(char_fn, model, market, tuple(math.pi / base.width for base in bases),
+                     tuple(series.alpha for series in batch),
+                     tuple(max(series.counts) for series in batch), _MAX_TERMS)
+    return [(series.values(model, market, base, phi), series.alpha, base, series.x)
+            for series, base, phi in zip(batch, bases, phis)]
 
 
 def _curve(counts: tuple, values: np.ndarray, alpha: float, base: TruncationRange, x) -> tuple:
@@ -514,6 +572,59 @@ def price(
     return PriceColumn(values[0], config.n_terms, alpha, base, x)
 
 
+def _curve_series(curve) -> tuple:
+    """The (options, config, counts) of curve, an (option, config, n_values)."""
+    try:
+        option, config, n_values = curve
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"a curve must be (option, config, n_values), got {curve!r}") from None
+    if not isinstance(option, OptionSpec):
+        raise ValidationError(f"a curve prices one OptionSpec, got {type(option).__name__}")
+    return (option,), config, term_counts(n_values)
+
+
+def price_curves(
+    model: ModelSpec,
+    market: MarketSpec,
+    curves: Sequence[tuple],
+) -> tuple[tuple[PriceResult, ...], ...]:
+    """Price several convergence curves of one model and market.
+
+    Each curve is (option, config, n_values), priced as :func:`price_curve`
+    prices it; the result holds one tuple of PriceResults per curve, in
+    input order, each bit for bit what price_curve gives that curve alone.
+    Where there are several curves, the model is read in one pass: each
+    distinct damping's moment is checked once, one ``models.cumulants``
+    call evaluates the cumulant contours of every distinct damping, and
+    one ``models.live_band`` call every curve's band; the truncation
+    range, the series sums and every check stay per curve.  Nothing is
+    kept from one call to the next.
+
+    Errors are those of :func:`price_curve`: where any curve is refused,
+    the error is the one the first refused curve, in input order, raises
+    alone.  A validation error also where curves is not a non-empty
+    sequence, or a curve not a triple.
+    """
+    try:
+        curves = tuple(curves)
+    except TypeError:
+        raise ValidationError(f"curves must be a sequence, got {curves!r}") from None
+    if not curves:
+        raise ValidationError("price_curves needs at least one curve")
+    # one curve keeps the one-contour calls, whose fixed cost a batch of one
+    # would only add to
+    if len(curves) > 1:
+        try:
+            batch = [_curve_series(curve) for curve in curves]
+            return tuple(_curve(counts, *priced) for (_, _, counts), priced
+                         in zip(batch, _price_batch(model, market, batch)))
+        except PricingError:
+            pass  # priced one by one below, so that the first refused curve raises
+    return tuple(_curve(series[2], *_price_counts(model, market, *series))
+                 for series in map(_curve_series, curves))
+
+
 def price_curve(
     model: ModelSpec,
     market: MarketSpec,
@@ -528,9 +639,8 @@ def price_curve(
     curve is one series at the largest count, each price the sum of its
     prefix: every PriceResult is bit-identical to what :func:`price` gives
     at that count alone.  Errors are those of :func:`price`; a non-finite
-    value names the first term count, in input order, that gives one.
+    value names the first term count, in input order, that gives one.  It
+    is the one-curve case of :func:`price_curves`.
     """
-    if not isinstance(option, OptionSpec):
-        raise ValidationError(f"price_curve prices one OptionSpec, got {type(option).__name__}")
-    counts = term_counts(n_values)
-    return _curve(counts, *_price_counts(model, market, (option,), config, counts))
+    [curve] = price_curves(model, market, ((option, config, n_values),))
+    return curve

@@ -13,9 +13,10 @@ Drivers:
     models and methods.
 ``run_convergence``
     log10 absolute error against a 13-digit reference as the term
-    count grows.  The reference is recomputed from scratch before any
-    curve value is priced; the curve itself is one series, priced at
-    every term count by ``cos_engine.price_curve``.
+    count grows.  The 60000-term reference is recomputed in the same
+    ``cos_engine.price_curves`` call as the curve, one series priced at
+    every term count, and checked against its gate before any curve
+    value is read.
 ``run_reference_set``
     The 13-digit references of all profiles, recomputed.
 ``run_stability_surface``
@@ -24,7 +25,8 @@ Drivers:
     Damped-call versus undamped-put prices as the range width varies.
 
 These two share one grid driver, ``_price_grid``: each states only its
-axes, the ``CosConfig`` of a cell and its own metadata keys.
+axes, the ``CosConfig`` of a cell and its own metadata keys, and the
+whole grid is one ``price_curves`` call.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cos_engine import CosConfig, OptionSpec, Variant, price, price_curve, term_counts
-from .errors import ComputationError, ConfigurationError, ValidationError
+from .cos_engine import CosConfig, OptionSpec, Variant, price, price_curves, term_counts
+from .errors import ComputationError, ConfigurationError, PricingError, ValidationError
 from . import presets
 from .models import NONNEGATIVE, POSITIVE, check_number, check_numbers
 from .transform_refs import price_carr_madan, price_fourier_integral
@@ -133,6 +135,23 @@ def _recompute_reference(model_name: str, maturity: float = 1.0) -> float:
     model = presets.model_preset(model_name)
     market = presets.market_preset(maturity)
     return price(model, market, OptionSpec(strike=100.0), _REFERENCE_CONFIG).price
+
+
+def _gated_reference(model_name: str, maturity: float, recomputed: float, tolerance: float) -> tuple:
+    """(reference, its source, gap): at T=1 the stored reference, once the
+    recomputed one agrees with it within tolerance, else a computation
+    error; at any other maturity the recomputed one, with gap 0."""
+    if maturity != 1.0:
+        return recomputed, "self-computed", 0.0
+    stored = presets.load_reference_prices()[model_name]
+    gap = abs(recomputed - stored)
+    if gap > tolerance:
+        raise ComputationError(
+            f"reference recomputation mismatch for {model_name!r}: "
+            f"stored {stored:.13f}, recomputed {recomputed:.13f}, "
+            f"|gap| {gap:.3e} exceeds {tolerance:.1e}"
+        )
+    return stored, "bundled", gap
 
 
 def run_reference_set() -> ExperimentResult:
@@ -238,9 +257,13 @@ def run_convergence(
     diagnostic.  That gate is wider for the fat-tail profile, whose
     bundled reference is rounded in its 13th digit (~1.3e-12), and the
     curve keeps that floor.  At any other maturity no stored value
-    exists and the recomputation itself is the reference.  The curve is
-    then priced by one ``price_curve`` call: one series at the largest
-    count, each value bit-identical to a ``price`` call at its own count.
+    exists and the recomputation itself is the reference.  The
+    recomputation and the curve are one ``price_curves`` call, which
+    reads the model once for both series; the curve is one series at
+    its largest count, each value bit-identical to a ``price`` call at
+    its own count.  The gate is checked before any curve value is read.
+    Refusals keep their order: the reference's own first, then the
+    gate's, then the curve's.
 
     Errors are floored at 5e-17 so the log is finite.
     """
@@ -254,27 +277,23 @@ def run_convergence(
     if reference_tolerance is None:
         reference_tolerance = presets.reference_gate(model_name)
     reference_tolerance = check_number("reference_tolerance", reference_tolerance, NONNEGATIVE)
-    recomputed = _recompute_reference(model_name, maturity)
-
-    if maturity == 1.0:
-        stored = presets.load_reference_prices()[model_name]
-        gap = abs(recomputed - stored)
-        if gap > reference_tolerance:
-            raise ComputationError(
-                f"reference recomputation mismatch for {model_name!r}: "
-                f"stored {stored:.13f}, recomputed {recomputed:.13f}, "
-                f"|gap| {gap:.3e} exceeds {reference_tolerance:.1e}"
-            )
-        reference, reference_source = stored, "bundled"
-    else:
-        reference, reference_source = recomputed, "self-computed"
-        gap = 0.0
 
     started = time.perf_counter()
     model = presets.model_preset(model_name)
     market = presets.market_preset(maturity)
-    curve = price_curve(model, market, OptionSpec(strike=100.0), preset.cos_config(variant),
-                        n_values)
+    option = OptionSpec(strike=100.0)
+    try:
+        [reference_result], curve = price_curves(model, market, (
+            (option, _REFERENCE_CONFIG, (_REFERENCE_CONFIG.n_terms,)),
+            (option, preset.cos_config(variant), n_values)))
+    except PricingError:
+        # the reference's own refusal, then the gate's, come before the curve's
+        _gated_reference(model_name, maturity, _recompute_reference(model_name, maturity),
+                         reference_tolerance)
+        raise
+    recomputed = reference_result.price
+    reference, reference_source, gap = _gated_reference(model_name, maturity, recomputed,
+                                                        reference_tolerance)
     errors = np.array([math.log10(max(abs(r.price - reference), 5e-17)) for r in curve])
 
     return ExperimentResult(
@@ -297,16 +316,18 @@ def run_convergence(
 def _price_grid(experiment: str, model_name: str, rows: tuple, columns: tuple, cell_config,
                 strike: float, maturity: float, metadata: dict) -> ExperimentResult:
     """Price one call on every cell of the grid of (name, values) axes rows x
-    columns, row by row, each at the CosConfig cell_config(row, column); the
-    metadata is model, strike, maturity, the caller's keys, the loop's clock."""
+    columns, each at the CosConfig cell_config(row, column), in one
+    ``price_curves`` call of one single-count curve per cell, row by row (a
+    refused grid raises its first refused cell's error); the metadata is
+    model, strike, maturity, the caller's keys, the pricing's clock."""
     model = presets.model_preset(model_name)
     started = time.perf_counter()
     market = presets.market_preset(maturity)
     option = OptionSpec(strike=strike)
-    values = np.array([
-        [price(model, market, option, cell_config(row, col)).price for col in columns[1]]
-        for row in rows[1]
-    ])
+    configs = [cell_config(row, col) for row in rows[1] for col in columns[1]]
+    curves = price_curves(model, market, [(option, cfg, (cfg.n_terms,)) for cfg in configs])
+    values = np.array([result.price for [result] in curves]).reshape(len(rows[1]),
+                                                                      len(columns[1]))
     return ExperimentResult(f"{experiment}_{model_name}", (rows, columns), values, metadata={
         "model": model_name, "strike": strike, "maturity": maturity, **metadata,
         "wall_clock_s": time.perf_counter() - started})

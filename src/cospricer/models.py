@@ -13,8 +13,8 @@ at construction, as :class:`MarketSpec` computes its discount factors:
 Kou's jump drift, and CGMY's Gamma(-Y), M^Y, G^Y and martingale bracket;
 each call computes only what depends on its market and its points.  The
 module also provides log-cumulants of the log-return (Cauchy contour
-integrals of log phi_T, on a fixed set of nodes) and the series
-truncation interval built from them.
+integrals of log phi_T, on a fixed set of nodes, for one centre or for
+several in one call) and the series truncation interval built from them.
 
 Both fixed-grid consumers, the cosine engine and the Carr-Madan sum,
 read phi_T along a contour u - i*alpha, u = 0, du, 2*du, ..., through
@@ -22,7 +22,8 @@ read phi_T along a contour u - i*alpha, u = 0, du, 2*du, ..., through
 where a proven non-increasing bound on |phi_T| falls below a floor sized
 from the caller's cap on its terms: the terms left out then sum to under
 :data:`TAIL_SHARE` of the sum's first term, below the rounding it
-already carries.  The Fourier integral's panels stop by the same
+already carries; several contours are cut each by itself and evaluated
+in one call.  The Fourier integral's panels stop by the same
 search, :func:`envelope_cut`.  Every reader of a contour here
 (:func:`char_fn`, :func:`envelope_cut` and so :func:`live_band`,
 :func:`cumulants`) refuses a shift outside the damping strip itself, by
@@ -38,6 +39,7 @@ validation error.  :func:`check_numbers` is its form for a column, and
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -654,15 +656,29 @@ def envelope_cut(
     return 1 + bisect.bisect_left(range(1, size - 1), True, key=dead)
 
 
+def _band_end(model: ModelSpec, market: MarketSpec, step: float, shift: float, size: int,
+              cap: float) -> int:
+    """The index at which :func:`live_band` cuts one contour."""
+    tail = math.log(TAIL_SHARE / (4 * cap)) if size <= cap < math.inf else None
+    slack = None if tail is None else lambda k: tail
+    return envelope_cut(model, market, shift, size, lambda k: k * step, slack, _UNDERFLOW_LOG)
+
+
+def _trimmed(phi: np.ndarray) -> np.ndarray:
+    """phi up to and including its last nonzero value, and at least index 0."""
+    nonzero = np.flatnonzero(phi)
+    return phi[: nonzero[-1] + 1 if nonzero.size else 1]
+
+
 def live_band(
     evaluate,
     model: ModelSpec,
     market: MarketSpec,
-    step: float,
-    shift: float,
-    size: int,
+    step,
+    shift,
+    size,
     cap: float = math.inf,
-) -> np.ndarray:
+):
     """Characteristic-function values on the live prefix of a uniform contour.
 
     The contour is u_k - i*shift with u_k = k*step for k < size; evaluate
@@ -670,6 +686,11 @@ def live_band(
     evaluate(model, market, points), and nothing is evaluated before
     :func:`check_damping` passes the shift.  Index 0, the moment
     E[(S_T/S_0)^shift], is always kept; the caller checks it.
+
+    Where step, shift and size are tuples, one entry per contour, each
+    contour is cut and trimmed by itself, in order, and one evaluate call
+    covers the live points of them all; the result is a tuple of bands,
+    each bit for bit what the one-contour call gives (phi is elementwise).
 
     The rule, the same for every model: :func:`envelope_cut` finds the
     first index k >= 1 from which every |phi_T| is below exp(floor), and
@@ -690,12 +711,14 @@ def live_band(
     and cost no Psi(0), so a sum over the band is bit-identical to the
     full one.
     """
-    tail = math.log(TAIL_SHARE / (4 * cap)) if size <= cap < math.inf else None
-    slack = None if tail is None else lambda k: tail
-    end = envelope_cut(model, market, shift, size, lambda k: k * step, slack, _UNDERFLOW_LOG)
-    phi = evaluate(model, market, np.arange(end) * step - 1j * shift)
-    nonzero = np.flatnonzero(phi)
-    return phi[: nonzero[-1] + 1 if nonzero.size else 1]
+    if not isinstance(step, tuple):
+        end = _band_end(model, market, step, shift, size, cap)
+        return _trimmed(evaluate(model, market, np.arange(end) * step - 1j * shift))
+    ends = [_band_end(model, market, *contour, cap) for contour in zip(step, shift, size)]
+    phi = evaluate(model, market, np.concatenate(
+        [np.arange(end) * du - 1j * alpha for end, du, alpha in zip(ends, step, shift)]))
+    return tuple(_trimmed(phi[start:start + end])
+                 for start, end in zip(itertools.accumulate(ends, initial=0), ends))
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +754,51 @@ _NODES = np.append(np.exp(-1j * np.linspace(0.0, math.pi, _CONTOUR_NODES // 2 + 
 _POWERS = np.arange(5)
 
 
-def cumulants(model: ModelSpec, market: MarketSpec, centre: float = 0.0) -> Cumulants:
+def _contour_radius(model: ModelSpec, centre: float) -> float:
+    """The first circle radius of centre's cumulant contour (see
+    :func:`cumulants`), once :func:`check_damping` passes the centre."""
+    check_damping(model, centre)
+    lo, hi = damping_bounds(model)
+    radius = 0.25 * min(centre - lo, hi - centre)
+    return _HESTON_RADIUS if radius == math.inf else radius
+
+
+def _contour(model: ModelSpec, market: MarketSpec, centre, radius) -> tuple:
+    """log phi_T at the nodes and probes of the circle around centre, and
+    the Taylor coefficients 0..4 read off its nodes; centre and radius are
+    floats, or columns of them, one row per circle."""
+    # Heston's log-CF has a removable 0/0 at kappa = rho*sigma*s: nan
+    with np.errstate(all="ignore"):
+        values = model._log_cf(market, -1j * (centre + radius * _NODES))
+        taylor = np.fft.irfft(values[..., :-2], _CONTOUR_NODES, axis=-1)[..., :5]
+        return values, taylor / radius ** _POWERS
+
+
+def _read_cumulants(values: np.ndarray, taylor: np.ndarray):
+    """One circle's Cumulants, or None where a coefficient is not finite
+    or a probe not real, so that the circle must halve."""
+    c1, c2, c4 = taylor[1], 2.0 * taylor[2], 24.0 * taylor[4]
+    # a valid moment's log carries ~1e-16 relative imaginary roundoff
+    if all(map(math.isfinite, (c1, c2, c4))) and all(
+            abs(k.imag) <= 1e-10 * max(1.0, abs(k.real)) for k in values[-2:].tolist()):
+        return Cumulants(c1=float(c1), c2=max(float(c2), 0.0), c4=max(float(c4), 0.0))
+    return None
+
+
+def _halving(model: ModelSpec, market: MarketSpec, centre: float, radius: float,
+             tries: int) -> Cumulants:
+    """centre's Cumulants from the first of tries circles, radius halving
+    after each, that passes :func:`_read_cumulants`."""
+    for _ in range(tries):
+        cums = _read_cumulants(*_contour(model, market, centre, radius))
+        if cums is not None:
+            return cums
+        radius *= 0.5
+    raise ComputationError(f"log E[exp(s*X)] is not finite and real near s = 0 for "
+                           f"{type(model).__name__}, so no cumulant contour can be sized")
+
+
+def cumulants(model: ModelSpec, market: MarketSpec, centre=0.0):
     """First, second and fourth cumulants of ln(S_T / S_0) under the law
     tilted by exp(centre * X): the damped series at alpha expands the law
     at centre alpha, and centre 0 is the undamped law.
@@ -749,24 +816,22 @@ def cumulants(model: ModelSpec, market: MarketSpec, centre: float = 0.0) -> Cumu
     twice the circle's size; only Heston's halves, as the other strips are
     proven.
     Roundoff below zero in c2 or c4 is floored.  A centre outside the
-    strip is refused first, by :func:`check_damping`."""
-    check_damping(model, centre)
-    lo, hi = damping_bounds(model)
-    radius = 0.25 * min(centre - lo, hi - centre)
-    radius = _HESTON_RADIUS if radius == math.inf else radius
-    for _ in range(_CONTOUR_HALVINGS + 1):
-        # Heston's log-CF has a removable 0/0 at kappa = rho*sigma*s: nan
-        with np.errstate(all="ignore"):
-            values = model._log_cf(market, -1j * (centre + radius * _NODES))
-            taylor = np.fft.irfft(values[:-2], _CONTOUR_NODES)[:5] / radius ** _POWERS
-        c1, c2, c4 = taylor[1], 2.0 * taylor[2], 24.0 * taylor[4]
-        # a valid moment's log carries ~1e-16 relative imaginary roundoff
-        if all(map(math.isfinite, (c1, c2, c4))) and all(
-                abs(k.imag) <= 1e-10 * max(1.0, abs(k.real)) for k in values[-2:].tolist()):
-            return Cumulants(c1=float(c1), c2=max(float(c2), 0.0), c4=max(float(c4), 0.0))
-        radius *= 0.5
-    raise ComputationError(f"log E[exp(s*X)] is not finite and real near s = 0 for "
-                           f"{type(model).__name__}, so no cumulant contour can be sized")
+    strip is refused first, by :func:`check_damping`.
+
+    Where centre is a tuple of centres, the result is a tuple of
+    Cumulants, one per centre: each centre is checked in order, then one
+    _log_cf call covers the first circles of them all and one row-wise
+    inverse FFT reads their coefficients; a centre whose circle must halve
+    continues alone.  Each is bit for bit the one-centre call's."""
+    if not isinstance(centre, tuple):
+        return _halving(model, market, centre, _contour_radius(model, centre),
+                        _CONTOUR_HALVINGS + 1)
+    radii = [_contour_radius(model, c) for c in centre]
+    rows = _contour(model, market, np.array(centre)[:, None], np.array(radii)[:, None])
+    return tuple(
+        _read_cumulants(values, taylor)
+        or _halving(model, market, c, 0.5 * radius, _CONTOUR_HALVINGS)
+        for c, radius, values, taylor in zip(centre, radii, *rows))
 
 
 @dataclass(frozen=True)
@@ -790,11 +855,11 @@ class TruncationRange:
 def truncation_range(cums: Cumulants, range_width: float) -> TruncationRange:
     """Cumulant-based expansion interval a, b = c1 -/+ range_width * sqrt(c2 + sqrt(c4)).
 
-    range_width is the half-width multiplier L.  Raises a validation error
-    when the spread c2 + sqrt(c4) vanishes, since the interval degenerates.
+    range_width is the half-width multiplier L, positive by the rule of
+    :func:`check_number`.  Raises a validation error when the spread
+    c2 + sqrt(c4) vanishes, since the interval degenerates.
     """
-    if not range_width > 0.0:
-        raise ValidationError(f"range_width must be positive, got {range_width}")
+    range_width = check_number("range_width", range_width, POSITIVE)
     spread = cums.c2 + math.sqrt(cums.c4)
     if spread <= 0.0:
         raise ValidationError("degenerate truncation range: c2 + sqrt(c4) is zero")

@@ -1,5 +1,6 @@
 """Cosine-series engine: coefficient closed forms and pricing variants."""
 
+import collections
 import itertools
 import math
 import re
@@ -24,6 +25,7 @@ from cospricer.cos_engine import (
     chi,
     price,
     price_curve,
+    price_curves,
     put_coefficients,
 )
 from cospricer.errors import ComputationError, ConfigurationError, PricingError, ValidationError
@@ -1100,3 +1102,152 @@ class TestPriceCurve:
     def test_bad_term_counts_rejected(self, models, market, n_values):
         with pytest.raises(ValidationError, match="term counts"):
             price_curve(models["kou"], market, OptionSpec(100.0), CosConfig(8, 7.0), n_values)
+
+
+def _curves_outcome(model, market, curves):
+    """price_curves' results as (price bits, n_terms, damping, range) per
+    price, one list per curve, or its error's type and message."""
+    try:
+        got = price_curves(model, market, curves)
+    except PricingError as exc:
+        return type(exc), str(exc)
+    return [[(r.price.hex(), r.n_terms, r.damping, r.range) for r in curve] for curve in got]
+
+
+def _each_alone_outcome(model, market, curves):
+    """The same from one price_curve call per curve, in input order: the
+    first refused curve's error where one is refused."""
+    out = []
+    for curve in curves:
+        try:
+            got = price_curve(model, market, *curve)
+        except PricingError as exc:
+            return type(exc), str(exc)
+        out.append([(r.price.hex(), r.n_terms, r.damping, r.range) for r in got])
+    return out
+
+
+def _assert_curves_are_each_alone(model, market, curves):
+    got = _curves_outcome(model, market, curves)
+    assert got == _each_alone_outcome(model, market, curves), (model, market.maturity)
+    return got
+
+
+class TestPriceCurves:
+    """price_curves reads one model and market once for all its curves;
+    each curve must be the bits price_curve gives it alone, and a refusal
+    the one the first refused curve, in input order, raises alone."""
+
+    # (kind, variant) -> dampings: the default, and others inside every strip
+    DAMPINGS = {(OptionKind.CALL, Variant.STABLE): (None, 1.5, 3.0),
+                (OptionKind.PUT, Variant.STABLE): (None, -0.5, -2.0)}
+    # (strike, term counts): unsorted, duplicated, from one term to 60000
+    OPTIONS = ((60.0, (210, 8, 64, 8)), (100.0, (60000, 16)), (160.0, (1, 4096)))
+
+    def mixed_curves(self, model, market):
+        """Curves of every variant, kind, damping, width and strike that
+        price_curve prices alone."""
+        curves = []
+        for variant, kind, width in itertools.product(Variant, OptionKind, (7.0, 12.0, 30.0)):
+            if variant is Variant.PUT_CALL_PARITY and kind is OptionKind.PUT:
+                continue
+            for damping in self.DAMPINGS.get((kind, variant), (None,)):
+                config = CosConfig(n_terms=1, range_width=width, damping=damping,
+                                   variant=variant)
+                curves += [(OptionSpec(strike, kind), config, grid)
+                           for strike, grid in self.OPTIONS]
+        priced = []
+        for curve in curves:
+            try:
+                price_curve(model, market, *curve)
+            except PricingError:
+                continue
+            priced.append(curve)
+        return priced
+
+    @pytest.mark.parametrize("maturity", [1e-3, 0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("name", presets.PROFILE_NAMES)
+    def test_mixed_curves_are_each_curve_alone(self, name, maturity):
+        model, market = presets.model_preset(name), presets.market_preset(maturity)
+        curves = self.mixed_curves(model, market)
+        assert len(curves) > 60
+        got = _assert_curves_are_each_alone(model, market, curves)
+        assert len(got) == len(curves)
+        # and in another order, each curve is still its own
+        _assert_curves_are_each_alone(model, market, curves[::-1])
+
+    @pytest.mark.parametrize("maturity", [1e-3, 1.0])
+    @pytest.mark.parametrize("name", ["kou", "cgmy1"])
+    def test_a_lattice_slice_in_one_call(self, name, maturity):
+        # every strike of the audit lattice, through the three call series
+        # at their presets, is one call
+        model, market = presets.model_preset(name), presets.market_preset(maturity)
+        curves = []
+        for variant in Variant:
+            config = presets.method_preset(name, variant).cos_config(variant)
+            curves += [(OptionSpec(float(strike)), config, (16, config.n_terms))
+                       for strike in np.arange(60.0, 160.0 + 0.25, 0.5)]
+        got = _assert_curves_are_each_alone(model, market, curves)
+        assert len(got) == 603
+
+    def test_the_first_refused_curve_raises_its_own_error(self):
+        # a damping outside the strip, an exploded moment and an overflowing
+        # range, each among curves that price; every order raises the error
+        # its first refused curve raises alone
+        explosive = TestMomentCheck.EXPLOSIVE
+        market = MarketSpec(spot=100.0, rate=0.05, maturity=5.0)
+        good = [(OptionSpec(100.0), CosConfig(1, 12.0, damping=1.1), (64, 256)),
+                (OptionSpec(90.0), CosConfig(1, 12.0, variant=Variant.PUT_CALL_PARITY), (64,))]
+        refused = {
+            "moment": (OptionSpec(100.0), CosConfig(1, 12.0, damping=1.5), (64,)),
+            "range": (OptionSpec(60.0), CosConfig(1, 876.0, variant=Variant.DIRECT), (256,)),
+        }
+        kou, kou_market = presets.model_preset("kou"), presets.market_preset(1.0)
+        kou_refused = {
+            "strip": (OptionSpec(100.0), CosConfig(1, 12.0, damping=12.0), (64,)),
+            "range": (OptionSpec(60.0), CosConfig(1, 876.0, variant=Variant.DIRECT), (256,)),
+        }
+        for model, mkt, bad in ((explosive, market, refused), (kou, kou_market, kou_refused)):
+            for first, second in itertools.permutations(bad.values()):
+                for curves in ([good[0], first, good[1], second], [first, second, *good],
+                               [*good, second, first]):
+                    got = _assert_curves_are_each_alone(model, mkt, curves)
+                    assert got[0] in (ValidationError, ComputationError)
+        with pytest.raises(ValidationError, match="contour shift 12 lies outside"):
+            price_curves(kou, kou_market, [good[0], kou_refused["strip"]])
+
+    def test_one_model_pass(self, models, market, monkeypatch):
+        # one cumulants call for every distinct damping, one vector char_fn
+        # call for every band, one moment per distinct nonzero damping
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name if name == "cumulants" or np.ndim(args[2]) else "moment"] += 1
+                return fn(*args)
+            monkeypatch.setattr(cos_engine, name, wrapper)
+
+        counted("cumulants", cos_engine.cumulants)
+        counted("char_fn", cos_engine.char_fn)
+        curves = [(OptionSpec(strike), CosConfig(1, width, damping=damping), (16, 140))
+                  for strike in (80.0, 120.0) for width in (7.0, 12.0) for damping in (1.1, 1.5)]
+        curves.append((OptionSpec(100.0), CosConfig(1, 12.0, variant=Variant.DIRECT), (60000,)))
+        price_curves(models["kou"], market, curves)
+        assert calls == {"cumulants": 1, "char_fn": 1, "moment": 2}
+
+    def test_one_curve_is_price_curve(self, models, market):
+        curve = (OptionSpec(95.0), CosConfig(1, 7.0), (16, 32, 140))
+        assert price_curves(models["kou"], market, [curve]) == (
+            price_curve(models["kou"], market, *curve),)
+
+    @pytest.mark.parametrize("curves, match", [
+        ((), "needs at least one curve"),
+        (5, "curves must be a sequence"),
+        ([(OptionSpec(100.0), CosConfig(8, 7.0))], "a curve must be"),
+        ([(OptionSpec(100.0), CosConfig(8, 7.0), (8,)), OptionSpec(100.0)], "a curve must be"),
+        ([(OptionSpec(100.0), CosConfig(8, 7.0), (8,)), ([OptionSpec(100.0)], CosConfig(8, 7.0),
+                                                        (8,))], "one OptionSpec"),
+    ])
+    def test_malformed_curves_refused(self, models, market, curves, match):
+        with pytest.raises(ValidationError, match=match):
+            price_curves(models["kou"], market, curves)

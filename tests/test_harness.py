@@ -356,11 +356,11 @@ class TestConvergence:
             run_convergence("heston", [])
 
     def test_curve_is_one_series(self, monkeypatch):
-        # the benchmark traces these bindings: the 60000-term reference is
-        # one harness.price call, the curve one price_curve call, so each
-        # builds its cumulants once and sums its series, at every term
-        # count, in one kernel call, calling none of the term-by-term
-        # reference
+        # the benchmark traces these bindings: the 60000-term reference and
+        # the curve are one price_curves call, which reads the cumulants of
+        # both in one call and sums each series, at every term count, in
+        # one kernel call, calling neither harness.price nor the
+        # term-by-term reference
         calls = collections.Counter()
 
         def count(module, name):
@@ -378,8 +378,34 @@ class TestConvergence:
             count(cos_engine, name)
         result = run_convergence("kou", [8, 16, 32, 64, 140])
         assert result.values.shape == (5,)
-        assert calls == {"price": 1, "cumulants": 2, "_column_sums": 2}
+        assert calls == {"cumulants": 1, "_column_sums": 2}
         assert [calls[name] for name in REFERENCE] == [0, 0, 0]
+
+    @staticmethod
+    def refuse_the_curve(monkeypatch):
+        """Give every preset a stable call damping of 0.5, which the curve's
+        series refuses with a configuration error."""
+        class Refused:
+            def cos_config(self, variant):
+                return CosConfig(n_terms=1, range_width=7.0, damping=0.5)
+
+        monkeypatch.setattr(presets, "method_preset", lambda name, variant: Refused())
+
+    def test_refusals_keep_their_order(self, monkeypatch):
+        # the reference and the curve are one price_curves call; the
+        # reference's own refusal comes first, then the gate's, then the curve's
+        self.refuse_the_curve(monkeypatch)
+        with pytest.raises(ConfigurationError, match="alpha must exceed 1"):
+            run_convergence("kou", [64])
+        stored = load_reference_prices()
+        monkeypatch.setattr(presets, "load_reference_prices",
+                            lambda: {**stored, "kou": stored["kou"] + 1e-9})
+        with pytest.raises(ComputationError, match="reference recomputation mismatch for 'kou'"):
+            run_convergence("kou", [64])
+        monkeypatch.setattr(harness, "_REFERENCE_CONFIG",
+                            CosConfig(n_terms=60000, range_width=876.0, variant=Variant.DIRECT))
+        with pytest.raises(ComputationError, match=r"variant=direct, n_terms=60000,"):
+            run_convergence("kou", [64])
 
     def test_curve_matches_one_price_per_term_count(self):
         n_values = (140, 8, 64, 8, 4096)
@@ -409,14 +435,14 @@ class TestConvergence:
             raise AssertionError("bad term counts must be refused before any pricing")
 
         monkeypatch.setattr(harness, "price", unreachable)
-        monkeypatch.setattr(harness, "price_curve", unreachable)
+        monkeypatch.setattr(harness, "price_curves", unreachable)
         with pytest.raises(ValidationError, match="term counts"):
             run_convergence("heston", n_values)
 
     @pytest.mark.parametrize("method", ["bad", "carr_madan", None])
     def test_unknown_method_is_refused_before_pricing(self, monkeypatch, method):
         monkeypatch.setattr(harness, "price", _unreachable)
-        monkeypatch.setattr(harness, "price_curve", _unreachable)
+        monkeypatch.setattr(harness, "price_curves", _unreachable)
         with pytest.raises(ValidationError,
                            match=r"unknown method .*\('stable', 'direct', 'parity'\)"):
             run_convergence("heston", (8, 16), method)
@@ -426,7 +452,7 @@ class TestConvergence:
             raise AssertionError("a missing preset must be refused before any pricing")
 
         monkeypatch.setattr(harness, "price", unreachable)
-        monkeypatch.setattr(harness, "price_curve", unreachable)
+        monkeypatch.setattr(harness, "price_curves", unreachable)
         with pytest.raises(ConfigurationError, match="no direct preset for profile 'cgmy2'"):
             run_convergence("cgmy2", [16], "direct")
 
@@ -465,6 +491,28 @@ class TestStabilitySurface:
         ).price
         assert result.values[0, 0] == pytest.approx(want, rel=1e-15)
 
+    def test_the_surface_is_one_model_pass(self, monkeypatch):
+        # 273 cells, 21 dampings: one cumulants call reads every contour
+        calls = collections.Counter()
+        cumulants = cos_engine.cumulants
+
+        def counted(*args):
+            calls[len(args[2])] += 1
+            return cumulants(*args)
+
+        monkeypatch.setattr(cos_engine, "cumulants", counted)
+        result = run_stability_surface("heston")
+        assert result.values.shape == (21, 13)
+        assert calls == {21: 1}
+
+    def test_a_refused_cell_raises_its_own_error(self):
+        # alpha <= 1 is refused for a stable call; the first refused cell,
+        # in row order, names its own fault
+        with pytest.raises(ValidationError, match=r"contour shift 12 lies outside"):
+            run_stability_surface("kou", alpha_values=[1.1, 12.0, 0.5], l_values=[7.0, 9.0])
+        with pytest.raises(ConfigurationError, match="alpha must exceed 1"):
+            run_stability_surface("kou", alpha_values=[1.1, 0.5, 12.0], l_values=[7.0, 9.0])
+
     def test_fat_tail_default_widths_start_past_the_cliff(self):
         result = run_stability_surface("cgmy2", alpha_values=[1.05])
         widths = result.axis("range_width")
@@ -483,6 +531,7 @@ class TestStabilitySurface:
     @pytest.mark.parametrize("argument", ["alpha_values", "l_values"])
     def test_a_bare_string_is_not_a_sequence(self, monkeypatch, argument):
         monkeypatch.setattr(harness, "price", _unreachable)
+        monkeypatch.setattr(harness, "price_curves", _unreachable)
         axes = {"alpha_values": [1.1], "l_values": [7.0], argument: "12"}
         with pytest.raises(ValidationError, match=f"{argument} must be a sequence, not the string"):
             run_stability_surface("heston", **axes)
@@ -497,6 +546,7 @@ class TestStabilitySurface:
             raise AssertionError("a bad term count must be refused before any pricing")
 
         monkeypatch.setattr(harness, "price", unreachable)
+        monkeypatch.setattr(harness, "price_curves", unreachable)
         with pytest.raises(ValidationError, match="term counts"):
             run_stability_surface("kou", alpha_values=[1.1], l_values=[7.0, 18.0],
                                   n_terms=n_terms, scale_terms=scale_terms)
@@ -533,6 +583,7 @@ class TestLSweep:
     def test_a_bare_string_is_not_a_sequence(self, monkeypatch):
         # "79" used to sweep the widths 7 and 9
         monkeypatch.setattr(harness, "price", _unreachable)
+        monkeypatch.setattr(harness, "price_curves", _unreachable)
         with pytest.raises(ValidationError, match="l_values must be a sequence, not the string"):
             run_l_sweep("heston", "79")
 

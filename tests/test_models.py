@@ -291,6 +291,48 @@ class TestCumulants:
                            match=r"lies outside the admissible interval \(-5, 10\)"):
             cumulants(models["kou"], market, centre)
 
+    @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0])
+    def test_a_tuple_of_centres_is_each_one_centre_call(self, models, maturity, monkeypatch):
+        # one _log_cf call reads the first circle of every centre; a centre
+        # whose circle must halve continues alone, as the explosive heston's
+        # centres 0, 0.5 and 1.1 do at T = 5 (0.1 does not)
+        calls = []
+
+        def spy(log_cf):
+            def counted(*args):
+                calls.append(args)
+                return log_cf(*args)
+            return counted
+
+        for cls in (HestonParams, KouParams, CGMYParams):
+            monkeypatch.setattr(cls, "_log_cf", spy(cls._log_cf))
+        market = MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
+        cases = [(models["heston"], (0.0, 1.1, 2.5, 1.1)),
+                 (models["kou"], (1.1, 0.0, -2.0, 1.1, 9.5)),
+                 (models["cgmy1"], (1.1, 0.0, -0.9, 4.9)),
+                 (models["cgmy2"], (0.0, 1.1)),
+                 (EXPLOSIVE_HESTON, (0.1, 0.5, 0.0, 1.1))]
+        for model, centres in cases:
+            calls.clear()
+            got = cumulants(model, market, centres)
+            batch_calls = len(calls)
+            calls.clear()
+            want = [cumulants(model, market, centre) for centre in centres]
+            assert [(c.c1.hex(), c.c2.hex(), c.c4.hex()) for c in got] == [
+                (c.c1.hex(), c.c2.hex(), c.c4.hex()) for c in want], (model, centres)
+            # the first circles are one call; each smaller circle is read
+            # once, by its centre alone
+            assert batch_calls == 1 + len(calls) - len(centres), (model, centres)
+        if maturity == 5.0:
+            assert batch_calls > 1
+
+    def test_a_tuple_of_centres_refuses_as_its_first_refused_centre(self, models):
+        market = MarketSpec(spot=100.0, rate=0.05, maturity=5.0)
+        with pytest.raises(ValidationError, match=r"contour shift 12 lies outside"):
+            cumulants(models["kou"], market, (1.1, 12.0, -6.0))
+        with pytest.raises(ComputationError, match=r"not finite and real near s = 0"):
+            cumulants(EXPLOSIVE_HESTON, market, (0.1, 1.3, 0.5))
+
     @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0, 20.0])
     def test_one_log_cf_call_and_no_char_fn_call(self, models, maturity, monkeypatch):
         calls = []
@@ -528,9 +570,9 @@ class TestValidationAndStrips:
         (lambda: TruncationRange(a=1.0, b=1.0), ValidationError,
          r"range must satisfy a < b, got \[1.0, 1.0\]"),
         (lambda: truncation_range(Cumulants(c1=0.0, c2=0.1, c4=0.0), 0.0), ValidationError,
-         "range_width must be positive, got 0.0"),
+         "range_width must be positive and finite, got 0.0"),
         (lambda: truncation_range(Cumulants(c1=0.0, c2=0.1, c4=0.0), -2.0), ValidationError,
-         "range_width must be positive, got -2.0"),
+         "range_width must be positive and finite, got -2.0"),
     ], ids=["rate-inf", "dividend-nan", "rho", "log_cf-model", "log_cf-model-empty",
             "damping_bounds-model", "check_damping-model", "price-model", "c1-nan", "c4-inf",
             "c2<0", "c4<0", "cumulants-give-up", "range-a-inf", "range-b-nan", "range-a=b",
@@ -671,3 +713,37 @@ class TestCallPriceBounds:
         for bound, sign in ((self.UPPER, 1.0), (lower, -1.0)):
             check_call_prices(self.MARKET, [strike], [bound + sign * near], "pricer")
             self.refuse([strike], [bound + sign * far], "bound")
+
+
+class TestLiveBands:
+    """live_band over several contours: one evaluate call, and each band
+    bit for bit its one-contour call's."""
+
+    CONTOURS = ((0.1, 1.1, 210), (0.05, 0.0, 60000), (0.3, 1.1, 1), (0.01, -0.5, 4096),
+                (2.0, 0.0, 300))
+
+    @pytest.mark.parametrize("cap", [math.inf, 2 ** 30])
+    @pytest.mark.parametrize("maturity", [1e-3, 1.0])
+    def test_each_band_is_its_one_contour_call(self, models, maturity, cap):
+        market = MarketSpec(spot=100.0, rate=0.1, maturity=maturity)
+        sizes = []
+
+        def evaluate(model, market, u):
+            sizes.append(np.size(u))
+            return char_fn(model, market, u)
+
+        for name, model in models.items():
+            sizes.clear()
+            bands = live_band(evaluate, model, market, *zip(*self.CONTOURS), cap)
+            assert len(sizes) == 1, name
+            alone = [live_band(char_fn, model, market, *contour, cap) for contour in self.CONTOURS]
+            assert [band.tobytes() for band in bands] == [band.tobytes() for band in alone], name
+            assert sizes[0] >= sum(band.size for band in alone)
+
+    def test_a_shift_outside_the_strip_is_refused_before_any_evaluation(self, models, market):
+        def evaluate(*args):
+            raise AssertionError("no point may be evaluated")
+
+        with pytest.raises(ValidationError, match=r"contour shift 12 lies outside"):
+            live_band(evaluate, models["kou"], market, (0.1, 0.1, 0.1), (1.1, 12.0, -6.0),
+                      (64, 64, 64))
