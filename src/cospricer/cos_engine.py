@@ -31,12 +31,13 @@ prefix of it; :func:`price` is its one-count case, for a batch of strikes
 whose ranges are [a + x, b + x], x each strike's log-moneyness: the series
 forms these endpoints once, as arrays, one row per strike, and returns one
 :class:`PriceColumn` of arrays, with no object per strike.
-:func:`price_curves` prices several curves of one model and market with
-the model read in one pass: one :func:`models.cumulants` call for the
-contours of every distinct damping and one :func:`models.live_band` call
-for the bands of every curve, each series otherwise its own; a single
-series (``price``, ``price_curve``) keeps the one-contour calls, whose
-fixed cost a batch of one would only add to.
+Every price takes one path, which prices a batch of series with the
+model read in one pass: one :func:`models.cumulants` call for the
+contours of every distinct damping, each damping's moment read at its
+contour's centre, and one :func:`models.live_band` call for the bands of
+every series, each series otherwise its own.  :func:`price_curves`
+passes it several curves of one model and market; ``price`` and
+``price_curve`` pass it one series.
 
 A strike enters its series only through one integration limit, so no
 payoff coefficient is formed: each series is summed in closed form
@@ -331,7 +332,6 @@ def _column_sums(g: np.ndarray, u: np.ndarray, alpha: float, c, d, a, ends) -> t
 # an overflowing product or bound reads as inf or nan, without NumPy's warning
 @np.errstate(over="ignore", invalid="ignore")
 def _series_values(
-    model: ModelSpec,
     market: MarketSpec,
     kind: OptionKind,
     alpha: float,
@@ -339,7 +339,7 @@ def _series_values(
     x: np.ndarray,
     strikes: np.ndarray,
     counts: tuple,
-    phi: Optional[np.ndarray] = None,
+    phi: np.ndarray,
 ) -> np.ndarray:
     """Series values for the strikes with log-moneyness x, discounted: one
     row, in strike order, per term count in counts, nan where a value is
@@ -350,10 +350,9 @@ def _series_values(
 
     The frequencies u_k = k*pi/width do not depend on the term count, so
     the density row is formed once, at the largest count, and each count
-    sums its prefix of it (:func:`_column_sums`).  The sum runs over the
-    live band of phi(u_k - i*alpha) only (:func:`models.live_band`,
-    capped at _MAX_TERMS terms; phi, where the caller has read it, as a
-    batch reads every band in one call), whose floor is proven to lie under the
+    sums its prefix of it (:func:`_column_sums`).  The sum runs over phi,
+    the live band of phi(u_k - i*alpha) (:func:`models.live_band`,
+    capped at _MAX_TERMS terms), whose floor is proven to lie under the
     sum's rounding once every term t_k = g_k*V_k, never formed, has
     |t_k| <= 4*|t_0|*Psi(u_k)/Psi(0), Psi the envelope of |phi| that
     live_band reads:
@@ -374,10 +373,7 @@ def _series_values(
     in price units, is not below 1e300: its sum cannot then be trusted to
     be finite, nor its rounding to be below the price.
     """
-    step = math.pi / base.width
-    if phi is None:
-        phi = live_band(char_fn, model, market, step, alpha, max(counts), _MAX_TERMS)
-    u = np.arange(phi.size) * step
+    u = np.arange(phi.size) * (math.pi / base.width)
     # x - a = -base.a for every recentred range, so one phase serves all strikes
     g = np.real(np.exp(u * (-1j * base.a)) * phi)
     g[0] *= 0.5
@@ -458,18 +454,16 @@ class _Series:
         self.alpha = _resolve_damping(config, kind)
         self.strikes, self.x = np.array(strikes), np.array(x)
 
-    def values(self, model: ModelSpec, market: MarketSpec, base: TruncationRange,
-               *band: np.ndarray) -> np.ndarray:
+    def values(self, market: MarketSpec, base: TruncationRange, phi: np.ndarray) -> np.ndarray:
         """The series' values on the base range, one row per count, from its
-        live band phi where the caller has read it (band is then (phi,); see
-        :func:`_series_values`); a computation error names the first value
-        that is not finite."""
+        live band phi (:func:`_series_values`); a computation error names
+        the first value that is not finite."""
         config, counts, x = self.config, self.counts, self.x
         # parity prices the undamped put (alpha = 0) and maps it to the call
         parity = config.variant is Variant.PUT_CALL_PARITY
         series_kind = OptionKind.PUT if parity else self.kind
-        values = np.asarray(_series_values(model, market, series_kind, self.alpha, base, x,
-                                           self.strikes, counts, *band))
+        values = np.asarray(_series_values(market, series_kind, self.alpha, base, x,
+                                           self.strikes, counts, phi))
         if parity:
             values = (values + market.spot * market.dividend_factor
                       - self.strikes * market.discount_factor)
@@ -485,57 +479,32 @@ class _Series:
         return values
 
 
-def _check_moment(model: ModelSpec, market: MarketSpec, alpha: float) -> None:
-    """A nonzero damping's moment, checked by :func:`models.check_moment`."""
-    if alpha != 0.0:
-        check_moment(alpha, char_fn(model, market, -1j * alpha))
-
-
-def _price_counts(
-    model: ModelSpec,
-    market: MarketSpec,
-    options: tuple,
-    config: CosConfig,
-    counts: Optional[tuple] = None,
-) -> tuple:
-    """The values of the :class:`_Series` of options, config and counts,
-    with its alpha, its base range and its x.
-
-    The range is sized from the cumulants of the law the series expands,
-    tilted by alpha: K(alpha + s).  Before that contour is read, a damping
-    is checked on its strip (by char_fn), then on its moment, so that each
-    refusal names its own fault.
-    """
-    series = _Series(market, options, config, counts)
-    alpha = series.alpha
-    _check_moment(model, market, alpha)
-    base = truncation_range(cumulants(model, market, alpha), config.range_width)
-    return series.values(model, market, base), alpha, base, series.x
-
-
 def _price_batch(model: ModelSpec, market: MarketSpec, batch: list) -> list:
-    """:func:`_price_counts` of each (options, config, counts) in batch, in
-    order, with the model read in one pass: each distinct damping's moment
-    is checked once, one :func:`models.cumulants` call reads the contours
-    of them all, and one :func:`models.live_band` call the bands of every
-    series.  Each result is bit for bit the one-series one; the refusals
-    are each series' own, but not necessarily the first series' to refuse
-    (see :func:`price_curves`)."""
+    """The values of the :class:`_Series` of each (options, config[,
+    counts]) in batch, in order, each with its alpha, its base range and
+    its x, the model read in one pass.  Each range is sized from the
+    cumulants of the law its series expands, tilted by alpha:
+    K(alpha + s); a damping is checked on its strip, then on its moment,
+    before any range is sized, so that each refusal names its own fault.
+    A series' values do not depend on the others in batch; its refusals
+    are its own, but not necessarily the first series' to refuse."""
     batch = [_Series(market, *series) for series in batch]
-    alphas = tuple(dict.fromkeys(series.alpha for series in batch))
-    for alpha in alphas:
-        _check_moment(model, market, alpha)
+    alphas = tuple({series.alpha for series in batch})
     cums = dict(zip(alphas, cumulants(model, market, alphas)))
-    bases = [truncation_range(cums[series.alpha], series.config.range_width) for series in batch]
-    phis = live_band(char_fn, model, market, tuple(math.pi / base.width for base in bases),
-                     tuple(series.alpha for series in batch),
-                     tuple(max(series.counts) for series in batch), _MAX_TERMS)
-    return [(series.values(model, market, base, phi), series.alpha, base, series.x)
+    for alpha, tilted in cums.items():
+        if alpha:  # the undamped law's moment is E[1] = 1
+            check_moment(alpha, tilted.moment)
+    bases, contours = [], []
+    for series in batch:
+        bases.append(truncation_range(cums[series.alpha], series.config.range_width))
+        contours.append((math.pi / bases[-1].width, series.alpha, max(series.counts)))
+    phis = live_band(char_fn, model, market, *zip(*contours), _MAX_TERMS)
+    return [(series.values(market, base, phi), series.alpha, base, series.x)
             for series, base, phi in zip(batch, bases, phis)]
 
 
 def _curve(counts: tuple, values: np.ndarray, alpha: float, base: TruncationRange, x) -> tuple:
-    """One option's values from _price_counts as PriceResults, one per count."""
+    """One option's values from _price_batch as PriceResults, one per count."""
     rng = TruncationRange(a=base.a + float(x[0]), b=base.b + float(x[0]))
     return tuple(PriceResult(price=value, n_terms=n, damping=alpha, range=rng)
                  for n, value in zip(counts, values[:, 0].tolist()))
@@ -566,7 +535,7 @@ def price(
     range end overflows, or a value's summands could reach 1e300.
     """
     options = tuple(option) if isinstance(option, Iterable) else (option,)
-    values, alpha, base, x = _price_counts(model, market, options, config)
+    [(values, alpha, base, x)] = _price_batch(model, market, [(options, config)])
     if isinstance(option, OptionSpec):
         return _curve((config.n_terms,), values, alpha, base, x)[0]
     return PriceColumn(values[0], config.n_terms, alpha, base, x)
@@ -594,17 +563,16 @@ def price_curves(
     Each curve is (option, config, n_values), priced as :func:`price_curve`
     prices it; the result holds one tuple of PriceResults per curve, in
     input order, each bit for bit what price_curve gives that curve alone.
-    Where there are several curves, the model is read in one pass: each
-    distinct damping's moment is checked once, one ``models.cumulants``
-    call evaluates the cumulant contours of every distinct damping, and
-    one ``models.live_band`` call every curve's band; the truncation
-    range, the series sums and every check stay per curve.  Nothing is
-    kept from one call to the next.
+    The model is read in one pass: one ``models.cumulants`` call evaluates
+    the cumulant contours of every distinct damping, which also read each
+    damping's moment, checked once, and one ``models.live_band`` call
+    every curve's band; the truncation range, the series sums and every
+    check stay per curve.  Nothing is kept from one call to the next.
 
     Errors are those of :func:`price_curve`: where any curve is refused,
-    the error is the one the first refused curve, in input order, raises
-    alone.  A validation error also where curves is not a non-empty
-    sequence, or a curve not a triple.
+    each curve is priced again alone, in input order, so the error is the
+    one the first refused curve raises alone.  A validation error also
+    where curves is not a non-empty sequence, or a curve not a triple.
     """
     try:
         curves = tuple(curves)
@@ -612,16 +580,13 @@ def price_curves(
         raise ValidationError(f"curves must be a sequence, got {curves!r}") from None
     if not curves:
         raise ValidationError("price_curves needs at least one curve")
-    # one curve keeps the one-contour calls, whose fixed cost a batch of one
-    # would only add to
-    if len(curves) > 1:
-        try:
-            batch = [_curve_series(curve) for curve in curves]
-            return tuple(_curve(counts, *priced) for (_, _, counts), priced
-                         in zip(batch, _price_batch(model, market, batch)))
-        except PricingError:
-            pass  # priced one by one below, so that the first refused curve raises
-    return tuple(_curve(series[2], *_price_counts(model, market, *series))
+    try:
+        batch = [_curve_series(curve) for curve in curves]
+        return tuple(_curve(counts, *priced) for (_, _, counts), priced
+                     in zip(batch, _price_batch(model, market, batch)))
+    except PricingError:
+        pass  # priced one by one below, so that the first refused curve raises
+    return tuple(_curve(series[2], *_price_batch(model, market, [series])[0])
                  for series in map(_curve_series, curves))
 
 

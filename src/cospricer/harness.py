@@ -363,9 +363,10 @@ def run_stability_surface(
     [base_n] = term_counts((preset.n_terms if n_terms is None else n_terms,))
 
     def cell_config(alpha: float, width: float) -> CosConfig:
-        scaled = max(base_n, math.ceil(base_n * width / preset.range_width))
-        return CosConfig(n_terms=scaled if scale_terms else base_n, range_width=width,
-                         damping=alpha)
+        scaled = base_n * width / preset.range_width if scale_terms else base_n
+        # term_counts refuses a scaled N past the largest float, which ceil cannot take
+        [n_terms] = term_counts((max(base_n, math.ceil(scaled) if scaled < math.inf else scaled),))
+        return CosConfig(n_terms=n_terms, range_width=width, damping=alpha)
 
     return _price_grid(
         "stability", model_name, ("alpha", alpha_values), ("range_width", l_values),

@@ -14,7 +14,8 @@ Kou's jump drift, and CGMY's Gamma(-Y), M^Y, G^Y and martingale bracket;
 each call computes only what depends on its market and its points.  The
 module also provides log-cumulants of the log-return (Cauchy contour
 integrals of log phi_T, on a fixed set of nodes, for one centre or for
-several in one call) and the series truncation interval built from them.
+several in one call, each with its moment, read at the centre) and the
+series truncation interval built from them.
 
 Both fixed-grid consumers, the cosine engine and the Carr-Madan sum,
 read phi_T along a contour u - i*alpha, u = 0, du, 2*du, ..., through
@@ -39,7 +40,6 @@ validation error.  :func:`check_numbers` is its form for a column, and
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -656,20 +656,6 @@ def envelope_cut(
     return 1 + bisect.bisect_left(range(1, size - 1), True, key=dead)
 
 
-def _band_end(model: ModelSpec, market: MarketSpec, step: float, shift: float, size: int,
-              cap: float) -> int:
-    """The index at which :func:`live_band` cuts one contour."""
-    tail = math.log(TAIL_SHARE / (4 * cap)) if size <= cap < math.inf else None
-    slack = None if tail is None else lambda k: tail
-    return envelope_cut(model, market, shift, size, lambda k: k * step, slack, _UNDERFLOW_LOG)
-
-
-def _trimmed(phi: np.ndarray) -> np.ndarray:
-    """phi up to and including its last nonzero value, and at least index 0."""
-    nonzero = np.flatnonzero(phi)
-    return phi[: nonzero[-1] + 1 if nonzero.size else 1]
-
-
 def live_band(
     evaluate,
     model: ModelSpec,
@@ -687,10 +673,11 @@ def live_band(
     :func:`check_damping` passes the shift.  Index 0, the moment
     E[(S_T/S_0)^shift], is always kept; the caller checks it.
 
-    Where step, shift and size are tuples, one entry per contour, each
-    contour is cut and trimmed by itself, in order, and one evaluate call
-    covers the live points of them all; the result is a tuple of bands,
-    each bit for bit what the one-contour call gives (phi is elementwise).
+    step, shift and size are numbers, giving one band, or tuples, one
+    entry per contour, giving a tuple of bands: each contour is cut and
+    trimmed by itself, in order, and one evaluate call covers the live
+    points of them all, so a band does not depend on the other contours
+    (phi is elementwise).
 
     The rule, the same for every model: :func:`envelope_cut` finds the
     first index k >= 1 from which every |phi_T| is below exp(floor), and
@@ -712,13 +699,21 @@ def live_band(
     full one.
     """
     if not isinstance(step, tuple):
-        end = _band_end(model, market, step, shift, size, cap)
-        return _trimmed(evaluate(model, market, np.arange(end) * step - 1j * shift))
-    ends = [_band_end(model, market, *contour, cap) for contour in zip(step, shift, size)]
-    phi = evaluate(model, market, np.concatenate(
-        [np.arange(end) * du - 1j * alpha for end, du, alpha in zip(ends, step, shift)]))
-    return tuple(_trimmed(phi[start:start + end])
-                 for start, end in zip(itertools.accumulate(ends, initial=0), ends))
+        return live_band(evaluate, model, market, (step,), (shift,), (size,), cap)[0]
+    ends, points = [], []
+    for du, alpha, n in zip(step, shift, size):
+        tail = math.log(TAIL_SHARE / (4 * cap)) if n <= cap < math.inf else None
+        ends.append(envelope_cut(model, market, alpha, n, lambda k: k * du,
+                                 None if tail is None else lambda k: tail, _UNDERFLOW_LOG))
+        points.append(np.arange(ends[-1]) * du - 1j * alpha)
+    phi = evaluate(model, market, np.concatenate(points))
+    bands, start = [], 0
+    for end in ends:
+        # up to and including the last nonzero value, and at least index 0
+        [nonzero] = phi[start:start + end].nonzero()
+        bands.append(phi[start:start + (nonzero[-1] + 1 if nonzero.size else 1)])
+        start += end
+    return tuple(bands)
 
 
 # ---------------------------------------------------------------------------
@@ -727,18 +722,17 @@ def live_band(
 
 @dataclass(frozen=True)
 class Cumulants:
-    """Log-cumulants c1, c2, c4 of the log-return over the full horizon."""
+    """Log-cumulants c1, c2, c4 of the log-return over the full horizon;
+    moment, not in the repr or equality, is E[(S_T/S_0)^centre] as
+    :func:`cumulants` reads it, unchecked."""
 
     c1: float
     c2: float
     c4: float
+    moment: complex = field(default=1.0, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("c1", "c2", "c4"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"cumulant {name} must be finite")
-        if self.c2 < 0.0 or self.c4 < 0.0:
-            raise ValidationError("c2 and c4 must be nonnegative")
+        check_fields(self, c1=FINITE, c2=NONNEGATIVE, c4=NONNEGATIVE)
 
 
 _CONTOUR_NODES = 64  # trapezoid nodes on the circle |s| = r
@@ -747,53 +741,52 @@ _CONTOUR_HALVINGS = 8  # times r may halve before the cumulants are given up
 # finds its explosion, and its c4 rounding floor grows as r^-4, so r starts large
 _HESTON_RADIUS = 0.5
 # s/r at the nodes with Im(s) <= 0 (the others are their conjugates), then
-# at the two probes +-2r
+# at the two probes +-2r and at the centre itself, whose value is the moment
 _NODES = np.append(np.exp(-1j * np.linspace(0.0, math.pi, _CONTOUR_NODES // 2 + 1)),
-                   (2.0, -2.0))
+                   (2.0, -2.0, 0.0))
 # the exponents of the powers of r that scale the Taylor coefficients 0..4
 _POWERS = np.arange(5)
 
 
-def _contour_radius(model: ModelSpec, centre: float) -> float:
-    """The first circle radius of centre's cumulant contour (see
-    :func:`cumulants`), once :func:`check_damping` passes the centre."""
-    check_damping(model, centre)
-    lo, hi = damping_bounds(model)
-    radius = 0.25 * min(centre - lo, hi - centre)
-    return _HESTON_RADIUS if radius == math.inf else radius
-
-
-def _contour(model: ModelSpec, market: MarketSpec, centre, radius) -> tuple:
-    """log phi_T at the nodes and probes of the circle around centre, and
-    the Taylor coefficients 0..4 read off its nodes; centre and radius are
-    floats, or columns of them, one row per circle."""
-    # Heston's log-CF has a removable 0/0 at kappa = rho*sigma*s: nan
+def _contour(model: ModelSpec, market: MarketSpec, circles) -> list:
+    """For each (centre, radius) in circles, as lists: log phi_T at its
+    probes, the Taylor coefficients 0..4 read off the nodes of its circle,
+    and its moment; one _log_cf call reads every circle."""
+    # Heston's log-CF has a removable 0/0 at kappa = rho*sigma*s: nan; an
+    # overflowed moment is inf, which check_moment names
     with np.errstate(all="ignore"):
-        values = model._log_cf(market, -1j * (centre + radius * _NODES))
-        taylor = np.fft.irfft(values[..., :-2], _CONTOUR_NODES, axis=-1)[..., :5]
-        return values, taylor / radius ** _POWERS
+        rows = model._log_cf(market, np.array(
+            [-1j * (centre + radius * _NODES) for centre, radius in circles]).ravel())
+        return [(row[-3:-1].tolist(),
+                 (np.fft.irfft(row[:-3], _CONTOUR_NODES)[:5] / radius ** _POWERS).tolist(),
+                 complex(np.exp(row[-1])))
+                for row, (_, radius) in zip(rows.reshape(len(circles), _NODES.size), circles)]
 
 
-def _read_cumulants(values: np.ndarray, taylor: np.ndarray):
-    """One circle's Cumulants, or None where a coefficient is not finite
-    or a probe not real, so that the circle must halve."""
+def _read_cumulants(probes: list, taylor: list, moment: complex):
+    """One circle's Cumulants, with moment, or None where a coefficient is
+    not finite or a probe not real, so that the circle must halve."""
     c1, c2, c4 = taylor[1], 2.0 * taylor[2], 24.0 * taylor[4]
     # a valid moment's log carries ~1e-16 relative imaginary roundoff
     if all(map(math.isfinite, (c1, c2, c4))) and all(
-            abs(k.imag) <= 1e-10 * max(1.0, abs(k.real)) for k in values[-2:].tolist()):
-        return Cumulants(c1=float(c1), c2=max(float(c2), 0.0), c4=max(float(c4), 0.0))
+            abs(k.imag) <= 1e-10 * max(1.0, abs(k.real)) for k in probes):
+        return Cumulants(c1=c1, c2=max(c2, 0.0), c4=max(c4, 0.0), moment=moment)
     return None
 
 
 def _halving(model: ModelSpec, market: MarketSpec, centre: float, radius: float,
-             tries: int) -> Cumulants:
-    """centre's Cumulants from the first of tries circles, radius halving
-    after each, that passes :func:`_read_cumulants`."""
-    for _ in range(tries):
-        cums = _read_cumulants(*_contour(model, market, centre, radius))
+             moment: complex) -> Cumulants:
+    """centre's Cumulants where its circle of the given radius fails
+    :func:`_read_cumulants`: its moment is checked by :func:`check_moment`,
+    so that a centre past an explosion is refused as one, then the radius
+    halves before each of _CONTOUR_HALVINGS tries."""
+    check_moment(centre, moment)
+    for _ in range(_CONTOUR_HALVINGS):
+        radius *= 0.5
+        [circle] = _contour(model, market, [(centre, radius)])
+        cums = _read_cumulants(*circle)
         if cums is not None:
             return cums
-        radius *= 0.5
     raise ComputationError(f"log E[exp(s*X)] is not finite and real near s = 0 for "
                            f"{type(model).__name__}, so no cumulant contour can be sized")
 
@@ -809,29 +802,31 @@ def cumulants(model: ModelSpec, market: MarketSpec, centre=0.0):
     coefficients off with one inverse real FFT and converges
     geometrically (Bornemann 2011).  K is real on the real axis, so only
     the nodes with Im(s) <= 0 are evaluated, in one call that also probes
-    K at centre +- 2r.  r starts at a quarter of the centre's distance to
+    K at centre +- 2r and reads the moment exp(K(centre)), which the
+    Cumulants carry.  r starts at a quarter of the centre's distance to
     the nearer damping bound, at _HESTON_RADIUS where the strip is the
     whole line, and halves while a coefficient is not finite or a probe is
-    not real (past a moment explosion), so that K is analytic on a disc
-    twice the circle's size; only Heston's halves, as the other strips are
-    proven.
-    Roundoff below zero in c2 or c4 is floored.  A centre outside the
-    strip is refused first, by :func:`check_damping`.
+    not real (past a moment explosion, which :func:`_halving` names), so
+    that K is analytic on a disc twice the circle's size; only Heston's
+    halves, as the other strips are proven.  Roundoff below zero in c2 or
+    c4 is floored.  A centre outside the strip is refused first, by
+    :func:`check_damping`.
 
-    Where centre is a tuple of centres, the result is a tuple of
-    Cumulants, one per centre: each centre is checked in order, then one
-    _log_cf call covers the first circles of them all and one row-wise
-    inverse FFT reads their coefficients; a centre whose circle must halve
-    continues alone.  Each is bit for bit the one-centre call's."""
+    centre is one centre, giving one Cumulants, or a tuple of them, giving
+    a tuple: each centre is checked in order, then one _log_cf call covers
+    the first circles of them all, each read by its own inverse FFT; a
+    centre whose circle must halve continues alone, so a tuple refuses as
+    its first refused centre."""
     if not isinstance(centre, tuple):
-        return _halving(model, market, centre, _contour_radius(model, centre),
-                        _CONTOUR_HALVINGS + 1)
-    radii = [_contour_radius(model, c) for c in centre]
-    rows = _contour(model, market, np.array(centre)[:, None], np.array(radii)[:, None])
-    return tuple(
-        _read_cumulants(values, taylor)
-        or _halving(model, market, c, 0.5 * radius, _CONTOUR_HALVINGS)
-        for c, radius, values, taylor in zip(centre, radii, *rows))
+        return cumulants(model, market, (centre,))[0]
+    check_damping(model, *centre)
+    lo, hi = damping_bounds(model)
+    circles = []
+    for c in centre:
+        radius = 0.25 * min(c - lo, hi - c)
+        circles.append((c, _HESTON_RADIUS if radius == math.inf else radius))
+    return tuple(_read_cumulants(*circle) or _halving(model, market, c, radius, circle[-1])
+                 for (c, radius), circle in zip(circles, _contour(model, market, circles)))
 
 
 @dataclass(frozen=True)
@@ -842,8 +837,7 @@ class TruncationRange:
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValidationError("range endpoints must be finite")
+        check_fields(self, a=FINITE, b=FINITE)
         if not self.a < self.b:
             raise ValidationError(f"range must satisfy a < b, got [{self.a}, {self.b}]")
 

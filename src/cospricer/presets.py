@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Optional
@@ -32,7 +31,15 @@ import numpy as np
 
 from .cos_engine import CosConfig, Variant
 from .errors import ConfigurationError, ValidationError
-from .models import CGMYParams, HestonParams, KouParams, MarketSpec, ModelSpec
+from .models import (
+    POSITIVE,
+    CGMYParams,
+    HestonParams,
+    KouParams,
+    MarketSpec,
+    ModelSpec,
+    check_number,
+)
 from .transform_refs import CarrMadanConfig, IntegralConfig
 
 __all__ = [
@@ -227,8 +234,7 @@ def _reference_prices() -> tuple:
             f"reference set must hold exactly {sorted(PROFILE_NAMES)}, got {names}"
         )
     for name, value in rows:
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"reference for {name!r} must be a positive float")
+        check_number(f"reference for {name!r}", value, POSITIVE)
     return rows
 
 

@@ -32,6 +32,7 @@ from cospricer.errors import ComputationError, ConfigurationError, PricingError,
 from cospricer.models import (
     CGMYParams,
     HestonParams,
+    KouParams,
     MarketSpec,
     TruncationRange,
     char_fn,
@@ -470,6 +471,30 @@ class TestMomentCheck:
             with pytest.raises(ValidationError, match=r"\^1.1\] overflows; the drift"):
                 price(models["kou"], market, OptionSpec(strike=100.0), config)
 
+    def test_the_moment_is_read_off_the_cumulant_contour(self, models, market, monkeypatch):
+        # a damped price reads the model twice: one _log_cf call for the
+        # cumulant contour, whose points hold its centre -i*alpha, and one
+        # vector char_fn call for the band; no scalar char_fn call reads the moment
+        log_cf_points, char_fn_calls = [], []
+        log_cf = KouParams._log_cf
+
+        def spied_log_cf(model, mkt, u):
+            if np.ndim(u):  # kou's envelope reads single points
+                log_cf_points.append(np.ravel(u).tolist())
+            return log_cf(model, mkt, u)
+
+        def spied_char_fn(model, mkt, u):
+            char_fn_calls.append(np.ndim(u))
+            return char_fn(model, mkt, u)
+
+        monkeypatch.setattr(KouParams, "_log_cf", spied_log_cf)
+        monkeypatch.setattr(cos_engine, "char_fn", spied_char_fn)
+        price(models["kou"], market, OptionSpec(100.0), CosConfig(160, 10.0, damping=1.1))
+        assert char_fn_calls == [1]
+        # the contour, then the band that char_fn reads
+        contour, band = log_cf_points
+        assert -1.1j in contour and band[0] == -1.1j
+
     def test_undamped_series_unaffected(self):
         # alpha = 0 needs only E[1] = 1, so the put still prices
         market = MarketSpec(spot=100.0, rate=0.05, maturity=20.0)
@@ -855,10 +880,10 @@ class TestStrikeBatch:
     def test_a_column_of_empty_payoff_rows_prices_zeros(self, models, market, kind, strikes):
         # every row's payoff interval is empty: no row reaches the series
         cfg = _preset_config("heston", Variant.DIRECT)
-        options = tuple(OptionSpec(k, kind) for k in strikes)
         counts = (1, 16, cfg.n_terms, 4096)
-        values, *_ = cos_engine._price_counts(models["heston"], market, options, cfg, counts)
-        assert values.tolist() == [[0.0, 0.0]] * len(counts)
+        for strike in strikes:
+            curve = price_curve(models["heston"], market, OptionSpec(strike, kind), cfg, counts)
+            assert [result.price for result in curve] == [0.0] * len(counts)
 
     def test_single_option_gives_a_result_and_a_sequence_a_tuple(self, models, market):
         # a sequence, a tuple or a list, gives one column
@@ -1217,8 +1242,8 @@ class TestPriceCurves:
             price_curves(kou, kou_market, [good[0], kou_refused["strip"]])
 
     def test_one_model_pass(self, models, market, monkeypatch):
-        # one cumulants call for every distinct damping, one vector char_fn
-        # call for every band, one moment per distinct nonzero damping
+        # one cumulants call for every distinct damping, which checks each
+        # moment on its contour, and one vector char_fn call for every band
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -1233,7 +1258,7 @@ class TestPriceCurves:
                   for strike in (80.0, 120.0) for width in (7.0, 12.0) for damping in (1.1, 1.5)]
         curves.append((OptionSpec(100.0), CosConfig(1, 12.0, variant=Variant.DIRECT), (60000,)))
         price_curves(models["kou"], market, curves)
-        assert calls == {"cumulants": 1, "char_fn": 1, "moment": 2}
+        assert calls == {"cumulants": 1, "char_fn": 1}
 
     def test_one_curve_is_price_curve(self, models, market):
         curve = (OptionSpec(95.0), CosConfig(1, 7.0), (16, 32, 140))

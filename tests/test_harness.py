@@ -149,7 +149,8 @@ class TestReferenceSet:
         prices = dict(load_reference_prices())
         prices["kou"] = bad
         bundled_rows(_rows(prices.items()))
-        with pytest.raises(ValidationError, match="'kou' must be a positive float"):
+        with pytest.raises(ValidationError,
+                           match="reference for 'kou' must be positive and finite"):
             load_reference_prices()
 
     def test_bundled_file_is_read_once_and_each_call_gets_its_own_dict(self, monkeypatch):
@@ -550,6 +551,12 @@ class TestStabilitySurface:
         with pytest.raises(ValidationError, match="term counts"):
             run_stability_surface("kou", alpha_values=[1.1], l_values=[7.0, 18.0],
                                   n_terms=n_terms, scale_terms=scale_terms)
+        # a width whose scaled N is past the largest float is refused as a
+        # term count; math.ceil once raised a bare OverflowError on it
+        if scale_terms:
+            with pytest.raises(ValidationError, match="term counts must be positive and finite"):
+                run_stability_surface("kou", alpha_values=[1.1], l_values=[7.0, 1e308],
+                                      scale_terms=True)
 
     def test_metadata_keys_in_sidecar_order(self):
         result = run_stability_surface("kou", alpha_values=[1.1], l_values=[7.0])

@@ -1,21 +1,29 @@
-"""A slice of the lattice audit: one profile, three strikes, one maturity.
+"""The lattice audit: a slice of it, and the scoreboard of the whole.
 
-The script runs as its own process, against this checkout and with this
-checkout as its own baseline, so its bit-move table must read no move.
+The slice (one profile, three strikes, one maturity) runs the script as
+its own process, against this checkout and with this checkout as its own
+baseline, so its bit-move table must read no move.  The scoreboard runs
+the audit in process over the full lattice and holds its counts to those
+recorded in tests/golden/scoreboard.json.
 """
 
 import csv
 import importlib.util
+import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import cospricer
 from cospricer import CosConfig, OptionKind, OptionSpec, Variant, presets, price
+from cospricer.errors import ConfigurationError
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "lattice_audit.py"
+SCOREBOARD = ROOT / "tests" / "golden" / "scoreboard.json"
 STRIKES = ("60", "100", "157.5")
 
 
@@ -77,3 +85,36 @@ def test_a_call_row_holds_the_stable_parity_gap_bit_for_bit(audit):
     assert gaps["direct"] == "" and all(r["gap"] == "" for r in rows if r["kind"] == "put")
     assert any(line.startswith("stable-parity call gaps above 1e-06*max(1, |parity|): kou ")
                for line in stdout.splitlines())
+
+
+def _has_preset(profile, variant):
+    try:
+        presets.method_preset(profile, Variant(variant))
+    except ConfigurationError:
+        return False
+    return True
+
+
+def test_the_scoreboard_counts_do_not_rise():
+    # over the full lattice, no count may rise above its record: the
+    # silent prices outside the no-arbitrage bounds, the stable-parity
+    # pairs the gap flags, and the refusals among the preset cells at
+    # T = 0.1, 1 and 5 of the profiles that have the preset
+    module = _script()
+    rows = module.audit(cospricer, presets.PROFILE_NAMES, module.MATURITIES, module.LATTICE)
+    want = json.loads(SCOREBOARD.read_text())
+    gaps = Counter({profile: 0 for profile in presets.PROFILE_NAMES})
+    for row in rows:
+        if row["variant"] == "parity" and row["gap"]:
+            bar = module.GAP * max(1.0, abs(float(row["price"])))
+            gaps[row["profile"]] += float(row["gap"]) > bar
+    preset_refusals = sum(
+        1 for row in rows
+        if row["config"] == "preset" and row["refusal"]
+        and float(row["maturity"]) in (0.1, 1.0, 5.0)
+        and _has_preset(row["profile"], row["variant"]))
+    assert len(rows) == want["cells"]
+    assert sum(row["verdict"] not in ("", "ok") for row in rows) <= want["outside_the_bounds"]
+    for profile, count in gaps.items():
+        assert count <= want["gap_flagged"][profile], profile
+    assert preset_refusals <= want["preset_refusals_at_0.1_1_5"]

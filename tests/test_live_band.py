@@ -211,7 +211,8 @@ def assert_within_tail_bound_of_full_grid(monkeypatch, model, market, options, c
     magnitudes = []
 
     def full_grid(*args):
-        return full_grid_series_values(*args, magnitudes=magnitudes)
+        # the engine's own band, the last argument, is not read
+        return full_grid_series_values(model, *args[:-1], magnitudes=magnitudes)
 
     with monkeypatch.context() as patch:
         patch.setattr(cos_engine, "_series_values", full_grid)
@@ -233,12 +234,13 @@ def outcome(model, market, options, config):
     return got if isinstance(got, type) else tuple(p.hex() for p in got)
 
 
-def full_grid_band(evaluate, model, market, step, shift, size, cap=math.inf):
-    """models.live_band's values read from one evaluate call on the whole
-    contour of size points, cut where live_band cuts: all of them where it
-    keeps every point."""
-    kept = live_band(evaluate, model, market, step, shift, size, cap).size
-    return evaluate(model, market, np.arange(size) * step - 1j * shift)[:kept]
+def full_grid_band(evaluate, model, market, steps, shifts, sizes, cap=math.inf):
+    """models.live_band's bands of several contours, each read from one
+    evaluate call on its whole contour, cut where live_band cuts it: all
+    of it where live_band keeps every point."""
+    bands = live_band(evaluate, model, market, steps, shifts, sizes, cap)
+    return tuple(evaluate(model, market, np.arange(size) * step - 1j * shift)[:band.size]
+                 for band, step, shift, size in zip(bands, steps, shifts, sizes))
 
 
 def assert_bit_identical_to_full_grid_band(monkeypatch, model, market, options, config):

@@ -330,7 +330,7 @@ class TestCumulants:
         market = MarketSpec(spot=100.0, rate=0.05, maturity=5.0)
         with pytest.raises(ValidationError, match=r"contour shift 12 lies outside"):
             cumulants(models["kou"], market, (1.1, 12.0, -6.0))
-        with pytest.raises(ComputationError, match=r"not finite and real near s = 0"):
+        with pytest.raises(ValidationError, match=r"\^1.3\] = .* is not real, positive and finite"):
             cumulants(EXPLOSIVE_HESTON, market, (0.1, 1.3, 0.5))
 
     @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0, 20.0])
@@ -550,23 +550,28 @@ class TestValidationAndStrips:
                        CosConfig(64, 10.0, variant=Variant.PUT_CALL_PARITY)),
          ValidationError, "unsupported model type object"),
         (lambda: Cumulants(c1=math.nan, c2=0.1, c4=0.0), ValidationError,
-         "cumulant c1 must be finite"),
+         "c1 must be finite, got nan"),
         (lambda: Cumulants(c1=0.0, c2=0.1, c4=math.inf), ValidationError,
-         "cumulant c4 must be finite"),
+         "c4 must be nonnegative and finite, got inf"),
         (lambda: Cumulants(c1=0.0, c2=-0.1, c4=0.0), ValidationError,
-         "c2 and c4 must be nonnegative"),
+         "c2 must be nonnegative and finite, got -0.1"),
         (lambda: Cumulants(c1=0.0, c2=0.1, c4=-1e-3), ValidationError,
-         "c2 and c4 must be nonnegative"),
-        # E[S_T^1.5] explodes at T* ~ 3.08, so every circle around 1.5
-        # reaches past it at T = 5
+         "c4 must be nonnegative and finite, got -0.001"),
+        # E[S_T^1.5] explodes at T* ~ 3.08, so at T = 5 the moment read at
+        # the centre of its contour is refused before its circle halves
         (lambda: cumulants(EXPLOSIVE_HESTON, MarketSpec(spot=100.0, rate=0.05, maturity=5.0),
                            1.5),
+         ValidationError, r"E\[\(S_T/S_0\)\^1.5\] = .* is not real, positive and finite"),
+        # at T = 5 the moments explode past order 1.24516: the moment of
+        # order 1.244 is valid, but every circle down to r = 0.5/256 reaches past it
+        (lambda: cumulants(EXPLOSIVE_HESTON, MarketSpec(spot=100.0, rate=0.05, maturity=5.0),
+                           1.244),
          ComputationError, r"log E\[exp\(s\*X\)\] is not finite and real near s = 0 for "
          "HestonParams"),
         (lambda: TruncationRange(a=-math.inf, b=1.0), ValidationError,
-         "range endpoints must be finite"),
+         "a must be finite, got -inf"),
         (lambda: TruncationRange(a=0.0, b=math.nan), ValidationError,
-         "range endpoints must be finite"),
+         "b must be finite, got nan"),
         (lambda: TruncationRange(a=1.0, b=1.0), ValidationError,
          r"range must satisfy a < b, got \[1.0, 1.0\]"),
         (lambda: truncation_range(Cumulants(c1=0.0, c2=0.1, c4=0.0), 0.0), ValidationError,
@@ -575,8 +580,8 @@ class TestValidationAndStrips:
          "range_width must be positive and finite, got -2.0"),
     ], ids=["rate-inf", "dividend-nan", "rho", "log_cf-model", "log_cf-model-empty",
             "damping_bounds-model", "check_damping-model", "price-model", "c1-nan", "c4-inf",
-            "c2<0", "c4<0", "cumulants-give-up", "range-a-inf", "range-b-nan", "range-a=b",
-            "width-0", "width<0"])
+            "c2<0", "c4<0", "cumulants-moment", "cumulants-give-up", "range-a-inf",
+            "range-b-nan", "range-a=b", "width-0", "width<0"])
     def test_refusals(self, make, error, match):
         with pytest.raises(error, match=match):
             make()
