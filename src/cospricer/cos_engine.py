@@ -33,9 +33,10 @@ forms these endpoints once, as arrays, one row per strike, and returns one
 :class:`PriceColumn` of arrays, with no object per strike.
 Every price takes one path, which prices a batch of series with the
 model read in one pass: one :func:`models.cumulants` call for the
-contours of every distinct damping, each damping's moment read at its
-contour's centre, and one :func:`models.live_band` call for the bands of
-every series, each series otherwise its own.  :func:`price_curves`
+tilted cumulants and moment of every distinct damping (closed forms for
+Kou and CGMY, one contour call for Heston), and one
+:func:`models.live_band` call for the bands of every series, each series
+otherwise its own.  :func:`price_curves`
 passes it several curves of one model and market; ``price`` and
 ``price_curve`` pass it one series.
 
@@ -563,10 +564,10 @@ def price_curves(
     Each curve is (option, config, n_values), priced as :func:`price_curve`
     prices it; the result holds one tuple of PriceResults per curve, in
     input order, each bit for bit what price_curve gives that curve alone.
-    The model is read in one pass: one ``models.cumulants`` call evaluates
-    the cumulant contours of every distinct damping, which also read each
-    damping's moment, checked once, and one ``models.live_band`` call
-    every curve's band; the truncation range, the series sums and every
+    The model is read in one pass: one ``models.cumulants`` call reads
+    the tilted cumulants and moment of every distinct damping, each
+    moment checked once, and one ``models.live_band`` call every curve's
+    band; the truncation range, the series sums and every
     check stay per curve.  Nothing is kept from one call to the next.
 
     Errors are those of :func:`price_curve`: where any curve is refused,

@@ -2,20 +2,23 @@
 
 Each model is a frozen parameter dataclass with an extended characteristic
 function phi_T(u) = E[exp(i u ln(S_T / S_0))], valid for complex u inside the
-model's strip of analyticity.  The class carries the three facts the
+model's strip of analyticity.  The class carries the four facts the
 pricers read of its model, as private methods: log phi_T (``_log_cf``),
-the strip of contour shifts (``_strip``) and a non-increasing bound on
-log|phi_T| along a contour (``_log_envelope``).  The module functions
-read a model only through these, and test no model type beyond
+the strip of contour shifts (``_strip``), a non-increasing bound on
+log|phi_T| along a contour (``_log_envelope``) and the cumulants of each
+tilted law with its moment (``_cumulants``).  The module functions read a
+model only through these, and test no model type beyond
 :func:`damping_bounds`' refusal of a non-model.  What a model's methods
 read that depends on neither the market nor the contour is computed once,
 at construction, as :class:`MarketSpec` computes its discount factors:
 Kou's jump drift, and CGMY's Gamma(-Y), M^Y, G^Y and martingale bracket;
 each call computes only what depends on its market and its points.  The
-module also provides log-cumulants of the log-return (Cauchy contour
-integrals of log phi_T, on a fixed set of nodes, for one centre or for
-several in one call, each with its moment, read at the centre) and the
-series truncation interval built from them.
+module also provides log-cumulants of the log-return under the law tilted
+by exp(centre*X), each with its moment, for one centre or several in one
+call (:func:`cumulants`: Kou's and CGMY's in closed form, Heston's off a
+Cauchy contour integral of log phi_T on a fixed set of nodes, the only
+contour that reads them), and the series truncation interval built from
+them.
 
 Both fixed-grid consumers, the cosine engine and the Carr-Madan sum,
 read phi_T along a contour u - i*alpha, u = 0, du, 2*du, ..., through
@@ -274,6 +277,15 @@ class HestonParams:
         )
         return drift + vol_term + mean_term
 
+    def _cumulants(self, market: MarketSpec, centres: tuple) -> tuple:
+        """Each centre's Cumulants off the cumulant contour: one _log_cf
+        call reads a circle of radius _HESTON_RADIUS about every centre,
+        and a circle that fails :func:`_read_cumulants` halves by
+        :func:`_halving`, its centre alone."""
+        return tuple(
+            _read_cumulants(*circle) or _halving(self, market, centre, circle[-1])
+            for centre, circle in zip(centres, _contour(self, market, centres, _HESTON_RADIUS)))
+
     def _strip(self) -> tuple[float, float]:
         return (-math.inf, math.inf)
 
@@ -367,12 +379,40 @@ class KouParams:
         object.__setattr__(self, "_jump_drift",
                            p * e1 / (e1 - 1.0) + (1.0 - p) * e2 / (e2 + 1.0) - 1.0)
 
+    def _drift(self, market: MarketSpec) -> float:
+        """The drift mu of the log-return, compensated for the diffusion
+        and the jumps."""
+        return market.rate - market.dividend - 0.5 * self.sigma ** 2 - self.lam * self._jump_drift
+
     def _log_cf(self, market: MarketSpec, u):
         t = market.maturity
         p, e1, e2 = self.p, self.eta1, self.eta2
-        mu = market.rate - market.dividend - 0.5 * self.sigma ** 2 - self.lam * self._jump_drift
         jump_cf = p * e1 / (e1 - 1j * u) + (1.0 - p) * e2 / (e2 + 1j * u) - 1.0
-        return 1j * u * mu * t - 0.5 * self.sigma ** 2 * u * u * t + self.lam * t * jump_cf
+        return (1j * u * self._drift(market) * t - 0.5 * self.sigma ** 2 * u * u * t
+                + self.lam * t * jump_cf)
+
+    def _cumulants(self, market: MarketSpec, centres: tuple) -> tuple:
+        """Each centre's Cumulants in closed form.  K(s) = log E[exp(s*X)]
+        is (mu + sigma^2*s/2)*s*T + lam*T*s*(p/(eta1 - s) - (1 - p)/(eta2 + s)),
+        free of the cancellation in p*eta1/(eta1 - s) + (1 - p)*eta2/(eta2 + s) - 1,
+        and its n-th derivative is
+        lam*T*n!*(p*eta1/(eta1 - s)^(n+1) + (-1)^n*(1 - p)*eta2/(eta2 + s)^(n+1)),
+        plus (mu + sigma^2*s)*T for n = 1 and sigma^2*T for n = 2.  The
+        powers are products of 1/(eta1 - s) and 1/(eta2 + s), which overflow
+        to inf without raising."""
+        t, p, e1, e2, var = market.maturity, self.p, self.eta1, self.eta2, self.sigma ** 2
+        mu, rate = self._drift(market), self.lam * t
+        out = []
+        for s in centres:
+            up, down = 1.0 / (e1 - s), 1.0 / (e2 + s)
+            # the jump sides of c1, each p*eta1/(eta1 - s)^2 or (1 - p)*eta2/(eta2 + s)^2
+            up_1, down_1 = p * e1 * up * up, (1.0 - p) * e2 * down * down
+            out.append(_closed_form(
+                self, s, ((mu + 0.5 * var * s) * t + rate * (p * up - (1.0 - p) * down)) * s,
+                (mu + var * s) * t + rate * (up_1 - down_1),
+                var * t + 2.0 * rate * (up_1 * up + down_1 * down),
+                24.0 * rate * (up_1 * up * up * up + down_1 * down * down * down)))
+        return tuple(out)
 
     def _strip(self) -> tuple[float, float]:
         return (-self.eta2, self.eta1)
@@ -449,6 +489,43 @@ class CGMYParams:
             y * np.log(1.0 + 1j * u / g)
         )
         return 1j * u * self._drift(market) * t + self.C * t * self._gamma * psi
+
+    def _cumulants(self, market: MarketSpec, centres: tuple) -> tuple:
+        """Each centre's Cumulants in closed form.  The Levy measure gives
+        K(s) = log E[exp(s*X)] = mu*s*T + C*T*Gamma(-Y)*((M - s)^Y - M^Y + (G + s)^Y - G^Y),
+        each pair b^Y*expm1(Y*log((b + shift)/b)), the bracket form of the
+        drift's, and c_n = C*T*Gamma(n - Y)*((M - s)^(Y-n) + (-1)^n*(G + s)^(Y-n)),
+        plus mu*T for n = 1 (Fang & Oosterlee 2008 list them at s = 0).
+        Gamma(n - Y) is the stored Gamma(-Y) by Gamma(x + 1) = x*Gamma(x);
+        each side's power of order Y - 1 is one ``**``, and divisions by its
+        base give the orders Y - 2 and Y - 4, which overflow to inf without
+        raising."""
+        t, g, m, y = market.maturity, self.G, self.M, self.Y
+        scale, drift = self.C * t, self._drift(market) * t
+        gamma_1 = -y * self._gamma
+        gamma_2 = (1.0 - y) * gamma_1
+        gamma_4 = (3.0 - y) * (2.0 - y) * gamma_2
+        out = []
+        for s in centres:
+            m_side, g_side = m - s, g + s
+            try:
+                log_moment = s * drift + scale * self._gamma * (
+                    self._m_power * math.expm1(y * _log_ratio(m, -s))
+                    + self._g_power * math.expm1(y * _log_ratio(g, s)))
+            except OverflowError:
+                # Y*log(...) > 709 needs Y < 0 or Y > 1, where C*Gamma(-Y) > 0:
+                # the moment overflows
+                log_moment = math.inf
+            try:
+                m_1, g_1 = m_side ** (y - 1.0), g_side ** (y - 1.0)
+            except OverflowError:
+                m_1 = g_1 = math.inf
+            m_2, g_2 = m_1 / m_side, g_1 / g_side
+            out.append(_closed_form(
+                self, s, log_moment, drift + scale * gamma_1 * (m_1 - g_1),
+                scale * gamma_2 * (m_2 + g_2),
+                scale * gamma_4 * (m_2 / m_side / m_side + g_2 / g_side / g_side)))
+        return tuple(out)
 
     def _strip(self) -> tuple[float, float]:
         return (-self.G, self.M)
@@ -724,7 +801,8 @@ def live_band(
 class Cumulants:
     """Log-cumulants c1, c2, c4 of the log-return over the full horizon;
     moment, not in the repr or equality, is E[(S_T/S_0)^centre] as
-    :func:`cumulants` reads it, unchecked."""
+    :func:`cumulants` reads it, unchecked: a float from Kou's and CGMY's
+    closed forms, a complex number off Heston's contour."""
 
     c1: float
     c2: float
@@ -735,10 +813,38 @@ class Cumulants:
         check_fields(self, c1=FINITE, c2=NONNEGATIVE, c4=NONNEGATIVE)
 
 
+def _log_ratio(base: float, shift: float) -> float:
+    """log((base + shift)/base) for base > 0 and base + shift > 0:
+    log1p(shift/base), but the log of the ratio itself where shift/base
+    <= -0.5, since there base + shift is exact and shift/base, rounded,
+    may reach -1."""
+    x = shift / base
+    return math.log1p(x) if x > -0.5 else math.log((base + shift) / base)
+
+
+def _closed_form(model: ModelSpec, centre: float, log_moment: float, c1: float, c2: float,
+                 c4: float) -> Cumulants:
+    """centre's Cumulants, with moment exp(log_moment), from a model's
+    closed forms.  Where c1, c2 or c4 is not finite, the moment is checked
+    first, by :func:`check_moment`, so that a centre whose moment
+    overflows is refused as one, as a failed contour circle is, then a
+    computation error is raised."""
+    try:
+        moment = math.exp(log_moment)
+    except OverflowError:
+        moment = math.inf
+    if math.isfinite(c1) and math.isfinite(c2) and math.isfinite(c4):
+        return Cumulants(c1=c1, c2=c2, c4=c4, moment=moment)
+    check_moment(centre, moment)
+    raise ComputationError(f"the cumulants of {type(model).__name__} tilted by "
+                           f"exp({centre:g}*X) are not finite floats: c1 = {c1:g}, c2 = {c2:g}, "
+                           f"c4 = {c4:g}")
+
+
 _CONTOUR_NODES = 64  # trapezoid nodes on the circle |s| = r
 _CONTOUR_HALVINGS = 8  # times r may halve before the cumulants are given up
-# the radius where the strip is the whole line (Heston's): the halving
-# finds its explosion, and its c4 rounding floor grows as r^-4, so r starts large
+# Heston's first radius: the halving finds its explosion, and its c4
+# rounding floor grows as r^-4, so r starts large
 _HESTON_RADIUS = 0.5
 # s/r at the nodes with Im(s) <= 0 (the others are their conjugates), then
 # at the two probes +-2r and at the centre itself, whose value is the moment
@@ -748,19 +854,20 @@ _NODES = np.append(np.exp(-1j * np.linspace(0.0, math.pi, _CONTOUR_NODES // 2 + 
 _POWERS = np.arange(5)
 
 
-def _contour(model: ModelSpec, market: MarketSpec, circles) -> list:
-    """For each (centre, radius) in circles, as lists: log phi_T at its
-    probes, the Taylor coefficients 0..4 read off the nodes of its circle,
-    and its moment; one _log_cf call reads every circle."""
+def _contour(model: ModelSpec, market: MarketSpec, centres, radius: float) -> list:
+    """For each centre, a circle of the given radius about it, as lists:
+    log phi_T at its probes, the Taylor coefficients 0..4 read off the
+    nodes of its circle, and its moment; one _log_cf call reads every
+    circle."""
     # Heston's log-CF has a removable 0/0 at kappa = rho*sigma*s: nan; an
     # overflowed moment is inf, which check_moment names
     with np.errstate(all="ignore"):
         rows = model._log_cf(market, np.array(
-            [-1j * (centre + radius * _NODES) for centre, radius in circles]).ravel())
+            [-1j * (centre + radius * _NODES) for centre in centres]).ravel())
         return [(row[-3:-1].tolist(),
                  (np.fft.irfft(row[:-3], _CONTOUR_NODES)[:5] / radius ** _POWERS).tolist(),
                  complex(np.exp(row[-1])))
-                for row, (_, radius) in zip(rows.reshape(len(circles), _NODES.size), circles)]
+                for row in rows.reshape(len(centres), _NODES.size)]
 
 
 def _read_cumulants(probes: list, taylor: list, moment: complex):
@@ -774,16 +881,16 @@ def _read_cumulants(probes: list, taylor: list, moment: complex):
     return None
 
 
-def _halving(model: ModelSpec, market: MarketSpec, centre: float, radius: float,
-             moment: complex) -> Cumulants:
-    """centre's Cumulants where its circle of the given radius fails
+def _halving(model: ModelSpec, market: MarketSpec, centre: float, moment: complex) -> Cumulants:
+    """centre's Cumulants where its circle of radius _HESTON_RADIUS fails
     :func:`_read_cumulants`: its moment is checked by :func:`check_moment`,
     so that a centre past an explosion is refused as one, then the radius
     halves before each of _CONTOUR_HALVINGS tries."""
     check_moment(centre, moment)
+    radius = _HESTON_RADIUS
     for _ in range(_CONTOUR_HALVINGS):
         radius *= 0.5
-        [circle] = _contour(model, market, [(centre, radius)])
+        [circle] = _contour(model, market, (centre,), radius)
         cums = _read_cumulants(*circle)
         if cums is not None:
             return cums
@@ -793,40 +900,36 @@ def _halving(model: ModelSpec, market: MarketSpec, centre: float, radius: float,
 
 def cumulants(model: ModelSpec, market: MarketSpec, centre=0.0):
     """First, second and fourth cumulants of ln(S_T / S_0) under the law
-    tilted by exp(centre * X): the damped series at alpha expands the law
-    at centre alpha, and centre 0 is the undamped law.
+    tilted by exp(centre * X), with its moment E[(S_T/S_0)^centre]: the
+    damped series at alpha expands the law at centre alpha, and centre 0
+    is the undamped law.
 
     c_n = n! * [s^n] K(centre + s) for K(s) = log phi_T(-i*s) =
     log E[exp(s*X)], which is analytic around any centre in the damping
-    strip: the trapezoid rule on a circle |s| = r reads the Taylor
-    coefficients off with one inverse real FFT and converges
-    geometrically (Bornemann 2011).  K is real on the real axis, so only
-    the nodes with Im(s) <= 0 are evaluated, in one call that also probes
-    K at centre +- 2r and reads the moment exp(K(centre)), which the
-    Cumulants carry.  r starts at a quarter of the centre's distance to
-    the nearer damping bound, at _HESTON_RADIUS where the strip is the
-    whole line, and halves while a coefficient is not finite or a probe is
-    not real (past a moment explosion, which :func:`_halving` names), so
-    that K is analytic on a disc twice the circle's size; only Heston's
-    halves, as the other strips are proven.  Roundoff below zero in c2 or
-    c4 is floored.  A centre outside the strip is refused first, by
-    :func:`check_damping`.
+    strip.  The model's ``_cumulants`` reads them.  Kou's and CGMY's
+    tilted laws stay in their families, so theirs are closed forms, in
+    real arithmetic, moment included; where one is not finite the moment
+    is checked first, then a computation error is raised.  Heston's are
+    read off a Cauchy contour: the trapezoid rule on a circle |s| = r
+    reads the Taylor coefficients off with one inverse real FFT and
+    converges geometrically (Bornemann 2011).  K is real on the real
+    axis, so only the nodes with Im(s) <= 0 are evaluated, in one call
+    that also probes K at centre +- 2r and reads the moment exp(K(centre)).
+    r starts at _HESTON_RADIUS and halves while a coefficient is not
+    finite or a probe is not real (past a moment explosion, which
+    :func:`_halving` names), so that K is analytic on a disc twice the
+    circle's size; roundoff below zero in c2 or c4 is floored.  A centre
+    outside the strip is refused first, by :func:`check_damping`.
 
     centre is one centre, giving one Cumulants, or a tuple of them, giving
-    a tuple: each centre is checked in order, then one _log_cf call covers
-    the first circles of them all, each read by its own inverse FFT; a
-    centre whose circle must halve continues alone, so a tuple refuses as
-    its first refused centre."""
+    a tuple: each centre is checked in order, then each is read as it is
+    alone (one _log_cf call covers Heston's first circles, and a circle
+    that must halve continues alone), so a tuple refuses as its first
+    refused centre."""
     if not isinstance(centre, tuple):
         return cumulants(model, market, (centre,))[0]
     check_damping(model, *centre)
-    lo, hi = damping_bounds(model)
-    circles = []
-    for c in centre:
-        radius = 0.25 * min(c - lo, hi - c)
-        circles.append((c, _HESTON_RADIUS if radius == math.inf else radius))
-    return tuple(_read_cumulants(*circle) or _halving(model, market, c, radius, circle[-1])
-                 for (c, radius), circle in zip(circles, _contour(model, market, circles)))
+    return model._cumulants(market, centre)
 
 
 @dataclass(frozen=True)

@@ -472,11 +472,37 @@ class TestMomentCheck:
                 price(models["kou"], market, OptionSpec(strike=100.0), config)
 
     def test_the_moment_is_read_off_the_cumulant_contour(self, models, market, monkeypatch):
-        # a damped price reads the model twice: one _log_cf call for the
-        # cumulant contour, whose points hold its centre -i*alpha, and one
-        # vector char_fn call for the band; no scalar char_fn call reads the moment
+        # a damped heston price reads the model twice: one _log_cf call for
+        # the cumulant contour, whose points hold its centre -i*alpha, and
+        # one vector char_fn call for the band; no scalar char_fn call reads
+        # the moment
         log_cf_points, char_fn_calls = [], []
-        log_cf = KouParams._log_cf
+        log_cf = HestonParams._log_cf
+
+        def spied_log_cf(model, mkt, u):
+            log_cf_points.append(np.ravel(u).tolist())
+            return log_cf(model, mkt, u)
+
+        def spied_char_fn(model, mkt, u):
+            char_fn_calls.append(np.ndim(u))
+            return char_fn(model, mkt, u)
+
+        monkeypatch.setattr(HestonParams, "_log_cf", spied_log_cf)
+        monkeypatch.setattr(cos_engine, "char_fn", spied_char_fn)
+        price(models["heston"], market, OptionSpec(100.0), CosConfig(160, 10.0, damping=1.1))
+        assert char_fn_calls == [1]
+        # the contour, then the band that char_fn reads
+        contour, band = log_cf_points
+        assert -1.1j in contour and band[0] == -1.1j
+
+    @pytest.mark.parametrize("name", ["kou", "cgmy1"])
+    def test_closed_form_cumulants_read_no_contour(self, models, market, monkeypatch, name):
+        # kou's and cgmy's tilted cumulants and moment are closed forms: a
+        # damped price reads the model once, by one vector char_fn call for
+        # its band, and no _log_cf call reads a contour
+        model = models[name]
+        log_cf_points, char_fn_calls = [], []
+        log_cf = type(model)._log_cf
 
         def spied_log_cf(model, mkt, u):
             if np.ndim(u):  # kou's envelope reads single points
@@ -487,13 +513,12 @@ class TestMomentCheck:
             char_fn_calls.append(np.ndim(u))
             return char_fn(model, mkt, u)
 
-        monkeypatch.setattr(KouParams, "_log_cf", spied_log_cf)
+        monkeypatch.setattr(type(model), "_log_cf", spied_log_cf)
         monkeypatch.setattr(cos_engine, "char_fn", spied_char_fn)
-        price(models["kou"], market, OptionSpec(100.0), CosConfig(160, 10.0, damping=1.1))
+        price(model, market, OptionSpec(100.0), CosConfig(160, 10.0, damping=1.1))
         assert char_fn_calls == [1]
-        # the contour, then the band that char_fn reads
-        contour, band = log_cf_points
-        assert -1.1j in contour and band[0] == -1.1j
+        [band] = log_cf_points
+        assert band[0] == -1.1j and band[1].imag == -1.1
 
     def test_undamped_series_unaffected(self):
         # alpha = 0 needs only E[1] = 1, so the put still prices

@@ -8,6 +8,7 @@ implementation against them.
 
 import cmath
 import math
+import warnings
 from dataclasses import fields, replace
 
 import mpmath
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from cospricer import models as models_module
-from cospricer.cos_engine import CosConfig, OptionSpec, Variant, price
+from cospricer.cos_engine import CosConfig, OptionKind, OptionSpec, Variant, price
 from cospricer.errors import ComputationError, ValidationError
 from cospricer.models import (
     CGMYParams,
@@ -247,10 +248,9 @@ class TestCumulants:
     @pytest.mark.parametrize("maturity", [0.1, 1.0, 20.0])
     def test_tilted_law_against_closed_forms(self, models, maturity, share):
         # the damped series expands the law tilted by alpha: its cumulants
-        # are the derivatives of K at the centre, read on a circle whose
-        # radius is a quarter of the centre's distance to the strip's edge.
-        # c4 carries the rounding of K over r^4: 2.5e-8 relative for Y = 1.98
-        # at 2% of the strip from its edge
+        # are the derivatives of K at the centre.  A contour circle a quarter
+        # of the centre's distance to the strip's edge read c4 to 2.5e-8
+        # relative for Y = 1.98 at 2% of the strip from its edge
         market = MarketSpec(spot=100.0, rate=0.1, maturity=maturity)
         cases = [(models["kou"], kou_cumulants)] + [
             (CGMYParams(C=1.0, G=g, M=m, Y=y), cgmy_cumulants)
@@ -262,7 +262,7 @@ class TestCumulants:
             c = cumulants(model, market, centre)
             want = closed_form(model, market, centre)
             assert (c.c1, c.c2) == pytest.approx(want[:2], rel=1e-12, abs=0.0), (model, centre)
-            assert c.c4 == pytest.approx(want[2], rel=1e-7, abs=0.0), (model, centre)
+            assert c.c4 == pytest.approx(want[2], rel=1e-12, abs=0.0), (model, centre)
 
     @pytest.mark.parametrize("maturity", MATURITIES + (5.0,))
     def test_heston_c1_against_closed_form(self, models, maturity):
@@ -293,9 +293,10 @@ class TestCumulants:
 
     @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0])
     def test_a_tuple_of_centres_is_each_one_centre_call(self, models, maturity, monkeypatch):
-        # one _log_cf call reads the first circle of every centre; a centre
-        # whose circle must halve continues alone, as the explosive heston's
-        # centres 0, 0.5 and 1.1 do at T = 5 (0.1 does not)
+        # one _log_cf call reads heston's first circle of every centre; a
+        # centre whose circle must halve continues alone, as the explosive
+        # heston's centres 0, 0.5 and 1.1 do at T = 5 (0.1 does not).  Kou's
+        # and CGMY's closed forms read no _log_cf
         calls = []
 
         def spy(log_cf):
@@ -318,11 +319,14 @@ class TestCumulants:
             batch_calls = len(calls)
             calls.clear()
             want = [cumulants(model, market, centre) for centre in centres]
-            assert [(c.c1.hex(), c.c2.hex(), c.c4.hex()) for c in got] == [
-                (c.c1.hex(), c.c2.hex(), c.c4.hex()) for c in want], (model, centres)
-            # the first circles are one call; each smaller circle is read
-            # once, by its centre alone
-            assert batch_calls == 1 + len(calls) - len(centres), (model, centres)
+            assert [(c.c1.hex(), c.c2.hex(), c.c4.hex(), c.moment) for c in got] == [
+                (c.c1.hex(), c.c2.hex(), c.c4.hex(), c.moment) for c in want], (model, centres)
+            if isinstance(model, HestonParams):
+                # the first circles are one call; each smaller circle is
+                # read once, by its centre alone
+                assert batch_calls == 1 + len(calls) - len(centres), (model, centres)
+            else:
+                assert batch_calls == len(calls) == 0, (model, centres)
         if maturity == 5.0:
             assert batch_calls > 1
 
@@ -335,6 +339,8 @@ class TestCumulants:
 
     @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0, 20.0])
     def test_one_log_cf_call_and_no_char_fn_call(self, models, maturity, monkeypatch):
+        # heston's contour is one _log_cf call; kou's and cgmy's closed
+        # forms make none
         calls = []
 
         def spy(log_cf):
@@ -349,8 +355,96 @@ class TestCumulants:
         market = MarketSpec(spot=100.0, rate=0.1, maturity=maturity)
         for name, model in models.items():
             calls.clear()
-            cumulants(model, market)
-            assert len(calls) == 1, name
+            cumulants(model, market, (0.0, 1.1))
+            assert len(calls) == (name == "heston"), name
+
+
+def _log_moment_40_digits(model, market, s):
+    """K(s) = log phi_T(-i*s) = log E[exp(s*X)] of kou or cgmy, from the
+    same double inputs in mpmath's working precision."""
+    t, r, q = map(mpmath.mpf, (market.maturity, market.rate, market.dividend))
+    if isinstance(model, KouParams):
+        sigma, p, e1, e2, lam = map(mpmath.mpf, (model.sigma, model.p, model.eta1, model.eta2,
+                                                  model.lam))
+
+        def jumps(z):
+            return p * e1 / (e1 - z) + (1 - p) * e2 / (e2 + z) - 1
+
+        mu = r - q - sigma ** 2 / 2 - lam * jumps(1)
+        return (mu * s + sigma ** 2 * s ** 2 / 2) * t + lam * t * jumps(s)
+    c, g, m, y = map(mpmath.mpf, (model.C, model.G, model.M, model.Y))
+
+    def psi(z):
+        return (m - z) ** y - m ** y + (g + z) ** y - g ** y
+
+    mu = r - q - c * mpmath.gamma(-y) * psi(1)
+    return mu * s * t + c * t * mpmath.gamma(-y) * psi(s)
+
+
+class TestClosedFormCumulants:
+    """Kou's and CGMY's tilted cumulants and moment, read from closed forms,
+    against 40-digit derivatives of K(s) = log phi_T(-i*s)."""
+
+    @pytest.mark.parametrize("share", [0.02, 0.3, 0.6, 0.98])
+    @pytest.mark.parametrize("maturity", [1e-3, 1.0, 20.0])
+    def test_against_40_digit_derivatives(self, models, maturity, share):
+        # the contour read c4 to 1.5e-8 relative for Y = 1.98 near the
+        # strip's edge; the closed forms hold c1, c2 and c4 to ~1e-15
+        market = MarketSpec(spot=100.0, rate=0.1, maturity=maturity)
+        cases = [models["kou"]] + [CGMYParams(C=1.0, G=g, M=m, Y=y)
+                                   for g, m in ((5.0, 5.0), (9.0, 3.0))
+                                   for y in (-0.5, 0.5, 1.5, 1.98)]
+        with mpmath.workdps(40):
+            for model in cases:
+                lo, hi = damping_bounds(model)
+                centre = lo + share * (hi - lo)
+                got = cumulants(model, market, centre)
+
+                def log_moment(s):
+                    return _log_moment_40_digits(model, market, s)
+
+                want = [float(mpmath.diff(log_moment, centre, n)) for n in (1, 2, 4)]
+                assert [got.c1, got.c2, got.c4] == pytest.approx(want, rel=1e-13, abs=0.0), (
+                    model, centre)
+                moment = mpmath.exp(log_moment(mpmath.mpf(centre)))
+                if moment < 1e300:
+                    assert got.moment == pytest.approx(float(moment), rel=1e-12), (model, centre)
+
+    def test_moment_is_a_real_float(self, models, market):
+        for name in ("kou", "cgmy1", "cgmy2"):
+            tilted = cumulants(models[name], market, 1.1)
+            assert type(tilted.moment) is float and tilted.moment > 0.0, name
+            assert cumulants(models[name], market).moment == 1.0, name
+
+    @pytest.mark.parametrize("model, centre, error, match", [
+        # 1/(eta2 + centre) is 7e85, whose fifth power, in c4, overflows;
+        # lam is small enough that the moment stays near 1
+        (KouParams(sigma=0.16, p=0.4, eta1=10.0, eta2=1e-70, lam=1e-20),
+         math.nextafter(-1e-70, 0.0), ComputationError, r"c4 = inf"),
+        # (G + centre)^(Y - 4) overflows: G + centre is 1.4e-116
+        (CGMYParams(C=1.0, G=1e-100, M=5.0, Y=0.5), math.nextafter(-1e-100, 0.0),
+         ComputationError, r"c4 = inf"),
+        # with Y = -20 the power ** (Y - 1) and the moment's expm1 raise
+        # OverflowError, and the moment's overflow is the refusal
+        (CGMYParams(C=1.0, G=1e-15, M=5.0, Y=-20.0), math.nextafter(-1e-15, 0.0),
+         ValidationError, r"\] overflows; the drift"),
+    ], ids=["kou", "cgmy", "cgmy-raising"])
+    def test_a_power_past_the_largest_float_is_a_typed_error(self, model, centre, error, match):
+        market = MarketSpec(spot=100.0, rate=0.05, maturity=1.0)
+        config = CosConfig(n_terms=64, range_width=10.0, damping=centre)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=match):
+                cumulants(model, market, centre)
+            with pytest.raises(error, match=match):
+                price(model, market, OptionSpec(100.0, kind=OptionKind.PUT), config)
+
+    def test_an_overflowed_moment_is_named_before_the_cumulants(self):
+        # Gamma(4 - Y) = Gamma(174) overflows, so c2 and c4 are inf, but the
+        # moment's own overflow is the refusal, as a failed circle's was
+        market = MarketSpec(spot=100.0, rate=0.0, maturity=1.0)
+        with pytest.raises(ValidationError, match=r"\^1.1\] overflows; the drift"):
+            cumulants(CGMYParams(C=1.0, G=5.0, M=5.0, Y=-170.0), market, 1.1)
 
 
 def heston_log_cf_40_digits(model, market, u):
