@@ -428,7 +428,11 @@ class TestClosedFormCumulants:
         # OverflowError, and the moment's overflow is the refusal
         (CGMYParams(C=1.0, G=1e-15, M=5.0, Y=-20.0), math.nextafter(-1e-15, 0.0),
          ValidationError, r"\] overflows; the drift"),
-    ], ids=["kou", "cgmy", "cgmy-raising"])
+        # Gamma(4 - Y) = Gamma(174) overflows, so c2 and c4 are inf, but the
+        # moment's own overflow is the refusal, as a failed circle's was
+        (CGMYParams(C=1.0, G=5.0, M=5.0, Y=-170.0), -1.1, ValidationError,
+         r"\^-1.1\] overflows; the drift"),
+    ], ids=["kou", "cgmy", "cgmy-raising", "cgmy-y-170"])
     def test_a_power_past_the_largest_float_is_a_typed_error(self, model, centre, error, match):
         market = MarketSpec(spot=100.0, rate=0.05, maturity=1.0)
         config = CosConfig(n_terms=64, range_width=10.0, damping=centre)
@@ -438,13 +442,6 @@ class TestClosedFormCumulants:
                 cumulants(model, market, centre)
             with pytest.raises(error, match=match):
                 price(model, market, OptionSpec(100.0, kind=OptionKind.PUT), config)
-
-    def test_an_overflowed_moment_is_named_before_the_cumulants(self):
-        # Gamma(4 - Y) = Gamma(174) overflows, so c2 and c4 are inf, but the
-        # moment's own overflow is the refusal, as a failed circle's was
-        market = MarketSpec(spot=100.0, rate=0.0, maturity=1.0)
-        with pytest.raises(ValidationError, match=r"\^1.1\] overflows; the drift"):
-            cumulants(CGMYParams(C=1.0, G=5.0, M=5.0, Y=-170.0), market, 1.1)
 
 
 def heston_log_cf_40_digits(model, market, u):
