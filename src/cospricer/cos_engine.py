@@ -531,9 +531,10 @@ def price(
     call with alpha <= 1 or a put with alpha > 0 (the damped payoff grows
     without bound there), or when the parity variant is asked for a put; a
     validation error when config is not a CosConfig, an option not an
-    OptionSpec, or alpha leaves :func:`models.damping_bounds` or its
-    moment is not valid; a computation error when the exponential of a
-    range end overflows, or a value's summands could reach 1e300.
+    OptionSpec, or alpha leaves the strip :func:`models.damping_bounds`
+    at the market's maturity or its moment is not valid; a computation
+    error when the exponential of a range end overflows, or a value's
+    summands could reach 1e300.
     """
     options = tuple(option) if isinstance(option, Iterable) else (option,)
     [(values, alpha, base, x)] = _price_batch(model, market, [(options, config)])

@@ -4,11 +4,12 @@ Each model is a frozen parameter dataclass with an extended characteristic
 function phi_T(u) = E[exp(i u ln(S_T / S_0))], valid for complex u inside the
 model's strip of analyticity.  The class carries the four facts the
 pricers read of its model, as private methods: log phi_T (``_log_cf``),
-the strip of contour shifts (``_strip``), a non-increasing bound on
+the maturity at which each moment explodes, whence the strip of contour
+shifts at each maturity (``_explosion_time``), a non-increasing bound on
 log|phi_T| along a contour (``_log_envelope``) and the cumulants of each
 tilted law with its moment (``_cumulants``).  The module functions read a
 model only through these, and test no model type beyond
-:func:`damping_bounds`' refusal of a non-model.  What a model's methods
+:func:`check_damping`'s refusal of a non-model.  What a model's methods
 read that depends on neither the market nor the contour is computed once,
 at construction, as :class:`MarketSpec` computes its discount factors:
 Kou's jump drift, and CGMY's Gamma(-Y), M^Y, G^Y and martingale bracket;
@@ -45,6 +46,7 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field
 from typing import Union, get_args
 
@@ -278,16 +280,53 @@ class HestonParams:
         return drift + vol_term + mean_term
 
     def _cumulants(self, market: MarketSpec, centres: tuple) -> tuple:
-        """Each centre's Cumulants off the cumulant contour: one _log_cf
-        call reads a circle of radius _HESTON_RADIUS about every centre,
-        and a circle that fails :func:`_read_cumulants` halves by
-        :func:`_halving`, its centre alone."""
-        return tuple(
-            _read_cumulants(*circle) or _halving(self, market, centre, circle[-1])
-            for centre, circle in zip(centres, _contour(self, market, centres, _HESTON_RADIUS)))
+        """Each centre's Cumulants off a Cauchy contour: the trapezoid rule
+        on a circle |s| = r reads the Taylor coefficients of K(centre + s)
+        off with one inverse real FFT, converging geometrically (Bornemann
+        2011).  K is real on the real axis, so one _log_cf call reads the
+        nodes with Im(s) <= 0 of every circle, and each moment exp(K(centre)).
+        r is _HESTON_RADIUS where the disc twice its size lies inside the
+        strip, else a quarter of the distance to the strip's edge, so K is
+        analytic on a disc twice the circle's size.  Roundoff below zero in
+        c2 or c4 is floored."""
+        t, wide = market.maturity, 2.0 * _HESTON_RADIUS
+        radii = [_HESTON_RADIUS if min(map(self._explosion_time, (c - wide, c + wide))) > t
+                 else 0.25 * min(abs(c - edge) for edge in damping_bounds(self, market))
+                 for c in centres]
+        # the log-CF has a removable 0/0 at kappa = rho*sigma*s: nan; an
+        # overflowed moment is inf, which check_moment names
+        with np.errstate(all="ignore"):
+            rows = self._log_cf(market, np.array(
+                [-1j * (centre + radius * _NODES) for centre, radius in zip(centres, radii)]))
+            taylor = np.fft.irfft(rows[:, :-1], _CONTOUR_NODES)[:, :5] / np.power.outer(radii,
+                                                                                       _POWERS)
+            moments = np.exp(rows[:, -1]).tolist()
+        return tuple(_read_cumulants(self, c, m, k[1], max(2.0 * k[2], 0.0), max(24.0 * k[4], 0.0))
+                     for c, m, k in zip(centres, moments, taylor.tolist()))
 
-    def _strip(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
+    def _explosion_time(self, order: float) -> float:
+        """T*(order), the maturity at which E[(S_T/S_0)^order] explodes, inf
+        where it never does (Andersen & Piterbarg 2007): its log is A + B*v0,
+        B' = c - b*B + sigma^2*B^2/2, B(0) = 0, with c = order*(order - 1)/2 > 0
+        outside [0, 1] and b = kappa - rho*sigma*order.  With D = b^2 - 2*sigma^2*c,
+        B stays finite where D >= 0 and b > 0; else T* = 2*atan2(sqrt(-D), -b)/sqrt(-D)
+        for D < 0, and log((-b + sqrt(D))/(-b - sqrt(D)))/sqrt(D) = log1p(e)/sqrt(D),
+        e = sqrt(D)*(sqrt(D) - b)/(sigma^2*c), for D >= 0, 2/(-b) at D = 0.  In
+        units of sigma*max(1, |order|), so that no finite order overflows."""
+        if 0.0 <= order <= 1.0:
+            return math.inf
+        scale = max(1.0, abs(order))
+        b = (self.kappa / self.sigma - self.rho * order) / scale
+        two_c = (order / scale) * ((order - 1.0) / scale)  # > 0 outside [0, 1]
+        d = b * b - two_c
+        root = math.sqrt(abs(d))
+        if d < 0.0:
+            tau = 2.0 * math.atan2(root, -b) / root
+        elif b >= 0.0:
+            return math.inf
+        else:  # b < 0, or a nan order, which gives nan
+            tau = math.log1p(2.0 * root * (root - b) / two_c) / root if root else -2.0 / b
+        return tau / (self.sigma * scale)
 
     def _log_envelope(self, market: MarketSpec, alpha: float, u: float) -> float:
         """log Psi_alpha(u), an upper bound on log|phi_T(u - i*alpha)| that
@@ -407,15 +446,20 @@ class KouParams:
             up, down = 1.0 / (e1 - s), 1.0 / (e2 + s)
             # the jump sides of c1, each p*eta1/(eta1 - s)^2 or (1 - p)*eta2/(eta2 + s)^2
             up_1, down_1 = p * e1 * up * up, (1.0 - p) * e2 * down * down
-            out.append(_closed_form(
-                self, s, ((mu + 0.5 * var * s) * t + rate * (p * up - (1.0 - p) * down)) * s,
-                (mu + var * s) * t + rate * (up_1 - down_1),
+            try:
+                moment = math.exp(
+                    ((mu + 0.5 * var * s) * t + rate * (p * up - (1.0 - p) * down)) * s)
+            except OverflowError:
+                moment = math.inf
+            out.append(_read_cumulants(
+                self, s, moment, (mu + var * s) * t + rate * (up_1 - down_1),
                 var * t + 2.0 * rate * (up_1 * up + down_1 * down),
                 24.0 * rate * (up_1 * up * up * up + down_1 * down * down * down)))
         return tuple(out)
 
-    def _strip(self) -> tuple[float, float]:
-        return (-self.eta2, self.eta1)
+    def _explosion_time(self, order: float) -> float:
+        """inf inside (-eta2, eta1), 0 outside: a Levy moment is finite always or never."""
+        return math.inf if -self.eta2 < order < self.eta1 else 0.0
 
     def _log_envelope(self, market: MarketSpec, alpha: float, u: float) -> float:
         """Re log phi_T(u - i*alpha) itself.  The drift contributes
@@ -509,26 +553,26 @@ class CGMYParams:
         for s in centres:
             m_side, g_side = m - s, g + s
             try:
-                log_moment = s * drift + scale * self._gamma * (
+                moment = math.exp(s * drift + scale * self._gamma * (
                     self._m_power * math.expm1(y * _log_ratio(m, -s))
-                    + self._g_power * math.expm1(y * _log_ratio(g, s)))
+                    + self._g_power * math.expm1(y * _log_ratio(g, s))))
             except OverflowError:
-                # Y*log(...) > 709 needs Y < 0 or Y > 1, where C*Gamma(-Y) > 0:
-                # the moment overflows
-                log_moment = math.inf
+                # the log of the moment overflows, or Y*log(...) > 709, which
+                # needs Y < 0 or Y > 1, where C*Gamma(-Y) > 0: the moment overflows
+                moment = math.inf
             try:
                 m_1, g_1 = m_side ** (y - 1.0), g_side ** (y - 1.0)
             except OverflowError:
                 m_1 = g_1 = math.inf
             m_2, g_2 = m_1 / m_side, g_1 / g_side
-            out.append(_closed_form(
-                self, s, log_moment, drift + scale * gamma_1 * (m_1 - g_1),
+            out.append(_read_cumulants(
+                self, s, moment, drift + scale * gamma_1 * (m_1 - g_1),
                 scale * gamma_2 * (m_2 + g_2),
                 scale * gamma_4 * (m_2 / m_side / m_side + g_2 / g_side / g_side)))
         return tuple(out)
 
-    def _strip(self) -> tuple[float, float]:
-        return (-self.G, self.M)
+    def _explosion_time(self, order: float) -> float:
+        return math.inf if -self.G < order < self.M else 0.0
 
     def _log_envelope(self, market: MarketSpec, alpha: float, u: float) -> float:
         """Re log phi_T(u - i*alpha) for -1 < Y < 2, in real arithmetic:
@@ -581,29 +625,44 @@ _MODEL_TYPES = get_args(ModelSpec)
 # strips, moments and the characteristic function
 # ---------------------------------------------------------------------------
 
-def damping_bounds(model: ModelSpec) -> tuple[float, float]:
+def _edge(admits) -> float:
+    """The first float x > 0 where admits(x) fails, or inf where it holds up
+    to the largest float, for admits monotone: a bisection over the bits of
+    the floats, which as int64s order as the nonnegative floats do."""
+    if admits(_TOP):
+        return math.inf
+    [top] = struct.unpack("<q", struct.pack("<d", _TOP))
+    index = bisect.bisect_left(range(top), True, key=lambda bits: not admits(
+        *struct.unpack("<d", struct.pack("<q", bits))))
+    return struct.unpack("<d", struct.pack("<q", index))[0]
+
+
+def damping_bounds(model: ModelSpec, market: MarketSpec) -> tuple[float, float]:
     """Open interval of contour shifts alpha for which phi_T(u - i*alpha) is
-    proven defined for all real u at every maturity: Kou's (-eta2, eta1)
-    and CGMY's (-G, M), and the whole line for Heston, whose moment of
-    order alpha explodes at a maturity T*(alpha) (Andersen & Piterbarg
-    2007): :func:`check_moment` reads that off the closed form.  A
-    non-model is refused here, and so by every reader of a contour.
-    """
+    defined for all real u at the maturity T: where E[(S_T/S_0)^alpha]
+    explodes after T, T*(alpha) > T, an interval about [0, 1] (Hoelder).
+    Each edge is the first float outward that :func:`check_damping` refuses,
+    solved by bisection: Kou's (-eta2, eta1) and CGMY's (-G, M) at every T,
+    and Heston's, which narrows as T grows.  A non-model is refused here."""
+    check_damping(model, market)
+    return (-_edge(lambda x: model._explosion_time(-x) > market.maturity),
+            _edge(lambda x: model._explosion_time(x) > market.maturity))
+
+
+def check_damping(model: ModelSpec, market: MarketSpec, *shifts: float) -> None:
+    """Raise a validation error unless each contour shift (alpha, or the
+    Carr-Madan damping plus 1) lies inside :func:`damping_bounds`, by one
+    rule for every model, one closed form per shift: T*(shift) > T.  A
+    non-model is refused even where no shift is given."""
     if not isinstance(model, _MODEL_TYPES):
         raise ValidationError(f"unsupported model type {type(model).__name__}")
-    return model._strip()
-
-
-def check_damping(model: ModelSpec, *shifts: float) -> None:
-    """Raise a validation error unless each contour shift (alpha, or the
-    Carr-Madan damping plus 1) lies inside :func:`damping_bounds`, which
-    refuses a non-model even where no shift is given."""
-    lo, hi = damping_bounds(model)
     for shift in shifts:
-        if not lo < shift < hi:
+        if not model._explosion_time(shift) > market.maturity:
+            lo, hi = damping_bounds(model, market)
             raise ValidationError(
                 f"contour shift {shift:g} lies outside the admissible interval ({lo:g}, {hi:g}) "
-                f"for {type(model).__name__}, so E[(S_T/S_0)^{shift:g}] is infinite"
+                f"for {type(model).__name__} at T = {market.maturity:g}, so "
+                f"E[(S_T/S_0)^{shift:g}] is infinite"
             )
 
 
@@ -611,10 +670,10 @@ def moment_is_valid(value: complex) -> bool:
     """Whether phi_T(-i*p) = E[(S_T/S_0)^p] is a usable moment: a real,
     positive, finite number.
 
-    Past a moment explosion the closed forms still return a number, but
-    a complex one, and a contour through it prices nonsense.  Valid
-    moments carry ~1e-17 of imaginary roundoff, so an imaginary part up
-    to 1e-10 of the real part is accepted.
+    Past a moment explosion the closed forms still return a number, but a
+    complex one, as their rounding may near an edge of the strip; a contour
+    through it prices nonsense.  Valid moments carry ~1e-17 of imaginary
+    roundoff, so an imaginary part up to 1e-10 of the real part is accepted.
     """
     value = complex(value)
     return (
@@ -630,7 +689,8 @@ def check_moment(order: float, value: complex) -> None:
 
     A moment that is exactly 0 has underflowed, and one whose real part is
     +inf has overflowed; lowering the damping mends neither.  Any other
-    invalid value is read as a moment explosion.
+    invalid value, which the strip leaves only near its edge, is read as a
+    moment explosion.
     """
     if value == 0.0 or value.real == math.inf:
         raise ValidationError(
@@ -662,7 +722,7 @@ def char_fn(model: ModelSpec, market: MarketSpec, u):
     """
     u_arr = np.asarray(u, dtype=np.complex128)
     im = np.imag(u_arr)
-    check_damping(model, *((-float(im.max()), -float(im.min())) if im.size else ()))
+    check_damping(model, market, *((-float(im.max()), -float(im.min())) if im.size else ()))
     # an overflow is inf, without NumPy's warning: |phi_T| along a contour is
     # at most its moment at index 0, which every pricer checks
     with np.errstate(over="ignore"):
@@ -720,7 +780,7 @@ def envelope_cut(
     model without a proven bound has no such index.  The shift is
     checked first, by :func:`check_damping`.
     """
-    check_damping(model, shift)
+    check_damping(model, market, shift)
     top = math.inf if slack is None else _log_envelope(model, market, shift, 0.0)
 
     def dead(k: int) -> bool:
@@ -822,80 +882,27 @@ def _log_ratio(base: float, shift: float) -> float:
     return math.log1p(x) if x > -0.5 else math.log((base + shift) / base)
 
 
-def _closed_form(model: ModelSpec, centre: float, log_moment: float, c1: float, c2: float,
-                 c4: float) -> Cumulants:
-    """centre's Cumulants, with moment exp(log_moment), from a model's
-    closed forms.  Where c1, c2 or c4 is not finite, the moment is checked
-    first, by :func:`check_moment`, so that a centre whose moment
-    overflows is refused as one, as a failed contour circle is, then a
-    computation error is raised."""
+def _read_cumulants(model: ModelSpec, centre: float, moment, c1, c2, c4) -> Cumulants:
+    """centre's Cumulants with its moment, for every model.  Where the number
+    rule of :class:`Cumulants` refuses c1, c2 or c4, :func:`check_moment`
+    first refuses an overflowed moment as one, then a computation error names them."""
     try:
-        moment = math.exp(log_moment)
-    except OverflowError:
-        moment = math.inf
-    if math.isfinite(c1) and math.isfinite(c2) and math.isfinite(c4):
         return Cumulants(c1=c1, c2=c2, c4=c4, moment=moment)
-    check_moment(centre, moment)
+    except ValidationError:
+        check_moment(centre, moment)
     raise ComputationError(f"the cumulants of {type(model).__name__} tilted by "
                            f"exp({centre:g}*X) are not finite floats: c1 = {c1:g}, c2 = {c2:g}, "
                            f"c4 = {c4:g}")
 
 
 _CONTOUR_NODES = 64  # trapezoid nodes on the circle |s| = r
-_CONTOUR_HALVINGS = 8  # times r may halve before the cumulants are given up
-# Heston's first radius: the halving finds its explosion, and its c4
-# rounding floor grows as r^-4, so r starts large
+# Heston's radius away from the strip's edges, large: its c4 rounding grows as r^-4
 _HESTON_RADIUS = 0.5
 # s/r at the nodes with Im(s) <= 0 (the others are their conjugates), then
-# at the two probes +-2r and at the centre itself, whose value is the moment
-_NODES = np.append(np.exp(-1j * np.linspace(0.0, math.pi, _CONTOUR_NODES // 2 + 1)),
-                   (2.0, -2.0, 0.0))
+# at the centre itself, whose value is the moment
+_NODES = np.append(np.exp(-1j * np.linspace(0.0, math.pi, _CONTOUR_NODES // 2 + 1)), 0.0)
 # the exponents of the powers of r that scale the Taylor coefficients 0..4
 _POWERS = np.arange(5)
-
-
-def _contour(model: ModelSpec, market: MarketSpec, centres, radius: float) -> list:
-    """For each centre, a circle of the given radius about it, as lists:
-    log phi_T at its probes, the Taylor coefficients 0..4 read off the
-    nodes of its circle, and its moment; one _log_cf call reads every
-    circle."""
-    # Heston's log-CF has a removable 0/0 at kappa = rho*sigma*s: nan; an
-    # overflowed moment is inf, which check_moment names
-    with np.errstate(all="ignore"):
-        rows = model._log_cf(market, np.array(
-            [-1j * (centre + radius * _NODES) for centre in centres]).ravel())
-        return [(row[-3:-1].tolist(),
-                 (np.fft.irfft(row[:-3], _CONTOUR_NODES)[:5] / radius ** _POWERS).tolist(),
-                 complex(np.exp(row[-1])))
-                for row in rows.reshape(len(centres), _NODES.size)]
-
-
-def _read_cumulants(probes: list, taylor: list, moment: complex):
-    """One circle's Cumulants, with moment, or None where a coefficient is
-    not finite or a probe not real, so that the circle must halve."""
-    c1, c2, c4 = taylor[1], 2.0 * taylor[2], 24.0 * taylor[4]
-    # a valid moment's log carries ~1e-16 relative imaginary roundoff
-    if all(map(math.isfinite, (c1, c2, c4))) and all(
-            abs(k.imag) <= 1e-10 * max(1.0, abs(k.real)) for k in probes):
-        return Cumulants(c1=c1, c2=max(c2, 0.0), c4=max(c4, 0.0), moment=moment)
-    return None
-
-
-def _halving(model: ModelSpec, market: MarketSpec, centre: float, moment: complex) -> Cumulants:
-    """centre's Cumulants where its circle of radius _HESTON_RADIUS fails
-    :func:`_read_cumulants`: its moment is checked by :func:`check_moment`,
-    so that a centre past an explosion is refused as one, then the radius
-    halves before each of _CONTOUR_HALVINGS tries."""
-    check_moment(centre, moment)
-    radius = _HESTON_RADIUS
-    for _ in range(_CONTOUR_HALVINGS):
-        radius *= 0.5
-        [circle] = _contour(model, market, (centre,), radius)
-        cums = _read_cumulants(*circle)
-        if cums is not None:
-            return cums
-    raise ComputationError(f"log E[exp(s*X)] is not finite and real near s = 0 for "
-                           f"{type(model).__name__}, so no cumulant contour can be sized")
 
 
 def cumulants(model: ModelSpec, market: MarketSpec, centre=0.0):
@@ -906,29 +913,21 @@ def cumulants(model: ModelSpec, market: MarketSpec, centre=0.0):
 
     c_n = n! * [s^n] K(centre + s) for K(s) = log phi_T(-i*s) =
     log E[exp(s*X)], which is analytic around any centre in the damping
-    strip.  The model's ``_cumulants`` reads them.  Kou's and CGMY's
-    tilted laws stay in their families, so theirs are closed forms, in
-    real arithmetic, moment included; where one is not finite the moment
-    is checked first, then a computation error is raised.  Heston's are
-    read off a Cauchy contour: the trapezoid rule on a circle |s| = r
-    reads the Taylor coefficients off with one inverse real FFT and
-    converges geometrically (Bornemann 2011).  K is real on the real
-    axis, so only the nodes with Im(s) <= 0 are evaluated, in one call
-    that also probes K at centre +- 2r and reads the moment exp(K(centre)).
-    r starts at _HESTON_RADIUS and halves while a coefficient is not
-    finite or a probe is not real (past a moment explosion, which
-    :func:`_halving` names), so that K is analytic on a disc twice the
-    circle's size; roundoff below zero in c2 or c4 is floored.  A centre
-    outside the strip is refused first, by :func:`check_damping`.
+    strip.  The model's ``_cumulants`` reads them, and one reader,
+    :func:`_read_cumulants`, checks them for every model: where one is not
+    finite the moment is checked first, then a computation error is
+    raised.  Kou's and CGMY's tilted laws stay in their families, so theirs
+    are closed forms, in real arithmetic, moment included; Heston's are
+    read off a Cauchy contour of log phi_T.  A centre outside the strip is
+    refused first, by :func:`check_damping`.
 
     centre is one centre, giving one Cumulants, or a tuple of them, giving
     a tuple: each centre is checked in order, then each is read as it is
-    alone (one _log_cf call covers Heston's first circles, and a circle
-    that must halve continues alone), so a tuple refuses as its first
-    refused centre."""
+    alone (one _log_cf call covers Heston's circles), so a tuple refuses
+    as its first refused centre."""
     if not isinstance(centre, tuple):
         return cumulants(model, market, (centre,))[0]
-    check_damping(model, *centre)
+    check_damping(model, market, *centre)
     return model._cumulants(market, centre)
 
 

@@ -3,11 +3,12 @@
 Every pricer evaluates phi_T(u - i*shift): the shift is the damping alpha
 for the cosine series and the Fourier integral, and the damping plus 1
 for Carr-Madan.  All three accept a shift inside
-:func:`models.damping_bounds` whose moment E[(S_T/S_0)^shift] passes
-:func:`models.check_moment`, and refuse any other with a
-ValidationError.  Heston's bounds are the whole line: its moment of
-order omega explodes at the time T*(omega) of Andersen & Piterbarg
-(2007), which the moment check reads off the closed form.
+:func:`models.damping_bounds` at the maturity T whose moment
+E[(S_T/S_0)^shift] passes :func:`models.check_moment`, and refuse any
+other with a ValidationError.  The strip is where the moment explodes
+after T, T*(shift) > T: Heston's moment of order omega explodes at the
+time T*(omega) of Andersen & Piterbarg (2007), so its strip narrows as T
+grows; Kou's and CGMY's moments are finite at every maturity or at none.
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from cospricer import presets
 from cospricer.cos_engine import CosConfig, OptionKind, OptionSpec, price
@@ -26,6 +28,7 @@ from cospricer.models import (
     KouParams,
     MarketSpec,
     char_fn,
+    check_damping,
     damping_bounds,
     moment_is_valid,
 )
@@ -38,6 +41,10 @@ from cospricer.transform_refs import (
 
 # E[S_T^1.5] explodes at T* ~ 3.08
 EXPLOSIVE = HestonParams(kappa=0.5, theta=0.09, sigma=1.0, rho=0.5, v0=0.09)
+# D = b^2 - sigma^2*order*(order - 1) = 0 at order 4/3, where b = -1
+D_ZERO = HestonParams(kappa=1.0, theta=0.09, sigma=1.5, rho=1.0, v0=0.09)
+# every positive finite float
+_positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 
 def explosion_time(model: HestonParams, order: float) -> float:
@@ -66,8 +73,8 @@ def moment_at(model, order, maturity):
 
 
 class TestExplosionTime:
-    """The moment check is the maturity-aware rule for Heston: valid before
-    the explosion time, invalid after it."""
+    """Heston's strip is where T*(order) > T: the moment is valid before
+    the explosion time, and the strip refuses its order after it."""
 
     ORDERS = (-4.0, -1.0, 1.1, 1.5, 2.5, 4.0)
 
@@ -92,16 +99,92 @@ class TestExplosionTime:
         for model in self.random_models():
             for order in self.ORDERS:
                 t_star = explosion_time(model, order)
+                assert model._explosion_time(order) == pytest.approx(t_star, rel=1e-12)
                 if math.isinf(t_star):
                     assert moment_is_valid(moment_at(model, order, 20.0)), (model, order)
                     continue
                 finite += 1
                 before = moment_at(model, order, 0.9 * t_star)
-                after = moment_at(model, order, 1.1 * t_star)
                 assert moment_is_valid(before), (model, order, t_star, before)
-                assert not moment_is_valid(after), (model, order, t_star, after)
+                with pytest.raises(ValidationError, match="lies outside the admissible"):
+                    moment_at(model, order, 1.1 * t_star)
         # the grid must reach both sides of the rule
         assert finite > 100
+
+    @settings(max_examples=400, deadline=None)
+    @given(model=st.builds(
+        HestonParams, kappa=_positive, theta=st.floats(0.0, 1.0), sigma=_positive,
+        rho=st.sampled_from((-1.0, 1.0)) | st.floats(-1.0, 1.0), v0=st.floats(0.0, 1.0)),
+        order=st.floats(-1e300, 1e300))
+    # the form log((-b + sqrt(D))/(-b - sqrt(D)))/sqrt(D) raised
+    # ZeroDivisionError here, where D rounds to 0
+    @example(model=HestonParams(kappa=1.0, theta=0.09, sigma=0.5, rho=-1.0, v0=0.09),
+             order=-1e154)
+    # D = 0 exactly, b = -1: T* is the limit 2/(-b) = 2
+    @example(model=D_ZERO, order=4.0 / 3.0)
+    def test_total(self, model, order):
+        t_star = model._explosion_time(order)
+        assert type(t_star) is float and t_star >= 0.0, (model, order, t_star)
+
+    def test_limit_where_the_discriminant_vanishes(self):
+        assert D_ZERO._explosion_time(4.0 / 3.0) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("model", [presets.model_preset("heston"), EXPLOSIVE],
+                             ids=["heston", "explosive"])
+    def test_riccati_blows_up_at_t_star(self, model):
+        # B' = c - b*B + sigma^2*B^2/2, B(0) = 0, integrated to |B| = 1e8; past
+        # it B' ~ sigma^2*B^2/2, which leaves 2/(sigma^2*1e8) to the blow-up.
+        # 20 orders at and past the edges of the strip at T = 50, so T* <= 50
+        lo, hi = damping_bounds(model, MarketSpec(spot=100.0, rate=0.05, maturity=50.0))
+        for order in np.outer((lo, hi), np.geomspace(1.0, 10.0, 10)).ravel().tolist():
+            c = 0.5 * order * (order - 1.0)
+            b = model.kappa - model.rho * model.sigma * order
+
+            def big(t, y):
+                return y[0] - 1e8
+
+            big.terminal = True
+            solution = solve_ivp(lambda t, y: c - b * y + 0.5 * model.sigma ** 2 * y * y,
+                                 (0.0, 100.0), [0.0], events=big, rtol=1e-11, atol=1e-12)
+            [[hit]] = solution.t_events
+            blow_up = hit + 2.0 / (model.sigma ** 2 * 1e8)
+            assert model._explosion_time(order) == pytest.approx(blow_up, rel=1e-8), order
+
+
+class TestStrip:
+    """Heston's strip at T: where T*(order) > T, each edge the first float
+    outward that check_damping refuses."""
+
+    @pytest.mark.parametrize("model, maturity, edges", [
+        (presets.model_preset("heston"), 1.0, (-25.317440426898607, 84.95008402289753)),
+        (presets.model_preset("heston"), 20.0, (-5.111424503462286, 30.528263274463196)),
+        (EXPLOSIVE, 1.0, (-4.685792938195994, 3.0666930270224193)),
+        (EXPLOSIVE, 3.0, (-1.5358981757339152, 1.519288592886785)),
+        (EXPLOSIVE, 5.0, (-0.9482846476460941, 1.2452250055868381)),
+    ], ids=["heston-T1", "heston-T20", "explosive-T1", "explosive-T3", "explosive-T5"])
+    def test_edges(self, model, maturity, edges):
+        market = MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
+        bounds = damping_bounds(model, market)
+        assert bounds == pytest.approx(edges, rel=1e-12, abs=0.0)
+        for edge in bounds:
+            inside = math.nextafter(edge, 0.5)
+            outside = math.nextafter(edge, math.copysign(math.inf, edge))
+            assert model._explosion_time(inside) > maturity >= model._explosion_time(edge)
+            for shift in (inside, edge, outside):
+                admitted = model._explosion_time(shift) > maturity
+                try:
+                    check_damping(model, market, shift)
+                except ValidationError:
+                    assert not admitted, shift
+                else:
+                    assert admitted, shift
+
+    def test_refusal_names_the_strip_and_the_maturity(self):
+        market = MarketSpec(spot=100.0, rate=0.05, maturity=3.0)
+        with pytest.raises(ValidationError, match=r"^contour shift 1.52 lies outside the "
+                           r"admissible interval \(-1.5359, 1.51929\) for HestonParams at "
+                           r"T = 3, so E\[\(S_T/S_0\)\^1.52\] is infinite$"):
+            check_damping(EXPLOSIVE, market, 0.5, 1.52)
 
 
 def three_pricers(model, market, shift):
@@ -179,26 +262,25 @@ _heston = st.builds(HestonParams, kappa=st.floats(0.1, 5.0), theta=st.floats(0.0
 
 
 @st.composite
-def model_and_shift(draw):
+def model_maturity_and_shift(draw):
+    maturity = draw(st.floats(1e-3, 20.0))
     model = draw(st.one_of(_kou, _cgmy, _heston))
-    if isinstance(model, HestonParams):
-        return model, draw(st.floats(-8.0, 12.0))
-    lo, hi = damping_bounds(model)
+    lo, hi = damping_bounds(model, MarketSpec(spot=100.0, rate=0.05, maturity=maturity))
     ends = st.sampled_from((lo, hi, lo + 1e-12, hi - 1e-12))
-    return model, draw(ends | st.floats(lo, hi))
+    return model, maturity, draw(ends | st.floats(lo, hi))
 
 
 class TestTypedErrorsAtTheEdges:
     @settings(max_examples=150, deadline=None)
-    @given(case=model_and_shift(), maturity=st.floats(1e-3, 20.0))
-    @example(case=(presets.model_preset("kou"), 10.0), maturity=1.0)
-    @example(case=(presets.model_preset("cgmy1"), 5.0 - 1e-12), maturity=1.0)
-    @example(case=(presets.model_preset("cgmy1"), 5.0), maturity=1.0)
-    def test_a_price_or_a_pricing_error(self, case, maturity):
+    @given(case=model_maturity_and_shift())
+    @example(case=(presets.model_preset("kou"), 1.0, 10.0))
+    @example(case=(presets.model_preset("cgmy1"), 1.0, 5.0 - 1e-12))
+    @example(case=(presets.model_preset("cgmy1"), 1.0, 5.0))
+    def test_a_price_or_a_pricing_error(self, case):
         # Carr-Madan checked nothing before its envelope: at the kou example
         # it raised ZeroDivisionError, and at the cgmy1 ones a "math domain
         # error" ValueError
-        model, shift = case
+        model, maturity, shift = case
         market = MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
         kind = OptionKind.CALL if shift > 0.0 else OptionKind.PUT
         pricers = {

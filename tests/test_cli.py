@@ -125,6 +125,15 @@ class TestPrice:
         assert code == 0 and err == ""
         assert out == explicit == "90.4836473137 (stable)\n"
 
+    def test_alpha_past_the_heston_strip_is_refused(self, capsys):
+        # E[(S_T/S_0)^90] explodes before T = 1; the refusal used to read
+        # the closed form's complex value -3.087e-20+4.249e-20j as the moment
+        code, out, err = run_cli(capsys, "price", "--profile", "heston", "--alpha", "90")
+        assert (code, out) == (2, "")
+        assert err == ("error: contour shift 90 lies outside the admissible interval "
+                       "(-25.3174, 84.9501) for HestonParams at T = 1, so "
+                       "E[(S_T/S_0)^90] is infinite\n")
+
     def test_positive_alpha_put_is_refused(self, capsys):
         code, out, err = run_cli(
             capsys, "price", "--profile", "kou", "--kind", "put", "--alpha", "1.1"

@@ -447,10 +447,12 @@ class TestMomentCheck:
     @pytest.mark.parametrize("maturity, alpha", [(5.0, 1.5), (20.0, 1.1)])
     def test_exploded_moment_rejected(self, maturity, alpha):
         # past T* phi(-i*alpha) is complex; the stable call used to return
-        # 20.87 at T=5 (bound 22.12) and 54.66 at T=20 (bound 63.21)
+        # 20.87 at T=5 (bound 22.12) and 54.66 at T=20 (bound 63.21).  The
+        # strip at T refuses alpha before any moment is read
         market = MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
         cfg = CosConfig(n_terms=4096, range_width=12.0, damping=alpha)
-        with pytest.raises(ValidationError, match="not real, positive and finite"):
+        with pytest.raises(ValidationError, match=rf"contour shift {alpha:g} lies outside the "
+                                                  rf"admissible interval .* at T = {maturity:g}"):
             price(self.EXPLOSIVE, market, OptionSpec(strike=100.0), cfg)
 
     def test_underflowed_moment_is_named_as_one(self, models):
@@ -846,6 +848,24 @@ class TestKnownWrongPrices:
         check = (assert_call_within_bounds_or_refused if kind is OptionKind.CALL
                  else assert_put_within_bounds_or_refused)
         check(models[name], presets.market_preset(maturity), strike, config)
+
+    @pytest.mark.parametrize("damping", [
+        pytest.param(-20.0, id="heston-stable-put--20", marks=_pin(
+            "returns 1640.17, above the put bound K*e^(-rT) = 90.48 (1.45e20 at -22); "
+            + _ITEM_2)),
+        pytest.param(-24.9, id="heston-stable-put--24.9", marks=_pin(
+            "returns -0.0, inside the bounds, against 6.14585 undamped; " + _ITEM_2)),
+    ])
+    def test_heston_stable_put_inside_the_strip(self, models, damping):
+        # the strip at T = 1 is (-25.317, 84.950), so no shift check refuses
+        # either damping; the undamped put is what the parity series prices
+        model, market = models["heston"], presets.market_preset(1.0)
+        assert_put_within_bounds_or_refused(model, market, 100.0,
+                                            CosConfig(4096, 12.0, damping=damping))
+        put, undamped = (price(model, market, OptionSpec(100.0, kind=OptionKind.PUT),
+                               CosConfig(4096, 12.0, damping=alpha)).price
+                         for alpha in (damping, 0.0))
+        assert abs(put - undamped) <= 1e-9 * max(1.0, undamped)
 
     @_pin("reproduce fig3's cgmy2 surface spreads 7.2306e65: from alpha = 1.04 up its "
           "calls leave the bounds, growing with alpha and L; " + _ITEM_2)

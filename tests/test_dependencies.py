@@ -108,9 +108,9 @@ def _model_type_tests(tree):
 
 @pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
 def test_no_isinstance_on_a_model_class(module):
-    # each class carries its own log-CF, strip and envelope; the one model
-    # type test is damping_bounds' isinstance(model, _MODEL_TYPES), the
-    # constant get_args(ModelSpec)
+    # each class carries its own log-CF, explosion time and envelope; the
+    # one model type test is check_damping's isinstance(model, _MODEL_TYPES),
+    # the constant get_args(ModelSpec)
     probe = "isinstance(m, HestonParams) or isinstance(m, (models.KouParams, float))"
     assert _model_type_tests(ast.parse(probe)) == [1, 1]
     assert _model_type_tests(ast.parse("isinstance(m, get_args(ModelSpec))")) == []

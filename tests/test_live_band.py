@@ -403,15 +403,10 @@ class CountingCharFn:
         return char_fn(model, market, u)
 
 
-# Heston's damping bounds are the whole line, as check_moment decides its
-# shift, so its contours draw the shift from a finite range
-HESTON_SHIFTS = (-2.0, 2.0)
-
-
-def contour(model, fraction, step, size):
+def contour(model, market, fraction, step, size):
     """step, shift and size of a contour whose shift is the given fraction
-    of the way through the damping bounds, or through HESTON_SHIFTS."""
-    lo, hi = HESTON_SHIFTS if isinstance(model, HestonParams) else damping_bounds(model)
+    of the way through the damping bounds at the market's maturity."""
+    lo, hi = damping_bounds(model, market)
     shift = lo + fraction * (hi - lo)
     assert math.isfinite(shift)
     return step, shift, size
@@ -538,7 +533,8 @@ class TestLiveBand:
     def test_matches_one_call(self, name, n_terms):
         model = presets.model_preset(name)
         for fraction in (0.2, 0.5, 0.8):
-            assert_live_band(model, self.MARKET, *contour(model, fraction, 0.05, n_terms))
+            assert_live_band(model, self.MARKET,
+                             *contour(model, self.MARKET, fraction, 0.05, n_terms))
 
 
 class TestCarrMadanCut:
@@ -612,7 +608,7 @@ class TestDecayProperty:
     @given(model=st.one_of(_kou, _cgmy), maturity=_maturities, fraction=_fractions)
     def test_modulus_does_not_increase_along_the_contour(self, model, maturity, fraction):
         market = MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
-        lo, hi = damping_bounds(model)
+        lo, hi = damping_bounds(model, market)
         alpha = lo + fraction * (hi - lo)
         u = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 4000)))
         modulus = np.abs(char_fn(model, market, u - 1j * alpha))
@@ -628,13 +624,13 @@ class TestDecayProperty:
            n_terms=st.integers(1, 20000), step=st.floats(1e-3, 5.0))
     def test_band_is_what_one_call_returns(self, model, maturity, fraction, n_terms, step):
         market = MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
-        assert_live_band(model, market, *contour(model, fraction, step, n_terms))
+        assert_live_band(model, market, *contour(model, market, fraction, step, n_terms))
 
     @_slow
     @given(model=st.one_of(_kou, _cgmy), maturity=_maturities, fraction=_fractions)
     def test_bound_is_the_log_modulus_and_does_not_increase(self, model, maturity, fraction):
         market = MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
-        lo, hi = damping_bounds(model)
+        lo, hi = damping_bounds(model, market)
         alpha = lo + fraction * (hi - lo)
         u = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 2000)))
         modulus = np.abs(char_fn(model, market, u - 1j * alpha))
@@ -667,29 +663,40 @@ class TestDecayProperty:
         # over the points before the bound's first dead index
         evaluate = CountingCharFn()
         market = presets.market_preset(1.0)
-        step, shift, size = contour(model, fraction, step, n_terms)
+        step, shift, size = contour(model, market, fraction, step, n_terms)
         live_band(evaluate, model, market, step, shift, size)
         [end] = evaluate.sizes
         assert_first_dead_index(model, market, step, shift, size, end)
 
 
 class TestHestonEnvelope:
-    # a random draw past a moment explosion: E[S_T^alpha] = 0.666 - 0.182i
+    # a random draw past a moment explosion: the closed form gives
+    # E[S_T^alpha] = 0.666 - 0.182i, and the strip at T = 5 is (-1.254, 1.020)
     EXPLODED = HestonParams(kappa=0.42176693417594274, theta=0.19025537157657535,
                             sigma=1.3743595228104655, rho=0.9450919150886679,
                             v0=0.25699375278940806)
     EXPLODED_ALPHA = 1.4399499227823387
+    REFUSAL = (r"contour shift 1.43995 lies outside the admissible interval "
+               r"\(-1.25424, 1.02014\) for HestonParams at T = 5")
 
     def test_past_an_explosion_the_bound_is_infinite(self):
-        # (1 - h)/(1 - g) < 0: the expectation behind the bound is infinite
+        # (1 - h)/(1 - g) < 0: the expectation behind the bound is infinite,
+        # and the strip refuses the shift before phi_T is read
         market = heston_market(5.0)
         alpha = self.EXPLODED_ALPHA
-        assert not moment_is_valid(char_fn(self.EXPLODED, market, -1j * alpha))
+        assert self.EXPLODED._explosion_time(alpha) < 5.0
+        with pytest.raises(ValidationError, match=self.REFUSAL):
+            char_fn(self.EXPLODED, market, -1j * alpha)
         assert self.EXPLODED._log_envelope(market, alpha, 0.5194976531371707) == math.inf
 
     @pytest.mark.parametrize("step, size", [(0.05, 2000), (0.01, 60000)])
-    def test_past_an_explosion_the_band_is_one_call(self, step, size):
-        assert_live_band(self.EXPLODED, heston_market(5.0), step, self.EXPLODED_ALPHA, size)
+    def test_past_an_explosion_the_band_is_refused(self, step, size):
+        def evaluate(*args):
+            raise AssertionError("no point may be evaluated")
+
+        with pytest.raises(ValidationError, match=self.REFUSAL):
+            live_band(evaluate, self.EXPLODED, heston_market(5.0), step, self.EXPLODED_ALPHA,
+                      size)
 
     @_slow
     @given(model=_heston, maturity=st.floats(1e-3, 20.0), alpha=st.floats(-1.9, 1.9))
@@ -702,9 +709,11 @@ class TestHestonEnvelope:
              maturity=6.0, alpha=2.0 ** -8)
     def test_bounds_phi_and_does_not_increase(self, model, maturity, alpha):
         market = heston_market(maturity)
+        lo, hi = damping_bounds(model, market)
+        assume(lo < alpha < hi)  # past an explosion the strip refuses the shift
         u = np.concatenate(([0.0], np.geomspace(1e-3, 1e5, 2000)))
         phi = char_fn(model, market, u - 1j * alpha)
-        assume(moment_is_valid(phi[0]))  # past an explosion the bound is infinite
+        assume(moment_is_valid(phi[0]))  # near an edge the moment's rounding may show
         envelope = np.array([model._log_envelope(market, alpha, x) for x in u])
         # below the smallest normal double exp loses its relative accuracy
         # (at the bottom it rounds up to 4.9e-324), so the bound is checked

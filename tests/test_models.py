@@ -257,7 +257,7 @@ class TestCumulants:
             for g, m in ((5.0, 5.0), (9.0, 3.0)) for y in (0.5, 1.5, 1.98)
         ]
         for model, closed_form in cases:
-            lo, hi = damping_bounds(model)
+            lo, hi = damping_bounds(model, market)
             centre = lo + share * (hi - lo)
             c = cumulants(model, market, centre)
             want = closed_form(model, market, centre)
@@ -274,10 +274,10 @@ class TestCumulants:
 
     @pytest.mark.parametrize("maturity", [1.0, 5.0, 20.0])
     def test_explosive_heston_agrees_with_a_smaller_circle(self, maturity):
-        # the radius halves from 0.5 while E[exp(+-2r*X)] is not a moment
-        # (at s = 1 the log-CF is 0/0): to 0.25 at T = 1 and 5, and to
-        # 0.125 at T = 20.  A circle half that size sees the same Taylor
-        # coefficients
+        # the radius is 0.5 at T = 1, whose strip (-4.69, 3.07) holds [-1, 1],
+        # and a quarter of the distance to the strip's nearer edge at T = 5
+        # (-0.948) and T = 20 (-0.406).  A circle a quarter of the first
+        # size sees the same Taylor coefficients
         market = MarketSpec(spot=100.0, rate=0.05, maturity=maturity)
         c = cumulants(EXPLOSIVE_HESTON, market)
         want = contour_cumulants(EXPLOSIVE_HESTON, market, 0.0625)
@@ -293,10 +293,10 @@ class TestCumulants:
 
     @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0])
     def test_a_tuple_of_centres_is_each_one_centre_call(self, models, maturity, monkeypatch):
-        # one _log_cf call reads heston's first circle of every centre; a
-        # centre whose circle must halve continues alone, as the explosive
-        # heston's centres 0, 0.5 and 1.1 do at T = 5 (0.1 does not).  Kou's
-        # and CGMY's closed forms read no _log_cf
+        # one _log_cf call reads heston's circle of every centre, whether
+        # its radius is 0.5 or sized from the strip's edge, as the explosive
+        # heston's centres 0.4 and 1.1 are at T = 5 (0.1 and 0 are not).
+        # Kou's and CGMY's closed forms read no _log_cf
         calls = []
 
         def spy(log_cf):
@@ -312,7 +312,7 @@ class TestCumulants:
                  (models["kou"], (1.1, 0.0, -2.0, 1.1, 9.5)),
                  (models["cgmy1"], (1.1, 0.0, -0.9, 4.9)),
                  (models["cgmy2"], (0.0, 1.1)),
-                 (EXPLOSIVE_HESTON, (0.1, 0.5, 0.0, 1.1))]
+                 (EXPLOSIVE_HESTON, (0.1, 0.4, 0.0, 1.1))]
         for model, centres in cases:
             calls.clear()
             got = cumulants(model, market, centres)
@@ -322,19 +322,16 @@ class TestCumulants:
             assert [(c.c1.hex(), c.c2.hex(), c.c4.hex(), c.moment) for c in got] == [
                 (c.c1.hex(), c.c2.hex(), c.c4.hex(), c.moment) for c in want], (model, centres)
             if isinstance(model, HestonParams):
-                # the first circles are one call; each smaller circle is
-                # read once, by its centre alone
-                assert batch_calls == 1 + len(calls) - len(centres), (model, centres)
+                assert (batch_calls, len(calls)) == (1, len(centres)), (model, centres)
             else:
                 assert batch_calls == len(calls) == 0, (model, centres)
-        if maturity == 5.0:
-            assert batch_calls > 1
 
     def test_a_tuple_of_centres_refuses_as_its_first_refused_centre(self, models):
         market = MarketSpec(spot=100.0, rate=0.05, maturity=5.0)
         with pytest.raises(ValidationError, match=r"contour shift 12 lies outside"):
             cumulants(models["kou"], market, (1.1, 12.0, -6.0))
-        with pytest.raises(ValidationError, match=r"\^1.3\] = .* is not real, positive and finite"):
+        with pytest.raises(ValidationError, match=r"contour shift 1.3 lies outside the "
+                                                  r"admissible interval \(-0.948285, 1.24523\)"):
             cumulants(EXPLOSIVE_HESTON, market, (0.1, 1.3, 0.5))
 
     @pytest.mark.parametrize("maturity", [0.1, 1.0, 5.0, 20.0])
@@ -396,7 +393,7 @@ class TestClosedFormCumulants:
                                    for y in (-0.5, 0.5, 1.5, 1.98)]
         with mpmath.workdps(40):
             for model in cases:
-                lo, hi = damping_bounds(model)
+                lo, hi = damping_bounds(model, market)
                 centre = lo + share * (hi - lo)
                 got = cumulants(model, market, centre)
 
@@ -590,7 +587,7 @@ class TestStoredConstants:
     @pytest.mark.parametrize("maturity", [1e-3, 1.0, 20.0])
     def test_log_cf_is_bit_for_bit_the_per_call_form(self, models, name, maturity):
         model, market = models[name], MarketSpec(100.0, 0.07, 0.02, maturity)
-        lo, hi = damping_bounds(model)
+        lo, hi = damping_bounds(model, market)
         for alpha in (0.0, 0.5 * lo, 0.5 * hi, 0.99 * hi):
             u = np.linspace(0.0, 300.0, 257) - 1j * alpha
             assert model._log_cf(market, u).tobytes() == per_call_log_cf(
@@ -633,8 +630,10 @@ class TestValidationAndStrips:
         # an empty contour has no shift to check, but its model still is
         (lambda: char_fn(object(), MarketSpec(spot=100.0, rate=0.1), np.array([])),
          ValidationError, "unsupported model type object"),
-        (lambda: damping_bounds(object()), ValidationError, "unsupported model type object"),
-        (lambda: check_damping(object(), 0.5), ValidationError, "unsupported model type object"),
+        (lambda: damping_bounds(object(), MarketSpec(spot=100.0, rate=0.1)), ValidationError,
+         "unsupported model type object"),
+        (lambda: check_damping(object(), MarketSpec(spot=100.0, rate=0.1), 0.5), ValidationError,
+         "unsupported model type object"),
         # the parity series reads the cumulants first; their radius was
         # once inf for a non-model, and 0 * inf raised NumPy's warning
         (lambda: price(object(), MarketSpec(spot=100.0, rate=0.1), OptionSpec(100.0),
@@ -648,17 +647,19 @@ class TestValidationAndStrips:
          "c2 must be nonnegative and finite, got -0.1"),
         (lambda: Cumulants(c1=0.0, c2=0.1, c4=-1e-3), ValidationError,
          "c4 must be nonnegative and finite, got -0.001"),
-        # E[S_T^1.5] explodes at T* ~ 3.08, so at T = 5 the moment read at
-        # the centre of its contour is refused before its circle halves
+        # E[S_T^1.5] explodes at T* ~ 3.08, so at T = 5 the strip refuses
+        # the centre before any contour is read
         (lambda: cumulants(EXPLOSIVE_HESTON, MarketSpec(spot=100.0, rate=0.05, maturity=5.0),
                            1.5),
-         ValidationError, r"E\[\(S_T/S_0\)\^1.5\] = .* is not real, positive and finite"),
-        # at T = 5 the moments explode past order 1.24516: the moment of
-        # order 1.244 is valid, but every circle down to r = 0.5/256 reaches past it
-        (lambda: cumulants(EXPLOSIVE_HESTON, MarketSpec(spot=100.0, rate=0.05, maturity=5.0),
-                           1.244),
-         ComputationError, r"log E\[exp\(s\*X\)\] is not finite and real near s = 0 for "
-         "HestonParams"),
+         ValidationError, r"contour shift 1.5 lies outside the admissible interval "
+         r"\(-0.948285, 1.24523\) for HestonParams at T = 5, so E\[\(S_T/S_0\)\^1.5\] is "
+         r"infinite"),
+        # kappa = rho*sigma puts the removable 0/0 of the log-CF at s = 1, a
+        # node of the circle of radius 0.5 about 0.5, inside the strip at T = 1
+        (lambda: cumulants(EXPLOSIVE_HESTON, MarketSpec(spot=100.0, rate=0.05, maturity=1.0),
+                           0.5),
+         ComputationError, r"^the cumulants of HestonParams tilted by exp\(0.5\*X\) are not "
+         r"finite floats: c1 = nan, c2 = nan, c4 = nan$"),
         (lambda: TruncationRange(a=-math.inf, b=1.0), ValidationError,
          "a must be finite, got -inf"),
         (lambda: TruncationRange(a=0.0, b=math.nan), ValidationError,
@@ -671,7 +672,7 @@ class TestValidationAndStrips:
          "range_width must be positive and finite, got -2.0"),
     ], ids=["rate-inf", "dividend-nan", "rho", "log_cf-model", "log_cf-model-empty",
             "damping_bounds-model", "check_damping-model", "price-model", "c1-nan", "c4-inf",
-            "c2<0", "c4<0", "cumulants-moment", "cumulants-give-up", "range-a-inf",
+            "c2<0", "c4<0", "cumulants-moment", "cumulants-nan-node", "range-a-inf",
             "range-b-nan", "range-a=b", "width-0", "width<0"])
     def test_refusals(self, make, error, match):
         with pytest.raises(error, match=match):
@@ -738,13 +739,16 @@ class TestValidationAndStrips:
             char_fn(cgmy, market, 1.0 - 5.1j)
 
     def test_damping_bounds_per_model(self, models):
-        lo, hi = damping_bounds(models["kou"])
-        assert (lo, hi) == (-5.0, 10.0)
-        lo, hi = damping_bounds(models["cgmy1"])
-        assert (lo, hi) == (-5.0, 5.0)
-        # Heston's moment explosion depends on the maturity, which
-        # check_moment decides, so no shift is refused up front
-        assert damping_bounds(models["heston"]) == (-math.inf, math.inf)
+        for maturity in (1e-3, 1.0, 20.0):
+            market = MarketSpec(spot=100.0, rate=0.1, maturity=maturity)
+            assert damping_bounds(models["kou"], market) == (-5.0, 10.0)
+            assert damping_bounds(models["cgmy1"], market) == (-5.0, 5.0)
+        # Heston's moments explode at a maturity that falls as the order
+        # leaves [0, 1], so its strip is finite and narrows as T grows
+        wide, narrow = (damping_bounds(models["heston"], MarketSpec(spot=100.0, rate=0.1,
+                                                                    maturity=maturity))
+                        for maturity in (1.0, 20.0))
+        assert -math.inf < wide[0] < narrow[0] < 0.0 and 1.0 < narrow[1] < wide[1] < math.inf
 
 
 class TestMomentPredicate:
@@ -770,12 +774,15 @@ class TestMomentPredicate:
                 check_moment(1.1, value)
 
     def test_flags_heston_moment_explosion(self):
-        # E[S_T^1.1] explodes at T* ~ 8.66 for this parameter set
+        # E[S_T^1.1] explodes at T* ~ 8.66 for this parameter set: valid
+        # before, and refused by the strip after, before phi_T is read
         model = HestonParams(kappa=0.5, theta=0.09, sigma=1.0, rho=0.5, v0=0.09)
         before = MarketSpec(spot=100.0, rate=0.05, maturity=5.0)
         after = MarketSpec(spot=100.0, rate=0.05, maturity=20.0)
         assert moment_is_valid(char_fn(model, before, -1.1j))
-        assert not moment_is_valid(char_fn(model, after, -1.1j))
+        with pytest.raises(ValidationError, match=r"contour shift 1.1 lies outside the "
+                                                  r"admissible interval .* at T = 20"):
+            char_fn(model, after, -1.1j)
 
 
 class TestCallPriceBounds:

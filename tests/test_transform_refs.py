@@ -395,9 +395,11 @@ class TestFourierIntegralRule:
 
     def test_exploded_moment_rejected(self):
         # past the explosion of E[S_T^1.1] the closed form returns a complex
-        # "moment" and the integral used to price 54.23, below the bound 63.21
+        # "moment" and the integral used to price 54.23, below the bound 63.21;
+        # the strip at T = 20 refuses the shift before any moment is read
         market = explosive_market(20.0)
-        with pytest.raises(ValidationError, match="not real, positive and finite"):
+        with pytest.raises(ValidationError, match=r"contour shift 1.1 lies outside the "
+                                                  r"admissible interval .* at T = 20"):
             price_fourier_integral(EXPLOSIVE, market, 100.0)
 
     def test_underflowed_moment_is_named_as_one(self):
@@ -627,9 +629,11 @@ class TestCarrMadanReadout:
 
     def test_exploded_moment_rejected(self):
         # past the explosion of E[S_T^1.75] Carr-Madan used to price 18.54,
-        # below the no-arbitrage bound 22.12
+        # below the no-arbitrage bound 22.12; the strip at T = 5 refuses the
+        # shift before any moment is read
         market = explosive_market(5.0)
-        with pytest.raises(ValidationError, match="not real, positive and finite"):
+        with pytest.raises(ValidationError, match=r"contour shift 1.75 lies outside the "
+                                                  r"admissible interval .* at T = 5"):
             price_carr_madan(EXPLOSIVE, market, [100.0])
 
     def test_underflowed_moment_is_named_as_one(self):
