@@ -15,7 +15,8 @@ preset put takes its variant's preset with the damping 0.
 
 Each (profile, maturity, series, configuration) column is priced in one
 batch ``price`` call.  Where the batch is refused, each strike is priced
-alone, so each row holds its own price or the type of its own refusal.
+alone, so each row holds its own price, or the type and the message of
+its own refusal.
 A priced row gets the no-arbitrage verdict ``ok``, ``above`` or ``below``:
 the bounds are [max(S0 e^(-qT) - K e^(-rT), 0), S0 e^(-qT)] for a call and
 [max(K e^(-rT) - S0 e^(-qT), 0), K e^(-rT)] for a put, each with 1e-9*S0
@@ -30,9 +31,10 @@ blank.  The summary counts, per profile, the pairs whose gap exceeds
 process, and prints the bit-move table: per profile, the cells compared,
 the prices that moved, the largest move among moved cells inside the
 bounds in both trees, the moved cells outside them in either tree, and
-the cells whose refusal changed (a price that became a refusal counts
-there too).  It compares prices, refusals and verdicts alone, so a
-baseline CSV without the gap column compares too.
+the cells whose refusal changed, in type or in message (a price that
+became a refusal counts there too).  It compares prices, refusals,
+messages and verdicts alone, so a baseline CSV without the gap column
+compares too.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ SERIES = (("stable", "call"), ("direct", "call"), ("parity", "call"),
 CONFIGS = {"preset": None, "4096x12": (4096, 12.0), "256x20": (256, 20.0),
            "60000x12": (60000, 12.0)}
 FIELDS = ("profile", "maturity", "variant", "kind", "config", "strike", "price", "refusal",
-          "verdict", "gap")
+          "message", "verdict", "gap")
 SLACK = 1e-9  # of S0, as models.check_call_prices allows
 GAP = 1e-6  # of max(1, |parity|): a stable-parity gap the summary counts
 
@@ -90,21 +92,27 @@ def verdict(market, kind: str, strike: float, value: float) -> str:
     return "above" if value > upper + slack else "below" if value < lower - slack else "ok"
 
 
+def refused(exc) -> tuple:
+    """The (price, refusal, message) of a cell that exc refuses."""
+    return None, type(exc).__name__, str(exc)
+
+
 def price_column(cospricer, model, market, kind: str, strikes, config) -> list:
-    """(price, refusal) per strike: one batch call, or each strike alone
-    where the batch is refused."""
+    """(price, refusal, message) per strike: one batch call, or each strike
+    alone where the batch is refused."""
     option_kind = cospricer.OptionKind(kind)
     options = [cospricer.OptionSpec(k, option_kind) for k in strikes]
     try:
-        return [(p, "") for p in cospricer.price(model, market, options, config).prices.tolist()]
+        return [(p, "", "")
+                for p in cospricer.price(model, market, options, config).prices.tolist()]
     except cospricer.PricingError:
         pass
     cells = []
     for option in options:
         try:
-            cells.append((cospricer.price(model, market, option, config).price, ""))
+            cells.append((cospricer.price(model, market, option, config).price, "", ""))
         except cospricer.PricingError as exc:
-            cells.append((None, type(exc).__name__))
+            cells.append(refused(exc))
     return cells
 
 
@@ -120,17 +128,17 @@ def audit(cospricer, profiles, maturities, strikes) -> list:
                     try:
                         cos_config = series_config(cospricer, profile, variant, kind, config)
                     except cospricer.PricingError as exc:
-                        cells = [(None, type(exc).__name__)] * len(strikes)
+                        cells = [refused(exc)] * len(strikes)
                     else:
                         cells = price_column(cospricer, model, market, kind, strikes,
                                              cos_config)
-                    for strike, (value, refusal) in zip(strikes, cells):
+                    for strike, (value, refusal, message) in zip(strikes, cells):
                         rows.append({
                             "profile": profile, "maturity": repr(maturity),
                             "variant": variant, "kind": kind, "config": config,
                             "strike": repr(strike),
                             "price": "" if value is None else repr(value),
-                            "refusal": refusal,
+                            "refusal": refusal, "message": message,
                             "verdict": "" if value is None else verdict(market, kind, strike,
                                                                         value),
                             "gap": "",
@@ -202,7 +210,7 @@ def bit_moves(rows, base_rows) -> list:
         old = base[key(row)]
         counts = table.setdefault(row["profile"], [0, 0, 0.0, 0, 0])
         counts[0] += 1
-        if row["refusal"] != old["refusal"]:
+        if (row["refusal"], row["message"]) != (old["refusal"], old["message"]):
             counts[4] += 1
         elif row["price"] != old["price"]:
             counts[1] += 1

@@ -33,12 +33,13 @@ forms these endpoints once, as arrays, one row per strike, and returns one
 :class:`PriceColumn` of arrays, with no object per strike.
 Every price takes one path, which prices a batch of series with the
 model read in one pass: one :func:`models.cumulants` call for the
-tilted cumulants and moment of every distinct damping (closed forms for
-Kou and CGMY, one contour call for Heston), and one
-:func:`models.live_band` call for the bands of every series, each series
-otherwise its own.  :func:`price_curves`
-passes it several curves of one model and market; ``price`` and
-``price_curve`` pass it one series.
+tilted cumulants of every distinct damping (closed forms for Kou and
+CGMY, one contour call for Heston), and one :func:`models.live_band`
+call for the bands of every series, each series otherwise its own.
+Each band's first value, the moment E[(S_T/S_0)^alpha] that its series
+sums first, is the one :func:`models.check_moment` checks.
+:func:`price_curves` passes it several curves of one model and market;
+``price`` and ``price_curve`` pass it one series.
 
 A strike enters its series only through one integration limit, so no
 payoff coefficient is formed: each series is summed in closed form
@@ -485,21 +486,22 @@ def _price_batch(model: ModelSpec, market: MarketSpec, batch: list) -> list:
     counts]) in batch, in order, each with its alpha, its base range and
     its x, the model read in one pass.  Each range is sized from the
     cumulants of the law its series expands, tilted by alpha:
-    K(alpha + s); a damping is checked on its strip, then on its moment,
-    before any range is sized, so that each refusal names its own fault.
-    A series' values do not depend on the others in batch; its refusals
-    are its own, but not necessarily the first series' to refuse."""
+    K(alpha + s).  A damping is checked on its strip before the
+    cumulants are read; each band's first value, the moment
+    E[(S_T/S_0)^alpha] that bounds every later term, is checked before
+    any series is summed.  A series' values do not depend on the others
+    in batch; its refusals are its own, but not necessarily the first
+    series' to refuse."""
     batch = [_Series(market, *series) for series in batch]
     alphas = tuple({series.alpha for series in batch})
     cums = dict(zip(alphas, cumulants(model, market, alphas)))
-    for alpha, tilted in cums.items():
-        if alpha:  # the undamped law's moment is E[1] = 1
-            check_moment(alpha, tilted.moment)
     bases, contours = [], []
     for series in batch:
         bases.append(truncation_range(cums[series.alpha], series.config.range_width))
         contours.append((math.pi / bases[-1].width, series.alpha, max(series.counts)))
     phis = live_band(char_fn, model, market, *zip(*contours), _MAX_TERMS)
+    for series, phi in zip(batch, phis):
+        check_moment(series.alpha, phi[0])
     return [(series.values(market, base, phi), series.alpha, base, series.x)
             for series, base, phi in zip(batch, bases, phis)]
 
@@ -566,10 +568,10 @@ def price_curves(
     prices it; the result holds one tuple of PriceResults per curve, in
     input order, each bit for bit what price_curve gives that curve alone.
     The model is read in one pass: one ``models.cumulants`` call reads
-    the tilted cumulants and moment of every distinct damping, each
-    moment checked once, and one ``models.live_band`` call every curve's
-    band; the truncation range, the series sums and every
-    check stay per curve.  Nothing is kept from one call to the next.
+    the tilted cumulants of every distinct damping, and one
+    ``models.live_band`` call every curve's band; the truncation range,
+    the series sums and every check, the moment's too, stay per curve.
+    Nothing is kept from one call to the next.
 
     Errors are those of :func:`price_curve`: where any curve is refused,
     each curve is priced again alone, in input order, so the error is the

@@ -7,7 +7,7 @@ pricers read of its model, as private methods: log phi_T (``_log_cf``),
 the maturity at which each moment explodes, whence the strip of contour
 shifts at each maturity (``_explosion_time``), a non-increasing bound on
 log|phi_T| along a contour (``_log_envelope``) and the cumulants of each
-tilted law with its moment (``_cumulants``).  The module functions read a
+tilted law (``_cumulants``).  The module functions read a
 model only through these, and test no model type beyond
 :func:`check_damping`'s refusal of a non-model.  What a model's methods
 read that depends on neither the market nor the contour is computed once,
@@ -15,11 +15,13 @@ at construction, as :class:`MarketSpec` computes its discount factors:
 Kou's jump drift, and CGMY's Gamma(-Y), M^Y, G^Y and martingale bracket;
 each call computes only what depends on its market and its points.  The
 module also provides log-cumulants of the log-return under the law tilted
-by exp(centre*X), each with its moment, for one centre or several in one
-call (:func:`cumulants`: Kou's and CGMY's in closed form, Heston's off a
+by exp(centre*X), for one centre or several in one call
+(:func:`cumulants`: Kou's and CGMY's in closed form, Heston's off a
 Cauchy contour integral of log phi_T on a fixed set of nodes, the only
 contour that reads them), and the series truncation interval built from
-them.
+them.  The tilted moment E[(S_T/S_0)^centre] is not among them: each
+pricer checks, by :func:`check_moment`, the value its own sum reads at
+u = 0.
 
 Both fixed-grid consumers, the cosine engine and the Carr-Madan sum,
 read phi_T along a contour u - i*alpha, u = 0, du, 2*du, ..., through
@@ -258,6 +260,9 @@ class HestonParams:
         check_fields(self, kappa=POSITIVE, theta=NONNEGATIVE, sigma=POSITIVE, rho=CORRELATION,
                      v0=NONNEGATIVE)
 
+    # zeta = 0 at u = 0 and u = -i, where the other terms vanish; at
+    # kappa = rho*sigma, u = -i, they are 0/0, discarded for the drift
+    @np.errstate(invalid="ignore")
     def _log_cf(self, market: MarketSpec, u):
         t = market.maturity
         zeta = -0.5 * (1j * u + u * u)
@@ -277,32 +282,29 @@ class HestonParams:
         mean_term = -(self.kappa * self.theta / self.sigma ** 2) * (
             2.0 * _real_log(denom / (2.0 * xi)) + (xi - gam) * t
         )
-        return drift + vol_term + mean_term
+        return np.where(zeta == 0.0, drift, drift + vol_term + mean_term)
 
     def _cumulants(self, market: MarketSpec, centres: tuple) -> tuple:
         """Each centre's Cumulants off a Cauchy contour: the trapezoid rule
         on a circle |s| = r reads the Taylor coefficients of K(centre + s)
         off with one inverse real FFT, converging geometrically (Bornemann
         2011).  K is real on the real axis, so one _log_cf call reads the
-        nodes with Im(s) <= 0 of every circle, and each moment exp(K(centre)).
-        r is _HESTON_RADIUS where the disc twice its size lies inside the
-        strip, else a quarter of the distance to the strip's edge, so K is
-        analytic on a disc twice the circle's size.  Roundoff below zero in
-        c2 or c4 is floored."""
+        nodes with Im(s) <= 0 of every circle.  r is _HESTON_RADIUS where
+        the disc twice its size lies inside the strip, else a quarter of the
+        distance to the strip's edge, so K is analytic on a disc twice the
+        circle's size.  Roundoff below zero in c2 or c4 is floored."""
         t, wide = market.maturity, 2.0 * _HESTON_RADIUS
         radii = [_HESTON_RADIUS if min(map(self._explosion_time, (c - wide, c + wide))) > t
                  else 0.25 * min(abs(c - edge) for edge in damping_bounds(self, market))
                  for c in centres]
-        # the log-CF has a removable 0/0 at kappa = rho*sigma*s: nan; an
-        # overflowed moment is inf, which check_moment names
+        # a node that overflows or loses the log-CF to rounding is inf or
+        # nan, which _read_cumulants refuses
         with np.errstate(all="ignore"):
             rows = self._log_cf(market, np.array(
                 [-1j * (centre + radius * _NODES) for centre, radius in zip(centres, radii)]))
-            taylor = np.fft.irfft(rows[:, :-1], _CONTOUR_NODES)[:, :5] / np.power.outer(radii,
-                                                                                       _POWERS)
-            moments = np.exp(rows[:, -1]).tolist()
-        return tuple(_read_cumulants(self, c, m, k[1], max(2.0 * k[2], 0.0), max(24.0 * k[4], 0.0))
-                     for c, m, k in zip(centres, moments, taylor.tolist()))
+            taylor = np.fft.irfft(rows, _CONTOUR_NODES)[:, :5] / np.power.outer(radii, _POWERS)
+        return tuple(_read_cumulants(self, c, k[1], max(2.0 * k[2], 0.0), max(24.0 * k[4], 0.0))
+                     for c, k in zip(centres, taylor.tolist()))
 
     def _explosion_time(self, order: float) -> float:
         """T*(order), the maturity at which E[(S_T/S_0)^order] explodes, inf
@@ -431,10 +433,8 @@ class KouParams:
                 + self.lam * t * jump_cf)
 
     def _cumulants(self, market: MarketSpec, centres: tuple) -> tuple:
-        """Each centre's Cumulants in closed form.  K(s) = log E[exp(s*X)]
-        is (mu + sigma^2*s/2)*s*T + lam*T*s*(p/(eta1 - s) - (1 - p)/(eta2 + s)),
-        free of the cancellation in p*eta1/(eta1 - s) + (1 - p)*eta2/(eta2 + s) - 1,
-        and its n-th derivative is
+        """Each centre's Cumulants in closed form.  The n-th derivative of
+        K(s) = log E[exp(s*X)] is
         lam*T*n!*(p*eta1/(eta1 - s)^(n+1) + (-1)^n*(1 - p)*eta2/(eta2 + s)^(n+1)),
         plus (mu + sigma^2*s)*T for n = 1 and sigma^2*T for n = 2.  The
         powers are products of 1/(eta1 - s) and 1/(eta2 + s), which overflow
@@ -446,13 +446,8 @@ class KouParams:
             up, down = 1.0 / (e1 - s), 1.0 / (e2 + s)
             # the jump sides of c1, each p*eta1/(eta1 - s)^2 or (1 - p)*eta2/(eta2 + s)^2
             up_1, down_1 = p * e1 * up * up, (1.0 - p) * e2 * down * down
-            try:
-                moment = math.exp(
-                    ((mu + 0.5 * var * s) * t + rate * (p * up - (1.0 - p) * down)) * s)
-            except OverflowError:
-                moment = math.inf
             out.append(_read_cumulants(
-                self, s, moment, (mu + var * s) * t + rate * (up_1 - down_1),
+                self, s, (mu + var * s) * t + rate * (up_1 - down_1),
                 var * t + 2.0 * rate * (up_1 * up + down_1 * down),
                 24.0 * rate * (up_1 * up * up * up + down_1 * down * down * down)))
         return tuple(out)
@@ -536,14 +531,12 @@ class CGMYParams:
 
     def _cumulants(self, market: MarketSpec, centres: tuple) -> tuple:
         """Each centre's Cumulants in closed form.  The Levy measure gives
-        K(s) = log E[exp(s*X)] = mu*s*T + C*T*Gamma(-Y)*((M - s)^Y - M^Y + (G + s)^Y - G^Y),
-        each pair b^Y*expm1(Y*log((b + shift)/b)), the bracket form of the
-        drift's, and c_n = C*T*Gamma(n - Y)*((M - s)^(Y-n) + (-1)^n*(G + s)^(Y-n)),
-        plus mu*T for n = 1 (Fang & Oosterlee 2008 list them at s = 0).
-        Gamma(n - Y) is the stored Gamma(-Y) by Gamma(x + 1) = x*Gamma(x);
-        each side's power of order Y - 1 is one ``**``, and divisions by its
-        base give the orders Y - 2 and Y - 4, which overflow to inf without
-        raising."""
+        c_n = C*T*Gamma(n - Y)*((M - s)^(Y-n) + (-1)^n*(G + s)^(Y-n)) for the
+        n-th derivative of K(s) = log E[exp(s*X)], plus mu*T for n = 1 (Fang
+        & Oosterlee 2008 list them at s = 0).  Gamma(n - Y) is the stored
+        Gamma(-Y) by Gamma(x + 1) = x*Gamma(x); each side's power of order
+        Y - 1 is one ``**``, and divisions by its base give the orders Y - 2
+        and Y - 4, which overflow to inf without raising."""
         t, g, m, y = market.maturity, self.G, self.M, self.Y
         scale, drift = self.C * t, self._drift(market) * t
         gamma_1 = -y * self._gamma
@@ -553,20 +546,12 @@ class CGMYParams:
         for s in centres:
             m_side, g_side = m - s, g + s
             try:
-                moment = math.exp(s * drift + scale * self._gamma * (
-                    self._m_power * math.expm1(y * _log_ratio(m, -s))
-                    + self._g_power * math.expm1(y * _log_ratio(g, s))))
-            except OverflowError:
-                # the log of the moment overflows, or Y*log(...) > 709, which
-                # needs Y < 0 or Y > 1, where C*Gamma(-Y) > 0: the moment overflows
-                moment = math.inf
-            try:
                 m_1, g_1 = m_side ** (y - 1.0), g_side ** (y - 1.0)
             except OverflowError:
                 m_1 = g_1 = math.inf
             m_2, g_2 = m_1 / m_side, g_1 / g_side
             out.append(_read_cumulants(
-                self, s, moment, drift + scale * gamma_1 * (m_1 - g_1),
+                self, s, drift + scale * gamma_1 * (m_1 - g_1),
                 scale * gamma_2 * (m_2 + g_2),
                 scale * gamma_4 * (m_2 / m_side / m_side + g_2 / g_side / g_side)))
         return tuple(out)
@@ -688,9 +673,10 @@ def check_moment(order: float, value: complex) -> None:
     :func:`moment_is_valid`.
 
     A moment that is exactly 0 has underflowed, and one whose real part is
-    +inf has overflowed; lowering the damping mends neither.  Any other
-    invalid value, which the strip leaves only near its edge, is read as a
-    moment explosion.
+    +inf has overflowed; lowering the damping mends neither.  The strip
+    has refused every order whose moment explodes, so any other invalid
+    value is the computation's own: rounding next to the strip's edge, or
+    a nan of the complex log-CF at extreme parameters.
     """
     if value == 0.0 or value.real == math.inf:
         raise ValidationError(
@@ -700,8 +686,9 @@ def check_moment(order: float, value: complex) -> None:
         )
     if not moment_is_valid(value):
         raise ValidationError(
-            f"E[(S_T/S_0)^{order:g}] = {value:.3e} is not real, positive and "
-            f"finite; the moment explodes before this maturity, so lower the damping"
+            f"E[(S_T/S_0)^{order:g}] is finite inside the strip, but computes as "
+            f"{value:.3e}, not real, positive and finite: rounding near the strip's edge, "
+            f"or the log-CF's complex arithmetic at these parameters, lost it"
         )
 
 
@@ -859,67 +846,49 @@ def live_band(
 
 @dataclass(frozen=True)
 class Cumulants:
-    """Log-cumulants c1, c2, c4 of the log-return over the full horizon;
-    moment, not in the repr or equality, is E[(S_T/S_0)^centre] as
-    :func:`cumulants` reads it, unchecked: a float from Kou's and CGMY's
-    closed forms, a complex number off Heston's contour."""
+    """Log-cumulants c1, c2, c4 of the log-return over the full horizon."""
 
     c1: float
     c2: float
     c4: float
-    moment: complex = field(default=1.0, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self, c1=FINITE, c2=NONNEGATIVE, c4=NONNEGATIVE)
 
 
-def _log_ratio(base: float, shift: float) -> float:
-    """log((base + shift)/base) for base > 0 and base + shift > 0:
-    log1p(shift/base), but the log of the ratio itself where shift/base
-    <= -0.5, since there base + shift is exact and shift/base, rounded,
-    may reach -1."""
-    x = shift / base
-    return math.log1p(x) if x > -0.5 else math.log((base + shift) / base)
-
-
-def _read_cumulants(model: ModelSpec, centre: float, moment, c1, c2, c4) -> Cumulants:
-    """centre's Cumulants with its moment, for every model.  Where the number
-    rule of :class:`Cumulants` refuses c1, c2 or c4, :func:`check_moment`
-    first refuses an overflowed moment as one, then a computation error names them."""
+def _read_cumulants(model: ModelSpec, centre: float, c1, c2, c4) -> Cumulants:
+    """centre's Cumulants, for every model, or, where the number rule of
+    :class:`Cumulants` refuses c1, c2 or c4, a computation error naming them."""
     try:
-        return Cumulants(c1=c1, c2=c2, c4=c4, moment=moment)
+        return Cumulants(c1=c1, c2=c2, c4=c4)
     except ValidationError:
-        check_moment(centre, moment)
-    raise ComputationError(f"the cumulants of {type(model).__name__} tilted by "
-                           f"exp({centre:g}*X) are not finite floats: c1 = {c1:g}, c2 = {c2:g}, "
-                           f"c4 = {c4:g}")
+        raise ComputationError(f"the cumulants of {type(model).__name__} tilted by "
+                               f"exp({centre:g}*X) are not finite floats: c1 = {c1:g}, "
+                               f"c2 = {c2:g}, c4 = {c4:g}") from None
 
 
 _CONTOUR_NODES = 64  # trapezoid nodes on the circle |s| = r
 # Heston's radius away from the strip's edges, large: its c4 rounding grows as r^-4
 _HESTON_RADIUS = 0.5
-# s/r at the nodes with Im(s) <= 0 (the others are their conjugates), then
-# at the centre itself, whose value is the moment
-_NODES = np.append(np.exp(-1j * np.linspace(0.0, math.pi, _CONTOUR_NODES // 2 + 1)), 0.0)
+# s/r at the nodes with Im(s) <= 0; the others are their conjugates
+_NODES = np.exp(-1j * np.linspace(0.0, math.pi, _CONTOUR_NODES // 2 + 1))
 # the exponents of the powers of r that scale the Taylor coefficients 0..4
 _POWERS = np.arange(5)
 
 
 def cumulants(model: ModelSpec, market: MarketSpec, centre=0.0):
     """First, second and fourth cumulants of ln(S_T / S_0) under the law
-    tilted by exp(centre * X), with its moment E[(S_T/S_0)^centre]: the
-    damped series at alpha expands the law at centre alpha, and centre 0
-    is the undamped law.
+    tilted by exp(centre * X): the damped series at alpha expands the law
+    at centre alpha, and centre 0 is the undamped law.
 
     c_n = n! * [s^n] K(centre + s) for K(s) = log phi_T(-i*s) =
     log E[exp(s*X)], which is analytic around any centre in the damping
     strip.  The model's ``_cumulants`` reads them, and one reader,
     :func:`_read_cumulants`, checks them for every model: where one is not
-    finite the moment is checked first, then a computation error is
-    raised.  Kou's and CGMY's tilted laws stay in their families, so theirs
-    are closed forms, in real arithmetic, moment included; Heston's are
-    read off a Cauchy contour of log phi_T.  A centre outside the strip is
-    refused first, by :func:`check_damping`.
+    finite, a computation error names c1, c2 and c4.  Kou's and CGMY's
+    tilted laws stay in their families, so theirs are closed forms, in
+    real arithmetic; Heston's are read off a Cauchy contour of log phi_T.
+    A centre outside the strip is refused first, by :func:`check_damping`.
 
     centre is one centre, giving one Cumulants, or a tuple of them, giving
     a tuple: each centre is checked in order, then each is read as it is

@@ -36,6 +36,7 @@ from cospricer.models import (
     MarketSpec,
     TruncationRange,
     char_fn,
+    check_moment,
     cumulants,
     live_band,
     truncation_range,
@@ -473,11 +474,35 @@ class TestMomentCheck:
             with pytest.raises(ValidationError, match=r"\^1.1\] overflows; the drift"):
                 price(models["kou"], market, OptionSpec(strike=100.0), config)
 
-    def test_the_moment_is_read_off_the_cumulant_contour(self, models, market, monkeypatch):
+    @pytest.mark.parametrize("name", presets.PROFILE_NAMES)
+    def test_the_checked_moment_is_the_bands_first_value(self, models, market, monkeypatch,
+                                                         name):
+        # the moment checked is the value the series sums as its first
+        # term, bit for bit, not a second copy of it: compared with the
+        # band's own value, since a fresh char_fn at -i*alpha may differ
+        # in the sign of a zero imaginary part
+        bands, checked = [], []
+
+        def spied_char_fn(*args):
+            bands.append(char_fn(*args))
+            return bands[-1]
+
+        def spied_check_moment(order, value):
+            checked.append((order, np.complex128(value).tobytes()))
+            return check_moment(order, value)
+
+        monkeypatch.setattr(cos_engine, "char_fn", spied_char_fn)
+        monkeypatch.setattr(cos_engine, "check_moment", spied_check_moment)
+        config = _preset_config(name, Variant.STABLE)
+        price(models[name], market, OptionSpec(100.0), config)
+        [band] = bands
+        assert checked == [(config.damping, band[:1].tobytes())]
+
+    def test_heston_reads_one_contour_and_one_band(self, models, market, monkeypatch):
         # a damped heston price reads the model twice: one _log_cf call for
-        # the cumulant contour, whose points hold its centre -i*alpha, and
-        # one vector char_fn call for the band; no scalar char_fn call reads
-        # the moment
+        # the cumulant contour, the 33 nodes with Im(s) <= 0 of its circle
+        # and no centre node, and one vector char_fn call for the band,
+        # whose first point is the moment's -i*alpha
         log_cf_points, char_fn_calls = [], []
         log_cf = HestonParams._log_cf
 
@@ -495,7 +520,7 @@ class TestMomentCheck:
         assert char_fn_calls == [1]
         # the contour, then the band that char_fn reads
         contour, band = log_cf_points
-        assert -1.1j in contour and band[0] == -1.1j
+        assert len(contour) == 33 and -1.1j not in contour and band[0] == -1.1j
 
     @pytest.mark.parametrize("name", ["kou", "cgmy1"])
     def test_closed_form_cumulants_read_no_contour(self, models, market, monkeypatch, name):
@@ -531,33 +556,35 @@ class TestMomentCheck:
 
 
 class TestUnrepresentableSeries:
-    """Inputs whose series is not a double, refused at the moment check.
+    """Inputs whose series is not a double, refused with a typed error.
 
-    The damped moment E[(S_T/S_0)^alpha] is checked before the cumulant
-    contour is sized: at r = 0 a long maturity makes it overflow, and so
-    does CGMY with Y = -170, whose log-moment is 8.1e200 (its c1 = -1.9e202
-    would also round the range's half-width away).
+    At r = 0 a long maturity makes the damped moment E[(S_T/S_0)^alpha],
+    the band's first value, overflow, though the cumulants stay finite;
+    the moment check refuses it.  CGMY with Y = -170 is refused earlier,
+    at its cumulants: Gamma(2 - Y) overflows, so c2 and c4 are inf.
     """
 
     @pytest.mark.parametrize(
-        "model, maturity, match",
+        "model, maturity, error, match",
         [
-            (presets.model_preset("kou"), 1e8, r"\] overflows; the drift"),
-            (presets.model_preset("cgmy1"), 1e8, r"\] overflows; the drift"),
-            (presets.model_preset("heston"), 1e10, r"\] overflows; the drift"),
-            (presets.model_preset("cgmy2"), 1e6, r"\] overflows; the drift"),
-            (CGMYParams(C=1.0, G=5.0, M=5.0, Y=-170.0), 1.0, r"\] overflows; the drift"),
+            (presets.model_preset("kou"), 1e8, ValidationError, r"\] overflows; the drift"),
+            (presets.model_preset("cgmy1"), 1e8, ValidationError, r"\] overflows; the drift"),
+            (presets.model_preset("heston"), 1e10, ValidationError, r"\] overflows; the drift"),
+            (presets.model_preset("cgmy2"), 1e6, ValidationError, r"\] overflows; the drift"),
+            (CGMYParams(C=1.0, G=5.0, M=5.0, Y=-170.0), 1.0, ComputationError,
+             r"^the cumulants of CGMYParams tilted by exp\(1.001\*X\) are not finite floats: "
+             r"c1 = 8.26397e\+203, c2 = inf, c4 = inf$"),
         ],
         ids=["kou", "cgmy1", "heston", "cgmy2", "cgmy-y-170"],
     )
-    def test_typed_error_without_warnings(self, model, maturity, match):
+    def test_typed_error_without_warnings(self, model, maturity, error, match):
         # the error comes before the series, so one preset config serves
         # every model
         market = MarketSpec(spot=100.0, rate=0.0, maturity=maturity)
         config = _preset_config("cgmy1", Variant.STABLE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match=match):
+            with pytest.raises(error, match=match):
                 price(model, market, OptionSpec(strike=100.0), config)
 
     @pytest.mark.parametrize("width", [882.0, 884.0])

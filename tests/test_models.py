@@ -319,8 +319,8 @@ class TestCumulants:
             batch_calls = len(calls)
             calls.clear()
             want = [cumulants(model, market, centre) for centre in centres]
-            assert [(c.c1.hex(), c.c2.hex(), c.c4.hex(), c.moment) for c in got] == [
-                (c.c1.hex(), c.c2.hex(), c.c4.hex(), c.moment) for c in want], (model, centres)
+            assert [(c.c1.hex(), c.c2.hex(), c.c4.hex()) for c in got] == [
+                (c.c1.hex(), c.c2.hex(), c.c4.hex()) for c in want], (model, centres)
             if isinstance(model, HestonParams):
                 assert (batch_calls, len(calls)) == (1, len(centres)), (model, centres)
             else:
@@ -379,8 +379,8 @@ def _log_moment_40_digits(model, market, s):
 
 
 class TestClosedFormCumulants:
-    """Kou's and CGMY's tilted cumulants and moment, read from closed forms,
-    against 40-digit derivatives of K(s) = log phi_T(-i*s)."""
+    """Kou's and CGMY's tilted cumulants, read from closed forms, against
+    40-digit derivatives of K(s) = log phi_T(-i*s)."""
 
     @pytest.mark.parametrize("share", [0.02, 0.3, 0.6, 0.98])
     @pytest.mark.parametrize("maturity", [1e-3, 1.0, 20.0])
@@ -403,32 +403,23 @@ class TestClosedFormCumulants:
                 want = [float(mpmath.diff(log_moment, centre, n)) for n in (1, 2, 4)]
                 assert [got.c1, got.c2, got.c4] == pytest.approx(want, rel=1e-13, abs=0.0), (
                     model, centre)
-                moment = mpmath.exp(log_moment(mpmath.mpf(centre)))
-                if moment < 1e300:
-                    assert got.moment == pytest.approx(float(moment), rel=1e-12), (model, centre)
-
-    def test_moment_is_a_real_float(self, models, market):
-        for name in ("kou", "cgmy1", "cgmy2"):
-            tilted = cumulants(models[name], market, 1.1)
-            assert type(tilted.moment) is float and tilted.moment > 0.0, name
-            assert cumulants(models[name], market).moment == 1.0, name
 
     @pytest.mark.parametrize("model, centre, error, match", [
-        # 1/(eta2 + centre) is 7e85, whose fifth power, in c4, overflows;
-        # lam is small enough that the moment stays near 1
+        # 1/(eta2 + centre) is 7e85, whose fifth power, in c4, overflows
         (KouParams(sigma=0.16, p=0.4, eta1=10.0, eta2=1e-70, lam=1e-20),
          math.nextafter(-1e-70, 0.0), ComputationError, r"c4 = inf"),
         # (G + centre)^(Y - 4) overflows: G + centre is 1.4e-116
         (CGMYParams(C=1.0, G=1e-100, M=5.0, Y=0.5), math.nextafter(-1e-100, 0.0),
          ComputationError, r"c4 = inf"),
-        # with Y = -20 the power ** (Y - 1) and the moment's expm1 raise
-        # OverflowError, and the moment's overflow is the refusal
+        # with Y = -20 the power ** (Y - 1) raises OverflowError, so both
+        # sides are inf and c1 is inf - inf
         (CGMYParams(C=1.0, G=1e-15, M=5.0, Y=-20.0), math.nextafter(-1e-15, 0.0),
-         ValidationError, r"\] overflows; the drift"),
-        # Gamma(4 - Y) = Gamma(174) overflows, so c2 and c4 are inf, but the
-        # moment's own overflow is the refusal, as a failed circle's was
-        (CGMYParams(C=1.0, G=5.0, M=5.0, Y=-170.0), -1.1, ValidationError,
-         r"\^-1.1\] overflows; the drift"),
+         ComputationError, r"^the cumulants of CGMYParams tilted by exp\(-1e-15\*X\) are not "
+         r"finite floats: c1 = nan, c2 = inf, c4 = inf$"),
+        # Gamma(2 - Y) = Gamma(172) overflows, so c2 and c4 are inf
+        (CGMYParams(C=1.0, G=5.0, M=5.0, Y=-170.0), -1.1, ComputationError,
+         r"^the cumulants of CGMYParams tilted by exp\(-1.1\*X\) are not finite floats: "
+         r"c1 = -6.14991e\+205, c2 = inf, c4 = inf$"),
     ], ids=["kou", "cgmy", "cgmy-raising", "cgmy-y-170"])
     def test_a_power_past_the_largest_float_is_a_typed_error(self, model, centre, error, match):
         market = MarketSpec(spot=100.0, rate=0.05, maturity=1.0)
@@ -441,22 +432,54 @@ class TestClosedFormCumulants:
                 price(model, market, OptionSpec(100.0, kind=OptionKind.PUT), config)
 
 
+def heston_log_cf_mp(model, market, u):
+    """Heston's log phi_T(u) by the closed form of HestonParams._log_cf,
+    evaluated from the same double inputs in mpmath's working precision."""
+    kappa, theta, sigma, rho, v0, t, r, q = map(mpmath.mpf, (
+        model.kappa, model.theta, model.sigma, model.rho, model.v0,
+        market.maturity, market.rate, market.dividend))
+    u = mpmath.mpc(u.real, u.imag)
+    zeta = -(1j * u + u * u) / 2
+    gam = kappa - 1j * rho * sigma * u
+    xi = mpmath.sqrt(gam * gam - 2 * sigma ** 2 * zeta)
+    decay = 1 - mpmath.exp(-xi * t)
+    denom = 2 * xi - (xi - gam) * decay
+    return (1j * u * (r - q) * t + 2 * zeta * decay * v0 / denom
+            - kappa * theta / sigma ** 2 * (2 * mpmath.log(denom / (2 * xi)) + (xi - gam) * t))
+
+
 def heston_log_cf_40_digits(model, market, u):
-    """Heston's log phi_T(u) by the closed form of models._heston_log_cf,
-    evaluated from the same double inputs in 40-digit arithmetic."""
+    """:func:`heston_log_cf_mp` in 40-digit arithmetic, rounded to a complex."""
     with mpmath.workdps(40):
-        kappa, theta, sigma, rho, v0, t, r, q = map(mpmath.mpf, (
-            model.kappa, model.theta, model.sigma, model.rho, model.v0,
-            market.maturity, market.rate, market.dividend))
-        u = mpmath.mpc(u.real, u.imag)
-        zeta = -(1j * u + u * u) / 2
-        gam = kappa - 1j * rho * sigma * u
-        xi = mpmath.sqrt(gam * gam - 2 * sigma ** 2 * zeta)
-        decay = 1 - mpmath.exp(-xi * t)
-        denom = 2 * xi - (xi - gam) * decay
-        return complex(1j * u * (r - q) * t + 2 * zeta * decay * v0 / denom
-                       - kappa * theta / sigma ** 2 * (2 * mpmath.log(denom / (2 * xi))
-                                                      + (xi - gam) * t))
+        return complex(heston_log_cf_mp(model, market, u))
+
+
+class TestHestonRemovableZero:
+    """Where kappa = rho*sigma, Heston's log-CF is a 0/0 at u = -i, whose
+    limit is the drift term alone: E[S_T/S_0] = e^((r - q)T)."""
+
+    MARKET = MarketSpec(spot=100.0, rate=0.05, maturity=1.0)
+
+    def test_char_fn_at_minus_i_is_the_forward_factor(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert char_fn(EXPLOSIVE_HESTON, self.MARKET, -1j) == complex(math.exp(0.05))
+            [value] = char_fn(EXPLOSIVE_HESTON, self.MARKET, np.array([-1j]))
+        assert value == complex(math.exp(0.05))
+
+    def test_cumulants_about_the_node_against_40_digit_derivatives(self):
+        # the circle of radius 0.5 about 0.5 passes through s = 1, u = -i;
+        # its cumulants used to be a ComputationError ("c1 = nan")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cumulants(EXPLOSIVE_HESTON, self.MARKET, 0.5)
+
+        def log_moment(s):
+            return heston_log_cf_mp(EXPLOSIVE_HESTON, self.MARKET, mpmath.mpc(0, -s)).real
+
+        with mpmath.workdps(40):
+            want = [float(mpmath.diff(log_moment, 0.5, n)) for n in (1, 2, 4)]
+        assert [got.c1, got.c2, got.c4] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestHestonLogInRealArithmetic:
@@ -654,12 +677,6 @@ class TestValidationAndStrips:
          ValidationError, r"contour shift 1.5 lies outside the admissible interval "
          r"\(-0.948285, 1.24523\) for HestonParams at T = 5, so E\[\(S_T/S_0\)\^1.5\] is "
          r"infinite"),
-        # kappa = rho*sigma puts the removable 0/0 of the log-CF at s = 1, a
-        # node of the circle of radius 0.5 about 0.5, inside the strip at T = 1
-        (lambda: cumulants(EXPLOSIVE_HESTON, MarketSpec(spot=100.0, rate=0.05, maturity=1.0),
-                           0.5),
-         ComputationError, r"^the cumulants of HestonParams tilted by exp\(0.5\*X\) are not "
-         r"finite floats: c1 = nan, c2 = nan, c4 = nan$"),
         (lambda: TruncationRange(a=-math.inf, b=1.0), ValidationError,
          "a must be finite, got -inf"),
         (lambda: TruncationRange(a=0.0, b=math.nan), ValidationError,
@@ -672,7 +689,7 @@ class TestValidationAndStrips:
          "range_width must be positive and finite, got -2.0"),
     ], ids=["rate-inf", "dividend-nan", "rho", "log_cf-model", "log_cf-model-empty",
             "damping_bounds-model", "check_damping-model", "price-model", "c1-nan", "c4-inf",
-            "c2<0", "c4<0", "cumulants-moment", "cumulants-nan-node", "range-a-inf",
+            "c2<0", "c4<0", "cumulants-moment", "range-a-inf",
             "range-b-nan", "range-a=b", "width-0", "width<0"])
     def test_refusals(self, make, error, match):
         with pytest.raises(error, match=match):
@@ -770,7 +787,8 @@ class TestMomentPredicate:
             with pytest.raises(ValidationError, match=r"\^1.1\] overflows; the drift"):
                 check_moment(1.1, value)
         for value in (1.3 + 0.38j, -0.5, -math.inf, complex(1.0, math.inf)):
-            with pytest.raises(ValidationError, match="the moment explodes"):
+            with pytest.raises(ValidationError, match=r"\^1.1\] is finite inside the strip, "
+                                                      r"but computes as .*, not real"):
                 check_moment(1.1, value)
 
     def test_flags_heston_moment_explosion(self):
