@@ -69,8 +69,10 @@ from .models import (
     ModelSpec,
     TruncationRange,
     char_fn,
+    check_damping,
     check_fields,
     check_moment,
+    check_moneyness,
     check_number,
     check_numbers,
     cumulants,
@@ -444,17 +446,17 @@ class _Series:
         if not options:
             raise ValidationError("price needs at least one option")
         self.kind = kind = getattr(options[0], "kind", None)
-        strikes, x = [], []
+        strikes = []
         for opt in options:
             if not isinstance(opt, OptionSpec):
                 raise ValidationError(f"an option must be an OptionSpec, got {type(opt).__name__}")
             if opt.kind is not kind:
                 raise ValidationError("a batch of options must share one kind")
-            # y = log(S_T/K), so the log return's window is recentred by x per strike
             strikes.append(opt.strike)
-            x.append(math.log(market.spot / opt.strike))
+        ratios = check_moneyness(market, strikes, [market.spot / k for k in strikes])
         self.alpha = _resolve_damping(config, kind)
-        self.strikes, self.x = np.array(strikes), np.array(x)
+        # y = log(S_T/K), so the log return's window is recentred by x per strike
+        self.strikes, self.x = np.array(strikes), np.array([math.log(r) for r in ratios])
 
     def values(self, market: MarketSpec, base: TruncationRange, phi: np.ndarray) -> np.ndarray:
         """The series' values on the base range, one row per count, from its
@@ -492,6 +494,7 @@ def _price_batch(model: ModelSpec, market: MarketSpec, batch: list) -> list:
     any series is summed.  A series' values do not depend on the others
     in batch; its refusals are its own, but not necessarily the first
     series' to refuse."""
+    check_damping(model, market)
     batch = [_Series(market, *series) for series in batch]
     alphas = tuple({series.alpha for series in batch})
     cums = dict(zip(alphas, cumulants(model, market, alphas)))
@@ -532,11 +535,11 @@ def price(
     Raises a configuration error when the damped variant is asked to price a
     call with alpha <= 1 or a put with alpha > 0 (the damped payoff grows
     without bound there), or when the parity variant is asked for a put; a
-    validation error when config is not a CosConfig, an option not an
-    OptionSpec, or alpha leaves the strip :func:`models.damping_bounds`
-    at the market's maturity or its moment is not valid; a computation
-    error when the exponential of a range end overflows, or a value's
-    summands could reach 1e300.
+    validation error when market, config or an option is not of its class,
+    a strike's log-moneyness is not a finite float, or alpha leaves the
+    strip :func:`models.damping_bounds` at the market's maturity or its
+    moment is not valid; a computation error when the exponential of a
+    range end overflows, or a value's summands could reach 1e300.
     """
     options = tuple(option) if isinstance(option, Iterable) else (option,)
     [(values, alpha, base, x)] = _price_batch(model, market, [(options, config)])

@@ -68,6 +68,7 @@ __all__ = [
     "check_numbers",
     "check_fields",
     "MarketSpec",
+    "check_moneyness",
     "check_call_prices",
     "HestonParams",
     "KouParams",
@@ -80,7 +81,6 @@ __all__ = [
     "truncation_range",
     "damping_bounds",
     "check_damping",
-    "moment_is_valid",
     "check_moment",
     "envelope_cut",
     "live_band",
@@ -193,6 +193,17 @@ class MarketSpec:
                     f"it {'underflows to 0' if factor == 0.0 else 'overflows'}"
                 )
             object.__setattr__(self, f"{name}_factor", factor)
+
+
+def check_moneyness(market: MarketSpec, strikes, ratios) -> list:
+    """ratios, each strike's ratio to the spot (S0/K or K/S0, as its pricer
+    divides), where each is positive and finite; else a validation error
+    at the first strike whose log-moneyness is not a finite float."""
+    for strike, ratio in zip(strikes, ratios):
+        if not 0.0 < ratio < math.inf:
+            raise ValidationError(f"the log-moneyness of strike {strike!r} at spot "
+                                  f"{market.spot!r} is not a finite float")
+    return ratios
 
 
 def check_call_prices(market: MarketSpec, strikes, prices, pricer: str) -> None:
@@ -638,9 +649,11 @@ def check_damping(model: ModelSpec, market: MarketSpec, *shifts: float) -> None:
     """Raise a validation error unless each contour shift (alpha, or the
     Carr-Madan damping plus 1) lies inside :func:`damping_bounds`, by one
     rule for every model, one closed form per shift: T*(shift) > T.  A
-    non-model is refused even where no shift is given."""
+    non-model, or a market not a MarketSpec, is refused with no shift too."""
     if not isinstance(model, _MODEL_TYPES):
         raise ValidationError(f"unsupported model type {type(model).__name__}")
+    if not isinstance(market, MarketSpec):
+        raise ValidationError(f"market must be a MarketSpec, got {type(market).__name__}")
     for shift in shifts:
         if not model._explosion_time(shift) > market.maturity:
             lo, hi = damping_bounds(model, market)
@@ -651,26 +664,10 @@ def check_damping(model: ModelSpec, market: MarketSpec, *shifts: float) -> None:
             )
 
 
-def moment_is_valid(value: complex) -> bool:
-    """Whether phi_T(-i*p) = E[(S_T/S_0)^p] is a usable moment: a real,
-    positive, finite number.
-
-    Past a moment explosion the closed forms still return a number, but a
-    complex one, as their rounding may near an edge of the strip; a contour
-    through it prices nonsense.  Valid moments carry ~1e-17 of imaginary
-    roundoff, so an imaginary part up to 1e-10 of the real part is accepted.
-    """
-    value = complex(value)
-    return (
-        math.isfinite(value.real)
-        and value.real > 0.0
-        and abs(value.imag) <= 1e-10 * value.real
-    )
-
-
 def check_moment(order: float, value: complex) -> None:
-    """Raise a validation error unless value = E[(S_T/S_0)^order] passes
-    :func:`moment_is_valid`.
+    """Raise a validation error unless value = E[(S_T/S_0)^order] is real,
+    positive and finite, up to the ~1e-17 of imaginary roundoff that valid
+    moments carry: an imaginary part up to 1e-10 of the real part.
 
     A moment that is exactly 0 has underflowed, and one whose real part is
     +inf has overflowed; lowering the damping mends neither.  The strip
@@ -684,7 +681,8 @@ def check_moment(order: float, value: complex) -> None:
             f"the drift (r - q)*T or the maturity is too extreme for this moment to be "
             f"representable"
         )
-    if not moment_is_valid(value):
+    if not (math.isfinite(value.real) and value.real > 0.0
+            and abs(value.imag) <= 1e-10 * value.real):
         raise ValidationError(
             f"E[(S_T/S_0)^{order:g}] is finite inside the strip, but computes as "
             f"{value:.3e}, not real, positive and finite: rounding near the strip's edge, "
@@ -736,7 +734,6 @@ def _log_envelope(model: ModelSpec, market: MarketSpec, alpha: float, u: float) 
     an explosion)."""
     bound = model._log_envelope(market, alpha, u)
     return bound if math.isfinite(bound) else math.inf
-
 
 
 # the share of its first term under which a fixed-grid sum's rest is left

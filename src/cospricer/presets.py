@@ -6,11 +6,11 @@ model, a double-exponential jump-diffusion, and two tempered-stable
 parameter sets, the second of which is deep in the fat-tail regime.
 All share spot 100, rate 0.1, zero dividend, maturity 1.
 
-Every preset object is built once, at import: the market, the models,
-each method preset's CosConfigs and the oracle configurations, so a
-preset call builds nothing.  The exceptions are a market re-dated to
-another maturity and a CosConfig of a variant its preset does not admit,
-each built, and checked, on the call.
+The market, the models, the method presets and the oracle
+configurations are built once, at import, and a method preset's
+CosConfig of a variant on its first request.  A market re-dated to
+another maturity and a CosConfig of a variant its preset does not admit
+are built, and checked, on every call.
 
 Reference prices ship as CSV data files.  The strike table holds the
 10-decimal call values each method is expected to reproduce; the
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
@@ -77,36 +77,17 @@ _MODELS = {
 
 @dataclass(frozen=True)
 class MethodPreset:
-    """Per-profile series settings: damping alpha, range width L, terms N.
-
-    The CosConfig of every variant the settings admit (each variant when
-    there is no damping, else the stable one) is built once, here.
-    """
+    """Per-profile series settings: damping alpha, range width L, terms N;
+    the CosConfig of a variant is built on its first request."""
 
     damping: Optional[float]
     range_width: float
     n_terms: int
-    _configs: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_configs", {
-            variant: self._build(variant) for variant in Variant
-            if self.damping is None or variant is Variant.STABLE
-        })
-
-    def _build(self, variant: Variant) -> CosConfig:
-        return CosConfig(
-            n_terms=self.n_terms,
-            range_width=self.range_width,
-            damping=self.damping,
-            variant=variant,
-        )
-
+    @functools.cache
     def cos_config(self, variant: Variant) -> CosConfig:
-        """The CosConfig of these settings for variant; a variant they do not
-        admit is built, and so refused, by CosConfig itself."""
-        config = self._configs.get(variant)
-        return self._build(variant) if config is None else config
+        """These settings' CosConfig for variant; a variant they do not admit is refused."""
+        return CosConfig(self.n_terms, self.range_width, self.damping, variant)
 
 
 # benchmark series settings per (profile, variant); the damped variant
@@ -203,7 +184,7 @@ def _read_data(filename: str):
 # golden-table tolerances per method column; the bundled carr_madan
 # column was read from a log-strike grid and carries up to ~1.5e-3 of
 # interpolation error of its own, so its check is loose, although
-# price_carr_madan now agrees with the stable column to 1e-8
+# price_carr_madan agrees with the stable column to 1e-8
 STRIKE_TABLE_TOLERANCES = {
     "stable": 5e-10,
     "parity": 5e-10,

@@ -49,8 +49,10 @@ from .models import (
     ModelSpec,
     char_fn,
     check_call_prices,
+    check_damping,
     check_fields,
     check_moment,
+    check_moneyness,
     check_numbers,
     envelope_cut,
     live_band,
@@ -194,12 +196,13 @@ def price_carr_madan(
         the frequency cap raises ComputationError, and so does a price
         that :func:`models.check_call_prices` refuses.
     """
+    check_damping(model, market)
     if not isinstance(config, CarrMadanConfig):
         raise ValidationError(f"config must be a CarrMadanConfig, got {type(config).__name__}")
     strikes = check_numbers("strikes", strikes, "strike", POSITIVE)
     if not strikes:
         return []
-    log_strikes = np.log(np.asarray(strikes) / market.spot)
+    log_strikes = np.log(check_moneyness(market, strikes, [k / market.spot for k in strikes]))
     span = config.strike_span
     if np.any(np.abs(log_strikes) > span):
         raise ValidationError(
@@ -271,12 +274,14 @@ def price_fourier_integral(
     moment (or a validation error is raised); the result is invariant to
     the alpha chosen, as the tests assert.
     """
+    check_damping(model, market)
     if not isinstance(config, IntegralConfig):
         raise ValidationError(f"config must be an IntegralConfig, got {type(config).__name__}")
     single = isinstance(strike, str) or not isinstance(strike, Iterable)
     strikes = check_numbers("strikes", [strike] if single else strike, "strike", POSITIVE)
     if not strikes:
         return []
+    x = np.log(check_moneyness(market, strikes, [market.spot / k for k in strikes]))
     alpha = config.damping
     top = config.max_frequency
     edges = [0.0]
@@ -305,7 +310,6 @@ def price_fourier_integral(
     integrand = 1.0 / ((alpha - 1j * u) * (alpha - 1.0 - 1j * u)) * phi
     kernel = integrand[1:-1] * np.concatenate((w_rule, w_check))
 
-    x = np.log(market.spot / np.asarray(strikes))
     terms = (kernel * np.exp(1j * np.multiply.outer(x, w[1:-1]))).real
     # 2|integrand|e^(alpha*x) bounds |2 Re(integrand * e^(i*w*x))| at the
     # cut; times the cut frequency it sizes the tail the rule never sees

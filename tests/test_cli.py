@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,20 @@ class TestPrice:
         assert err == ("error: contour shift 90 lies outside the admissible interval "
                        "(-25.3174, 84.9501) for HestonParams at T = 1, so "
                        "E[(S_T/S_0)^90] is infinite\n")
+
+    @pytest.mark.parametrize("argv, strike, spot", [
+        (("--spot", "1e-200", "--strike", "1e200"), "1e+200", "1e-200"),
+        (("--spot", "1e300", "--strike", "1e-300"), "1e-300", "1e+300"),
+        (("--strike", "1e-320", "--method", "parity"), "1e-320", "100.0"),
+    ], ids=["underflow", "overflow", "overflow-parity"])
+    def test_unrepresentable_log_moneyness_is_an_error_line(self, capsys, argv, strike, spot):
+        # these once ended in a traceback or an error naming the range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "price", *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: the log-moneyness of strike {strike} at spot {spot} "
+                       f"is not a finite float\n")
 
     def test_positive_alpha_put_is_refused(self, capsys):
         code, out, err = run_cli(

@@ -43,6 +43,8 @@ from cospricer.models import (
 )
 from cospricer.transform_refs import price_carr_madan, price_fourier_integral
 
+from test_models import DUCK_MARKET
+
 STRIKES = (80.0, 85.0, 90.0, 95.0, 100.0, 105.0, 110.0, 115.0, 120.0)
 
 # converged series settings per profile for property checks
@@ -296,12 +298,42 @@ class TestConfigurationErrors:
          "an option must be an OptionSpec, got float"),
         (lambda m, mk: price(m, mk, [OptionSpec(100.0), "call"], CosConfig(64, 10.0)),
          "an option must be an OptionSpec, got str"),
+        (lambda m, mk: price(m, "mkt", OptionSpec(100.0), CosConfig(64, 10.0)),
+         "market must be a MarketSpec, got str"),
+        (lambda m, mk: price(m, DUCK_MARKET, [100.0], CosConfig(64, 10.0)),
+         "market must be a MarketSpec, got SimpleNamespace"),
+        (lambda m, mk: price_curve(m, None, OptionSpec(100.0), CosConfig(64, 10.0), (8, 16)),
+         "market must be a MarketSpec, got NoneType"),
+        (lambda m, mk: price_curves(m, (mk,), [(OptionSpec(100.0), CosConfig(64, 10.0), (8,))]),
+         "market must be a MarketSpec, got tuple"),
     ], ids=["price-preset", "curve-preset", "price-none", "curve-none", "batch-float",
-            "float", "batch-str"])
+            "float", "batch-str", "price-market-str", "price-market-duck", "curve-market",
+            "curves-market"])
     def test_wrong_type_refused(self, models, market, call, match):
-        # each once escaped as an AttributeError or a TypeError
+        # each once escaped as an AttributeError or a TypeError; the market
+        # is checked before the options
         with pytest.raises(ValidationError, match=match):
             call(models["heston"], market)
+
+    @pytest.mark.parametrize("spot, strike, config, kind", [
+        (1e-200, 1e200, CosConfig(64, 10.0), OptionKind.CALL),
+        (5e-324, 1e10, CosConfig(64, 10.0), OptionKind.CALL),
+        (1e300, 1e-300, CosConfig(64, 10.0), OptionKind.CALL),
+        (1e300, 1e-300, CosConfig(64, 10.0, variant=Variant.PUT_CALL_PARITY), OptionKind.CALL),
+        (1e300, 1e-300, CosConfig(64, 10.0), OptionKind.PUT),
+    ], ids=["underflow", "subnormal-spot", "overflow", "overflow-parity", "overflow-put"])
+    def test_unrepresentable_log_moneyness_refused(self, models, spot, strike, config, kind):
+        # S0/K of 0 once raised math.log's raw ValueError; of inf, an error
+        # naming the range or the exponential rather than the strike
+        market = MarketSpec(spot=spot, rate=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"the log-moneyness of strike {strike!r} at spot {spot!r} is not a finite "
+                    f"float")):
+                # the first strike, at the money, is priceable, so the second is named
+                price(models["kou"], market, [OptionSpec(spot, kind), OptionSpec(strike, kind)],
+                      config)
 
     def test_damping_outside_strip_rejected(self, models, market):
         cfg = CosConfig(n_terms=128, range_width=8.0, damping=11.0)

@@ -184,6 +184,41 @@ class TestReferenceSet:
             assert abs(value - stored[name]) <= presets.reference_gate(name)
 
 
+class TestMethodPresets:
+    """A method preset builds the CosConfig of a variant on its first
+    request and hands out that object afterwards."""
+
+    @pytest.mark.parametrize("name, variant", list(presets._METHOD_PRESETS),
+                             ids=[f"{name}-{variant.value}"
+                                  for name, variant in presets._METHOD_PRESETS])
+    def test_each_preset_builds_its_own_variant(self, name, variant):
+        preset = presets.method_preset(name, variant)
+        config = preset.cos_config(variant)
+        assert config == CosConfig(n_terms=preset.n_terms, range_width=preset.range_width,
+                                   damping=preset.damping, variant=variant)
+        assert preset.cos_config(variant) is config
+
+    def test_an_undamped_preset_builds_every_variant(self):
+        undamped = [p for p in presets._METHOD_PRESETS.values() if p.damping is None]
+        assert len(undamped) == 7
+        for preset in undamped:
+            for variant in Variant:
+                config = preset.cos_config(variant)
+                assert config == CosConfig(preset.n_terms, preset.range_width, None, variant)
+                assert preset.cos_config(variant) is config
+
+    def test_a_damped_preset_refuses_the_undamped_variants_on_every_call(self):
+        damped = [p for p in presets._METHOD_PRESETS.values() if p.damping is not None]
+        assert len(damped) == 4
+        for preset in damped:
+            for variant in (Variant.PUT_CALL_PARITY, Variant.DIRECT):
+                for _ in range(2):
+                    with pytest.raises(ConfigurationError,
+                                       match=f"applies to the stable variant only, "
+                                             f"not {variant.value}"):
+                        preset.cos_config(variant)
+
+
 class TestStrikeTable:
     def test_cos_methods_match_reference_table(self):
         table = load_strike_table()

@@ -10,6 +10,7 @@ import cmath
 import math
 import warnings
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -34,7 +35,6 @@ from cospricer.models import (
     cumulants,
     damping_bounds,
     live_band,
-    moment_is_valid,
     truncation_range,
 )
 
@@ -627,6 +627,10 @@ class TestStoredConstants:
                     per_call, rel=1e-12, abs=1e-12)
 
 
+# a market of another class with every input field, but no discount factors
+DUCK_MARKET = SimpleNamespace(spot=100.0, rate=0.1, dividend=0.0, maturity=1.0)
+
+
 class TestValidationAndStrips:
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
@@ -662,6 +666,19 @@ class TestValidationAndStrips:
         (lambda: price(object(), MarketSpec(spot=100.0, rate=0.1), OptionSpec(100.0),
                        CosConfig(64, 10.0, variant=Variant.PUT_CALL_PARITY)),
          ValidationError, "unsupported model type object"),
+        # the model is checked before the options, so it is refused first
+        (lambda: price(object(), MarketSpec(spot=100.0, rate=0.1), [100.0], CosConfig(64, 10.0)),
+         ValidationError, "unsupported model type object"),
+        # a market of another class, even one with a spot, rate and maturity,
+        # once escaped as an AttributeError from every reader
+        (lambda: char_fn(KouParams(0.16, 0.4, 10.0, 5.0, 5.0), "mkt", 0.0), ValidationError,
+         "market must be a MarketSpec, got str"),
+        (lambda: cumulants(KouParams(0.16, 0.4, 10.0, 5.0, 5.0), None, 1.1), ValidationError,
+         "market must be a MarketSpec, got NoneType"),
+        (lambda: damping_bounds(KouParams(0.16, 0.4, 10.0, 5.0, 5.0), DUCK_MARKET),
+         ValidationError, "market must be a MarketSpec, got SimpleNamespace"),
+        (lambda: check_damping(KouParams(0.16, 0.4, 10.0, 5.0, 5.0), DUCK_MARKET),
+         ValidationError, "market must be a MarketSpec, got SimpleNamespace"),
         (lambda: Cumulants(c1=math.nan, c2=0.1, c4=0.0), ValidationError,
          "c1 must be finite, got nan"),
         (lambda: Cumulants(c1=0.0, c2=0.1, c4=math.inf), ValidationError,
@@ -688,7 +705,9 @@ class TestValidationAndStrips:
         (lambda: truncation_range(Cumulants(c1=0.0, c2=0.1, c4=0.0), -2.0), ValidationError,
          "range_width must be positive and finite, got -2.0"),
     ], ids=["rate-inf", "dividend-nan", "rho", "log_cf-model", "log_cf-model-empty",
-            "damping_bounds-model", "check_damping-model", "price-model", "c1-nan", "c4-inf",
+            "damping_bounds-model", "check_damping-model", "price-model",
+            "price-model-before-option", "log_cf-market", "cumulants-market",
+            "damping_bounds-market", "check_damping-market", "c1-nan", "c4-inf",
             "c2<0", "c4<0", "cumulants-moment", "range-a-inf",
             "range-b-nan", "range-a=b", "width-0", "width<0"])
     def test_refusals(self, make, error, match):
@@ -771,13 +790,16 @@ class TestValidationAndStrips:
 class TestMomentPredicate:
     def test_accepts_real_moment_with_roundoff(self):
         # valid moments come back with ~1e-17 of imaginary noise
-        assert moment_is_valid(1.4231 + 2.4e-17j)
-        assert moment_is_valid(2.4e27)
+        check_moment(1.1, 1.4231 + 2.4e-17j)
+        check_moment(1.1, 2.4e27)
 
     def test_rejects_complex_negative_or_non_finite(self):
-        for value in (1.3 + 0.38j, 1.0 + 1e-9j, -0.5, 0.0, math.inf, math.nan,
-                      complex(1.0, math.nan)):
-            assert not moment_is_valid(value), value
+        cases = [(0.0, "underflows to 0"), (math.inf, "overflows; the drift")]
+        cases += [(value, "is finite inside the strip, but computes as")
+                  for value in (1.3 + 0.38j, 1.0 + 1e-9j, -0.5, math.nan, complex(1.0, math.nan))]
+        for value, match in cases:
+            with pytest.raises(ValidationError, match=match):
+                check_moment(1.1, value)
 
     def test_check_moment_tells_an_underflow_from_an_explosion(self):
         with pytest.raises(ValidationError, match="underflows to 0"):
@@ -797,7 +819,7 @@ class TestMomentPredicate:
         model = HestonParams(kappa=0.5, theta=0.09, sigma=1.0, rho=0.5, v0=0.09)
         before = MarketSpec(spot=100.0, rate=0.05, maturity=5.0)
         after = MarketSpec(spot=100.0, rate=0.05, maturity=20.0)
-        assert moment_is_valid(char_fn(model, before, -1.1j))
+        check_moment(1.1, char_fn(model, before, -1.1j))
         with pytest.raises(ValidationError, match=r"contour shift 1.1 lies outside the "
                                                   r"admissible interval .* at T = 20"):
             char_fn(model, after, -1.1j)

@@ -10,6 +10,7 @@ direct sum in extended precision.
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -45,6 +46,7 @@ from cospricer.presets import (
 )
 
 from test_live_band import CountingCharFn, full_grid_spectrum, simpson_terms
+from test_models import DUCK_MARKET
 
 PROFILES = ("heston", "kou", "cgmy1", "cgmy2")
 
@@ -100,16 +102,42 @@ def test_malformed_strike_column_is_a_validation_error(pricer, market):
             pricer(model_preset("kou"), market, strikes)
 
 
-@pytest.mark.parametrize("pricer, config, match", [
-    (price_carr_madan, IntegralConfig(), "must be a CarrMadanConfig, got IntegralConfig"),
-    (price_carr_madan, None, "must be a CarrMadanConfig, got NoneType"),
-    (price_fourier_integral, CarrMadanConfig(), "must be an IntegralConfig, got CarrMadanConfig"),
-    (price_fourier_integral, CosConfig(64, 10.0), "must be an IntegralConfig, got CosConfig"),
-], ids=["carr-madan-integral", "carr-madan-none", "integral-carr-madan", "integral-cos"])
-def test_wrong_config_type_is_a_validation_error(pricer, config, match, market):
-    # each once escaped as an AttributeError (strike_span, max_frequency)
+@pytest.mark.parametrize("pricer, config, wrong_market, match", [
+    (price_carr_madan, IntegralConfig(), None, "must be a CarrMadanConfig, got IntegralConfig"),
+    (price_carr_madan, None, None, "must be a CarrMadanConfig, got NoneType"),
+    (price_fourier_integral, CarrMadanConfig(), None,
+     "must be an IntegralConfig, got CarrMadanConfig"),
+    (price_fourier_integral, CosConfig(64, 10.0), None,
+     "must be an IntegralConfig, got CosConfig"),
+    (price_carr_madan, CarrMadanConfig(), "mkt", "market must be a MarketSpec, got str"),
+    (price_carr_madan, CarrMadanConfig(), DUCK_MARKET,
+     "market must be a MarketSpec, got SimpleNamespace"),
+    (price_fourier_integral, IntegralConfig(), "mkt", "market must be a MarketSpec, got str"),
+    (price_fourier_integral, IntegralConfig(), DUCK_MARKET,
+     "market must be a MarketSpec, got SimpleNamespace"),
+], ids=["carr-madan-integral", "carr-madan-none", "integral-carr-madan", "integral-cos",
+        "carr-madan-market-str", "carr-madan-market-duck", "integral-market-str",
+        "integral-market-duck"])
+def test_wrong_config_type_is_a_validation_error(pricer, config, wrong_market, match, market):
+    # each once escaped as an AttributeError (strike_span, max_frequency,
+    # spot, discount_factor)
     with pytest.raises(ValidationError, match=match):
-        pricer(model_preset("kou"), market, [100.0], config)
+        pricer(model_preset("kou"), market if wrong_market is None else wrong_market, [100.0],
+               config)
+
+
+@pytest.mark.parametrize("pricer", [price_carr_madan, price_fourier_integral])
+@pytest.mark.parametrize("spot, strike", [(1e-200, 1e200), (1e300, 1e-300), (5e-324, 1e10)],
+                         ids=["underflow", "overflow", "subnormal-spot"])
+def test_unrepresentable_log_moneyness_is_a_validation_error(pricer, spot, strike):
+    # the ratio once overflowed, or its log divided by zero, with NumPy's
+    # warning before the typed refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"the log-moneyness of strike {strike!r} at spot {spot!r} is not a finite float")):
+            # the first strike, at the money, is priceable, so the second is named
+            pricer(model_preset("kou"), MarketSpec(spot=spot, rate=0.0), [spot, strike])
 
 
 class TestFourierIntegral:
